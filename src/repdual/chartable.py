@@ -6,21 +6,28 @@ eigenvectors of the class-sum multiplication matrices M_i with
 p > 2*sqrt(|G|) the whole eigenproblem is integer arithmetic; the mod-p
 character values are then lifted to exact cyclotomics of conductor
 exponent(G) by discrete-Fourier counting of root-of-unity multiplicities
-along power maps.  Row and column orthogonality are certified exactly before
-a table is ever returned, so the modular shortcut cannot silently produce a
-wrong table.
+along power maps.  The lift yields each value's root-of-unity multiplicities,
+an integer array over Z[C_m] (see zring) that is reduced modulo Phi_m once.
+Row and column orthogonality are certified exactly on that integer array
+before a table is ever returned, so the modular shortcut cannot silently
+produce a wrong table.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
-from .cyclotomic import Cyclotomic
+import numpy as np
+
+from . import zring
+from .cyclotomic import Cyclotomic, euler_phi
 from .errors import LiftVerificationFailed
 from .groups import ClassData, FiniteGroup, conjugacy_classes
 
@@ -264,9 +271,12 @@ class CharacterTable:
     """k x k exact character table in canonical order.
 
     values[i][j] = chi_i on class j, a Cyclotomic of conductor = exponent.
-    Rows: trivial character first, then ascending degree, ties broken by
-    lexicographic comparison of the rows' coefficient vectors.  Columns
-    follow the canonical class order of ClassData.
+    zvalues is the same table as a read-only (k, k, conductor) int64 array
+    over Z[C_m]: zvalues[i, j] holds the power-basis coefficients of
+    values[i][j], zero-padded.  Rows: trivial character first, then
+    ascending degree, ties broken by lexicographic comparison of the rows'
+    coefficient vectors.  Columns follow the canonical class order of
+    ClassData.
     """
 
     group: FiniteGroup
@@ -275,6 +285,7 @@ class CharacterTable:
     degrees: tuple[int, ...]
     conductor: int
     irrep_order: tuple[int, ...]
+    zvalues: np.ndarray = field(compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -298,41 +309,58 @@ class CharacterTable:
         }
 
 
-def _row_sort_key(row: tuple[Cyclotomic, ...], degree: int):
-    coeff_rows = tuple(tuple(v.coeffs) for v in row)
-    is_trivial = all(v == 1 for v in row)
-    return (0 if is_trivial else 1, degree, coeff_rows)
+def _row_sort_key(row: np.ndarray, degree: int):
+    """row: one row of power-basis coefficients, shape (k, phi(m))."""
+    is_trivial = not row[:, 1:].any() and bool((row[:, 0] == 1).all())
+    return (0 if is_trivial else 1, degree, tuple(map(tuple, row.tolist())))
 
 
-def _certify(G: FiniteGroup, classes: ClassData, values, degrees) -> None:
-    """Exact orthogonality + degree checks; raises LiftVerificationFailed."""
+def _certify(G: FiniteGroup, classes: ClassData, T: np.ndarray, degrees) -> None:
+    """Exact orthogonality + degree checks on the (k, k, m) array over
+    Z[C_m]; raises LiftVerificationFailed."""
     k = classes.num_classes
     order = G.order
     if sum(d * d for d in degrees) != order:
         raise LiftVerificationFailed("sum of squared degrees != |G|")
-    if any(values[0][j] != 1 for j in range(k)):
+    if T[0, :, 0].tolist() != [1] * k or T[0, :, 1:].any():
         raise LiftVerificationFailed("first row is not the trivial character")
-    for i, row in enumerate(values):
-        first = row[0].try_rational()
-        if first is None or first != degrees[i] or first <= 0:
-            raise LiftVerificationFailed(f"row {i} identity value is not its degree")
-    conj = [tuple(v.conjugate() for v in row) for row in values]
     for i in range(k):
-        for i2 in range(k):
-            total = Cyclotomic.from_rational(0)
-            for j in range(k):
-                total = total + classes.class_sizes[j] * (values[i][j] * conj[i2][j])
-            expected = Fraction(order) if i == i2 else Fraction(0)
-            if total != expected:
-                raise LiftVerificationFailed(f"row orthogonality fails at ({i},{i2})")
-    for j in range(k):
-        for j2 in range(k):
-            total = Cyclotomic.from_rational(0)
-            for i in range(k):
-                total = total + values[i][j] * conj[i][j2]
-            expected = Fraction(order, classes.class_sizes[j]) if j == j2 else Fraction(0)
-            if total != expected:
-                raise LiftVerificationFailed(f"column orthogonality fails at ({j},{j2})")
+        first = T[i, 0].tolist()
+        if any(first[1:]) or first[0] != degrees[i] or first[0] <= 0:
+            raise LiftVerificationFailed(f"row {i} identity value is not its degree")
+    sizes = classes.class_sizes
+    dtype = zring.exact_dtype(
+        max(sizes) * int(np.abs(T).sum()) ** 2 * zring.reduction_gain(T.shape[-1])
+    )
+    T = T.astype(dtype)
+    conj = zring.conjugate(T)
+    weighted = T * np.array(sizes, dtype=dtype)[None, :, None]
+    checks = (
+        ("row", zring.convmatmul(weighted, conj.transpose(1, 0, 2)), [order] * k),
+        ("column", zring.convmatmul(T.transpose(1, 0, 2), conj), [order // s for s in sizes]),
+    )
+    for name, product, diagonal in checks:
+        reduced = zring.reduce(product)
+        expected = np.zeros_like(reduced)
+        expected[range(k), range(k), 0] = diagonal
+        bad = np.argwhere((reduced != expected).any(axis=-1))
+        if len(bad):
+            a, b = bad[0].tolist()
+            raise LiftVerificationFailed(f"{name} orthogonality fails at ({a},{b})")
+
+
+def _certified_table(
+    G: FiniteGroup, classes: ClassData, P: np.ndarray, degrees, irrep_order
+) -> CharacterTable:
+    """Certify the power-basis coefficients P, shape (k, k, phi(m)), of a
+    table in canonical row order, then wrap them."""
+    m = G.exponent
+    T = np.zeros(P.shape[:2] + (m,), dtype=np.int64)
+    T[..., : P.shape[2]] = P
+    T.setflags(write=False)
+    _certify(G, classes, T, degrees)
+    values = tuple(tuple(Cyclotomic._raw(m, c) for c in row) for row in P.tolist())
+    return CharacterTable(G, classes, values, tuple(degrees), m, tuple(irrep_order), T)
 
 
 def _compute_character_table(G: FiniteGroup) -> CharacterTable:
@@ -359,8 +387,11 @@ def _compute_character_table(G: FiniteGroup) -> CharacterTable:
             x = G.mul(x, rep)
         power_class.append(row)
 
-    rows: list[tuple[tuple[Cyclotomic, ...], int]] = []
-    for vec in eigvecs:
+    # mults[r, j, t]: multiplicity of zeta_e^t among the eigenvalues of
+    # irrep r at class j, so chi_r(c_j) = sum_t mults[r, j, t] zeta_e^t
+    mults = np.zeros((k, k, e), dtype=np.int64)
+    degrees = []
+    for r, vec in enumerate(eigvecs):
         if vec[0] == 0:
             raise LiftVerificationFailed("central character vanishes at the identity")
         norm = pow(vec[0], p - 2, p)
@@ -373,28 +404,19 @@ def _compute_character_table(G: FiniteGroup) -> CharacterTable:
         if degree is None:
             raise LiftVerificationFailed("no integer degree matches mod p")
         chi_mod = [(degree * omega[j] * size_inv[j]) % p for j in range(k)]
-        values = []
         for j in range(k):
-            mults = []
             for t in range(e):
                 acc = 0
                 for s_idx in range(e):
                     acc += chi_mod[power_class[j][s_idx]] * pow(z, (p - 1 - t) * s_idx % (p - 1), p)
-                mults.append((acc * e_inv) % p)
-            if sum(mults) != degree:
+                mults[r, j, t] = (acc * e_inv) % p
+            if mults[r, j].sum() != degree:
                 raise LiftVerificationFailed("eigenvalue multiplicities do not sum to the degree")
-            value = Cyclotomic(e, [0])
-            for t, m in enumerate(mults):
-                if m:
-                    value = value + m * Cyclotomic.zeta(e, t)
-            values.append(value)
-        rows.append((tuple(values), degree))
+        degrees.append(degree)
 
-    order_idx = sorted(range(k), key=lambda i: _row_sort_key(rows[i][0], rows[i][1]))
-    values = tuple(rows[i][0] for i in order_idx)
-    degrees = tuple(rows[i][1] for i in order_idx)
-    _certify(G, classes, values, degrees)
-    return CharacterTable(G, classes, values, degrees, e, tuple(order_idx))
+    P = zring.reduce(mults)
+    order_idx = sorted(range(k), key=lambda i: _row_sort_key(P[i], degrees[i]))
+    return _certified_table(G, classes, P[order_idx], [degrees[i] for i in order_idx], order_idx)
 
 
 # -- caching -------------------------------------------------------------------
@@ -418,8 +440,7 @@ def character_table(G: FiniteGroup, cache_dir: str | Path | None = None) -> Char
     if table is None:
         table = _compute_character_table(G)
         if path:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(_dump_cached(table), indent=None, sort_keys=False))
+            _write_atomic(path, json.dumps(_dump_cached(table), indent=None, sort_keys=False))
     with _cache_lock:
         _cache.setdefault(digest, table)
     return table
@@ -434,20 +455,62 @@ def _dump_cached(ct: CharacterTable) -> dict:
     }
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory and rename it
+    into place, so a concurrent reader sees the old file or the whole new
+    one, never a partial write."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _is_int_list(obj, length: int) -> bool:
+    return (
+        isinstance(obj, list)
+        and len(obj) == length
+        and all(type(x) is int for x in obj)
+    )
+
+
 def _load_cached(G: FiniteGroup, path: Path) -> CharacterTable | None:
+    """The certified table stored at path, or None (so the caller
+    recomputes) when the file is unreadable, malformed, written for another
+    group or fails certification."""
     try:
         blob = json.loads(path.read_text())
         classes = conjugacy_classes(G)
-        values = tuple(
-            tuple(Cyclotomic.from_json(v) for v in row) for row in blob["values"]
-        )
-        degrees = tuple(blob["degrees"])
-        _certify(G, classes, values, degrees)
-        return CharacterTable(
-            G, classes, values, degrees, blob["conductor"], tuple(blob["irrep_order"])
-        )
-    except (KeyError, ValueError, LiftVerificationFailed):
-        return None  # stale or corrupt cache entry; recompute
+        k, m = classes.num_classes, G.exponent
+        if not isinstance(blob, dict) or blob.get("conductor") != m:
+            return None
+        degrees, irrep_order, rows = blob["degrees"], blob["irrep_order"], blob["values"]
+        if not (
+            _is_int_list(degrees, k)
+            and _is_int_list(irrep_order, k)
+            and sorted(irrep_order) == list(range(k))
+            and isinstance(rows, list)
+            and len(rows) == k
+            and all(isinstance(row, list) and len(row) == k for row in rows)
+        ):
+            return None
+        d = euler_phi(m)
+        P = np.zeros((k, k, d), dtype=np.int64)
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                coeffs = [Fraction(c) for c in v["coeffs"]]
+                if v["conductor"] != m or len(coeffs) != d:
+                    return None
+                if any(c.denominator != 1 for c in coeffs):
+                    return None
+                P[i, j] = [int(c) for c in coeffs]
+        return _certified_table(G, classes, P, degrees, irrep_order)
+    except (OSError, KeyError, TypeError, ValueError, ArithmeticError, LiftVerificationFailed):
+        return None  # stale, corrupt or foreign cache entry; recompute
 
 
 def inner_product(ct: CharacterTable, f, irrep: int) -> Fraction:

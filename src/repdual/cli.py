@@ -15,6 +15,7 @@ import sys
 
 from .chartable import character_table
 from .codes import (
+    DEFAULT_CODE_CAP,
     code_from_generators,
     complete_weight_enumerator,
     diagonal_code,
@@ -23,6 +24,8 @@ from .codes import (
     weight_enumerator,
 )
 from .duality import (
+    DEFAULT_COSET_CAP,
+    DEFAULT_TUPLE_CAP,
     dual_cwe,
     dual_multiset,
     dual_weight_enumerator,
@@ -59,9 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="code spec: JSON file or trivial:/full:/diag: shorthand",
             )
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--closure-cap", type=int, default=10**6, metavar="N")
-        p.add_argument("--tuple-cap", type=int, default=10**7, metavar="N")
-        p.add_argument("--coset-cap", type=int, default=10**5, metavar="N")
+        p.add_argument("--closure-cap", type=int, default=DEFAULT_CODE_CAP, metavar="N")
+        p.add_argument("--tuple-cap", type=int, default=DEFAULT_TUPLE_CAP, metavar="N")
+        p.add_argument("--coset-cap", type=int, default=DEFAULT_COSET_CAP, metavar="N")
         p.add_argument("--cache-dir", help="on-disk character table cache")
 
     p = sub.add_parser("classes", help="conjugacy classes of a group")
@@ -266,12 +269,7 @@ def cmd_verify(args) -> int:
         if not abelian:
             raise SpecFileError("--abelian requested but the group is nonabelian")
         selected.append(verify_abelian_specialization)
-    results = []
-    for check in selected:
-        if check in (verify_greene, verify_macwilliams1, verify_macwilliams2):
-            results.append(check(code, ct, tuple_cap=args.tuple_cap))
-        else:
-            results.append(check(code, ct))
+    results = [check(code, ct, tuple_cap=args.tuple_cap) for check in selected]
     lines = []
     for r in results:
         lines.append(f"{r.name}: {'PASS' if r.passed else 'FAIL'}")

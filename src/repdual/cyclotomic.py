@@ -340,22 +340,3 @@ class Cyclotomic:
     def from_json(obj: dict) -> "Cyclotomic":
         return Cyclotomic(obj["conductor"], [Fraction(c) for c in obj["coeffs"]])
 
-
-def cyc_add(a: Cyclotomic, b) -> Cyclotomic:
-    return a + b
-
-
-def cyc_mul(a: Cyclotomic, b) -> Cyclotomic:
-    return a * b
-
-
-def cyc_scalar_mul(a: Cyclotomic, scalar) -> Cyclotomic:
-    return a * _as_fraction(scalar)
-
-
-def cyc_galois(a: Cyclotomic, e: int) -> Cyclotomic:
-    return a.galois(e)
-
-
-def cyc_as_rational(a: Cyclotomic) -> Fraction:
-    return a.as_rational()

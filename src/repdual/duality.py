@@ -4,14 +4,17 @@ routes that serve as mutual oracles.
 Primary route (Frobenius reciprocity): the multiplicity of the irrep tuple
 (j_1..j_n) is (1/|H|) sum over words of prod_m chi_{j_m}(h_m).  The sum only
 depends on the words' class patterns, so it is organized as an axis-by-axis
-contraction of the ordered pattern counts with the character table
-(n*k^(n+1) exact cyclotomic operations instead of k^n*|H|).
+contraction of the ordered pattern counts with the character table, held as
+an integer array over Z[C_m] (see zring): n integer matrix products per
+nonzero coefficient position instead of k^n*|H| cyclotomic products, and
+one reduction modulo Phi_m at the end.
 
 Oracle route (permutation character): enumerate the left cosets x*H of
 Gamma^n, count the cosets fixed by a representative of each class tuple
 (g fixes x*H iff x^-1*g*x lies in H), and decompose the resulting class
-function against the product character table.  numpy handles the integer
-index plumbing; nothing about this route is floating point.
+function against the conjugate product character table through the same
+integer kernel.  numpy handles the integer index plumbing; nothing about
+this route is floating point.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from itertools import product
 
 import numpy as np
 
+from . import zring
 from .chartable import CharacterTable
 from .codes import GroupCode, class_pattern_counts, project_cardinality
-from .cyclotomic import Cyclotomic
 from .errors import CapExceeded, NonIntegerMultiplicity, RepdualError
 from .groups import ClassData, word_mul
 from .polynomials import MultiPoly, UniPoly
@@ -60,41 +63,30 @@ class DualMultiset:
         return self.mult.items()
 
 
-def _contract_with_table(
-    rows: list, counts: dict[tuple[int, ...], int], n: int, k: int
-) -> dict[tuple[int, ...], Cyclotomic]:
-    """out[j] = sum_i counts[i] prod_m rows[j_m][i_m], one axis at a time."""
-    cur: dict[tuple[int, ...], object] = dict(counts)
-    for axis in range(n):
-        nxt: dict[tuple[int, ...], object] = {}
-        for key, val in cur.items():
-            i = key[axis]
-            head, tail = key[:axis], key[axis + 1 :]
-            for j in range(k):
-                term = rows[j][i] * val
-                if term.is_zero():
-                    continue
-                newkey = head + (j,) + tail
-                acc = nxt.get(newkey)
-                nxt[newkey] = term if acc is None else acc + term
-        cur = {key: v for key, v in nxt.items() if not v.is_zero()}
-    return cur
+def _multiplicities(raw: np.ndarray, divisor: int) -> dict[tuple[int, ...], int]:
+    """raw: reduced (k,)*n + (phi(m),) array of divisor * multiplicity.
+    Every entry must divide to a nonnegative integer; zeros are omitted."""
+    shape = raw.shape[:-1]
+    irrational = np.flatnonzero(raw[..., 1:].any(axis=-1))
+    if len(irrational):
+        key = tuple(int(x) for x in np.unravel_index(irrational[0], shape))
+        raise NonIntegerMultiplicity(f"multiplicity of {key} is not rational")
+    const = raw[..., 0].reshape(-1)
+    nonzero = np.flatnonzero(const)
+    keys = zip(*(axis.tolist() for axis in np.unravel_index(nonzero, shape)))
+    mult: dict[tuple[int, ...], int] = {}
+    for key, c in zip(keys, const[nonzero].tolist()):
+        value = Fraction(c, divisor)
+        if value.denominator != 1 or value < 0:
+            raise NonIntegerMultiplicity(f"multiplicity of {key} is {value}")
+        mult[key] = int(value)
+    return mult
 
 
 def _to_multiset(
-    raw: dict[tuple[int, ...], Cyclotomic],
-    divisor: int,
-    code: GroupCode,
-    ct: CharacterTable,
+    raw: np.ndarray, divisor: int, code: GroupCode, ct: CharacterTable
 ) -> DualMultiset:
-    mult: dict[tuple[int, ...], int] = {}
-    for key in sorted(raw):
-        value = (raw[key] / divisor).as_rational()
-        if value.denominator != 1 or value < 0:
-            raise NonIntegerMultiplicity(f"multiplicity of {key} is {value}")
-        if value:
-            mult[key] = int(value)
-    dm = DualMultiset(code.n, ct.k, ct.degrees, mult)
+    dm = DualMultiset(code.n, ct.k, ct.degrees, _multiplicities(raw, divisor))
     trivial = (0,) * code.n
     if dm.mult.get(trivial) != 1:
         raise NonIntegerMultiplicity(
@@ -116,8 +108,7 @@ def dual_multiset(
     if k**code.n > cap:
         raise CapExceeded("irrep tuple space", k**code.n, cap)
     counts = class_pattern_counts(code, ct.classes)
-    rows = [list(row) for row in ct.values]
-    raw = _contract_with_table(rows, counts, code.n, k)
+    raw = zring.reduce(zring.contract(counts, ct.zvalues, code.n))
     return _to_multiset(raw, code.size, code, ct)
 
 
@@ -236,17 +227,8 @@ def decompose_permutation_character(
         for c in tup:
             w *= sizes[c]
         weighted[tup] = w
-    conj_rows = [list(ct.conjugate_row(i)) for i in range(k)]
-    raw = _contract_with_table(conj_rows, weighted, n, k)
-    order_n = ct.group.order**n
-    mult: dict[tuple[int, ...], int] = {}
-    for key in sorted(raw):
-        value = (raw[key] / order_n).as_rational()
-        if value.denominator != 1 or value < 0:
-            raise NonIntegerMultiplicity(f"multiplicity of {key} is {value}")
-        if value:
-            mult[key] = int(value)
-    return DualMultiset(n, k, ct.degrees, mult)
+    raw = zring.reduce(zring.contract(weighted, zring.conjugate(ct.zvalues), n))
+    return DualMultiset(n, k, ct.degrees, _multiplicities(raw, ct.group.order**n))
 
 
 # -- enumerators of the dual -----------------------------------------------------

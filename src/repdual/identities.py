@@ -20,8 +20,12 @@ from fractions import Fraction
 from itertools import product
 from math import log
 
+import numpy as np
+
+from . import zring
 from .chartable import CharacterTable, character_table
 from .codes import (
+    DEFAULT_CODE_CAP,
     GroupCode,
     RankProfile,
     code_from_words,
@@ -32,12 +36,13 @@ from .codes import (
 )
 from .cyclotomic import Cyclotomic
 from .duality import (
+    DEFAULT_TUPLE_CAP,
     dual_cwe,
     dual_multiset,
     dual_weight_enumerator,
     extension_lemma_check,
 )
-from .errors import CapExceeded, DomainError, NonIntegerMultiplicity
+from .errors import CapExceeded, DomainError, NonIntegerMultiplicity, NotRational
 from .groups import FiniteGroup
 from .polynomials import MultiPoly, UniPoly
 
@@ -97,7 +102,7 @@ def _relative_close(a: float, b: float) -> bool:
 
 
 def verify_greene(
-    code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = 10**7
+    code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = DEFAULT_TUPLE_CAP
 ) -> CheckResult:
     """Exact subset-form check of both Greene identities, plus the floating
     Tutte spot-check at z in {0.3, 0.5, 0.7}."""
@@ -150,7 +155,7 @@ def macwilliams1_rhs(code: GroupCode) -> UniPoly:
 
 
 def verify_macwilliams1(
-    code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = 10**7
+    code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = DEFAULT_TUPLE_CAP
 ) -> CheckResult:
     ct = ct or character_table(code.group)
     result = CheckResult("macwilliams1", True)
@@ -161,32 +166,36 @@ def verify_macwilliams1(
     return result
 
 
+def _cwe_transform(cwe: MultiPoly, T: np.ndarray, size: int) -> MultiPoly:
+    """(1/size) cwe evaluated at v_c = sum_p T[p, c] x_p, for a (k, k, m)
+    table T over Z[C_m].  Each exponent vector of the cwe sits at its sorted
+    class pattern; the contraction is summed by exponent content in Z[C_m]
+    before the one reduction mod Phi_m, because a single ordered entry need
+    not be rational."""
+    k = cwe.nvars
+    n = sum(next(iter(cwe.terms)))
+    counts = {
+        tuple(c for c in range(k) for _ in range(e[c])): int(coeff)
+        for e, coeff in cwe.terms.items()
+    }
+    contents, sums = zring.sum_by_content(zring.contract(counts, T, n), n)
+    terms = {}
+    for e, coeffs in zip(contents, zring.reduce(sums).tolist()):
+        if any(coeffs[1:]):
+            raise NotRational(f"transformed coefficient at {e} is not rational")
+        terms[e] = Fraction(coeffs[0], size)
+    return MultiPoly(k, terms)
+
+
 def macwilliams2_transform(code: GroupCode, ct: CharacterTable) -> MultiPoly:
     """(1/|H|) cwe_H evaluated at v_j = sum_p chi_p(c_j) x_p, every
     coefficient reduced to an exact rational."""
-    k = ct.k
     cwe = complete_weight_enumerator(code, ct.classes)
-    images = []
-    for j in range(k):
-        terms = {}
-        for p in range(k):
-            e = [0] * k
-            e[p] = 1
-            terms[tuple(e)] = ct.value(p, j)
-        images.append(MultiPoly(k, terms))
-    substituted = cwe.compose(images)
-    inv_size = Fraction(1, code.size)
-
-    def reduce(c):
-        if isinstance(c, Cyclotomic):
-            return (c * inv_size).as_rational()
-        return c * inv_size
-
-    return substituted.map_coefficients(reduce)
+    return _cwe_transform(cwe, ct.zvalues, code.size)
 
 
 def verify_macwilliams2(
-    code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = 10**7
+    code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = DEFAULT_TUPLE_CAP
 ) -> CheckResult:
     ct = ct or character_table(code.group)
     if ct.k**code.n > tuple_cap:
@@ -207,10 +216,12 @@ def verify_macwilliams2(
 # -- extension lemma over all subsets ----------------------------------------------
 
 
-def verify_extension_lemma(code: GroupCode, ct: CharacterTable | None = None) -> CheckResult:
+def verify_extension_lemma(
+    code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = DEFAULT_TUPLE_CAP
+) -> CheckResult:
     ct = ct or character_table(code.group)
     result = CheckResult("extension_lemma", True)
-    dm = dual_multiset(code, ct)
+    dm = dual_multiset(code, ct, cap=tuple_cap)
     for S in range(1 << code.n):
         res = extension_lemma_check(code, dm, S)
         if not res.passed:
@@ -277,7 +288,9 @@ def abelian_pairing_exponents(G: FiniteGroup) -> list[list[int]]:
     return eps
 
 
-def classical_dual_code(code: GroupCode, eps: list[list[int]], cap: int = 10**6) -> GroupCode:
+def classical_dual_code(
+    code: GroupCode, eps: list[list[int]], cap: int = DEFAULT_CODE_CAP
+) -> GroupCode:
     """{x : pairing(x, h) = 1 for all h in H}, by brute-force enumeration."""
     G = code.group
     m = G.exponent
@@ -294,7 +307,7 @@ def classical_dual_code(code: GroupCode, eps: list[list[int]], cap: int = 10**6)
 
 
 def verify_abelian_specialization(
-    code: GroupCode, ct: CharacterTable | None = None
+    code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = DEFAULT_TUPLE_CAP
 ) -> CheckResult:
     """For abelian Gamma: the dual multiset is 0/1-valued, its image under
     the pinned character-group isomorphism is the classical pairing dual,
@@ -323,7 +336,7 @@ def verify_abelian_specialization(
             )
         irrep_to_element[i] = matches[0]
 
-    dm = dual_multiset(code, ct)
+    dm = dual_multiset(code, ct, cap=tuple_cap)
     if any(mult > 1 for mult in dm.mult.values()):
         result.fail("dual multiset is not 0/1-valued over an abelian group")
 
@@ -337,18 +350,10 @@ def verify_abelian_specialization(
     # classical MacWilliams #2 with the element-indexed pairing matrix
     cwe_dual = complete_weight_enumerator(dual, ct.classes)
     cwe_H = complete_weight_enumerator(code, ct.classes)
-    images = []
-    for j in range(G.order):
-        terms = {}
-        for g in range(G.order):
-            e = [0] * G.order
-            e[g] = 1
-            terms[tuple(e)] = Cyclotomic.zeta(m, eps[g][j])
-        images.append(MultiPoly(G.order, terms))
-    inv_size = Fraction(1, code.size)
-    transformed = cwe_H.compose(images).map_coefficients(
-        lambda c: (c * inv_size).as_rational() if isinstance(c, Cyclotomic) else c * inv_size
-    )
+    # pairing[g, j] = zeta_m^eps[g][j], one-hot over Z[C_m]
+    pairing = np.zeros((G.order, G.order, m), dtype=np.int64)
+    pairing[(*np.indices((G.order, G.order)), np.array(eps))] = 1
+    transformed = _cwe_transform(cwe_H, pairing, code.size)
     if transformed != cwe_dual:
         result.fail(
             "classical cwe transform differs from the brute-force dual by "

@@ -1,24 +1,14 @@
-"""Sparse exact polynomials: univariate over Q and multivariate over Q or a
-cyclotomic field.
+"""Sparse exact polynomials over Q, univariate and multivariate.
 
-UniPoly maps degree -> Fraction; MultiPoly maps a length-k exponent tuple to a
-coefficient that is either a Fraction or a Cyclotomic (the latter only while a
-MacWilliams substitution is in flight).  Zero coefficients are never stored,
-so equality is plain dict equality.
+UniPoly maps degree -> Fraction; MultiPoly maps a length-k exponent tuple to
+a rational coefficient.  Zero coefficients are never stored, so equality is
+plain dict equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-from .cyclotomic import Cyclotomic
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, Cyclotomic):
-        return c.is_zero()
-    return c == 0
 
 
 class UniPoly:
@@ -154,7 +144,7 @@ class MultiPoly:
             for e, c in terms.items():
                 if len(e) != nvars:
                     raise ValueError(f"exponent tuple {e} has wrong length")
-                if not _is_zero(c):
+                if c:
                     self.terms[e] = c
 
     @staticmethod
@@ -174,9 +164,7 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        if self.nvars != other.nvars or set(self.terms) != set(other.terms):
-            return False
-        return all(_is_zero(self.terms[e] - other.terms[e]) for e in self.terms)
+        return self.nvars == other.nvars and self.terms == other.terms
 
     __hash__ = None
 
@@ -187,7 +175,7 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
-            if _is_zero(s):
+            if not s:
                 out.pop(e, None)
             else:
                 out[e] = s
@@ -207,7 +195,7 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 s = out.get(e, 0) + c1 * c2
-                if _is_zero(s):
+                if not s:
                     out.pop(e, None)
                 else:
                     out[e] = s
@@ -216,7 +204,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
-        if _is_zero(c):
+        if not c:
             return MultiPoly(self.nvars)
         return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
 
@@ -236,38 +224,11 @@ class MultiPoly:
             total = c + total
         return total
 
-    def compose(self, values: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute values[i] for variable i; exponentiation is memoized
-        per variable since cwe exponent vectors repeat powers heavily."""
-        if len(values) != self.nvars:
-            raise ValueError("need one replacement polynomial per variable")
-        width = values[0].nvars if values else self.nvars
-        powers: list[dict[int, MultiPoly]] = [
-            {0: MultiPoly.constant(width, Fraction(1))} for _ in values
-        ]
-
-        def var_power(i: int, e: int) -> "MultiPoly":
-            memo = powers[i]
-            if e not in memo:
-                memo[e] = var_power(i, e - 1) * values[i]
-            return memo[e]
-
-        out = MultiPoly.zero(width)
-        for exps, c in self.terms.items():
-            term = MultiPoly.constant(width, Fraction(1))
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * var_power(i, e)
-            out = out + term.scale(c)
-        return out
-
     def substitute_univariate(self, images: Sequence[tuple[Fraction, int]]) -> UniPoly:
         """Substitute variable i -> coeff_i * z^deg_i; coefficients must be
         rational at that point."""
         out = UniPoly()
         for exps, c in self.terms.items():
-            if isinstance(c, Cyclotomic):
-                c = c.as_rational()
             degree = 0
             scalar = Fraction(c)
             for i, e in enumerate(exps):
@@ -295,10 +256,6 @@ class MultiPoly:
                 elif e > 1:
                     factors.append(f"{var}{i + 1}^{e}")
             body = "*".join(factors)
-            if isinstance(c, Cyclotomic):
-                cstr = f"({c})"
-                parts.append(f" + {cstr}*{body}" if parts else f"{cstr}*{body}")
-                continue
             mag = abs(c)
             if not body:
                 piece = str(mag)
@@ -319,8 +276,5 @@ class MultiPoly:
     def to_json(self) -> list:
         out = []
         for exps, c in self.sorted_terms():
-            if isinstance(c, Cyclotomic):
-                out.append([list(exps), c.to_json()])
-            else:
-                out.append([list(exps), str(Fraction(c))])
+            out.append([list(exps), str(Fraction(c))])
         return out

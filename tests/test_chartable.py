@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -205,3 +206,48 @@ def test_tables_for_matrix_groups():
         assert ct.values[0] == tuple(
             Cyclotomic.from_rational(1, ct.conductor) for _ in range(ct.k)
         )
+
+
+def _corrupt_coefficient(blob):
+    blob["values"][1][1]["coeffs"][0] = "1/0"
+    return blob
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda blob: dict(blob, values=5),
+        lambda blob: [blob],
+        _corrupt_coefficient,
+        lambda blob: dict(blob, conductor=12),
+        lambda blob: dict(blob, irrep_order=[0, 0, 1]),
+    ],
+    ids=["values-not-a-list", "top-level-list", "zero-denominator", "conductor", "irrep-order"],
+)
+def test_corrupt_cache_is_recomputed(tmp_path, corrupt):
+    import repdual.chartable as mod
+
+    G = symmetric_group(3)
+    mod._cache.clear()
+    ref = character_table(G, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    mod._cache.clear()
+    ct = character_table(G, cache_dir=tmp_path)
+    assert (ct.values, ct.degrees, ct.irrep_order) == (ref.values, ref.degrees, ref.irrep_order)
+    # the recomputed table replaced the corrupt file, with no temp file left
+    assert list(tmp_path.iterdir()) == [path]
+    assert json.loads(path.read_text()) == mod._dump_cached(ref)
+
+
+def test_failed_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    import repdual.chartable as mod
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(mod.os, "replace", refuse)
+    mod._cache.clear()
+    with pytest.raises(OSError, match="disk full"):
+        character_table(symmetric_group(3), cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []

@@ -37,6 +37,11 @@ def test_load_group_errors(tmp_path):
         load_group_spec({"kind": "permutation", "degree": 2})
     with pytest.raises(SpecFileError, match="unknown group kind"):
         load_group_spec({"kind": "frobnicate"})
+    for name in ("builtin:Z0", "builtin:S0", "builtin:D0"):
+        with pytest.raises(SpecFileError, match="positive parameter"):
+            load_group_spec(name)
+    with pytest.raises(SpecFileError, match="positive parameter"):
+        load_group_spec({"kind": "builtin", "name": "Z", "params": 0})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(SpecFileError, match="line 1"):
@@ -162,6 +167,33 @@ def test_cli_spec_error_exit_2(capsys):
     code, _, err = run(capsys, "wenum", "--code", "diag:n=2")
     assert code == 2
     assert "spec error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wenum", "--group", "builtin:S3", "--code", "diag:n=0"),
+        ("dual", "--group", "builtin:S3", "--code", "full:n=-1"),
+        ("classes", "--group", "builtin:Z0"),
+        ("chartable", "--group", "builtin:S0"),
+    ],
+)
+def test_cli_empty_shorthands_are_spec_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "spec error" in err
+
+
+@pytest.mark.parametrize("check", ["--mw1", "--extension", "--abelian"])
+def test_cli_verify_tuple_cap_reaches_every_check(capsys, check):
+    code, out, err = run(
+        capsys, "verify", "--group", "builtin:Z6", "--code", "full:n=4", check,
+        "--tuple-cap", "10",
+    )
+    assert code == 1
+    assert out == ""
+    assert "irrep tuple space needs 1296 > cap 10" in err
 
 
 def test_cli_deterministic_json(capsys):

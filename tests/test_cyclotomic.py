@@ -137,19 +137,3 @@ def test_str_rendering():
     assert str(Cyclotomic.from_rational(0, 6)) == "0"
     assert str(Cyclotomic(12, [1, 0, 2])) == "2*z12^2 + 1"
 
-
-def test_functional_aliases():
-    from repdual.cyclotomic import (
-        cyc_add,
-        cyc_as_rational,
-        cyc_galois,
-        cyc_mul,
-        cyc_scalar_mul,
-    )
-
-    z6 = Cyclotomic.zeta(6)
-    assert cyc_add(z6, z6) == 2 * z6
-    assert cyc_mul(z6, z6**5) == 1
-    assert cyc_scalar_mul(z6, Fraction(1, 2)) == z6 / 2
-    assert cyc_galois(z6, 5) == z6.conjugate()
-    assert cyc_as_rational(z6 * z6**5) == 1
