@@ -24,6 +24,7 @@ import numpy as np
 from .cyclotomic import _power_basis, euler_phi
 
 INT64_LIMIT = 2**62
+_CHUNK = 1 << 16
 
 
 def exact_dtype(bound: int):
@@ -83,8 +84,8 @@ def contract(counts: dict[tuple[int, ...], int], T: np.ndarray, n: int) -> np.nd
     top = max((abs(c) for c in counts.values()), default=0)
     dtype = exact_dtype(top * L**n * k**n * reduction_gain(m))
     A = np.zeros((k,) * n + (m,), dtype=dtype)
-    keys = np.array(list(counts), dtype=np.intp).reshape(len(counts), n)
-    A[tuple(keys.T) + (0,)] = np.array(list(counts.values()), dtype=dtype)
+    for key, c in counts.items():
+        A[key + (0,)] = c
     T = T.astype(dtype)
     for _ in range(n):
         # contract the leading axis; its new index goes last, so after n
@@ -100,11 +101,16 @@ def sum_by_content(A: np.ndarray, n: int) -> tuple[list[tuple[int, ...]], np.nda
     exponent vectors of length k, ascending by sorted tuple, and the
     matching (len(contents), m) sums."""
     k, m = A.shape[0], A.shape[-1]
-    idx = np.indices((k,) * n, dtype=np.min_scalar_type(k)).reshape(n, -1)
-    idx.sort(axis=0)
-    code = np.zeros(idx.shape[1], dtype=np.int64)
-    for row in idx:
-        code = code * k + row
+    total = k**n
+    # code[flat] = the sorted index tuple read in base k, built a chunk at a
+    # time so that the (n, k^n) index array never exists at once
+    code = np.empty(total, dtype=np.int64)
+    for lo in range(0, total, _CHUNK):
+        flat = np.arange(lo, min(lo + _CHUNK, total))
+        chunk = np.zeros(len(flat), dtype=np.int64)
+        for row in np.sort(np.unravel_index(flat, (k,) * n), axis=0):
+            chunk = chunk * k + row
+        code[lo : lo + len(flat)] = chunk
     keys, inverse = np.unique(code, return_inverse=True)
     sums = np.zeros((len(keys), m), dtype=A.dtype)
     np.add.at(sums, inverse.reshape(-1), A.reshape(-1, m))
