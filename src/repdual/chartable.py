@@ -330,7 +330,7 @@ def _certify(G: FiniteGroup, classes: ClassData, T: np.ndarray, degrees) -> None
             raise LiftVerificationFailed(f"row {i} identity value is not its degree")
     sizes = classes.class_sizes
     dtype = zring.exact_dtype(
-        max(sizes) * int(np.abs(T).sum()) ** 2 * zring.reduction_gain(T.shape[-1])
+        max(sizes) * sum(zring.abs_row_sums(T)) ** 2 * zring.reduction_gain(T.shape[-1])
     )
     T = T.astype(dtype)
     conj = zring.conjugate(T)

@@ -438,6 +438,8 @@ def builtin_group(name: str) -> FiniteGroup:
         return quaternion_group()
     if len(name) >= 2 and name[0] in "ZSD" and name[1:].isdigit():
         n = int(name[1:])
+        if n < 1:
+            raise ValueError(f"builtin group {name!r} needs a positive parameter")
         if name[0] == "Z":
             return cyclic_group(n)
         if name[0] == "S":

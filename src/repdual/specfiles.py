@@ -62,24 +62,17 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _builtin(name, where: str) -> FiniteGroup:
-    """builtin_group, refusing the empty family members Z0, S0 and D0."""
-    if isinstance(name, str) and name[:1] in ("Z", "S", "D") and name[1:].isdigit() \
-            and int(name[1:]) < 1:
-        raise SpecFileError(f"{where}: builtin group {name!r} needs a positive parameter")
-    try:
-        return builtin_group(name)
-    except (ValueError, RepdualError) as exc:
-        raise SpecFileError(f"{where}: {exc}") from exc
-
-
 def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") -> FiniteGroup:
     """spec: dict, path to a JSON file, or 'builtin:NAME' shorthand."""
     if isinstance(spec, FiniteGroup):
         return spec
     if isinstance(spec, str):
         if spec.startswith("builtin:"):
-            return _builtin(spec.split(":", 1)[1], where)
+            name = spec.split(":", 1)[1]
+            try:
+                return builtin_group(name)
+            except (ValueError, RepdualError) as exc:
+                raise SpecFileError(f"{where}: {exc}") from exc
         return load_group_spec(_read_json(spec), cap, where=spec)
     if not isinstance(spec, dict):
         raise SpecFileError(f"{where}: expected an object, got {type(spec).__name__}")
@@ -90,7 +83,7 @@ def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") ->
             params = spec.get("params")
             if params is not None:
                 name = f"{name}{params}"
-            return _builtin(name, where)
+            return builtin_group(name)
         if kind == "permutation":
             degree = _require(spec, "degree", where)
             gens = _require(spec, "generators", where)

@@ -45,6 +45,16 @@ def reduction_gain(m: int) -> int:
     return int(np.abs(reduction_matrix(m)).sum(axis=0).max())
 
 
+def abs_row_sums(T: np.ndarray) -> list[int]:
+    """sum of |T[j, ...]| for every j, as exact Python ints.  An int64 sum
+    could wrap (np.abs(-2**63) is negative) and understate an overflow
+    bound, so numpy sums only when no row sum can reach 2**62."""
+    cap = INT64_LIMIT // max(T[0].size, 1)
+    if T.dtype != object and T.size and -int(T.min()) < cap and int(T.max()) < cap:
+        return np.abs(T).reshape(len(T), -1).sum(axis=1).tolist()
+    return [sum(abs(x) for x in row.ravel().tolist()) for row in T]
+
+
 def reduce(A: np.ndarray) -> np.ndarray:
     """Canonical power-basis coefficients modulo Phi_m of every entry:
     (..., m) -> (..., phi(m))."""
@@ -80,7 +90,7 @@ def contract(counts: dict[tuple[int, ...], int], T: np.ndarray, n: int) -> np.nd
     sum_{i,t} |T[j, i, t]|, times k^n and reduction_gain(m), so that any sum
     of output entries can also be reduced without overflow."""
     k, m = T.shape[0], T.shape[-1]
-    L = int(np.abs(T).sum(axis=(1, 2)).max())
+    L = max(abs_row_sums(T))
     top = max((abs(c) for c in counts.values()), default=0)
     dtype = exact_dtype(top * L**n * k**n * reduction_gain(m))
     A = np.zeros((k,) * n + (m,), dtype=dtype)

@@ -240,6 +240,27 @@ def test_corrupt_cache_is_recomputed(tmp_path, corrupt):
     assert json.loads(path.read_text()) == mod._dump_cached(ref)
 
 
+def test_cache_entries_off_by_2_63_are_recomputed(tmp_path):
+    # valid modulo 2**64 only: int64 arithmetic would certify this file
+    import repdual.chartable as mod
+
+    G = symmetric_group(4)
+    mod._cache.clear()
+    ref = character_table(G, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    blob = json.loads(path.read_text())
+    cls = ref.classes.class_sizes.index(8)
+    sign = next(i for i in range(1, ref.k) if ref.degrees[i] == 1)
+    blob["values"][sign][cls]["coeffs"][0] = str(1 - 2**63)
+    blob["values"][ref.degrees.index(3)][cls]["coeffs"][0] = str(-(2**63))
+    path.write_text(json.dumps(blob))
+    mod._cache.clear()
+    assert mod._load_cached(G, path) is None
+    ct = character_table(G, cache_dir=tmp_path)
+    assert (ct.values, ct.degrees, ct.irrep_order) == (ref.values, ref.degrees, ref.irrep_order)
+    assert json.loads(path.read_text()) == mod._dump_cached(ref)
+
+
 def test_failed_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):
     import repdual.chartable as mod
 

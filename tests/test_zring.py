@@ -102,3 +102,27 @@ def test_certify_rejects_tampered_tables():
     T[2, 0, 0] = 3
     with pytest.raises(LiftVerificationFailed, match="not its degree"):
         _certify(ct.group, ct.classes, T, ct.degrees)
+
+
+def test_overflow_bounds_do_not_wrap():
+    # np.abs(-2**63) is -2**63 in int64, so a numpy sum would understate
+    # the bound; these entries must push every consumer onto exact ints
+    T = np.zeros((2, 2, 3), dtype=np.int64)
+    T[0, 0, 0] = 1
+    T[1, 1, 0] = -(2**63)
+    T[1, 0, 2] = 1 - 2**63
+    assert zring.abs_row_sums(T) == [1, 2**64 - 1]
+    assert zring.abs_row_sums(T.astype(object)) == [1, 2**64 - 1]
+    assert zring.contract({(1,): 1}, T, 1).dtype == object
+    # a table that is only correct modulo 2**64 is still rejected: S4 with
+    # 2**63 added to two entries on the 3-cycle class (size 8), whose other
+    # entries on those rows sum to even numbers
+    ct = character_table(symmetric_group(4))
+    cls = ct.classes.class_sizes.index(8)
+    sign = next(i for i in range(1, ct.k) if ct.degrees[i] == 1)
+    std = ct.degrees.index(3)
+    T = ct.zvalues.copy()
+    T[sign, cls, 0] = 1 - 2**63
+    T[std, cls, 0] = -(2**63)
+    with pytest.raises(LiftVerificationFailed, match="orthogonality"):
+        _certify(ct.group, ct.classes, T, ct.degrees)
