@@ -33,6 +33,7 @@ from .duality import (
     dual_multiset,
     dual_weight_enumerator,
     extension_lemma_check,
+    extension_lemma_checks,
     permutation_character,
 )
 from .groups import (

@@ -11,17 +11,21 @@ one reduction modulo Phi_m at the end.
 
 Oracle route (permutation character): enumerate the left cosets x*H of
 Gamma^n, count the cosets fixed by a representative of each class tuple
-(g fixes x*H iff x^-1*g*x lies in H), and decompose the resulting class
+(g fixes x*H iff g lies in x*H*x^-1), and decompose the resulting class
 function against the conjugate product character table through the same
-integer kernel.  numpy handles the integer index plumbing; nothing about
-this route is floating point.
+integer kernel.  The coset BFS and the fixed-coset counts are batched int64
+gathers on the Cayley table, with words encoded as base-|Gamma| integers:
+O(|Gamma|^n * n^2 * |gens|) work, in blocks of about ORACLE_BLOCK entries,
+bounded by coset_cap * |H|.  No class-pattern count or character value
+enters this route before the decomposition, so it stays independent of the
+Frobenius route; nothing about it is floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from . import zring
 from .chartable import CharacterTable
 from .codes import GroupCode, class_pattern_counts, project_cardinality
 from .errors import CapExceeded, NonIntegerMultiplicity, RepdualError
-from .groups import ClassData, word_mul
+from .groups import ClassData
 from .polynomials import MultiPoly, UniPoly
 
 DEFAULT_TUPLE_CAP = 10**7
@@ -114,41 +118,120 @@ def dual_multiset(
 
 # -- permutation-character oracle ------------------------------------------------
 
+# Block temporaries of the oracle hold about this many int64 entries, and at
+# least one coset's worth (|H|*n) when H is larger.
+ORACLE_BLOCK = 2**14
 
-def _coset_representatives(code: GroupCode, cap: int) -> list[tuple[int, ...]]:
-    """Canonical (minimal-word) representatives of the left cosets x*H,
-    found by BFS with left multiplication by per-coordinate generators."""
+
+def _word_arrays(code: GroupCode) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The Cayley table, the words of H as an (|H|, n) array, the weights
+    that encode a word as an integer in base |Gamma| (integer order is then
+    lex order), and how many words' products with all of H fit one block."""
     G = code.group
-    n_cosets, rem = divmod(G.order**code.n, code.size)
+    if G.order**code.n > 2**63:
+        raise CapExceeded("int64 word encoding", G.order**code.n, 2**63)
+    MUL = np.array(G.table, dtype=np.int64)
+    H = np.array(code.words, dtype=np.int64).reshape(code.size, code.n)
+    rows = max(1, ORACLE_BLOCK // (code.size * code.n))
+    return MUL, H, _weights(G.order, code.n), rows
+
+
+def _weights(base: int, n: int) -> np.ndarray:
+    return base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _in_sorted(a: np.ndarray, sorted_b: np.ndarray) -> np.ndarray:
+    idx = np.minimum(np.searchsorted(sorted_b, a), len(sorted_b) - 1)
+    return sorted_b[idx] == a
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal (nonnegative) keys starts.  np.unique would
+    do, but with numpy 2.4 its first call imports numpy.ma, about 1.7 MB of
+    resident memory."""
+    return np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    keys = np.sort(keys)
+    return keys[_run_starts(keys)]
+
+
+class _KeyCounts:
+    """Counts of nonnegative int64 keys, merged whenever the unmerged keys
+    outgrow both ORACLE_BLOCK and the distinct keys so far."""
+
+    def __init__(self):
+        self.keys = self.counts = np.zeros(0, dtype=np.int64)
+        self.pending: list[np.ndarray] = []
+        self.pending_size = 0
+
+    def add(self, keys: np.ndarray) -> None:
+        self.pending.append(keys)
+        self.pending_size += len(keys)
+        if self.pending_size > max(ORACLE_BLOCK, len(self.keys)):
+            self._merge()
+
+    def _merge(self) -> None:
+        keys = np.concatenate([self.keys, *self.pending])
+        counts = np.concatenate([self.counts, np.ones(self.pending_size, dtype=np.int64)])
+        order = np.argsort(keys, kind="stable")
+        keys, counts = keys[order], counts[order]
+        starts = _run_starts(keys)
+        self.keys = keys[starts]
+        self.counts = np.add.reduceat(counts, starts) if len(keys) else counts
+        self.pending, self.pending_size = [], 0
+
+    def as_dict(self) -> dict[int, int]:
+        """All counts so far, by key in ascending order."""
+        self._merge()
+        return dict(zip(self.keys.tolist(), self.counts.tolist()))
+
+
+def _coset_representatives(code: GroupCode, cap: int) -> np.ndarray:
+    """Canonical (lex-minimal) representatives of the left cosets x*H, as a
+    sorted (cosets, n) array, found by BFS with left multiplication by
+    per-coordinate generators.  A whole frontier block is expanded with one
+    gather on the Cayley table, and each block of b neighbours is
+    canonicalized by one (b, |H|, n) gather of x*h and a min over H of the
+    encoded words."""
+    G = code.group
+    n = code.n
+    n_cosets, rem = divmod(G.order**n, code.size)
     if rem:
         raise RepdualError("|H| does not divide |Gamma|^n; not a subgroup?")
     if n_cosets > cap:
         raise CapExceeded("coset enumeration", n_cosets, cap)
-    gens = list(G.generators) or list(range(1, G.order))
+    MUL, H, weights, rows = _word_arrays(code)
+    gens = np.array(G.generators or range(1, G.order), dtype=np.int64)
+    moves = len(gens) * n
+    move_coord = np.repeat(np.arange(n), len(gens))
+    move_gen = np.tile(gens, n)[:, None]
+    per_chunk = max(1, rows // max(moves, 1))
 
-    def canonical(word):
-        return min(word_mul(G, word, h) for h in code.words)
+    def canonical(X: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            [(MUL[X[i : i + rows, None, :], H] @ weights).min(axis=1)
+             for i in range(0, len(X), rows)]
+        )
 
-    start = canonical((0,) * code.n)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for m in range(code.n):
-                for g in gens:
-                    y = list(x)
-                    y[m] = G.mul(g, y[m])
-                    rep = canonical(tuple(y))
-                    if rep not in seen:
-                        seen.add(rep)
-                        nxt.append(rep)
-        frontier = nxt
+    seen = canonical(np.zeros((1, n), dtype=np.int64))
+    frontier = seen
+    while len(frontier) and moves:
+        found = []
+        for lo in range(0, len(frontier), per_chunk):
+            X = frontier[lo : lo + per_chunk, None] // weights % G.order
+            Y = np.repeat(X[None], moves, axis=0)
+            Y[np.arange(moves), :, move_coord] = MUL[move_gen, X[:, move_coord].T]
+            reps = _distinct(canonical(Y.reshape(-1, n)))
+            found.append(reps[~_in_sorted(reps, seen)])
+        frontier = _distinct(np.concatenate(found))
+        seen = np.sort(np.concatenate([seen, frontier]))
     if len(seen) != n_cosets:
         raise RepdualError(
             f"coset BFS found {len(seen)} cosets, expected {n_cosets}"
         )
-    return sorted(seen)
+    return seen[:, None] // weights % G.order
 
 
 def permutation_character(
@@ -160,54 +243,41 @@ def permutation_character(
     """Fixed-coset counts chi(g) = #{cosets xH : g xH = xH} per class tuple
     of Gamma^n (zero entries omitted).
 
-    Class-constancy is verified by recounting at a second representative
-    tuple; the Burnside total sum_g chi(g) = |Gamma|^n is checked too."""
+    g fixes xH iff g lies in x H x^-1, and h -> x h x^-1 is injective, so
+    chi(g) counts the pairs (x, h) with x h x^-1 = g.  Every conjugate is
+    formed, one (b, |H|, n) gather per block of coset representatives, and
+    tallied when it is the representative word of a class tuple.
+    Class-constancy is verified by a second tally at the word of last class
+    members; the Burnside total sum_g chi(g) = |Gamma|^n is checked too."""
     G = code.group
     k = classes.num_classes
     n = code.n
     if k**n > tuple_cap:
         raise CapExceeded("class tuple space", k**n, tuple_cap)
-    reps = _coset_representatives(code, coset_cap)
-
-    X = np.array(reps, dtype=np.int64)
-    MUL = np.array(G.table, dtype=np.int64)
+    X = _coset_representatives(code, coset_cap)
+    MUL, H, _, rows = _word_arrays(code)
     INV = np.array(G.inverse, dtype=np.int64)
-    base = max(G.order, 2)
-    weights = [base ** (n - 1 - m) for m in range(n)]
-    h_enc = np.sort(
-        np.array([sum(w[m] * weights[m] for m in range(n)) for w in code.words], dtype=np.int64)
-    )
-
-    def encoded_column(m: int, g: int) -> np.ndarray:
-        col = X[:, m]
-        conj = MUL[MUL[INV[col], g], col]
-        return conj * weights[m]
-
-    def count_fixed(word) -> int:
-        enc = encoded_column(0, word[0])
-        for m in range(1, n):
-            enc = enc + encoded_column(m, word[m])
-        idx = np.searchsorted(h_enc, enc)
-        idx[idx == len(h_enc)] = len(h_enc) - 1
-        return int((h_enc[idx] == enc).sum())
-
-    alt_member = [classes.members(c)[-1] for c in range(k)]
-    out: dict[tuple[int, ...], int] = {}
-    burnside = 0
-    for tup in product(range(k), repeat=n):
-        rep_word = tuple(classes.class_reps[c] for c in tup)
-        count = count_fixed(rep_word)
-        alt_word = tuple(alt_member[c] for c in tup)
-        if alt_word != rep_word and count_fixed(alt_word) != count:
-            raise RepdualError(
-                f"permutation character not constant on class tuple {tup}"
-            )
-        size = 1
-        for c in tup:
-            size *= classes.class_sizes[c]
-        burnside += count * size
-        if count:
-            out[tup] = count
+    tuple_weights = _weights(k, n)
+    tallies = []
+    for members in (classes.class_reps, [classes.members(c)[-1] for c in range(k)]):
+        class_at = np.full(G.order, -1, dtype=np.int64)
+        class_at[list(members)] = np.arange(k)
+        tallies.append((class_at, _KeyCounts()))
+    for lo in range(0, len(X), rows):
+        x = X[lo : lo + rows, None, :]
+        conj = MUL[MUL[x, H], INV[x]]
+        for class_at, tally in tallies:
+            tup = class_at[conj]
+            tally.add(tup[(tup >= 0).all(axis=-1)] @ tuple_weights)
+    rep, alt = (tally.as_dict() for _, tally in tallies)
+    if rep != alt:
+        key = min(key for key in rep.keys() | alt.keys() if rep.get(key) != alt.get(key))
+        tup = tuple((key // tuple_weights % k).tolist())
+        raise RepdualError(f"permutation character not constant on class tuple {tup}")
+    keys = np.fromiter(rep, dtype=np.int64, count=len(rep))
+    out = dict(zip(map(tuple, (keys[:, None] // tuple_weights % k).tolist()), rep.values()))
+    sizes = classes.class_sizes
+    burnside = sum(count * prod(sizes[c] for c in tup) for tup, count in out.items())
     if burnside != G.order**n:
         raise RepdualError("Burnside total of the permutation character is off")
     return out
@@ -263,21 +333,46 @@ class ExtensionCheck:
     rhs: Fraction
 
 
-def extension_lemma_check(code: GroupCode, dm: DualMultiset, S: int) -> ExtensionCheck:
+def _trivial_dimension_sums(dm: DualMultiset) -> list[int]:
+    """Entry S: sum of mult*dim over the tuples trivial on every coordinate
+    of the bitmask S.  Such a tuple has its support inside the complement of
+    S, so this is one histogram by support mask and one subset-sum (zeta)
+    transform, O(2^n * n) past the histogram."""
+    full = (1 << dm.n) - 1
+    sums = [0] * (full + 1)
+    for tup, m in dm.items():
+        sums[sum(1 << c for c, j in enumerate(tup) if j)] += m * dm.dim(tup)
+    for c in range(dm.n):
+        bit = 1 << c
+        for T in range(full + 1):
+            if T & bit:
+                sums[T] += sums[T ^ bit]
+    return [sums[full & ~S] for S in range(full + 1)]
+
+
+def extension_lemma_checks(
+    code: GroupCode, dm: DualMultiset, subsets=None
+) -> list[ExtensionCheck]:
     """Dimension count of the dual tuples trivial on S against the coset
-    count of the projection onto the complement:
+    count of the projection onto the complement, for each bitmask S in
+    subsets (default: all 2^n):
     sum_{j trivial on S} mult*dim = |Gamma|^(n-|S|) / |pr_{E-S}(H)|."""
     n = code.n
-    s_coords = [m for m in range(n) if S >> m & 1]
-    lhs = Fraction(0)
-    for tup, m in dm.items():
-        if all(tup[c] == 0 for c in s_coords):
-            lhs += m * dm.dim(tup)
-    complement = ((1 << n) - 1) & ~S
-    rhs = Fraction(
-        code.group.order ** (n - len(s_coords)), project_cardinality(code, complement)
-    )
-    return ExtensionCheck(S, lhs == rhs, lhs, rhs)
+    full = (1 << n) - 1
+    lhs = _trivial_dimension_sums(dm)
+    out = []
+    for S in range(full + 1) if subsets is None else subsets:
+        rhs = Fraction(
+            code.group.order ** (n - bin(S).count("1")),
+            project_cardinality(code, full & ~S),
+        )
+        out.append(ExtensionCheck(S, lhs[S] == rhs, Fraction(lhs[S]), rhs))
+    return out
+
+
+def extension_lemma_check(code: GroupCode, dm: DualMultiset, S: int) -> ExtensionCheck:
+    """The extension-lemma check of extension_lemma_checks at one subset S."""
+    return extension_lemma_checks(code, dm, [S])[0]
 
 
 def irrep_tuple_label(tup: tuple[int, ...]) -> str:

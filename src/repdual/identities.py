@@ -40,7 +40,7 @@ from .duality import (
     dual_cwe,
     dual_multiset,
     dual_weight_enumerator,
-    extension_lemma_check,
+    extension_lemma_checks,
 )
 from .errors import CapExceeded, DomainError, NonIntegerMultiplicity, NotRational
 from .groups import FiniteGroup
@@ -222,8 +222,7 @@ def verify_extension_lemma(
     ct = ct or character_table(code.group)
     result = CheckResult("extension_lemma", True)
     dm = dual_multiset(code, ct, cap=tuple_cap)
-    for S in range(1 << code.n):
-        res = extension_lemma_check(code, dm, S)
+    for res in extension_lemma_checks(code, dm):
         if not res.passed:
             result.fail(f"subset {S:#x}: dimension sum {res.lhs} != {res.rhs}")
     return result

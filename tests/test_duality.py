@@ -11,11 +11,13 @@ from repdual.codes import (
     trivial_code,
 )
 from repdual.duality import (
+    DualMultiset,
     decompose_permutation_character,
     dual_cwe,
     dual_multiset,
     dual_weight_enumerator,
     extension_lemma_check,
+    extension_lemma_checks,
     permutation_character,
 )
 from repdual.errors import CapExceeded
@@ -184,3 +186,25 @@ def test_extension_lemma_all_subsets():
 def test_coset_cap():
     with pytest.raises(CapExceeded):
         permutation_character(trivial_code(S3, 2), CT3.classes, coset_cap=10)
+
+
+def test_extension_lemma_checks_match_direct_sums():
+    # a tampered multiset too, so that some subsets fail
+    code = diagonal_code(S3, 3)
+    dm = dual_multiset(code, CT3)
+    tampered = DualMultiset(3, dm.k, dm.degrees, {**dm.mult, (0, 2, 0): 1})
+    for d in (dm, tampered):
+        checks = extension_lemma_checks(code, d)
+        assert [c.S for c in checks] == list(range(8))
+        for c in checks:
+            direct = sum(
+                m * d.dim(t)
+                for t, m in d.items()
+                if all(t[i] == 0 for i in range(3) if c.S >> i & 1)
+            )
+            assert c.lhs == direct
+            assert c.passed == (direct == c.rhs)
+            assert c == extension_lemma_check(code, d, c.S)
+    assert all(c.passed for c in extension_lemma_checks(code, dm))
+    failed = [c.S for c in extension_lemma_checks(code, tampered) if not c.passed]
+    assert failed == [0, 1, 4, 5]

@@ -1,0 +1,176 @@
+"""Differential and gate tests of the batched coset oracle.
+
+The reference below is the per-word oracle the batched one replaced: a BFS
+that canonicalizes every neighbour with |H| word products, and one count of
+fixed cosets per class tuple.
+"""
+
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repdual import duality
+from repdual.chartable import character_table
+from repdual.codes import code_from_generators, code_from_words, full_code, trivial_code
+from repdual.duality import (
+    _coset_representatives,
+    decompose_permutation_character,
+    dual_multiset,
+    permutation_character,
+)
+from repdual.errors import CapExceeded, RepdualError
+from repdual.groups import ClassData, builtin_group, symmetric_group, word_mul
+
+from test_acceptance import COSET_CAP, build_matrix
+
+
+def reference_coset_representatives(code):
+    G = code.group
+    gens = list(G.generators) or list(range(1, G.order))
+
+    def canonical(word):
+        return min(word_mul(G, word, h) for h in code.words)
+
+    start = canonical((0,) * code.n)
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for m in range(code.n):
+                for g in gens:
+                    y = list(x)
+                    y[m] = G.mul(g, y[m])
+                    rep = canonical(tuple(y))
+                    if rep not in seen:
+                        seen.add(rep)
+                        nxt.append(rep)
+        frontier = nxt
+    return sorted(seen)
+
+
+def reference_permutation_character(code, classes, reps):
+    """Cosets xH (x in reps) fixed by the representative word of each class
+    tuple: g fixes xH iff x^-1 g x lies in H (zero entries omitted)."""
+    G, n = code.group, code.n
+    X = np.array(reps, dtype=np.int64)
+    MUL = np.array(G.table, dtype=np.int64)
+    INV = np.array(G.inverse, dtype=np.int64)
+    weights = [G.order ** (n - 1 - m) for m in range(n)]
+    H = np.array(code.words, dtype=np.int64) @ weights
+    out = {}
+    for tup in product(range(classes.num_classes), repeat=n):
+        enc = sum(
+            MUL[MUL[INV[X[:, m]], classes.class_reps[c]], X[:, m]] * weights[m]
+            for m, c in enumerate(tup)
+        )
+        count = int(np.isin(enc, H).sum())
+        if count:
+            out[tup] = count
+    return out
+
+
+def assert_matches_reference(code, classes):
+    reps = _coset_representatives(code, COSET_CAP)
+    assert reps.dtype == np.int64
+    ref_reps = reference_coset_representatives(code)
+    assert list(map(tuple, reps.tolist())) == ref_reps
+    pc = permutation_character(code, classes, coset_cap=COSET_CAP)
+    assert pc == reference_permutation_character(code, classes, ref_reps)
+    # keys in lex order, as the per-tuple loop produced them
+    assert list(pc) == sorted(pc)
+    return pc
+
+
+def test_oracle_matches_reference_on_matrix():
+    checked = 0
+    for _, code, ct in build_matrix():
+        assert_matches_reference(code, ct.classes)
+        checked += 1
+    assert checked == 192
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_block_boundaries(monkeypatch, block):
+    monkeypatch.setattr(duality, "ORACLE_BLOCK", block)
+    for _, code, ct in build_matrix():
+        if code.n <= 3 and code.group.name in ("S3", "Q8", "Z4"):
+            assert_matches_reference(code, ct.classes)
+
+
+# -- gates ---------------------------------------------------------------------
+
+S3 = symmetric_group(3)
+CT3 = character_table(S3)
+
+
+def test_wrong_partition_is_not_class_constant():
+    # S3 elements: () (0 1) (0 1 2) (1 2) (0 2) (0 2 1); class 1 now holds
+    # two transpositions and the 3-cycle (0 2 1), its last member
+    bad = ClassData(3, (0, 1, 2, 1, 2, 1), (0, 1, 2), (1, 3, 2))
+    H = code_from_generators(S3, 1, [(1,)])
+    with pytest.raises(RepdualError, match=r"not constant on class tuple \(1,\)"):
+        permutation_character(H, bad)
+
+
+def test_wrong_partition_reports_first_tuple_in_lex_order():
+    # both (0, 1) and (1, 0) fail for <(0 1)> x <(0 1)>
+    bad = ClassData(3, (0, 1, 2, 1, 2, 1), (0, 1, 2), (1, 3, 2))
+    H = code_from_generators(S3, 2, [(1, 0), (0, 1)])
+    with pytest.raises(RepdualError, match=r"not constant on class tuple \(0, 1\)"):
+        permutation_character(H, bad)
+
+
+@pytest.mark.parametrize(
+    "words, message",
+    [
+        ([(0,), (1,), (2,), (3,)], "does not divide"),
+        ([(0,), (1,), (3,)], "coset BFS found"),
+    ],
+)
+def test_non_subgroup_word_sets_are_rejected(words, message):
+    H = code_from_words(S3, 1, words, validate=False)
+    with pytest.raises(RepdualError, match=message):
+        permutation_character(H, CT3.classes)
+
+
+def test_words_past_int64_are_refused():
+    # Z2^64 has 2^64 words, one past the int64 encoding, whatever the caps
+    Z2 = builtin_group("Z2")
+    with pytest.raises(CapExceeded, match="int64 word encoding"):
+        permutation_character(
+            trivial_code(Z2, 64), character_table(Z2).classes,
+            coset_cap=2**70, tuple_cap=2**70,
+        )
+
+
+def test_wrong_class_sizes_fail_burnside():
+    c = CT3.classes
+    bad = ClassData(c.num_classes, c.class_of, c.class_reps, (1, 3, 3))
+    with pytest.raises(RepdualError, match="Burnside"):
+        permutation_character(full_code(S3, 1), bad)
+
+
+# -- property test ----------------------------------------------------------------
+
+TABLES = [
+    character_table(builtin_group(name)) for name in ("Z2", "Z4", "Z6", "S3", "D4", "Q8")
+]
+
+
+@st.composite
+def small_codes(draw):
+    ct = draw(st.sampled_from(TABLES))
+    G, n = ct.group, draw(st.integers(1, 4))
+    word = st.tuples(*[st.integers(0, G.order - 1)] * n)
+    return code_from_generators(G, n, draw(st.lists(word, min_size=1, max_size=3))), ct
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(small_codes())
+def test_oracle_property(code_and_table):
+    code, ct = code_and_table
+    pc = assert_matches_reference(code, ct.classes)
+    assert decompose_permutation_character(pc, ct, code.n).mult == dual_multiset(code, ct).mult
