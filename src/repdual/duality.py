@@ -145,18 +145,6 @@ def _in_sorted(a: np.ndarray, sorted_b: np.ndarray) -> np.ndarray:
     return sorted_b[idx] == a
 
 
-def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """Where each run of equal (nonnegative) keys starts.  np.unique would
-    do, but with numpy 2.4 its first call imports numpy.ma, about 1.7 MB of
-    resident memory."""
-    return np.flatnonzero(np.diff(sorted_keys, prepend=-1))
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    keys = np.sort(keys)
-    return keys[_run_starts(keys)]
-
-
 class _KeyCounts:
     """Counts of nonnegative int64 keys, merged whenever the unmerged keys
     outgrow both ORACLE_BLOCK and the distinct keys so far."""
@@ -173,13 +161,11 @@ class _KeyCounts:
             self._merge()
 
     def _merge(self) -> None:
-        keys = np.concatenate([self.keys, *self.pending])
-        counts = np.concatenate([self.counts, np.ones(self.pending_size, dtype=np.int64)])
-        order = np.argsort(keys, kind="stable")
-        keys, counts = keys[order], counts[order]
-        starts = _run_starts(keys)
-        self.keys = keys[starts]
-        self.counts = np.add.reduceat(counts, starts) if len(keys) else counts
+        ones = np.ones(self.pending_size, dtype=np.int64)
+        keys, inverse = np.unique(np.concatenate([self.keys, *self.pending]), return_inverse=True)
+        counts = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(counts, inverse, np.concatenate([self.counts, ones]))
+        self.keys, self.counts = keys, counts
         self.pending, self.pending_size = [], 0
 
     def as_dict(self) -> dict[int, int]:
@@ -223,9 +209,9 @@ def _coset_representatives(code: GroupCode, cap: int) -> np.ndarray:
             X = frontier[lo : lo + per_chunk, None] // weights % G.order
             Y = np.repeat(X[None], moves, axis=0)
             Y[np.arange(moves), :, move_coord] = MUL[move_gen, X[:, move_coord].T]
-            reps = _distinct(canonical(Y.reshape(-1, n)))
+            reps = np.unique(canonical(Y.reshape(-1, n)))
             found.append(reps[~_in_sorted(reps, seen)])
-        frontier = _distinct(np.concatenate(found))
+        frontier = np.unique(np.concatenate(found))
         seen = np.sort(np.concatenate([seen, frontier]))
     if len(seen) != n_cosets:
         raise RepdualError(

@@ -224,7 +224,7 @@ def verify_extension_lemma(
     dm = dual_multiset(code, ct, cap=tuple_cap)
     for res in extension_lemma_checks(code, dm):
         if not res.passed:
-            result.fail(f"subset {S:#x}: dimension sum {res.lhs} != {res.rhs}")
+            result.fail(f"subset {res.S:#x}: dimension sum {res.lhs} != {res.rhs}")
     return result
 
 

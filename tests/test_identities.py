@@ -11,7 +11,8 @@ from repdual.codes import (
     full_code,
     trivial_code,
 )
-from repdual.duality import dual_multiset, dual_weight_enumerator
+from repdual import identities
+from repdual.duality import DualMultiset, dual_multiset, dual_weight_enumerator
 from repdual.errors import DomainError, NotAGroup
 from repdual.groups import (
     cyclic_group,
@@ -133,6 +134,23 @@ def test_macwilliams2_example_code():
 def test_extension_lemma_verifier():
     for code in (example_code(), diagonal_code(S3, 3), full_code(Z2, 3)):
         assert verify_extension_lemma(code).passed
+
+
+def test_extension_lemma_verifier_reports_failing_subsets(monkeypatch):
+    # an extra tuple (0, 2, 0) of dimension 2 raises the sum of exactly the
+    # subsets that leave coordinate 1 free; rhs = |Gamma|^(n-|S|) / |pr_{E-S}(H)|
+    code = diagonal_code(S3, 3)
+    dm = dual_multiset(code, character_table(S3))
+    tampered = DualMultiset(3, dm.k, dm.degrees, {**dm.mult, (0, 2, 0): 1})
+    monkeypatch.setattr(identities, "dual_multiset", lambda *a, **kw: tampered)
+    res = verify_extension_lemma(code)
+    assert res.passed is False
+    assert res.details == [
+        "subset 0x0: dimension sum 38 != 36",
+        "subset 0x1: dimension sum 8 != 6",
+        "subset 0x4: dimension sum 8 != 6",
+        "subset 0x5: dimension sum 3 != 1",
+    ]
 
 
 def test_abelian_basis_cyclic_and_product():
