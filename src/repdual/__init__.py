@@ -32,7 +32,6 @@ from .duality import (
     dual_cwe,
     dual_multiset,
     dual_weight_enumerator,
-    extension_lemma_check,
     extension_lemma_checks,
     permutation_character,
 )
@@ -54,6 +53,7 @@ from .groups import (
 )
 from .identities import (
     CheckResult,
+    CodeAnalysis,
     greene_subset_form_H,
     greene_subset_form_dual,
     verify_abelian_specialization,

@@ -16,6 +16,7 @@ import sys
 from .chartable import character_table
 from .codes import (
     DEFAULT_CODE_CAP,
+    _mask_coords,
     code_from_generators,
     complete_weight_enumerator,
     diagonal_code,
@@ -35,6 +36,7 @@ from .duality import (
 from .errors import DomainError, RepdualError, SpecFileError
 from .groups import symmetric_group
 from .identities import (
+    CodeAnalysis,
     macwilliams2_transform,
     verify_abelian_specialization,
     verify_extension_lemma,
@@ -115,10 +117,6 @@ def _load_code(args):
     return load_code_spec(args.code, group, cap=args.closure_cap)
 
 
-def _mask_coords(S: int, n: int) -> list[int]:
-    return [m + 1 for m in range(n) if S >> m & 1]
-
-
 def cmd_classes(args) -> int:
     G = _load_group(args)
     ct = character_table(G, cache_dir=args.cache_dir)
@@ -186,7 +184,7 @@ def cmd_rank(args) -> int:
     lines = [f"polymatroid of H <= {code.group.name}^{code.n} (|H| = {code.size})"]
     cards = []
     for S in range(1 << code.n):
-        coords = _mask_coords(S, code.n)
+        coords = [m + 1 for m in _mask_coords(S, code.n)]
         lines.append(f"  S={{{','.join(map(str, coords))}}}: |pr_S(H)| = {rp.card[S]}")
         cards.append([coords, rp.card[S]])
     blob = {
@@ -234,8 +232,9 @@ def cmd_dual(args) -> int:
             }
         )
     W = dual_weight_enumerator(dm)
+    cwe = dual_cwe(dm)
     lines.append(f"W_R(z) = {W.render('z')}")
-    lines.append(f"cwe_R = {dual_cwe(dm).render('x')}")
+    lines.append(f"cwe_R = {cwe.render('x')}")
     blob = {
         "group": code.group.name,
         "n": code.n,
@@ -243,7 +242,7 @@ def cmd_dual(args) -> int:
         "cosets": cosets,
         "tuples": tuples,
         "dual_weight_enumerator": W.to_json(),
-        "dual_cwe": dual_cwe(dm).to_json(),
+        "dual_cwe": cwe.to_json(),
     }
     _emit(args, lines, blob)
     return 0
@@ -269,7 +268,8 @@ def cmd_verify(args) -> int:
         if not abelian:
             raise SpecFileError("--abelian requested but the group is nonabelian")
         selected.append(verify_abelian_specialization)
-    results = [check(code, ct, tuple_cap=args.tuple_cap) for check in selected]
+    analysis = CodeAnalysis(code, ct, args.tuple_cap)
+    results = [check(analysis) for check in selected]
     lines = []
     for r in results:
         lines.append(f"{r.name}: {'PASS' if r.passed else 'FAIL'}")

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import zring
 from .chartable import CharacterTable
-from .codes import GroupCode, class_pattern_counts, project_cardinality
+from .codes import GroupCode, RankProfile, class_pattern_counts
 from .errors import CapExceeded, NonIntegerMultiplicity, RepdualError
 from .groups import ClassData
 from .polynomials import MultiPoly, UniPoly
@@ -337,28 +337,20 @@ def _trivial_dimension_sums(dm: DualMultiset) -> list[int]:
 
 
 def extension_lemma_checks(
-    code: GroupCode, dm: DualMultiset, subsets=None
+    rp: RankProfile, dm: DualMultiset, subsets=None
 ) -> list[ExtensionCheck]:
     """Dimension count of the dual tuples trivial on S against the coset
     count of the projection onto the complement, for each bitmask S in
     subsets (default: all 2^n):
     sum_{j trivial on S} mult*dim = |Gamma|^(n-|S|) / |pr_{E-S}(H)|."""
-    n = code.n
+    n = rp.n
     full = (1 << n) - 1
     lhs = _trivial_dimension_sums(dm)
     out = []
     for S in range(full + 1) if subsets is None else subsets:
-        rhs = Fraction(
-            code.group.order ** (n - bin(S).count("1")),
-            project_cardinality(code, full & ~S),
-        )
+        rhs = Fraction(rp.group_order ** (n - bin(S).count("1")), rp.card[full & ~S])
         out.append(ExtensionCheck(S, lhs[S] == rhs, Fraction(lhs[S]), rhs))
     return out
-
-
-def extension_lemma_check(code: GroupCode, dm: DualMultiset, S: int) -> ExtensionCheck:
-    """The extension-lemma check of extension_lemma_checks at one subset S."""
-    return extension_lemma_checks(code, dm, [S])[0]
 
 
 def irrep_tuple_label(tup: tuple[int, ...]) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import log
 
@@ -37,6 +38,7 @@ from .codes import (
 from .cyclotomic import Cyclotomic
 from .duality import (
     DEFAULT_TUPLE_CAP,
+    DualMultiset,
     dual_cwe,
     dual_multiset,
     dual_weight_enumerator,
@@ -64,12 +66,40 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
+class CodeAnalysis:
+    """The artifacts of one code that the checks read, each computed on
+    first use and then shared: the rank profile, W_H, cwe_H and R(H).
+    tuple_cap bounds the irrep tuple space of R(H)."""
+
+    def __init__(
+        self, code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = DEFAULT_TUPLE_CAP
+    ):
+        self.code = code
+        self.ct = ct or character_table(code.group)
+        self.tuple_cap = tuple_cap
+
+    @cached_property
+    def rp(self) -> RankProfile:
+        return rank_profile(self.code)
+
+    @cached_property
+    def W(self) -> UniPoly:
+        return weight_enumerator(self.code)
+
+    @cached_property
+    def cwe(self) -> MultiPoly:
+        return complete_weight_enumerator(self.code, self.ct.classes)
+
+    @cached_property
+    def dm(self) -> DualMultiset:
+        return dual_multiset(self.code, self.ct, cap=self.tuple_cap)
+
+
 # -- Greene ---------------------------------------------------------------------
 
 
-def greene_subset_form_H(code: GroupCode, rp: RankProfile | None = None) -> UniPoly:
+def greene_subset_form_H(code: GroupCode, rp: RankProfile) -> UniPoly:
     """Simplified right-hand side of the primal Greene identity."""
-    rp = rp or rank_profile(code)
     n = code.n
     t = UniPoly.monomial(1)
     one_minus_t = UniPoly.one() - t
@@ -81,9 +111,8 @@ def greene_subset_form_H(code: GroupCode, rp: RankProfile | None = None) -> UniP
     return out
 
 
-def greene_subset_form_dual(code: GroupCode, rp: RankProfile | None = None) -> UniPoly:
+def greene_subset_form_dual(code: GroupCode, rp: RankProfile) -> UniPoly:
     """Simplified right-hand side of the dual Greene identity."""
-    rp = rp or rank_profile(code)
     n = code.n
     q = code.group.order
     full = (1 << n) - 1
@@ -101,20 +130,15 @@ def _relative_close(a: float, b: float) -> bool:
     return abs(a - b) <= SPOT_CHECK_REL_TOL * max(abs(a), abs(b), 1.0)
 
 
-def verify_greene(
-    code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = DEFAULT_TUPLE_CAP
-) -> CheckResult:
+def verify_greene(a: CodeAnalysis) -> CheckResult:
     """Exact subset-form check of both Greene identities, plus the floating
     Tutte spot-check at z in {0.3, 0.5, 0.7}."""
-    ct = ct or character_table(code.group)
+    code, rp, W = a.code, a.rp, a.W
     result = CheckResult("greene", True)
-    rp = rank_profile(code)
-    W = weight_enumerator(code)
     rhs = greene_subset_form_H(code, rp)
     if W != rhs:
         result.fail(f"primal subset form differs by {(W - rhs).render('t')}")
-    dm = dual_multiset(code, ct, cap=tuple_cap)
-    Wd = dual_weight_enumerator(dm)
+    Wd = dual_weight_enumerator(a.dm)
     rhs_d = greene_subset_form_dual(code, rp)
     if Wd != rhs_d:
         result.fail(f"dual subset form differs by {(Wd - rhs_d).render('z')}")
@@ -140,11 +164,10 @@ def verify_greene(
 # -- MacWilliams ------------------------------------------------------------------
 
 
-def macwilliams1_rhs(code: GroupCode) -> UniPoly:
-    """(1/|H|) sum_w A_w (1-z)^w (1+(q-1)z)^(n-w), exactly."""
+def macwilliams1_rhs(code: GroupCode, W: UniPoly) -> UniPoly:
+    """(1/|H|) sum_w A_w (1-z)^w (1+(q-1)z)^(n-w) for W = W_H, exactly."""
     q = code.group.order
     n = code.n
-    W = weight_enumerator(code)
     z = UniPoly.monomial(1)
     one_minus_z = UniPoly.one() - z
     growth = UniPoly.one() + (q - 1) * z
@@ -154,13 +177,10 @@ def macwilliams1_rhs(code: GroupCode) -> UniPoly:
     return Fraction(1, code.size) * out
 
 
-def verify_macwilliams1(
-    code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = DEFAULT_TUPLE_CAP
-) -> CheckResult:
-    ct = ct or character_table(code.group)
+def verify_macwilliams1(a: CodeAnalysis) -> CheckResult:
     result = CheckResult("macwilliams1", True)
-    rhs = macwilliams1_rhs(code)
-    lhs = dual_weight_enumerator(dual_multiset(code, ct, cap=tuple_cap))
+    rhs = macwilliams1_rhs(a.code, a.W)
+    lhs = dual_weight_enumerator(a.dm)
     if lhs != rhs:
         result.fail(f"transform differs from dual enumerator by {(lhs - rhs).render('z')}")
     return result
@@ -194,18 +214,14 @@ def macwilliams2_transform(code: GroupCode, ct: CharacterTable) -> MultiPoly:
     return _cwe_transform(cwe, ct.zvalues, code.size)
 
 
-def verify_macwilliams2(
-    code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = DEFAULT_TUPLE_CAP
-) -> CheckResult:
-    ct = ct or character_table(code.group)
-    if ct.k**code.n > tuple_cap:
-        raise CapExceeded("irrep tuple space", ct.k**code.n, tuple_cap)
+def verify_macwilliams2(a: CodeAnalysis) -> CheckResult:
     result = CheckResult("macwilliams2", True)
-    transformed = macwilliams2_transform(code, ct)
+    # R(H) first: its tuple cap is checked before the transform runs
+    expected = dual_cwe(a.dm)
+    transformed = _cwe_transform(a.cwe, a.ct.zvalues, a.code.size)
     for e, c in transformed.terms.items():
         if Fraction(c).denominator != 1 or c < 0:
             result.fail(f"transformed coefficient at {e} is {c}, not a nonnegative integer")
-    expected = dual_cwe(dual_multiset(code, ct, cap=tuple_cap))
     if transformed != expected:
         result.fail(
             f"cwe transform differs from dual cwe by {(transformed - expected).render('x')}"
@@ -216,13 +232,9 @@ def verify_macwilliams2(
 # -- extension lemma over all subsets ----------------------------------------------
 
 
-def verify_extension_lemma(
-    code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = DEFAULT_TUPLE_CAP
-) -> CheckResult:
-    ct = ct or character_table(code.group)
+def verify_extension_lemma(a: CodeAnalysis) -> CheckResult:
     result = CheckResult("extension_lemma", True)
-    dm = dual_multiset(code, ct, cap=tuple_cap)
-    for res in extension_lemma_checks(code, dm):
+    for res in extension_lemma_checks(a.rp, a.dm):
         if not res.passed:
             result.fail(f"subset {res.S:#x}: dimension sum {res.lhs} != {res.rhs}")
     return result
@@ -305,14 +317,12 @@ def classical_dual_code(
     return code_from_words(G, code.n, dual_words, validate=False)
 
 
-def verify_abelian_specialization(
-    code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = DEFAULT_TUPLE_CAP
-) -> CheckResult:
+def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
     """For abelian Gamma: the dual multiset is 0/1-valued, its image under
     the pinned character-group isomorphism is the classical pairing dual,
     and the elementwise MacWilliams transform reproduces both cwes."""
+    code, ct = a.code, a.ct
     G = code.group
-    ct = ct or character_table(G)
     if ct.k != G.order:
         raise DomainError("abelian specialization needs an abelian group")
     result = CheckResult("abelian_specialization", True)
@@ -335,7 +345,7 @@ def verify_abelian_specialization(
             )
         irrep_to_element[i] = matches[0]
 
-    dm = dual_multiset(code, ct, cap=tuple_cap)
+    dm = a.dm
     if any(mult > 1 for mult in dm.mult.values()):
         result.fail("dual multiset is not 0/1-valued over an abelian group")
 
@@ -348,11 +358,10 @@ def verify_abelian_specialization(
 
     # classical MacWilliams #2 with the element-indexed pairing matrix
     cwe_dual = complete_weight_enumerator(dual, ct.classes)
-    cwe_H = complete_weight_enumerator(code, ct.classes)
     # pairing[g, j] = zeta_m^eps[g][j], one-hot over Z[C_m]
     pairing = np.zeros((G.order, G.order, m), dtype=np.int64)
     pairing[(*np.indices((G.order, G.order)), np.array(eps))] = 1
-    transformed = _cwe_transform(cwe_H, pairing, code.size)
+    transformed = _cwe_transform(a.cwe, pairing, code.size)
     if transformed != cwe_dual:
         result.fail(
             "classical cwe transform differs from the brute-force dual by "
@@ -382,13 +391,13 @@ def verify_abelian_specialization(
 def verify_all(code: GroupCode, ct: CharacterTable | None = None) -> list[CheckResult]:
     """Greene, MacWilliams #1/#2 and the extension lemma; plus the abelian
     specialization when Gamma is abelian."""
-    ct = ct or character_table(code.group)
+    a = CodeAnalysis(code, ct)
     results = [
-        verify_greene(code, ct),
-        verify_macwilliams1(code, ct),
-        verify_macwilliams2(code, ct),
-        verify_extension_lemma(code, ct),
+        verify_greene(a),
+        verify_macwilliams1(a),
+        verify_macwilliams2(a),
+        verify_extension_lemma(a),
     ]
-    if ct.k == code.group.order:
-        results.append(verify_abelian_specialization(code, ct))
+    if a.ct.k == code.group.order:
+        results.append(verify_abelian_specialization(a))
     return results

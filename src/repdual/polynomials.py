@@ -217,13 +217,6 @@ class MultiPoly:
     def map_coefficients(self, fn) -> "MultiPoly":
         return MultiPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
 
-    def total(self):
-        """Sum of all coefficients (= evaluation at all-ones)."""
-        total = Fraction(0)
-        for c in self.terms.values():
-            total = c + total
-        return total
-
     def substitute_univariate(self, images: Sequence[tuple[Fraction, int]]) -> UniPoly:
         """Substitute variable i -> coeff_i * z^deg_i; coefficients must be
         rational at that point."""

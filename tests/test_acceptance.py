@@ -26,7 +26,7 @@ from repdual.duality import (
     decompose_permutation_character,
     dual_multiset,
     dual_weight_enumerator,
-    extension_lemma_check,
+    extension_lemma_checks,
     permutation_character,
 )
 from repdual.groups import (
@@ -36,6 +36,7 @@ from repdual.groups import (
     symmetric_group,
 )
 from repdual.identities import (
+    CodeAnalysis,
     macwilliams2_transform,
     verify_abelian_specialization,
     verify_greene,
@@ -121,7 +122,7 @@ def test_criterion_2_diagonal_example():
         },
     )
     assert macwilliams2_transform(diag4, ct) == expected
-    assert verify_macwilliams2(diag4, ct).passed
+    assert verify_macwilliams2(CodeAnalysis(diag4, ct)).passed
     assert dual_multiset(diag4, ct).mult[(2, 2, 2, 2)] == 3
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -132,8 +133,9 @@ def test_criterion_3_identity_suite(matrix):
     start = time.perf_counter()
     failures = []
     for name, code, ct in matrix:
+        analysis = CodeAnalysis(code, ct)
         for verifier in (verify_greene, verify_macwilliams1, verify_macwilliams2):
-            res = verifier(code, ct)
+            res = verifier(analysis)
             if not res.passed:
                 failures.append((name, res.name, res.details))
     elapsed = time.perf_counter() - start
@@ -205,8 +207,9 @@ def test_criterion_6_extension_lemma(matrix):
     start = time.perf_counter()
     for name, code, ct in matrix:
         dm = dual_multiset(code, ct)
+        rp = rank_profile(code)
         for S in range(1 << code.n):
-            res = extension_lemma_check(code, dm, S)
+            res = extension_lemma_checks(rp, dm, [S])[0]
             assert res.passed, (name, S, res.lhs, res.rhs)
     elapsed = time.perf_counter() - start
     print(
@@ -223,7 +226,7 @@ def test_criterion_7_abelian_specialization(matrix):
             continue
         dm = dual_multiset(code, ct)
         assert all(m == 1 for m in dm.mult.values()), name
-        res = verify_abelian_specialization(code, ct)
+        res = verify_abelian_specialization(CodeAnalysis(code, ct))
         assert res.passed, (name, res.details)
         checked += 1
     elapsed = time.perf_counter() - start

@@ -193,4 +193,5 @@ def test_cwe_specializes_to_weight_enumerator():
 def test_cwe_total_mass():
     cd = conjugacy_classes(S3)
     code = full_code(S3, 2)
-    assert complete_weight_enumerator(code, cd).total() == 36
+    cwe = complete_weight_enumerator(code, cd)
+    assert sum(cwe.terms.values()) == 36

@@ -8,6 +8,7 @@ from repdual.codes import (
     code_from_generators,
     diagonal_code,
     full_code,
+    rank_profile,
     trivial_code,
 )
 from repdual.duality import (
@@ -16,7 +17,6 @@ from repdual.duality import (
     dual_cwe,
     dual_multiset,
     dual_weight_enumerator,
-    extension_lemma_check,
     extension_lemma_checks,
     permutation_character,
 )
@@ -160,13 +160,14 @@ def test_dual_cwe_dimension_weighted_specialization():
 def test_extension_lemma_endpoints():
     code = example_code()
     dm = dual_multiset(code, CT3)
+    rp = rank_profile(code)
     full_mask = 0b11
-    res = extension_lemma_check(code, dm, full_mask)
+    res = extension_lemma_checks(rp, dm, [full_mask])[0]
     assert res.passed and res.lhs == 1
-    res = extension_lemma_check(code, dm, 0)
+    res = extension_lemma_checks(rp, dm, [0])[0]
     assert res.passed and res.lhs == 6
     # S = {2} (second coordinate): tuples trivial there are 1x1 and tx1
-    res = extension_lemma_check(code, dm, 0b10)
+    res = extension_lemma_checks(rp, dm, [0b10])[0]
     assert res.passed and res.lhs == 3 == res.rhs
 
 
@@ -179,8 +180,9 @@ def test_extension_lemma_all_subsets():
         (code_from_generators(Q8, 3, [(2, 4, 6)]), ctq),
     ):
         dm = dual_multiset(code, ct)
+        rp = rank_profile(code)
         for S in range(1 << code.n):
-            assert extension_lemma_check(code, dm, S).passed
+            assert extension_lemma_checks(rp, dm, [S])[0].passed
 
 
 def test_coset_cap():
@@ -192,9 +194,10 @@ def test_extension_lemma_checks_match_direct_sums():
     # a tampered multiset too, so that some subsets fail
     code = diagonal_code(S3, 3)
     dm = dual_multiset(code, CT3)
+    rp = rank_profile(code)
     tampered = DualMultiset(3, dm.k, dm.degrees, {**dm.mult, (0, 2, 0): 1})
     for d in (dm, tampered):
-        checks = extension_lemma_checks(code, d)
+        checks = extension_lemma_checks(rp, d)
         assert [c.S for c in checks] == list(range(8))
         for c in checks:
             direct = sum(
@@ -204,7 +207,7 @@ def test_extension_lemma_checks_match_direct_sums():
             )
             assert c.lhs == direct
             assert c.passed == (direct == c.rhs)
-            assert c == extension_lemma_check(code, d, c.S)
-    assert all(c.passed for c in extension_lemma_checks(code, dm))
-    failed = [c.S for c in extension_lemma_checks(code, tampered) if not c.passed]
+            assert c == extension_lemma_checks(rp, d, [c.S])[0]
+    assert all(c.passed for c in extension_lemma_checks(rp, dm))
+    failed = [c.S for c in extension_lemma_checks(rp, tampered) if not c.passed]
     assert failed == [0, 1, 4, 5]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,11 @@ from repdual.codes import (
     code_from_words,
     diagonal_code,
     full_code,
+    rank_profile,
     trivial_code,
+    weight_enumerator,
 )
-from repdual import identities
+from repdual import codes, identities
 from repdual.duality import DualMultiset, dual_multiset, dual_weight_enumerator
 from repdual.errors import DomainError, NotAGroup
 from repdual.groups import (
@@ -21,6 +24,7 @@ from repdual.groups import (
     symmetric_group,
 )
 from repdual.identities import (
+    CodeAnalysis,
     abelian_basis,
     abelian_pairing_exponents,
     classical_dual_code,
@@ -48,8 +52,8 @@ def example_code():
 def test_greene_subset_form_full_z2():
     code = full_code(Z2, 1)
     # S=empty contributes 2t, S={1} contributes (1-t): total 1 + t = W_H
-    assert greene_subset_form_H(code) == UniPoly({0: 1, 1: 1})
-    assert greene_subset_form_H(code) == UniPoly(
+    assert greene_subset_form_H(code, rank_profile(code)) == UniPoly({0: 1, 1: 1})
+    assert greene_subset_form_H(code, rank_profile(code)) == UniPoly(
         {d: Fraction(c) for d, c in {0: 1, 1: 1}.items()}
     )
 
@@ -57,18 +61,20 @@ def test_greene_subset_form_full_z2():
 def test_greene_subset_form_trivial_collapses():
     for n in (1, 2, 3):
         code = trivial_code(S3, n)
-        assert greene_subset_form_H(code) == UniPoly({0: 1})
+        assert greene_subset_form_H(code, rank_profile(code)) == UniPoly({0: 1})
 
 
 def test_greene_subset_form_dual_full_code():
-    assert greene_subset_form_dual(full_code(S3, 2)) == UniPoly({0: 1})
+    code = full_code(S3, 2)
+    assert greene_subset_form_dual(code, rank_profile(code)) == UniPoly({0: 1})
 
 
 def test_greene_example_both_sides_independent():
     code = example_code()
     ct = character_table(S3)
-    assert greene_subset_form_H(code) == UniPoly({0: 1, 1: 3, 2: 2})
-    assert greene_subset_form_dual(code) == dual_weight_enumerator(dual_multiset(code, ct))
+    rp = rank_profile(code)
+    assert greene_subset_form_H(code, rp) == UniPoly({0: 1, 1: 3, 2: 2})
+    assert greene_subset_form_dual(code, rp) == dual_weight_enumerator(dual_multiset(code, ct))
 
 
 def test_verify_greene():
@@ -80,26 +86,28 @@ def test_verify_greene():
         full_code(Z2, 3),
         diagonal_code(S3, 4),
     ):
-        res = verify_greene(code)
+        res = verify_greene(CodeAnalysis(code))
         assert res.passed, res.details
 
 
 def test_macwilliams1_repetition_code():
     code = code_from_generators(Z2, 2, [(1, 1)])
-    rhs = macwilliams1_rhs(code)
+    rhs = macwilliams1_rhs(code, weight_enumerator(code))
     # (1/2)((1+z)^2 + (1-z)^2) = 1 + z^2
     assert rhs == UniPoly({0: 1, 2: 1})
-    assert verify_macwilliams1(code).passed
+    assert verify_macwilliams1(CodeAnalysis(code)).passed
 
 
 def test_macwilliams1_trivial_code_gives_full_transform():
     code = trivial_code(S3, 2)
-    assert macwilliams1_rhs(code) == (UniPoly.one() + 5 * UniPoly.monomial(1)) ** 2
-    assert verify_macwilliams1(code).passed
+    assert macwilliams1_rhs(code, weight_enumerator(code)) == (
+        UniPoly.one() + 5 * UniPoly.monomial(1)
+    ) ** 2
+    assert verify_macwilliams1(CodeAnalysis(code)).passed
 
 
 def test_macwilliams2_full_code_gamma1():
-    res = verify_macwilliams2(full_code(S3, 1))
+    res = verify_macwilliams2(CodeAnalysis(full_code(S3, 1)))
     assert res.passed, res.details
     assert macwilliams2_transform(full_code(S3, 1), character_table(S3)) == MultiPoly(
         3, {(1, 0, 0): 1}
@@ -121,11 +129,11 @@ def test_macwilliams2_diagonal_closed_form():
     for n in (2, 3, 4):
         code = diagonal_code(S3, n)
         assert macwilliams2_transform(code, ct) == diagonal_cwe_closed_form(n)
-        assert verify_macwilliams2(code, ct).passed
+        assert verify_macwilliams2(CodeAnalysis(code, ct)).passed
 
 
 def test_macwilliams2_example_code():
-    res = verify_macwilliams2(example_code())
+    res = verify_macwilliams2(CodeAnalysis(example_code()))
     assert res.passed, res.details
     got = macwilliams2_transform(example_code(), character_table(S3))
     assert got == MultiPoly(3, {(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
@@ -133,7 +141,7 @@ def test_macwilliams2_example_code():
 
 def test_extension_lemma_verifier():
     for code in (example_code(), diagonal_code(S3, 3), full_code(Z2, 3)):
-        assert verify_extension_lemma(code).passed
+        assert verify_extension_lemma(CodeAnalysis(code)).passed
 
 
 def test_extension_lemma_verifier_reports_failing_subsets(monkeypatch):
@@ -143,7 +151,7 @@ def test_extension_lemma_verifier_reports_failing_subsets(monkeypatch):
     dm = dual_multiset(code, character_table(S3))
     tampered = DualMultiset(3, dm.k, dm.degrees, {**dm.mult, (0, 2, 0): 1})
     monkeypatch.setattr(identities, "dual_multiset", lambda *a, **kw: tampered)
-    res = verify_extension_lemma(code)
+    res = verify_extension_lemma(CodeAnalysis(code))
     assert res.passed is False
     assert res.details == [
         "subset 0x0: dimension sum 38 != 36",
@@ -205,10 +213,10 @@ def test_verify_abelian_specialization():
         (cyclic_group(6), 2, [(2, 3)]),
     ):
         code = code_from_generators(G, n, gens)
-        res = verify_abelian_specialization(code)
+        res = verify_abelian_specialization(CodeAnalysis(code))
         assert res.passed, (G.name, n, res.details)
     with pytest.raises(DomainError):
-        verify_abelian_specialization(trivial_code(S3, 1))
+        verify_abelian_specialization(CodeAnalysis(trivial_code(S3, 1)))
 
 
 def test_verify_all_nonabelian_sample():
@@ -227,6 +235,41 @@ def test_verify_all_nonabelian_sample():
     for code in cases:
         for res in verify_all(code):
             assert res.passed, (code, res.name, res.details)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [code_from_generators(cyclic_group(4), 3, [(1, 2, 0)]), example_code()],
+    ids=["Z4", "S3"],
+)
+def test_verify_all_computes_each_artifact_once(monkeypatch, code):
+    calls = Counter()
+
+    def count(module, name, counted=lambda *args: True):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if counted(*args):
+                calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("dual_multiset", "rank_profile", "weight_enumerator"):
+        count(identities, name)
+    # the abelian check also enumerates the classical dual code
+    count(identities, "complete_weight_enumerator", lambda c, *_: c is code)
+    count(codes, "project_cardinality")
+    results = verify_all(code)
+    assert len(results) == (5 if code.group.is_abelian() else 4)
+    assert all(r.passed for r in results), [(r.name, r.details) for r in results]
+    assert calls == {
+        "dual_multiset": 1,
+        "rank_profile": 1,
+        "weight_enumerator": 1,
+        "complete_weight_enumerator": 1,
+        "project_cardinality": 2**code.n - 1,
+    }
 
 
 def test_code_from_words_validation():
@@ -258,4 +301,4 @@ def test_macwilliams1_endpoints_count_cosets():
         ct = character_table(code.group)
         Wd = dual_weight_enumerator(dual_multiset(code, ct))
         assert Wd.evaluate(Fraction(1)) == cosets
-        assert macwilliams1_rhs(code).evaluate(Fraction(1)) == cosets
+        assert macwilliams1_rhs(code, weight_enumerator(code)).evaluate(Fraction(1)) == cosets
