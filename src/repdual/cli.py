@@ -35,15 +35,7 @@ from .duality import (
 )
 from .errors import DomainError, RepdualError, SpecFileError
 from .groups import symmetric_group
-from .identities import (
-    CodeAnalysis,
-    macwilliams2_transform,
-    verify_abelian_specialization,
-    verify_extension_lemma,
-    verify_greene,
-    verify_macwilliams1,
-    verify_macwilliams2,
-)
+from .identities import CHECKS, CodeAnalysis, macwilliams2_transform
 from .specfiles import load_code_spec, load_group_spec
 
 
@@ -87,11 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, code=True)
     p = sub.add_parser("verify", help="exact identity verification")
     add_common(p, code=True)
-    p.add_argument("--greene", action="store_true")
-    p.add_argument("--mw1", action="store_true")
-    p.add_argument("--mw2", action="store_true")
-    p.add_argument("--extension", action="store_true")
-    p.add_argument("--abelian", action="store_true")
+    for name in CHECKS:
+        p.add_argument(f"--{name}", action="store_true")
     p.add_argument("--all", action="store_true")
     p = sub.add_parser("demo", help="reproduce the two worked reference examples")
     add_common(p)
@@ -252,22 +241,14 @@ def cmd_verify(args) -> int:
     code = _load_code(args)
     ct = character_table(code.group, cache_dir=args.cache_dir)
     abelian = ct.k == code.group.order
-    selected = []
-    run_all = args.all or not (
-        args.greene or args.mw1 or args.mw2 or args.extension or args.abelian
-    )
-    if run_all or args.greene:
-        selected.append(verify_greene)
-    if run_all or args.mw1:
-        selected.append(verify_macwilliams1)
-    if run_all or args.mw2:
-        selected.append(verify_macwilliams2)
-    if run_all or args.extension:
-        selected.append(verify_extension_lemma)
-    if args.abelian or (run_all and abelian):
-        if not abelian:
-            raise SpecFileError("--abelian requested but the group is nonabelian")
-        selected.append(verify_abelian_specialization)
+    if args.abelian and not abelian:
+        raise SpecFileError("--abelian requested but the group is nonabelian")
+    run_all = args.all or not any(getattr(args, name) for name in CHECKS)
+    selected = [
+        check
+        for name, check in CHECKS.items()
+        if getattr(args, name) or (run_all and (abelian or name != "abelian"))
+    ]
     analysis = CodeAnalysis(code, ct, args.tuple_cap)
     results = [check(analysis) for check in selected]
     lines = []

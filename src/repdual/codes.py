@@ -41,9 +41,6 @@ class GroupCode:
     def size(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: GroupWord) -> bool:
-        return word in self.word_set
-
     def __repr__(self):
         return f"GroupCode({self.group.name}^{self.n}, size={self.size})"
 

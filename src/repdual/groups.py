@@ -49,10 +49,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 

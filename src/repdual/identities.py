@@ -8,6 +8,10 @@ into a ratio of projection cardinalities:
   W_H(t)      = sum_S (|H| / |H_S|) t^(n-|S|) (1-t)^|S|
   W_R(H)(z)   = sum_S (|Gamma|^(n-|S|) / |H_{E-S}|) (1-z)^|S| z^(n-|S|)
 
+The polynomial of a subset depends only on |S|, so each sum first adds its
+exact coefficients by |S| and then composes n+1 terms; MacWilliams #1 has
+the same binomial shape.
+
 A floating spot-check at z in {0.3, 0.5, 0.7} ties these back to the raw
 corank-nullity sum through tutte_evaluate; it is the only non-exact step and
 is labelled as such in the reports.
@@ -15,11 +19,12 @@ is labelled as such in the reports.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import log
+from typing import Mapping
 
 import numpy as np
 
@@ -68,7 +73,8 @@ class CheckResult:
 
 class CodeAnalysis:
     """The artifacts of one code that the checks read, each computed on
-    first use and then shared: the rank profile, W_H, cwe_H and R(H).
+    first use and then shared: the rank profile, W_H, cwe_H, R(H) and
+    W_R(H).
     tuple_cap bounds the irrep tuple space of R(H)."""
 
     def __init__(
@@ -94,21 +100,29 @@ class CodeAnalysis:
     def dm(self) -> DualMultiset:
         return dual_multiset(self.code, self.ct, cap=self.tuple_cap)
 
+    @cached_property
+    def Wd(self) -> UniPoly:
+        return dual_weight_enumerator(self.dm)
+
 
 # -- Greene ---------------------------------------------------------------------
 
 
+def _binomial_sum(c: Mapping[int, Fraction], n: int, x: UniPoly) -> UniPoly:
+    """sum_s c[s] x^(n-s) (1-z)^s: one term per distinct s."""
+    one_minus_z = UniPoly.one() - UniPoly.monomial(1)
+    out = UniPoly.zero()
+    for s, coeff in c.items():
+        out = out + coeff * (x ** (n - s) * one_minus_z**s)
+    return out
+
+
 def greene_subset_form_H(code: GroupCode, rp: RankProfile) -> UniPoly:
     """Simplified right-hand side of the primal Greene identity."""
-    n = code.n
-    t = UniPoly.monomial(1)
-    one_minus_t = UniPoly.one() - t
-    out = UniPoly.zero()
-    for S in range(1 << n):
-        s = bin(S).count("1")
-        coeff = Fraction(code.size, rp.card[S])
-        out = out + coeff * (t ** (n - s) * one_minus_t**s)
-    return out
+    by_size = defaultdict(Fraction)
+    for S in range(1 << code.n):
+        by_size[S.bit_count()] += Fraction(code.size, rp.card[S])
+    return _binomial_sum(by_size, code.n, UniPoly.monomial(1))
 
 
 def greene_subset_form_dual(code: GroupCode, rp: RankProfile) -> UniPoly:
@@ -116,14 +130,11 @@ def greene_subset_form_dual(code: GroupCode, rp: RankProfile) -> UniPoly:
     n = code.n
     q = code.group.order
     full = (1 << n) - 1
-    z = UniPoly.monomial(1)
-    one_minus_z = UniPoly.one() - z
-    out = UniPoly.zero()
+    by_size = defaultdict(Fraction)
     for S in range(1 << n):
-        s = bin(S).count("1")
-        coeff = Fraction(q ** (n - s), rp.card[full & ~S])
-        out = out + coeff * (one_minus_z**s * z ** (n - s))
-    return out
+        s = S.bit_count()
+        by_size[s] += Fraction(q ** (n - s), rp.card[full & ~S])
+    return _binomial_sum(by_size, n, UniPoly.monomial(1))
 
 
 def _relative_close(a: float, b: float) -> bool:
@@ -138,14 +149,14 @@ def verify_greene(a: CodeAnalysis) -> CheckResult:
     rhs = greene_subset_form_H(code, rp)
     if W != rhs:
         result.fail(f"primal subset form differs by {(W - rhs).render('t')}")
-    Wd = dual_weight_enumerator(a.dm)
+    Wd = a.Wd
     rhs_d = greene_subset_form_dual(code, rp)
     if Wd != rhs_d:
         result.fail(f"dual subset form differs by {(Wd - rhs_d).render('z')}")
 
     q = code.group.order
     n = code.n
-    r_full = 0.0 if q == 1 else log(code.size) / log(q)
+    r_full = rp.rank((1 << n) - 1)
     for z in SPOT_CHECK_POINTS:
         growth = (1.0 + (q - 1) * z) / (1.0 - z)
         primal = z ** (n - r_full) * (1.0 - z) ** r_full * tutte_evaluate(
@@ -166,21 +177,14 @@ def verify_greene(a: CodeAnalysis) -> CheckResult:
 
 def macwilliams1_rhs(code: GroupCode, W: UniPoly) -> UniPoly:
     """(1/|H|) sum_w A_w (1-z)^w (1+(q-1)z)^(n-w) for W = W_H, exactly."""
-    q = code.group.order
-    n = code.n
-    z = UniPoly.monomial(1)
-    one_minus_z = UniPoly.one() - z
-    growth = UniPoly.one() + (q - 1) * z
-    out = UniPoly.zero()
-    for w, coeff in W.coeffs.items():
-        out = out + coeff * (one_minus_z**w * growth ** (n - w))
-    return Fraction(1, code.size) * out
+    growth = UniPoly.one() + (code.group.order - 1) * UniPoly.monomial(1)
+    return Fraction(1, code.size) * _binomial_sum(W.coeffs, code.n, growth)
 
 
 def verify_macwilliams1(a: CodeAnalysis) -> CheckResult:
     result = CheckResult("macwilliams1", True)
     rhs = macwilliams1_rhs(a.code, a.W)
-    lhs = dual_weight_enumerator(a.dm)
+    lhs = a.Wd
     if lhs != rhs:
         result.fail(f"transform differs from dual enumerator by {(lhs - rhs).render('z')}")
     return result
@@ -388,16 +392,18 @@ def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
 # -- identity suite over a code ------------------------------------------------------
 
 
+CHECKS = {
+    "greene": verify_greene,
+    "mw1": verify_macwilliams1,
+    "mw2": verify_macwilliams2,
+    "extension": verify_extension_lemma,
+    "abelian": verify_abelian_specialization,
+}
+
+
 def verify_all(code: GroupCode, ct: CharacterTable | None = None) -> list[CheckResult]:
-    """Greene, MacWilliams #1/#2 and the extension lemma; plus the abelian
-    specialization when Gamma is abelian."""
+    """Every check of CHECKS in order; the abelian specialization only when
+    Gamma is abelian."""
     a = CodeAnalysis(code, ct)
-    results = [
-        verify_greene(a),
-        verify_macwilliams1(a),
-        verify_macwilliams2(a),
-        verify_extension_lemma(a),
-    ]
-    if a.ct.k == code.group.order:
-        results.append(verify_abelian_specialization(a))
-    return results
+    abelian = a.ct.k == code.group.order
+    return [check(a) for name, check in CHECKS.items() if abelian or name != "abelian"]

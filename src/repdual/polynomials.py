@@ -46,9 +46,6 @@ class UniPoly:
 
     __hash__ = None
 
-    def degree(self) -> int:
-        return max(self.coeffs, default=-1)
-
     def __getitem__(self, d: int) -> Fraction:
         return self.coeffs.get(d, Fraction(0))
 
@@ -148,18 +145,8 @@ class MultiPoly:
                     self.terms[e] = c
 
     @staticmethod
-    def zero(nvars: int) -> "MultiPoly":
-        return MultiPoly(nvars)
-
-    @staticmethod
     def constant(nvars: int, c) -> "MultiPoly":
         return MultiPoly(nvars, {(0,) * nvars: c})
-
-    @staticmethod
-    def variable(nvars: int, i: int) -> "MultiPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return MultiPoly(nvars, {tuple(e): Fraction(1)})
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):

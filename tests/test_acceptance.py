@@ -23,6 +23,8 @@ from repdual.codes import (
     weight_enumerator,
 )
 from repdual.duality import (
+    DEFAULT_COSET_CAP,
+    DEFAULT_TUPLE_CAP,
     decompose_permutation_character,
     dual_multiset,
     dual_weight_enumerator,
@@ -55,8 +57,6 @@ GROUPS = (
 )
 LENGTHS = (1, 2, 3, 4)
 RANDOM_SEEDS = 5
-TUPLE_CAP = 10**7
-COSET_CAP = 10**5
 
 
 def build_matrix():
@@ -64,7 +64,7 @@ def build_matrix():
     for gname, G in GROUPS:
         ct = character_table(G)
         for n in LENGTHS:
-            if ct.k**n > TUPLE_CAP:
+            if ct.k**n > DEFAULT_TUPLE_CAP:
                 continue
             named = [
                 ("trivial", trivial_code(G, n)),
@@ -152,9 +152,9 @@ def test_criterion_4_oracle_equivalence(matrix):
     checked = 0
     for name, code, ct in matrix:
         cosets = ct.group.order**code.n // code.size
-        if cosets > COSET_CAP:
+        if cosets > DEFAULT_COSET_CAP:
             continue
-        pc = permutation_character(code, ct.classes, coset_cap=COSET_CAP)
+        pc = permutation_character(code, ct.classes, coset_cap=DEFAULT_COSET_CAP)
         via_cosets = decompose_permutation_character(pc, ct, code.n)
         via_frobenius = dual_multiset(code, ct)
         assert via_cosets.mult == via_frobenius.mult, name

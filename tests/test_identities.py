@@ -6,6 +6,7 @@ import pytest
 
 from repdual.chartable import character_table
 from repdual.codes import (
+    RankProfile,
     code_from_generators,
     code_from_words,
     diagonal_code,
@@ -75,6 +76,30 @@ def test_greene_example_both_sides_independent():
     rp = rank_profile(code)
     assert greene_subset_form_H(code, rp) == UniPoly({0: 1, 1: 3, 2: 2})
     assert greene_subset_form_dual(code, rp) == dual_weight_enumerator(dual_multiset(code, ct))
+
+
+def test_greene_subset_forms_match_per_subset_sums_on_a_bad_profile():
+    code = example_code()
+    good = rank_profile(code)
+    # |pr_{1}(H)| = 2 replaced by 4, which does not divide |H| = 6
+    bad = RankProfile(good.n, good.group_order, (1, 4, *good.card[2:]))
+    t = UniPoly.monomial(1)
+    one_minus_t = UniPoly.one() - t
+    q, full = code.group.order, (1 << code.n) - 1
+    for rp in (good, bad):
+        primal = dual = UniPoly.zero()
+        for S in range(1 << code.n):
+            s = bin(S).count("1")
+            term = t ** (code.n - s) * one_minus_t**s
+            primal = primal + Fraction(code.size, rp.card[S]) * term
+            dual = dual + Fraction(q ** (code.n - s), rp.card[full & ~S]) * term
+        assert greene_subset_form_H(code, rp) == primal
+        assert greene_subset_form_dual(code, rp) == dual
+    a = CodeAnalysis(code)
+    a.rp = bad
+    details = verify_greene(a).details
+    assert details[0] == "primal subset form differs by 3/2*t - 3/2*t^2"
+    assert details[1].startswith("dual subset form differs by ")
 
 
 def test_verify_greene():
@@ -255,7 +280,7 @@ def test_verify_all_computes_each_artifact_once(monkeypatch, code):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("dual_multiset", "rank_profile", "weight_enumerator"):
+    for name in ("dual_multiset", "rank_profile", "weight_enumerator", "dual_weight_enumerator"):
         count(identities, name)
     # the abelian check also enumerates the classical dual code
     count(identities, "complete_weight_enumerator", lambda c, *_: c is code)
@@ -267,6 +292,7 @@ def test_verify_all_computes_each_artifact_once(monkeypatch, code):
         "dual_multiset": 1,
         "rank_profile": 1,
         "weight_enumerator": 1,
+        "dual_weight_enumerator": 1,
         "complete_weight_enumerator": 1,
         "project_cardinality": 2**code.n - 1,
     }

@@ -16,6 +16,7 @@ from repdual import duality
 from repdual.chartable import character_table
 from repdual.codes import code_from_generators, code_from_words, full_code, trivial_code
 from repdual.duality import (
+    DEFAULT_COSET_CAP,
     _coset_representatives,
     decompose_permutation_character,
     dual_multiset,
@@ -24,7 +25,7 @@ from repdual.duality import (
 from repdual.errors import CapExceeded, RepdualError
 from repdual.groups import ClassData, builtin_group, symmetric_group, word_mul
 
-from test_acceptance import COSET_CAP, build_matrix
+from test_acceptance import build_matrix
 
 
 def reference_coset_representatives(code):
@@ -73,11 +74,11 @@ def reference_permutation_character(code, classes, reps):
 
 
 def assert_matches_reference(code, classes):
-    reps = _coset_representatives(code, COSET_CAP)
+    reps = _coset_representatives(code, DEFAULT_COSET_CAP)
     assert reps.dtype == np.int64
     ref_reps = reference_coset_representatives(code)
     assert list(map(tuple, reps.tolist())) == ref_reps
-    pc = permutation_character(code, classes, coset_cap=COSET_CAP)
+    pc = permutation_character(code, classes, coset_cap=DEFAULT_COSET_CAP)
     assert pc == reference_permutation_character(code, classes, ref_reps)
     # keys in lex order, as the per-tuple loop produced them
     assert list(pc) == sorted(pc)
