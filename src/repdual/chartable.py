@@ -3,11 +3,16 @@
 The central characters w_i = |C_i| chi(c_i) / chi(1) are simultaneous
 eigenvectors of the class-sum multiplication matrices M_i with
 (M_i)[j][l] = a[i][j][l].  Over F_p with p = 1 (mod exponent) and
-p > 2*sqrt(|G|) the whole eigenproblem is integer arithmetic; the mod-p
-character values are then lifted to exact cyclotomics of conductor
-exponent(G) by discrete-Fourier counting of root-of-unity multiplicities
-along power maps.  The lift yields each value's root-of-unity multiplicities,
-an integer array over Z[C_m] (see zring) that is reduced modulo Phi_m once.
+p > 2*sqrt(|G|) the whole eigenproblem is integer arithmetic in numpy mod p:
+the indicator of the identity class has a nonzero component d^2/|G| on every
+central character, so Krylov sequences of it and of its projections split
+F_p^k into the k common eigenvectors (class matrices in order, each split
+by ascending eigenvalue).  The mod-p character values are then lifted to
+exact cyclotomics of conductor exponent(G) by discrete-Fourier counting of
+root-of-unity multiplicities along power maps: one (k*k, e) @ (e, e)
+product mod p of the values over the power-map table with the Fourier
+matrix.  The lift yields each value's root-of-unity multiplicities, an
+integer array over Z[C_m] (see zring) that is reduced modulo Phi_m once.
 Row and column orthogonality are certified exactly on that integer array
 before a table is ever returned, so the modular shortcut cannot silently
 produce a wrong table.
@@ -32,21 +37,19 @@ from .errors import LiftVerificationFailed
 from .groups import ClassData, FiniteGroup, conjugacy_classes
 
 
-def class_multiplication_coefficients(G: FiniteGroup, classes: ClassData) -> list:
-    """a[i][j][l] = #{(x,y) in C_i x C_j : x*y = rep(C_l)}."""
+def class_multiplication_coefficients(G: FiniteGroup, classes: ClassData) -> np.ndarray:
+    """a[i, j, l] = #{(x,y) in C_i x C_j : x*y = rep(C_l)}, a (k, k, k) int64
+    array: every x pairs with y = x^-1 rep(C_l)."""
     k = classes.num_classes
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for l, z in enumerate(classes.class_reps):
-        for x in range(G.order):
-            i = classes.class_of[x]
-            j = classes.class_of[G.mul(G.inv(x), z)]
-            a[i][j][l] += 1
+    class_of = np.array(classes.class_of, dtype=np.int64)
+    inv = np.array(G.inverse)[:, None]
+    y = G.cayley[inv, np.array(classes.class_reps)[None, :]]  # (|G|, k)
+    flat = (class_of[:, None] * k + class_of[y]) * k + np.arange(k)
+    a = np.bincount(flat.ravel(), minlength=k**3).reshape(k, k, k)
     # total count: summing a[i][j][l]*|C_l| over l recovers |C_i|*|C_j|
-    for i in range(k):
-        for j in range(k):
-            total = sum(a[i][j][l] * classes.class_sizes[l] for l in range(k))
-            if total != classes.class_sizes[i] * classes.class_sizes[j]:
-                raise LiftVerificationFailed("class multiplication totals are off")
+    sizes = np.array(classes.class_sizes, dtype=np.int64)
+    if ((a * sizes).sum(axis=-1) != np.outer(sizes, sizes)).any():
+        raise LiftVerificationFailed("class multiplication totals are off")
     return a
 
 
@@ -91,176 +94,78 @@ def _primitive_root(p: int) -> int:
     raise LiftVerificationFailed(f"no primitive root mod {p}")
 
 
-class _Rref:
-    """Row-reduced spanning set over F_p that remembers how each row was
-    built from the inserted vectors (needed to read off linear relations)."""
+def _krylov_split(M: np.ndarray, u: np.ndarray, p: int) -> list[np.ndarray]:
+    """Split u into its components in the eigenspaces of M, by ascending
+    eigenvalue.
 
-    def __init__(self, p: int, width: int):
-        self.p = p
-        self.width = width
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-        self.history: list[list[int]] = []
-        self.n_inserted = 0
-
-    def reduce(self, vec: list[int]) -> tuple[list[int], list[int]]:
-        """residue, combo with vec = residue - sum(combo[j] * inserted_j)."""
-        p = self.p
-        v = [x % p for x in vec]
-        combo = [0] * self.n_inserted
-        for row, piv, hist in zip(self.rows, self.pivots, self.history):
-            c = v[piv]
-            if c:
-                for x in range(self.width):
-                    v[x] = (v[x] - c * row[x]) % p
-                for x, h in enumerate(hist):
-                    combo[x] = (combo[x] - c * h) % p
-        return v, combo
-
-    def insert(self, vec: list[int]) -> bool:
-        """Track vec; returns True if it enlarged the span."""
-        p = self.p
-        v, combo = self.reduce(vec)
-        piv = next((x for x in range(self.width) if v[x]), None)
-        if piv is None:
-            return False
-        combo.append(1)
-        for h in self.history:
-            h.append(0)
-        self.n_inserted += 1
-        inv = pow(v[piv], p - 2, p)
-        v = [(x * inv) % p for x in v]
-        combo = [(x * inv) % p for x in combo]
-        for row, hist in zip(self.rows, self.history):
-            c = row[piv]
-            if c:
-                for x in range(self.width):
-                    row[x] = (row[x] - c * v[x]) % p
-                for x in range(len(combo)):
-                    hist[x] = (hist[x] - c * combo[x]) % p
-        self.rows.append(v)
-        self.pivots.append(piv)
-        self.history.append(combo)
-        return True
-
-
-def _mat_vec(M: list[list[int]], v: list[int], p: int) -> list[int]:
-    return [sum(m * x for m, x in zip(row, v)) % p for row in M]
-
-
-def _restricted_matrix(M, basis: list[list[int]], p: int) -> list[list[int]]:
-    """Matrix of M on span(basis) in basis coordinates; the span is
-    M-invariant by construction."""
-    rref = _Rref(p, len(basis[0]))
-    for b in basis:
-        rref.insert(b)
-    cols = []
-    for b in basis:
-        residue, combo = rref.reduce(_mat_vec(M, b, p))
-        if any(residue):
-            raise LiftVerificationFailed("class-sum matrix left an invariant subspace")
-        cols.append([(-c) % p for c in combo])
-    d = len(basis)
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
-def _min_poly_of_vector(A, v: list[int], p: int) -> list[int]:
-    """Monic minimal polynomial (constant term first) of A relative to v."""
-    d = len(v)
-    rref = _Rref(p, d)
-    rref.insert(v)
-    cur = v
-    for _ in range(d + 1):
-        cur = _mat_vec(A, cur, p)
-        residue, combo = rref.reduce(cur)
-        if not any(residue):
-            return combo + [1]
-        rref.insert(cur)
-    raise LiftVerificationFailed("Krylov sequence failed to terminate")
-
-
-def _poly_eval(poly: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _eigenvalues(A, p: int) -> list[int]:
-    """All eigenvalues of a diagonalizable matrix over F_p: union of the
-    roots of the minimal polynomials relative to the standard basis."""
-    d = len(A)
-    roots: set[int] = set()
-    for start in range(d):
-        v = [0] * d
-        v[start] = 1
-        poly = _min_poly_of_vector(A, v, p)
-        roots.update(x for x in range(p) if _poly_eval(poly, x, p) == 0)
-    return sorted(roots)
-
-
-def _kernel_basis(A, lam: int, p: int) -> list[list[int]]:
-    """Basis of ker(A - lam*I)."""
-    d = len(A)
-    M = [[(A[i][j] - (lam if i == j else 0)) % p for j in range(d)] for i in range(d)]
+    The Krylov vectors u, Mu, M^2u, ... are reduced as they come (rows[:m]
+    in reduced echelon form, combos[:m] expressing them in the Krylov
+    vectors) until M^m u depends on the earlier ones; that relation is the
+    minimal polynomial mu of M relative to u.  When mu has m distinct roots
+    lam in F_p, (mu(x)/(x - lam))(M) u is a nonzero multiple of the
+    component of u in the lam-eigenspace."""
+    k = len(u)
+    krylov = np.zeros((k + 1, k), dtype=u.dtype)
+    rows = np.zeros((k, k), dtype=u.dtype)
+    combos = np.zeros((k, k), dtype=u.dtype)
+    krylov[0] = u
     pivots: list[int] = []
-    r = 0
-    for c in range(d):
-        pivot = next((i for i in range(r, d) if M[i][c]), None)
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        inv = pow(M[r][c], p - 2, p)
-        M[r] = [(x * inv) % p for x in M[r]]
-        for i in range(d):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-    out = []
-    for fc in (c for c in range(d) if c not in pivots):
-        vec = [0] * d
-        vec[fc] = 1
-        for row, pc in zip(M, pivots):
-            vec[pc] = (-row[fc]) % p
-        out.append(vec)
-    return out
-
-
-def _common_eigenvectors(mats: list, k: int, p: int) -> list[list[int]]:
-    """Split F_p^k into the k one-dimensional common eigenspaces of the
-    commuting class-sum family."""
-    spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
-    for M in mats:
-        if all(len(s) == 1 for s in spaces):
+    for m in range(k + 1):  # k + 1 vectors in F_p^k are dependent
+        w = krylov[m]
+        c = w[pivots]
+        residue = (w - c @ rows[:m]) % p
+        combo = (-c @ combos[:m, :m]) % p  # residue = w + combo . krylov[:m]
+        nonzero = np.flatnonzero(residue)
+        if not len(nonzero):
             break
-        nxt: list[list[list[int]]] = []
-        for basis in spaces:
-            if len(basis) == 1:
-                nxt.append(basis)
-                continue
-            A = _restricted_matrix(M, basis, p)
-            covered = 0
-            for lam in _eigenvalues(A, p):
-                coords = _kernel_basis(A, lam, p)
-                amb = []
-                for coord in coords:
-                    vec = [0] * k
-                    for c, b in zip(coord, basis):
-                        if c:
-                            for x in range(k):
-                                vec[x] = (vec[x] + c * b[x]) % p
-                    amb.append(vec)
-                if amb:
-                    nxt.append(amb)
-                    covered += len(amb)
-            if covered != len(basis):
-                raise LiftVerificationFailed("class-sum matrix not diagonalizable mod p")
-        spaces = nxt
-    if not all(len(s) == 1 for s in spaces):
+        piv = int(nonzero[0])
+        scale = pow(int(residue[piv]), p - 2, p)
+        row = residue * scale % p
+        hist = np.append(combo, 1) * scale % p
+        f = rows[:m, piv, None].copy()
+        rows[:m] = (rows[:m] - f * row) % p
+        combos[:m, : m + 1] = (combos[:m, : m + 1] - f * hist) % p
+        rows[m], combos[m, : m + 1] = row, hist
+        pivots.append(piv)
+        krylov[m + 1] = M @ w % p
+    # mu = x^m + combo . (1, x, ..., x^(m-1)), constant term first
+    mu = np.append(combo, 1)
+    xs = np.arange(p, dtype=u.dtype)
+    values = np.zeros(p, dtype=u.dtype)
+    for coeff in mu[::-1]:
+        values = (values * xs + coeff) % p
+    roots = np.flatnonzero(values == 0).astype(u.dtype)
+    if len(roots) != m:
+        raise LiftVerificationFailed("class-sum matrix not diagonalizable mod p")
+    # synthetic division: q = mu / (x - lam) for every root at once
+    q = np.zeros((m, m), dtype=u.dtype)
+    q[:, m - 1] = 1
+    for j in range(m - 1, 0, -1):
+        q[:, j - 1] = (mu[j] + roots * q[:, j]) % p
+    return list(q @ krylov[:m] % p)
+
+
+def _central_characters(a: np.ndarray, p: int) -> np.ndarray:
+    """The k central characters mod p as rows (value 1 at the identity
+    class), in split order: sorted by their eigenvalues on M_1, then M_2,
+    and so on."""
+    k = len(a)
+    dtype = zring.exact_dtype(k * (p - 1) ** 2)
+    mats = (a % p).astype(dtype)
+    start = np.zeros(k, dtype=dtype)
+    start[0] = 1  # the identity class: sum_r (d_r^2/|G|) omega_r
+    vecs = [start]
+    for M in mats[1:]:
+        if len(vecs) == k:
+            break
+        vecs = [part for u in vecs for part in _krylov_split(M, u, p)]
+    if len(vecs) != k:
         raise LiftVerificationFailed("could not isolate one-dimensional eigenspaces")
-    return [s[0] for s in spaces]
+    omega = np.array(vecs).reshape(k, k)
+    if not omega[:, 0].all():
+        raise LiftVerificationFailed("central character vanishes at the identity")
+    norm = np.array([pow(int(v), p - 2, p) for v in omega[:, 0]], dtype=dtype)
+    return omega * norm[:, None] % p
 
 
 # -- the table -----------------------------------------------------------------
@@ -368,52 +273,43 @@ def _compute_character_table(G: FiniteGroup) -> CharacterTable:
     k = classes.num_classes
     e = G.exponent
     p = dixon_prime(G.order, e)
-    a = class_multiplication_coefficients(G, classes)
-    mats = [[[a[i][j][l] for l in range(k)] for j in range(k)] for i in range(1, k)]
-    eigvecs = _common_eigenvectors(mats, k, p)
+    omega = _central_characters(class_multiplication_coefficients(G, classes), p)
 
-    inv_class = [classes.class_of[G.inv(r)] for r in classes.class_reps]
-    size_inv = [pow(s, p - 2, p) for s in classes.class_sizes]
-    z = pow(_primitive_root(p), (p - 1) // e, p)
-    e_inv = pow(e, p - 2, p)
+    class_of = np.array(classes.class_of)
+    reps = np.array(classes.class_reps)
+    inv_class = class_of[np.array(G.inverse)[reps]]
+    size_inv = np.array([pow(s, p - 2, p) for s in classes.class_sizes], dtype=np.int64)
+    # sum_i omega_i omega_{i^-1} / |C_i| = |G| / degree^2, mod p
+    s = (omega * omega[:, inv_class] % p * size_inv % p).sum(axis=1) % p
+    if not s.all():
+        raise LiftVerificationFailed("degree normalization is singular")
+    d2 = np.array([G.order * pow(int(x), p - 2, p) % p for x in s])
+    candidates = np.arange(1, isqrt(G.order) + 1)
+    match = (candidates * candidates % p)[None, :] == d2[:, None]
+    if not match.any(axis=1).all():
+        raise LiftVerificationFailed("no integer degree matches mod p")
+    degrees = candidates[match.argmax(axis=1)]
+    chi_mod = degrees[:, None] * omega % p * size_inv % p
 
-    # power map per class: class of rep^s
-    power_class = []
-    for rep in classes.class_reps:
-        row = []
-        x = 0
-        for _ in range(e):
-            row.append(classes.class_of[x])
-            x = G.mul(x, rep)
-        power_class.append(row)
-
+    # power_class[j, s]: class of rep_j^s
+    power_class = np.empty((k, e), dtype=np.intp)
+    x = np.zeros(k, dtype=np.intp)
+    for t in range(e):
+        power_class[:, t] = class_of[x]
+        x = G.cayley[x, reps]
     # mults[r, j, t]: multiplicity of zeta_e^t among the eigenvalues of
-    # irrep r at class j, so chi_r(c_j) = sum_t mults[r, j, t] zeta_e^t
-    mults = np.zeros((k, k, e), dtype=np.int64)
-    degrees = []
-    for r, vec in enumerate(eigvecs):
-        if vec[0] == 0:
-            raise LiftVerificationFailed("central character vanishes at the identity")
-        norm = pow(vec[0], p - 2, p)
-        omega = [(v * norm) % p for v in vec]
-        s = sum(omega[i] * omega[inv_class[i]] * size_inv[i] for i in range(k)) % p
-        if s == 0:
-            raise LiftVerificationFailed("degree normalization is singular")
-        d2 = (G.order * pow(s, p - 2, p)) % p
-        degree = next((d for d in range(1, isqrt(G.order) + 1) if d * d % p == d2), None)
-        if degree is None:
-            raise LiftVerificationFailed("no integer degree matches mod p")
-        chi_mod = [(degree * omega[j] * size_inv[j]) % p for j in range(k)]
-        for j in range(k):
-            for t in range(e):
-                acc = 0
-                for s_idx in range(e):
-                    acc += chi_mod[power_class[j][s_idx]] * pow(z, (p - 1 - t) * s_idx % (p - 1), p)
-                mults[r, j, t] = (acc * e_inv) % p
-            if mults[r, j].sum() != degree:
-                raise LiftVerificationFailed("eigenvalue multiplicities do not sum to the degree")
-        degrees.append(degree)
+    # irrep r at class j, so chi_r(c_j) = sum_t mults[r, j, t] zeta_e^t:
+    # (1/e) sum_s chi_r(c_j^s) z^(-ts), one product over the power maps
+    z = pow(_primitive_root(p), (p - 1) // e, p)
+    dtype = zring.exact_dtype(e * (p - 1) ** 2)
+    z_pow = np.array([pow(z, t, p) for t in range(e)], dtype=dtype)
+    fourier = z_pow[-np.outer(np.arange(e), np.arange(e)) % e]
+    values = chi_mod[:, power_class].astype(dtype).reshape(k * k, e)
+    mults = (values @ fourier % p * pow(e, p - 2, p) % p).reshape(k, k, e).astype(np.int64)
+    if (mults.sum(axis=-1) != degrees[:, None]).any():
+        raise LiftVerificationFailed("eigenvalue multiplicities do not sum to the degree")
 
+    degrees = degrees.tolist()
     P = zring.reduce(mults)
     order_idx = sorted(range(k), key=lambda i: _row_sort_key(P[i], degrees[i]))
     return _certified_table(G, classes, P[order_idx], [degrees[i] for i in order_idx], order_idx)

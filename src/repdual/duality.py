@@ -130,7 +130,7 @@ def _word_arrays(code: GroupCode) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
     G = code.group
     if G.order**code.n > 2**63:
         raise CapExceeded("int64 word encoding", G.order**code.n, 2**63)
-    MUL = np.array(G.table, dtype=np.int64)
+    MUL = G.cayley.astype(np.int64)
     H = np.array(code.words, dtype=np.int64).reshape(code.size, code.n)
     rows = max(1, ORACLE_BLOCK // (code.size * code.n))
     return MUL, H, _weights(G.order, code.n), rows

@@ -4,6 +4,9 @@ Elements of a group of order N are the indices 0..N-1 with the identity
 always at index 0.  A word in the n-fold direct product is a plain tuple of
 n element indices; the product group is never materialized as a table.
 
+Closure, Cayley tables, products and conjugacy classes run as numpy gathers
+on exact integer index arrays.
+
 Canonical conventions pinned here (everything downstream relies on them):
   * permutation closures index elements in BFS order from the identity,
     generators in input order;
@@ -16,7 +19,12 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product, repeat
 from math import lcm
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import ClosureCapExceeded, InvalidPermutation, LengthMismatch, NotAGroup
 
@@ -24,10 +32,61 @@ GroupWord = tuple[int, ...]
 
 DEFAULT_GROUP_CAP = 5000
 
+# Temporaries of the table kernels hold about this many entries per block;
+# rows become Python tuples in blocks of INTERN_BLOCK entries, because each
+# entry of .tolist() is a fresh int object until it is swapped for the
+# shared one.
+TABLE_BLOCK = 2**14
+INTERN_BLOCK = 2**12
+
+
+def _index_dtype(order: int):
+    """Smallest signed dtype that holds the indices 0..order-1."""
+    return np.int16 if order < 2**15 else np.int32
+
+
+def _interned_rows(T: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The rows of an index array as tuples that share one int object per
+    index, converted a block of rows at a time."""
+    n = len(T)
+    step = max(1, INTERN_BLOCK // max(n, 1))
+    rows: list[tuple[int, ...]] = []
+    if n <= 257:  # CPython shares the small ints already
+        for start in range(0, n, step):
+            rows.extend(map(tuple, T[start : start + step].tolist()))
+        return tuple(rows)
+    ints = list(range(n))
+    for start in range(0, n, step):
+        rows.extend(itemgetter(*row)(ints) for row in T[start : start + step].tolist())
+    return tuple(rows)
+
+
+def _inverses(T: np.ndarray) -> tuple[int, ...]:
+    """Column of the identity 0 in each row, its smallest entry; argmin
+    copies its operand, so it runs a block of rows at a time."""
+    step = max(1, TABLE_BLOCK // len(T))
+    blocks = [np.argmin(T[s : s + step], axis=1) for s in range(0, len(T), step)]
+    return tuple(np.concatenate(blocks).tolist())
+
+
+def _element_orders(T: np.ndarray) -> np.ndarray:
+    """Order of every element: all powers advance together, one gather per
+    step, until each reaches the identity."""
+    x = np.arange(len(T))
+    orders = np.ones(len(T), dtype=np.int64)
+    live = np.flatnonzero(x)
+    while live.size:
+        x[live] = T[x[live], live]
+        orders[live] += 1
+        live = live[x[live] != 0]
+    return orders
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Immutable finite group over indices 0..order-1, identity at 0."""
+    """Immutable finite group over indices 0..order-1, identity at 0.
+
+    cayley is the same table as table, as a read-only index array."""
 
     name: str
     table: tuple[tuple[int, ...], ...]
@@ -35,15 +94,16 @@ class FiniteGroup:
     inverse: tuple[int, ...] = field(init=False)
     exponent: int = field(init=False)
     generators: tuple[int, ...] = ()
+    cayley: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        inv = [0] * self.order
-        for g, row in enumerate(self.table):
-            inv[g] = row.index(0)
-        object.__setattr__(self, "inverse", tuple(inv))
-        object.__setattr__(
-            self, "exponent", lcm(*(self.element_order(g) for g in range(self.order)))
-        )
+        T = self.cayley
+        if T is None:
+            T = np.array(self.table, dtype=_index_dtype(self.order))
+        T.setflags(write=False)
+        object.__setattr__(self, "cayley", T)
+        object.__setattr__(self, "inverse", _inverses(T))
+        object.__setattr__(self, "exponent", lcm(*set(_element_orders(T).tolist())))
 
     @property
     def order(self) -> int:
@@ -63,8 +123,7 @@ class FiniteGroup:
         return n
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
+        return bool((self.cayley == self.cayley.T).all())
 
     def power(self, g: int, e: int) -> int:
         e %= self.element_order(g)
@@ -78,14 +137,36 @@ class FiniteGroup:
         return self.table[self.table[by][g]][self.inverse[by]]
 
     def table_digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(str(self.order).encode())
-        for row in self.table:
-            h.update(b"|" + ",".join(map(str, row)).encode())
+        return self._table_digest
+
+    @cached_property
+    def _table_digest(self) -> str:
+        """sha256 of the order and the rows, each written "|" then its
+        entries in decimal joined by ",".  Every entry becomes "," plus its
+        digits, NUL-padded to one width; the leading "," of each row turns
+        into "|" and the padding is dropped."""
+        n = self.order
+        h = hashlib.sha256(str(n).encode())
+        width = len(str(n - 1)) + 1
+        cells = np.array([f",{v}".encode() for v in range(n)], dtype=f"S{width}")
+        cells = cells.view(np.uint8).reshape(n, width)
+        step = max(1, TABLE_BLOCK // (n * width))
+        for start in range(0, n, step):
+            text = cells[self.cayley[start : start + step]]
+            text[:, 0, 0] = ord("|")
+            h.update(text[text != 0].tobytes())
         return h.hexdigest()
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def _from_array(name: str, T: np.ndarray, labels, generators=None) -> FiniteGroup:
+    """Wrap an index array; generators default to _small_generating_set."""
+    rows = _interned_rows(T)
+    if generators is None:
+        generators = _small_generating_set(rows)
+    return FiniteGroup(name, rows, tuple(labels), tuple(generators), T)
 
 
 @dataclass(frozen=True)
@@ -138,9 +219,68 @@ def cycle_notation(perm: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "()"
 
 
-def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """(f o g)(x) = f(g(x))"""
-    return tuple(f[x] for x in g)
+def _perm_keys(Y: np.ndarray, degree: int) -> np.ndarray:
+    """An exact integer key per row of images: sum_i Y[:, i] * degree**i in
+    int64 up to degree 15; above, where degree**degree passes 2**63, the
+    row's uint32 bytes read as one Python int."""
+    if degree**degree <= 2**63:
+        return Y @ degree ** np.arange(degree, dtype=np.int64)
+    data, width = Y.astype(np.uint32).tobytes(), 4 * degree
+    keys = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    return np.array(keys, dtype=object)
+
+
+def _closure(gens: np.ndarray, degree: int, cap: int):
+    """BFS closure of the generator images gens, shape (r, degree).
+
+    Returns the elements (N, degree) in BFS order, right (N, r) with
+    right[x, s] the index of x o gens[s], and per BFS level the indices of
+    the elements it found with the (parent, generator) that found each."""
+    r = len(gens)
+    frontier = np.arange(degree)[None, :]
+    seen = _perm_keys(frontier, degree)  # sorted keys of all elements so far
+    seen_index = np.zeros(1, dtype=np.intp)  # element index of each key
+    elements, right, levels = [frontier], [], []
+    count, first_of_frontier = 1, 0
+    while len(frontier):
+        # the neighbours x o g in scan order: x-major, generator-minor
+        Y = frontier[:, gens].reshape(-1, degree)
+        keys, first, inverse = np.unique(
+            _perm_keys(Y, degree), return_index=True, return_inverse=True
+        )
+        pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+        known = seen[pos] == keys
+        index = np.empty(len(keys), dtype=np.intp)
+        index[known] = seen_index[pos[known]]
+        fresh = np.flatnonzero(~known)  # in key order
+        new = fresh[np.argsort(first[fresh])]  # in order of first occurrence
+        if count + len(new) > cap:
+            raise ClosureCapExceeded("group closure", cap + 1, cap)
+        index[new] = np.arange(count, count + len(new))
+        right.append(index[inverse.reshape(-1)].reshape(len(frontier), r))
+        found = first[new]
+        levels.append((index[new], first_of_frontier + found // r, found % r))
+        frontier = Y[found]
+        elements.append(frontier)
+        first_of_frontier, count = count, count + len(new)
+        at = np.searchsorted(seen, keys[fresh])
+        seen = np.insert(seen, at, keys[fresh])
+        seen_index = np.insert(seen_index, at, index[fresh])
+    return np.concatenate(elements), np.concatenate(right), levels
+
+
+def _cayley_from_bfs(right: np.ndarray, levels) -> np.ndarray:
+    """Cayley table from right multiplication by the generators: when
+    b = parent o g_s, column b is right[column parent, s], so each BFS level
+    fills its columns with one gather."""
+    n = len(right)
+    T = np.empty((n, n), dtype=_index_dtype(n))
+    T[:, 0] = np.arange(n)
+    right = right.astype(T.dtype)
+    for cols, parents, steps in levels:
+        if len(cols):
+            T[:, cols] = right[T[:, parents], steps]
+    return T
 
 
 def group_from_generators(
@@ -156,29 +296,14 @@ def group_from_generators(
             raise InvalidPermutation("generators act on different point sets")
         if sorted(p) != list(range(degree)):
             raise InvalidPermutation(f"{p} is not a bijection on 0..{degree - 1}")
-    identity = tuple(range(degree))
-    elements = [identity]
-    index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in perms:
-                y = _compose(x, g)
-                if y not in index:
-                    if len(elements) >= cap:
-                        raise ClosureCapExceeded("group closure", len(elements) + 1, cap)
-                    index[y] = len(elements)
-                    elements.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    table = tuple(
-        tuple(index[_compose(a, b)] for b in elements) for a in elements
-    )
-    labels = tuple(cycle_notation(p) for p in elements)
-    gen_indices = tuple(index[p] for p in perms)
-    return FiniteGroup(
-        name or f"perm[{len(elements)}]", table, labels, generators=gen_indices
+    gens = np.array(perms, dtype=np.intp).reshape(len(perms), degree)
+    elements, right, levels = _closure(gens, degree, cap)
+    labels = (cycle_notation(p) for p in elements.tolist())
+    return _from_array(
+        name or f"perm[{len(elements)}]",
+        _cayley_from_bfs(right, levels),
+        labels,
+        right[0].tolist(),  # identity o g = g
     )
 
 
@@ -193,45 +318,59 @@ def group_from_table(
     """Validate the group axioms and wrap the table.
 
     Associativity is checked on all order^3 triples up to order 200 and on
-    20*order seeded random triples above that."""
+    20*order seeded random triples above that.  Each failing axiom names its
+    first witness in lexicographic (for random triples, drawing) order."""
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
         raise NotAGroup("table is not square")
     for i, row in enumerate(table):
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise NotAGroup(f"entry ({i},{j}) = {v} outside 0..{n - 1}")
-    for g in range(n):
-        if table[0][g] != g or table[g][0] != g:
-            raise NotAGroup(f"identity axiom: index 0 does not fix {g}")
-    for i, row in enumerate(table):
-        if len(set(row)) != n:
-            raise NotAGroup(f"row {i} is not a permutation (not a Latin square)")
-    for j in range(n):
-        if len({table[i][j] for i in range(n)}) != n:
-            raise NotAGroup(f"column {j} is not a permutation (not a Latin square)")
-    for g in range(n):
-        h = table[g].index(0)
-        if table[h][g] != 0:
-            raise NotAGroup(f"inverse axiom: {h} inverts {g} on the right only")
-    if n <= EXHAUSTIVE_ASSOC_LIMIT:
-        triples = (
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-        )
-    else:
-        rng = random.Random(n)
-        triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(20 * n)
-        )
-    for a, b, c in triples:
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise NotAGroup(f"associativity fails at triple ({a},{b},{c})")
-    tup = tuple(tuple(row) for row in table)
+        if not (all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n):
+            j, v = next((j, v) for j, v in enumerate(row) if not (isinstance(v, int) and 0 <= v < n))
+            raise NotAGroup(f"entry ({i},{j}) = {v} outside 0..{n - 1}")
+    T = np.array(table, dtype=np.intp)
+    idx = np.arange(n)
+    bad = np.flatnonzero((T[0] != idx) | (T[:, 0] != idx))
+    if len(bad):
+        raise NotAGroup(f"identity axiom: index 0 does not fix {bad[0]}")
+    bad = np.flatnonzero((np.sort(T, axis=1) != idx).any(axis=1))
+    if len(bad):
+        raise NotAGroup(f"row {bad[0]} is not a permutation (not a Latin square)")
+    bad = np.flatnonzero((np.sort(T, axis=0) != idx[:, None]).any(axis=0))
+    if len(bad):
+        raise NotAGroup(f"column {bad[0]} is not a permutation (not a Latin square)")
+    right_inverse = np.argmin(T, axis=1)
+    bad = np.flatnonzero(T[right_inverse, idx] != 0)
+    if len(bad):
+        g = bad[0]
+        raise NotAGroup(f"inverse axiom: {right_inverse[g]} inverts {g} on the right only")
+    witness = _associativity_witness(T)
+    if witness is not None:
+        raise NotAGroup("associativity fails at triple ({},{},{})".format(*witness))
     labs = tuple(labels) if labels else tuple(f"g{i}" for i in range(n))
     if len(labs) != n:
         raise NotAGroup("label count does not match order")
-    return FiniteGroup(name or f"table[{n}]", tup, labs, generators=_small_generating_set(tup))
+    return _from_array(name or f"table[{n}]", T.astype(_index_dtype(n)), labs)
+
+
+def _associativity_witness(T: np.ndarray):
+    """First triple (a, b, c) with (ab)c != a(bc): over all triples in lex
+    order up to order 200, over 20*order seeded random triples above."""
+    n = len(T)
+    if n <= EXHAUSTIVE_ASSOC_LIMIT:
+        step = max(1, TABLE_BLOCK // (n * n))
+        for a0 in range(0, n, step):
+            A = np.arange(a0, min(n, a0 + step))
+            bad = T[T[A]] != T[A[:, None, None], T[None]]  # [a, b, c]
+            if bad.any():
+                i, b, c = np.unravel_index(np.argmax(bad), bad.shape)
+                return a0 + int(i), int(b), int(c)
+        return None
+    rng = random.Random(n)
+    a, b, c = np.array(
+        [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(20 * n)]
+    ).T
+    bad = np.flatnonzero(T[T[a, b], c] != T[a, T[b, c]])
+    return (int(a[bad[0]]), int(b[bad[0]]), int(c[bad[0]])) if len(bad) else None
 
 
 def _small_generating_set(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -259,32 +398,25 @@ def _small_generating_set(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]
 
 
 def conjugacy_classes(G: FiniteGroup) -> ClassData:
-    """Orbit enumeration under conjugation; canonical class order is the
-    identity class first, then ascending smallest member index."""
+    """The class of g is {y g y^-1 : y in G}, so its smallest member is one
+    column minimum of a gather; canonical class order (identity class
+    first, then ascending smallest member index) is the order of those
+    minima."""
     n = G.order
-    class_of = [-1] * n
-    orbits: list[list[int]] = []
-    for g in range(n):
-        if class_of[g] >= 0:
-            continue
-        orbit = {g}
-        stack = [g]
-        while stack:
-            x = stack.pop()
-            for y in range(n):
-                z = G.conjugate(x, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    stack.append(z)
-        idx = len(orbits)
-        orbits.append(sorted(orbit))
-        for x in orbit:
-            class_of[x] = idx
-    # orbits are discovered in ascending min-element order already (identity
-    # element is 0, so its class comes first)
-    reps = tuple(orbit[0] for orbit in orbits)
-    sizes = tuple(len(orbit) for orbit in orbits)
-    return ClassData(len(orbits), tuple(class_of), reps, sizes)
+    T = G.cayley
+    inv = np.array(G.inverse, dtype=T.dtype)[:, None]
+    smallest = np.empty(n, dtype=T.dtype)
+    step = max(1, TABLE_BLOCK // n)
+    for g0 in range(0, n, step):
+        smallest[g0 : g0 + step] = T[T[:, g0 : g0 + step], inv].min(axis=0)
+    reps, class_of = np.unique(smallest, return_inverse=True)
+    class_of = class_of.reshape(-1)
+    return ClassData(
+        len(reps),
+        tuple(class_of.tolist()),
+        tuple(reps.tolist()),
+        tuple(np.bincount(class_of).tolist()),
+    )
 
 
 def commutator_subgroup(G: FiniteGroup) -> frozenset[int]:
@@ -332,15 +464,15 @@ def word_weight(a: GroupWord) -> int:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    labels = tuple(str(i) for i in range(n))
+    idx = np.arange(n)
+    T = ((idx[:, None] + idx) % n).astype(_index_dtype(n))
     gens = (1,) if n > 1 else ()
-    return FiniteGroup(f"Z{n}", table, labels, generators=gens)
+    return _from_array(f"Z{n}", T, (str(i) for i in range(n)), gens)
 
 
 def symmetric_group(n: int, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     if n <= 1:
-        return group_from_generators([], name=f"S{n}")
+        return group_from_generators([], cap, name=f"S{n}")
     if n == 2:
         return group_from_generators([perm_from_cycles([[0, 1]], 2)], cap, name="S2")
     gens = [
@@ -350,13 +482,13 @@ def symmetric_group(n: int, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     return group_from_generators(gens, cap, name=f"S{n}")
 
 
-def dihedral_group(n: int) -> FiniteGroup:
+def dihedral_group(n: int, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     """Symmetries of the regular n-gon (order 2n), n >= 3."""
     if n < 3:
         raise ValueError("dihedral_group needs n >= 3")
     rot = perm_from_cycles([list(range(n))], n)
     refl = tuple((n - i) % n for i in range(n))
-    return group_from_generators([rot, refl], name=f"D{n}")
+    return group_from_generators([rot, refl], cap, name=f"D{n}")
 
 
 _QUATERNION_LABELS = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
@@ -385,51 +517,32 @@ def quaternion_group() -> FiniteGroup:
     return group_from_table(table, labels=list(_QUATERNION_LABELS), name="Q8")
 
 
-def product_group(factors: list[FiniteGroup], name: str | None = None) -> FiniteGroup:
-    """Direct product with mixed-radix element indexing."""
+def product_group(
+    factors: list[FiniteGroup], name: str | None = None, cap: int = DEFAULT_GROUP_CAP
+) -> FiniteGroup:
+    """Direct product with mixed-radix element indexing (last factor
+    fastest)."""
     if not factors:
         return cyclic_group(1)
-    orders = [G.order for G in factors]
     total = 1
-    for o in orders:
-        total *= o
-    if total > DEFAULT_GROUP_CAP:
-        raise ClosureCapExceeded("product group order", total, DEFAULT_GROUP_CAP)
-
-    def split(x: int) -> tuple[int, ...]:
-        parts = []
-        for o in reversed(orders):
-            x, r = divmod(x, o)
-            parts.append(r)
-        return tuple(reversed(parts))
-
-    def join(parts) -> int:
-        x = 0
-        for p, o in zip(parts, orders):
-            x = x * o + p
-        return x
-
-    table = tuple(
-        tuple(
-            join(G.mul(p, q) for G, p, q in zip(factors, split(a), split(b)))
-            for b in range(total)
-        )
-        for a in range(total)
+    for G in factors:
+        total *= G.order
+    if total > cap:
+        raise ClosureCapExceeded("product group order", total, cap)
+    T = np.zeros((1, 1), dtype=_index_dtype(total))
+    for G in factors:
+        o = G.order
+        T = (T[:, None, :, None] * o + G.cayley[None, :, None, :]).reshape(len(T) * o, -1)
+    labels = (
+        "(" + ",".join(parts) + ")"
+        for parts in product(*(G.element_labels for G in factors))
     )
-    labels = tuple(
-        "(" + ",".join(G.element_labels[p] for G, p in zip(factors, split(a))) + ")"
-        for a in range(total)
-    )
-    return FiniteGroup(
-        name or "x".join(G.name for G in factors),
-        table,
-        labels,
-        generators=_small_generating_set(table),
-    )
+    return _from_array(name or "x".join(G.name for G in factors), T, labels)
 
 
-def builtin_group(name: str) -> FiniteGroup:
-    """Named groups accepted by spec files and the CLI: Z<n>, S<n>, D<n>, Q8."""
+def builtin_group(name: str, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
+    """Named groups accepted by spec files and the CLI: Z<n>, S<n>, D<n>, Q8.
+    cap bounds the closures of S<n> and D<n>."""
     if name == "Q8":
         return quaternion_group()
     if len(name) >= 2 and name[0] in "ZSD" and name[1:].isdigit():
@@ -439,6 +552,6 @@ def builtin_group(name: str) -> FiniteGroup:
         if name[0] == "Z":
             return cyclic_group(n)
         if name[0] == "S":
-            return symmetric_group(n)
-        return dihedral_group(n)
+            return symmetric_group(n, cap)
+        return dihedral_group(n, cap)
     raise ValueError(f"unknown builtin group {name!r}")

@@ -70,7 +70,7 @@ def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") ->
         if spec.startswith("builtin:"):
             name = spec.split(":", 1)[1]
             try:
-                return builtin_group(name)
+                return builtin_group(name, cap)
             except (ValueError, RepdualError) as exc:
                 raise SpecFileError(f"{where}: {exc}") from exc
         return load_group_spec(_read_json(spec), cap, where=spec)
@@ -83,7 +83,7 @@ def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") ->
             params = spec.get("params")
             if params is not None:
                 name = f"{name}{params}"
-            return builtin_group(name)
+            return builtin_group(name, cap)
         if kind == "permutation":
             degree = _require(spec, "degree", where)
             gens = _require(spec, "generators", where)
@@ -97,7 +97,7 @@ def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") ->
                 load_group_spec(f, cap, where=f"{where}.factors[{i}]")
                 for i, f in enumerate(factors)
             ]
-            return product_group(groups)
+            return product_group(groups, cap=cap)
     except SpecFileError:
         raise
     except (RepdualError, ValueError, TypeError, IndexError) as exc:

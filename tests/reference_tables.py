@@ -1,0 +1,382 @@
+"""Per-element references for the numpy group and character-table kernels.
+
+These are the pure-Python implementations the kernels replaced: closure by
+composing permutation tuples, the Cayley table by one composition per
+element pair, conjugacy classes by orbit BFS, the F_p eigenspace split by
+row reduction over Python lists, and the Dixon lift by one modular pow per
+(irrep, class, root, power).  Tests compare the kernels with them exactly.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from math import isqrt
+
+import numpy as np
+
+from repdual import zring
+from repdual.chartable import _certified_table, _primitive_root, _row_sort_key, dixon_prime
+from repdual.errors import ClosureCapExceeded, LiftVerificationFailed
+from repdual.groups import (
+    DEFAULT_GROUP_CAP,
+    ClassData,
+    FiniteGroup,
+    cycle_notation,
+)
+
+
+# -- groups -------------------------------------------------------------------
+
+
+def _compose(f, g):
+    """(f o g)(x) = f(g(x))"""
+    return tuple(f[x] for x in g)
+
+
+def reference_group_from_generators(perms, cap=DEFAULT_GROUP_CAP, name=None) -> FiniteGroup:
+    degree = len(perms[0]) if perms else 1
+    identity = tuple(range(degree))
+    elements = [identity]
+    index = {identity: 0}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in perms:
+                y = _compose(x, g)
+                if y not in index:
+                    if len(elements) >= cap:
+                        raise ClosureCapExceeded("group closure", len(elements) + 1, cap)
+                    index[y] = len(elements)
+                    elements.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    table = tuple(tuple(index[_compose(a, b)] for b in elements) for a in elements)
+    labels = tuple(cycle_notation(p) for p in elements)
+    gen_indices = tuple(index[tuple(p)] for p in perms)
+    return FiniteGroup(name or f"perm[{len(elements)}]", table, labels, generators=gen_indices)
+
+
+def reference_product_table(factors) -> tuple:
+    orders = [G.order for G in factors]
+    total = 1
+    for o in orders:
+        total *= o
+
+    def split(x):
+        parts = []
+        for o in reversed(orders):
+            x, r = divmod(x, o)
+            parts.append(r)
+        return tuple(reversed(parts))
+
+    def join(parts):
+        x = 0
+        for p, o in zip(parts, orders):
+            x = x * o + p
+        return x
+
+    return tuple(
+        tuple(
+            join(G.mul(p, q) for G, p, q in zip(factors, split(a), split(b)))
+            for b in range(total)
+        )
+        for a in range(total)
+    )
+
+
+def reference_conjugacy_classes(G: FiniteGroup) -> ClassData:
+    n = G.order
+    class_of = [-1] * n
+    orbits = []
+    for g in range(n):
+        if class_of[g] >= 0:
+            continue
+        orbit = {g}
+        stack = [g]
+        while stack:
+            x = stack.pop()
+            for y in range(n):
+                z = G.conjugate(x, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    stack.append(z)
+        idx = len(orbits)
+        orbits.append(sorted(orbit))
+        for x in orbit:
+            class_of[x] = idx
+    reps = tuple(orbit[0] for orbit in orbits)
+    sizes = tuple(len(orbit) for orbit in orbits)
+    return ClassData(len(orbits), tuple(class_of), reps, sizes)
+
+
+def reference_table_digest(G: FiniteGroup) -> str:
+    h = hashlib.sha256()
+    h.update(str(G.order).encode())
+    for row in G.table:
+        h.update(b"|" + ",".join(map(str, row)).encode())
+    return h.hexdigest()
+
+
+def reference_table_error(table):
+    """Message of the first group axiom the per-entry, per-triple checks
+    find violated, or None for a group table."""
+    n = len(table)
+    if n == 0 or any(len(row) != n for row in table):
+        return "table is not square"
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                return f"entry ({i},{j}) = {v} outside 0..{n - 1}"
+    for g in range(n):
+        if table[0][g] != g or table[g][0] != g:
+            return f"identity axiom: index 0 does not fix {g}"
+    for i, row in enumerate(table):
+        if len(set(row)) != n:
+            return f"row {i} is not a permutation (not a Latin square)"
+    for j in range(n):
+        if len({table[i][j] for i in range(n)}) != n:
+            return f"column {j} is not a permutation (not a Latin square)"
+    for g in range(n):
+        h = table[g].index(0)
+        if table[h][g] != 0:
+            return f"inverse axiom: {h} inverts {g} on the right only"
+    if n <= 200:
+        triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
+    else:
+        rng = random.Random(n)
+        triples = (
+            (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(20 * n)
+        )
+    for a, b, c in triples:
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return f"associativity fails at triple ({a},{b},{c})"
+    return None
+
+
+# -- F_p eigenspaces ------------------------------------------------------------
+
+
+class _Rref:
+    """Row-reduced spanning set over F_p that remembers how each row was
+    built from the inserted vectors."""
+
+    def __init__(self, p, width):
+        self.p = p
+        self.width = width
+        self.rows = []
+        self.pivots = []
+        self.history = []
+        self.n_inserted = 0
+
+    def reduce(self, vec):
+        p = self.p
+        v = [x % p for x in vec]
+        combo = [0] * self.n_inserted
+        for row, piv, hist in zip(self.rows, self.pivots, self.history):
+            c = v[piv]
+            if c:
+                for x in range(self.width):
+                    v[x] = (v[x] - c * row[x]) % p
+                for x, h in enumerate(hist):
+                    combo[x] = (combo[x] - c * h) % p
+        return v, combo
+
+    def insert(self, vec):
+        p = self.p
+        v, combo = self.reduce(vec)
+        piv = next((x for x in range(self.width) if v[x]), None)
+        if piv is None:
+            return False
+        combo.append(1)
+        for h in self.history:
+            h.append(0)
+        self.n_inserted += 1
+        inv = pow(v[piv], p - 2, p)
+        v = [(x * inv) % p for x in v]
+        combo = [(x * inv) % p for x in combo]
+        for row, hist in zip(self.rows, self.history):
+            c = row[piv]
+            if c:
+                for x in range(self.width):
+                    row[x] = (row[x] - c * v[x]) % p
+                for x in range(len(combo)):
+                    hist[x] = (hist[x] - c * combo[x]) % p
+        self.rows.append(v)
+        self.pivots.append(piv)
+        self.history.append(combo)
+        return True
+
+
+def _mat_vec(M, v, p):
+    return [sum(m * x for m, x in zip(row, v)) % p for row in M]
+
+
+def _restricted_matrix(M, basis, p):
+    rref = _Rref(p, len(basis[0]))
+    for b in basis:
+        rref.insert(b)
+    cols = []
+    for b in basis:
+        residue, combo = rref.reduce(_mat_vec(M, b, p))
+        if any(residue):
+            raise LiftVerificationFailed("class-sum matrix left an invariant subspace")
+        cols.append([(-c) % p for c in combo])
+    d = len(basis)
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+
+def _min_poly_of_vector(A, v, p):
+    d = len(v)
+    rref = _Rref(p, d)
+    rref.insert(v)
+    cur = v
+    for _ in range(d + 1):
+        cur = _mat_vec(A, cur, p)
+        residue, combo = rref.reduce(cur)
+        if not any(residue):
+            return combo + [1]
+        rref.insert(cur)
+    raise LiftVerificationFailed("Krylov sequence failed to terminate")
+
+
+def _poly_eval(poly, x, p):
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _eigenvalues(A, p):
+    d = len(A)
+    roots = set()
+    for start in range(d):
+        v = [0] * d
+        v[start] = 1
+        poly = _min_poly_of_vector(A, v, p)
+        roots.update(x for x in range(p) if _poly_eval(poly, x, p) == 0)
+    return sorted(roots)
+
+
+def _kernel_basis(A, lam, p):
+    d = len(A)
+    M = [[(A[i][j] - (lam if i == j else 0)) % p for j in range(d)] for i in range(d)]
+    pivots = []
+    r = 0
+    for c in range(d):
+        pivot = next((i for i in range(r, d) if M[i][c]), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        inv = pow(M[r][c], p - 2, p)
+        M[r] = [(x * inv) % p for x in M[r]]
+        for i in range(d):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+    out = []
+    for fc in (c for c in range(d) if c not in pivots):
+        vec = [0] * d
+        vec[fc] = 1
+        for row, pc in zip(M, pivots):
+            vec[pc] = (-row[fc]) % p
+        out.append(vec)
+    return out
+
+
+def reference_common_eigenvectors(mats, k, p):
+    """Split F_p^k into the one-dimensional common eigenspaces: class
+    matrices in order, each space split by ascending eigenvalue."""
+    spaces = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
+    for M in mats:
+        if all(len(s) == 1 for s in spaces):
+            break
+        nxt = []
+        for basis in spaces:
+            if len(basis) == 1:
+                nxt.append(basis)
+                continue
+            A = _restricted_matrix(M, basis, p)
+            covered = 0
+            for lam in _eigenvalues(A, p):
+                amb = []
+                for coord in _kernel_basis(A, lam, p):
+                    vec = [0] * k
+                    for c, b in zip(coord, basis):
+                        if c:
+                            for x in range(k):
+                                vec[x] = (vec[x] + c * b[x]) % p
+                    amb.append(vec)
+                if amb:
+                    nxt.append(amb)
+                    covered += len(amb)
+            if covered != len(basis):
+                raise LiftVerificationFailed("class-sum matrix not diagonalizable mod p")
+        spaces = nxt
+    if not all(len(s) == 1 for s in spaces):
+        raise LiftVerificationFailed("could not isolate one-dimensional eigenspaces")
+    return [s[0] for s in spaces]
+
+
+# -- the lift -------------------------------------------------------------------
+
+
+def reference_class_multiplication(G, classes):
+    k = classes.num_classes
+    a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for l, z in enumerate(classes.class_reps):
+        for x in range(G.order):
+            a[classes.class_of[x]][classes.class_of[G.mul(G.inv(x), z)]][l] += 1
+    return a
+
+
+def reference_character_table(G: FiniteGroup):
+    """The whole per-element pipeline: classes by orbit BFS, eigenvectors by
+    the list split, the lift by one pow per term; certified and ordered by
+    the package's own _certified_table."""
+    classes = reference_conjugacy_classes(G)
+    k = classes.num_classes
+    e = G.exponent
+    p = dixon_prime(G.order, e)
+    a = reference_class_multiplication(G, classes)
+    mats = [[[a[i][j][l] for l in range(k)] for j in range(k)] for i in range(1, k)]
+    eigvecs = reference_common_eigenvectors(mats, k, p)
+
+    inv_class = [classes.class_of[G.inv(r)] for r in classes.class_reps]
+    size_inv = [pow(s, p - 2, p) for s in classes.class_sizes]
+    z = pow(_primitive_root(p), (p - 1) // e, p)
+    e_inv = pow(e, p - 2, p)
+    power_class = []
+    for rep in classes.class_reps:
+        row = []
+        x = 0
+        for _ in range(e):
+            row.append(classes.class_of[x])
+            x = G.mul(x, rep)
+        power_class.append(row)
+
+    mults = np.zeros((k, k, e), dtype=np.int64)
+    degrees = []
+    for r, vec in enumerate(eigvecs):
+        norm = pow(vec[0], p - 2, p)
+        omega = [(v * norm) % p for v in vec]
+        s = sum(omega[i] * omega[inv_class[i]] * size_inv[i] for i in range(k)) % p
+        d2 = (G.order * pow(s, p - 2, p)) % p
+        degree = next(d for d in range(1, isqrt(G.order) + 1) if d * d % p == d2)
+        chi_mod = [(degree * omega[j] * size_inv[j]) % p for j in range(k)]
+        for j in range(k):
+            for t in range(e):
+                acc = 0
+                for s_idx in range(e):
+                    acc += chi_mod[power_class[j][s_idx]] * pow(
+                        z, (p - 1 - t) * s_idx % (p - 1), p
+                    )
+                mults[r, j, t] = (acc * e_inv) % p
+        degrees.append(degree)
+
+    P = zring.reduce(mults)
+    order_idx = sorted(range(k), key=lambda i: _row_sort_key(P[i], degrees[i]))
+    return _certified_table(G, classes, P[order_idx], [degrees[i] for i in order_idx], order_idx)

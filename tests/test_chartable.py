@@ -34,7 +34,7 @@ def test_dixon_prime_choices():
 def test_class_mult_coefficients_trivial_and_z2():
     T = group_from_generators([])
     a = class_multiplication_coefficients(T, conjugacy_classes(T))
-    assert a == [[[1]]]
+    assert a.tolist() == [[[1]]]
     Z2 = cyclic_group(2)
     a = class_multiplication_coefficients(Z2, conjugacy_classes(Z2))
     assert a[1][1][0] == 1  # C_2 * C_2 hits the identity exactly once

@@ -185,6 +185,14 @@ def test_cli_empty_shorthands_are_spec_errors(capsys, argv):
     assert "spec error" in err
 
 
+def test_cli_group_closure_keeps_its_fixed_cap(capsys):
+    # --closure-cap bounds code closures only
+    code, out, err = run(capsys, "classes", "--group", "builtin:S7", "--closure-cap", "100000")
+    assert code == 2
+    assert out == ""
+    assert "group closure needs 5001 > cap 5000" in err
+
+
 @pytest.mark.parametrize("check", ["--mw1", "--extension", "--abelian"])
 def test_cli_verify_tuple_cap_reaches_every_check(capsys, check):
     code, out, err = run(
