@@ -207,19 +207,10 @@ def cmd_dual(args) -> int:
         f"R(H) for H <= {code.group.name}^{code.n}: {cosets} total dimensions",
     ]
     tuples = []
-    for tup in sorted(dm.mult):
-        m = dm.mult[tup]
-        lines.append(
-            f"  {m} x {irrep_tuple_label(tup)} (dim {dm.dim(tup)}, weight {dm.weight(tup)})"
-        )
-        tuples.append(
-            {
-                "j": [j + 1 for j in tup],
-                "mult": m,
-                "dim": dm.dim(tup),
-                "weight": dm.weight(tup),
-            }
-        )
+    rows = zip(dm.index.tolist(), dm.counts.tolist(), dm.dims.tolist(), dm.weights.tolist())
+    for tup, m, dim, weight in rows:
+        lines.append(f"  {m} x {irrep_tuple_label(tup)} (dim {dim}, weight {weight})")
+        tuples.append({"j": [j + 1 for j in tup], "mult": m, "dim": dim, "weight": weight})
     W = dual_weight_enumerator(dm)
     cwe = dual_cwe(dm)
     lines.append(f"W_R(z) = {W.render('z')}")

@@ -3,7 +3,8 @@ projection-cardinality polymatroid, the Tutte evaluation and both enumerators.
 
 |H| and the projection cardinalities are kept as exact integers throughout;
 the real-exponent rank r(S) = log_q|pr_S(H)| only ever appears inside the
-floating Tutte evaluation.  Subsets of coordinates are bitmasks.
+floating Tutte evaluation.  Subsets of coordinates are bitmasks.  Tallies
+over the words count distinct rows of the code's one word array.
 """
 
 from __future__ import annotations
@@ -11,8 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
 
+import numpy as np
+
+from . import zring
 from .errors import (
     CapExceeded,
     ClosureCapExceeded,
@@ -21,7 +26,7 @@ from .errors import (
     NotAGroup,
     PolymatroidViolation,
 )
-from .groups import ClassData, FiniteGroup, GroupWord, word_inv, word_mul, word_weight
+from .groups import ClassData, FiniteGroup, GroupWord, word_inv, word_mul
 from .polynomials import MultiPoly, UniPoly
 
 DEFAULT_CODE_CAP = 10**6
@@ -40,6 +45,14 @@ class GroupCode:
     @property
     def size(self) -> int:
         return len(self.words)
+
+    @cached_property
+    def word_array(self) -> np.ndarray:
+        """The words as a read-only (|H|, n) int64 array, in lex order."""
+        flat = np.fromiter(chain.from_iterable(self.words), np.int64, self.size * self.n)
+        A = flat.reshape(self.size, self.n)
+        A.setflags(write=False)
+        return A
 
     def __repr__(self):
         return f"GroupCode({self.group.name}^{self.n}, size={self.size})"
@@ -108,6 +121,40 @@ def diagonal_code(G: FiniteGroup, n: int) -> GroupCode:
     return _make_code(G, n, [(g,) * n for g in range(G.order)])
 
 
+# -- distinct rows ----------------------------------------------------------------
+
+
+def _distinct_rows(A: np.ndarray, weights: np.ndarray | None = None):
+    """The distinct rows of a 2-D integer array in lex order, with how often
+    each occurs, or with the exact sum of weights over its occurrences (in
+    a dtype that holds every sum).  Rows are sorted, never encoded as
+    numbers; the sort runs on int16 keys when the entries fit (faster)."""
+    fits = A.size and -(2**15) <= A.min() and A.max() < 2**15
+    keys = A.astype(np.int16) if fits else A
+    order = np.lexsort(keys.T[::-1])
+    S = keys.take(order, axis=0)
+    # edges: where a run of equal rows starts, then len(A)
+    new_run = np.ones(len(A) + 1, dtype=bool)
+    new_run[1:-1] = (S[1:] != S[:-1]) @ np.ones(A.shape[1], dtype=bool)
+    edges = new_run.nonzero()[0]
+    starts = edges[:-1]
+    rows = A[order[starts]]
+    if weights is None:
+        return rows, edges[1:] - starts
+    top = max(int(weights.max(initial=0)), -int(weights.min(initial=0)))
+    weights = weights.astype(zring.exact_dtype(top * len(weights)))
+    return rows, np.add.reduceat(weights[order], starts)
+
+
+def _content_enumerator(P: np.ndarray, k: int, weights: np.ndarray | None = None) -> MultiPoly:
+    """sum_r w_r prod_m x_{P[r, m]} over the rows r of P, entries in
+    range(k), with w_r = weights[r] (1 without weights); rows with equal
+    content share a term."""
+    rows, totals = _distinct_rows(np.sort(P, axis=1), weights)
+    contents = (rows[:, :, None] == np.arange(k)).sum(axis=1)
+    return MultiPoly(k, dict(zip(map(tuple, contents.tolist()), map(Fraction, totals.tolist()))))
+
+
 # -- projections and the polymatroid -------------------------------------------
 
 
@@ -120,7 +167,7 @@ def project_cardinality(code: GroupCode, S: int) -> int:
     coords = _mask_coords(S, code.n)
     if not coords:
         return 1
-    return len({tuple(w[m] for m in coords) for w in code.words})
+    return len(_distinct_rows(code.word_array[:, coords])[0])
 
 
 @dataclass(frozen=True)
@@ -142,13 +189,8 @@ def rank_profile(code: GroupCode) -> RankProfile:
     n = code.n
     if n > RANK_PROFILE_MAX_N:
         raise CapExceeded("rank profile subsets", 2**n, 2**RANK_PROFILE_MAX_N)
-    card = [0] * (1 << n)
-    card[0] = 1
-    for S in range(1, 1 << n):
-        card[S] = project_cardinality(code, S)
-    # normalized, monotone, submodular (local exchange form)
-    if card[0] != 1:
-        raise PolymatroidViolation("card(empty set) != 1")
+    card = [1] + [project_cardinality(code, S) for S in range(1, 1 << n)]
+    # normalized by construction; monotone, submodular (local exchange form)
     for S in range(1 << n):
         for i in range(n):
             if S >> i & 1:
@@ -190,35 +232,24 @@ def tutte_evaluate(rp: RankProfile, x: float, y: float) -> float:
 
 def weight_enumerator(code: GroupCode) -> UniPoly:
     """W_H(z) = sum over words of z^weight."""
-    counts: dict[int, int] = {}
-    for w in code.words:
-        wt = word_weight(w)
-        counts[wt] = counts.get(wt, 0) + 1
-    return UniPoly({d: Fraction(c) for d, c in counts.items()})
+    counts = np.bincount((code.word_array != 0).sum(axis=1))
+    return UniPoly(dict(enumerate(counts.tolist())))
 
 
 def complete_weight_enumerator(code: GroupCode, classes: ClassData) -> MultiPoly:
     """cwe_H(y_1..y_k): coefficient of prod y_c^(e_c) counts the words whose
     coordinates hit class c exactly e_c times."""
-    k = classes.num_classes
-    cls = classes.class_of
-    counts: dict[tuple[int, ...], int] = {}
-    for w in code.words:
-        e = [0] * k
-        for x in w:
-            e[cls[x]] += 1
-        key = tuple(e)
-        counts[key] = counts.get(key, 0) + 1
-    return MultiPoly(k, {e: Fraction(c) for e, c in counts.items()})
+    return _content_enumerator(_class_patterns(code, classes), classes.num_classes)
 
 
-def class_pattern_counts(code: GroupCode, classes: ClassData) -> dict[tuple[int, ...], int]:
-    """Ordered class-pattern counts: pattern (cls(h_1),..,cls(h_n)) -> number
-    of words with that exact pattern.  Finer than the cwe (which forgets
+def _class_patterns(code: GroupCode, classes: ClassData) -> np.ndarray:
+    """The class of every coordinate of every word, in the index dtype."""
+    return np.array(classes.class_of, dtype=code.group.cayley.dtype)[code.word_array]
+
+
+def class_pattern_counts(code: GroupCode, classes: ClassData) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered class-pattern counts: the distinct patterns
+    (cls(h_1),..,cls(h_n)) of the words as a (p, n) array in lex order, and
+    the number of words with each.  Finer than the cwe (which forgets
     coordinate order); this is what the Frobenius sum consumes."""
-    cls = classes.class_of
-    counts: dict[tuple[int, ...], int] = {}
-    for w in code.words:
-        key = tuple(cls[x] for x in w)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return _distinct_rows(_class_patterns(code, classes))

@@ -15,7 +15,7 @@ Gamma^n, count the cosets fixed by a representative of each class tuple
 function against the conjugate product character table through the same
 integer kernel.  The coset BFS and the fixed-coset counts are batched int64
 gathers on the Cayley table, with words encoded as base-|Gamma| integers:
-O(|Gamma|^n * n^2 * |gens|) work, in blocks of about ORACLE_BLOCK entries,
+O(|Gamma|^n * n^2 * |gens|) work, in blocks of about TABLE_BLOCK entries,
 bounded by coset_cap * |H|.  No class-pattern count or character value
 enters this route before the decomposition, so it stays independent of the
 Frobenius route; nothing about it is floating point.
@@ -25,13 +25,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 import numpy as np
 
-from . import zring
+from . import groups, zring
 from .chartable import CharacterTable
-from .codes import GroupCode, RankProfile, class_pattern_counts
+from .codes import (
+    GroupCode,
+    RankProfile,
+    _content_enumerator,
+    _distinct_rows,
+    class_pattern_counts,
+)
 from .errors import CapExceeded, NonIntegerMultiplicity, RepdualError
 from .groups import ClassData
 from .polynomials import MultiPoly, UniPoly
@@ -40,36 +47,50 @@ DEFAULT_TUPLE_CAP = 10**7
 DEFAULT_COSET_CAP = 10**5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualMultiset:
-    """R(H) as a map from irrep-index tuples to multiplicities (zero entries
-    omitted).  Irrep index 0 is the trivial character; dim of a tuple is the
-    product of the per-factor degrees."""
+    """R(H) as two arrays: index, the (t, n) irrep-index tuples of nonzero
+    multiplicity in lex order, and counts, their multiplicities.  Irrep
+    index 0 is the trivial character; dim of a tuple is the product of the
+    per-factor degrees."""
 
     n: int
     k: int
     degrees: tuple[int, ...]
-    mult: dict[tuple[int, ...], int]
+    index: np.ndarray
+    counts: np.ndarray
 
-    def dim(self, tup: tuple[int, ...]) -> int:
-        d = 1
-        for j in tup:
-            d *= self.degrees[j]
-        return d
+    @cached_property
+    def mult(self) -> dict[tuple[int, ...], int]:
+        """The same multiset as a dict, keys in lex order."""
+        return dict(zip(map(tuple, self.index.tolist()), self.counts.tolist()))
 
-    def weight(self, tup: tuple[int, ...]) -> int:
-        return sum(1 for j in tup if j != 0)
+    @cached_property
+    def dims(self) -> np.ndarray:
+        """dim of every row of index, exactly."""
+        degrees = np.array(self.degrees, dtype=zring.exact_dtype(max(self.degrees) ** self.n))
+        return degrees[self.index].prod(axis=1)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Number of nontrivial components of every row of index."""
+        return (self.index != 0).sum(axis=1)
+
+    @cached_property
+    def _mass(self) -> np.ndarray:
+        """mult * dim of every row, in a dtype that also holds their sum."""
+        top = int(self.counts.max(initial=0)) * max(self.degrees) ** self.n
+        dtype = zring.exact_dtype(top * len(self.counts))
+        return self.counts.astype(dtype) * self.dims.astype(dtype)
 
     def total_dimension(self) -> int:
-        return sum(m * self.dim(t) for t, m in self.mult.items())
-
-    def items(self):
-        return self.mult.items()
+        return int(self._mass.sum())
 
 
-def _multiplicities(raw: np.ndarray, divisor: int) -> dict[tuple[int, ...], int]:
+def _multiplicities(raw: np.ndarray, divisor: int) -> tuple[np.ndarray, np.ndarray]:
     """raw: reduced (k,)*n + (phi(m),) array of divisor * multiplicity.
-    Every entry must divide to a nonnegative integer; zeros are omitted."""
+    Every entry must divide to a nonnegative integer.  Returns the index
+    and counts arrays of a DualMultiset."""
     shape = raw.shape[:-1]
     irrational = np.flatnonzero(raw[..., 1:].any(axis=-1))
     if len(irrational):
@@ -77,25 +98,25 @@ def _multiplicities(raw: np.ndarray, divisor: int) -> dict[tuple[int, ...], int]
         raise NonIntegerMultiplicity(f"multiplicity of {key} is not rational")
     const = raw[..., 0].reshape(-1)
     nonzero = np.flatnonzero(const)
-    keys = zip(*(axis.tolist() for axis in np.unravel_index(nonzero, shape)))
-    mult: dict[tuple[int, ...], int] = {}
-    for key, c in zip(keys, const[nonzero].tolist()):
-        value = Fraction(c, divisor)
-        if value.denominator != 1 or value < 0:
-            raise NonIntegerMultiplicity(f"multiplicity of {key} is {value}")
-        mult[key] = int(value)
-    return mult
+    index = np.stack(np.unravel_index(nonzero, shape), axis=1)
+    values = const[nonzero]
+    bad = np.flatnonzero((values % divisor != 0) | (values < 0))
+    if len(bad):
+        key = tuple(index[bad[0]].tolist())
+        raise NonIntegerMultiplicity(
+            f"multiplicity of {key} is {Fraction(int(values[bad[0]]), divisor)}"
+        )
+    return index, values // divisor
 
 
 def _to_multiset(
     raw: np.ndarray, divisor: int, code: GroupCode, ct: CharacterTable
 ) -> DualMultiset:
-    dm = DualMultiset(code.n, ct.k, ct.degrees, _multiplicities(raw, divisor))
-    trivial = (0,) * code.n
-    if dm.mult.get(trivial) != 1:
-        raise NonIntegerMultiplicity(
-            f"trivial tuple has multiplicity {dm.mult.get(trivial, 0)}, expected 1"
-        )
+    dm = DualMultiset(code.n, ct.k, ct.degrees, *_multiplicities(raw, divisor))
+    # the trivial tuple is the least in lex order
+    trivial = int(dm.counts[0]) if len(dm.counts) and not dm.index[0].any() else 0
+    if trivial != 1:
+        raise NonIntegerMultiplicity(f"trivial tuple has multiplicity {trivial}, expected 1")
     cosets = ct.group.order**code.n // code.size
     if dm.total_dimension() != cosets:
         raise NonIntegerMultiplicity(
@@ -111,67 +132,31 @@ def dual_multiset(
     k = ct.k
     if k**code.n > cap:
         raise CapExceeded("irrep tuple space", k**code.n, cap)
-    counts = class_pattern_counts(code, ct.classes)
-    raw = zring.reduce(zring.contract(counts, ct.zvalues, code.n))
+    patterns, counts = class_pattern_counts(code, ct.classes)
+    raw = zring.reduce(zring.contract(patterns, counts, ct.zvalues))
     return _to_multiset(raw, code.size, code, ct)
 
 
 # -- permutation-character oracle ------------------------------------------------
 
-# Block temporaries of the oracle hold about this many int64 entries, and at
-# least one coset's worth (|H|*n) when H is larger.
-ORACLE_BLOCK = 2**14
-
 
 def _word_arrays(code: GroupCode) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The Cayley table, the words of H as an (|H|, n) array, the weights
     that encode a word as an integer in base |Gamma| (integer order is then
-    lex order), and how many words' products with all of H fit one block."""
+    lex order), and how many words' products with all of H fit one block:
+    TABLE_BLOCK entries, or one coset's worth (|H|*n) when H is larger."""
     G = code.group
     if G.order**code.n > 2**63:
         raise CapExceeded("int64 word encoding", G.order**code.n, 2**63)
     MUL = G.cayley.astype(np.int64)
-    H = np.array(code.words, dtype=np.int64).reshape(code.size, code.n)
-    rows = max(1, ORACLE_BLOCK // (code.size * code.n))
-    return MUL, H, _weights(G.order, code.n), rows
-
-
-def _weights(base: int, n: int) -> np.ndarray:
-    return base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    weights = G.order ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
+    rows = max(1, groups.TABLE_BLOCK // (code.size * code.n))
+    return MUL, code.word_array, weights, rows
 
 
 def _in_sorted(a: np.ndarray, sorted_b: np.ndarray) -> np.ndarray:
     idx = np.minimum(np.searchsorted(sorted_b, a), len(sorted_b) - 1)
     return sorted_b[idx] == a
-
-
-class _KeyCounts:
-    """Counts of nonnegative int64 keys, merged whenever the unmerged keys
-    outgrow both ORACLE_BLOCK and the distinct keys so far."""
-
-    def __init__(self):
-        self.keys = self.counts = np.zeros(0, dtype=np.int64)
-        self.pending: list[np.ndarray] = []
-        self.pending_size = 0
-
-    def add(self, keys: np.ndarray) -> None:
-        self.pending.append(keys)
-        self.pending_size += len(keys)
-        if self.pending_size > max(ORACLE_BLOCK, len(self.keys)):
-            self._merge()
-
-    def _merge(self) -> None:
-        ones = np.ones(self.pending_size, dtype=np.int64)
-        keys, inverse = np.unique(np.concatenate([self.keys, *self.pending]), return_inverse=True)
-        counts = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(counts, inverse, np.concatenate([self.counts, ones]))
-        self.keys, self.counts = keys, counts
-        self.pending, self.pending_size = [], 0
-
-    def as_dict(self) -> dict[int, int]:
-        """All counts so far, by key in ascending order."""
-        self._merge()
-        return dict(zip(self.keys.tolist(), self.counts.tolist()))
 
 
 def _coset_representatives(code: GroupCode, cap: int) -> np.ndarray:
@@ -232,7 +217,8 @@ def permutation_character(
     g fixes xH iff g lies in x H x^-1, and h -> x h x^-1 is injective, so
     chi(g) counts the pairs (x, h) with x h x^-1 = g.  Every conjugate is
     formed, one (b, |H|, n) gather per block of coset representatives, and
-    tallied when it is the representative word of a class tuple.
+    tallied when it is the representative word of a class tuple, into a
+    dense count over the k^n class tuples (bounded by tuple_cap).
     Class-constancy is verified by a second tally at the word of last class
     members; the Burnside total sum_g chi(g) = |Gamma|^n is checked too."""
     G = code.group
@@ -243,25 +229,28 @@ def permutation_character(
     X = _coset_representatives(code, coset_cap)
     MUL, H, _, rows = _word_arrays(code)
     INV = np.array(G.inverse, dtype=np.int64)
-    tuple_weights = _weights(k, n)
+    shape = (k,) * n
     tallies = []
     for members in (classes.class_reps, [classes.members(c)[-1] for c in range(k)]):
         class_at = np.full(G.order, -1, dtype=np.int64)
         class_at[list(members)] = np.arange(k)
-        tallies.append((class_at, _KeyCounts()))
+        tallies.append((class_at, np.zeros(k**n, dtype=np.int64)))
     for lo in range(0, len(X), rows):
         x = X[lo : lo + rows, None, :]
         conj = MUL[MUL[x, H], INV[x]]
-        for class_at, tally in tallies:
+        for class_at, counts in tallies:
             tup = class_at[conj]
-            tally.add(tup[(tup >= 0).all(axis=-1)] @ tuple_weights)
-    rep, alt = (tally.as_dict() for _, tally in tallies)
-    if rep != alt:
-        key = min(key for key in rep.keys() | alt.keys() if rep.get(key) != alt.get(key))
-        tup = tuple((key // tuple_weights % k).tolist())
+            flat = np.ravel_multi_index(tuple(tup[(tup >= 0).all(axis=-1)].T), shape)
+            keys, found = np.unique(flat, return_counts=True)
+            counts[keys] += found
+    (_, rep), (_, alt) = tallies
+    differ = np.flatnonzero(rep != alt)
+    if len(differ):
+        tup = tuple(int(c) for c in np.unravel_index(differ[0], shape))
         raise RepdualError(f"permutation character not constant on class tuple {tup}")
-    keys = np.fromiter(rep, dtype=np.int64, count=len(rep))
-    out = dict(zip(map(tuple, (keys[:, None] // tuple_weights % k).tolist()), rep.values()))
+    nonzero = np.flatnonzero(rep)
+    tuples = np.stack(np.unravel_index(nonzero, shape), axis=1)
+    out = dict(zip(map(tuple, tuples.tolist()), rep[nonzero].tolist()))
     sizes = classes.class_sizes
     burnside = sum(count * prod(sizes[c] for c in tup) for tup, count in out.items())
     if burnside != G.order**n:
@@ -275,16 +264,11 @@ def decompose_permutation_character(
     """Inner product of the permutation character with every product
     character chi_j1 x ... x chi_jn, as exact rationals.  Must reproduce
     dual_multiset tuple-for-tuple (this is the oracle equivalence)."""
-    k = ct.k
-    sizes = ct.classes.class_sizes
-    weighted: dict[tuple[int, ...], int] = {}
-    for tup, count in pc.items():
-        w = count
-        for c in tup:
-            w *= sizes[c]
-        weighted[tup] = w
-    raw = zring.reduce(zring.contract(weighted, zring.conjugate(ct.zvalues), n))
-    return DualMultiset(n, k, ct.degrees, _multiplicities(raw, ct.group.order**n))
+    tuples = np.array(list(pc), dtype=np.int64).reshape(len(pc), n)
+    sizes = np.array(ct.classes.class_sizes, dtype=object)
+    weighted = np.array(list(pc.values()), dtype=object) * sizes[tuples].prod(axis=1)
+    raw = zring.reduce(zring.contract(tuples, weighted, zring.conjugate(ct.zvalues)))
+    return DualMultiset(n, ct.k, ct.degrees, *_multiplicities(raw, ct.group.order**n))
 
 
 # -- enumerators of the dual -----------------------------------------------------
@@ -292,23 +276,13 @@ def decompose_permutation_character(
 
 def dual_weight_enumerator(dm: DualMultiset) -> UniPoly:
     """W_{R(H)}(z) = sum mult * dim * z^(n - #trivial components)."""
-    out: dict[int, Fraction] = {}
-    for tup, m in dm.items():
-        w = dm.weight(tup)
-        out[w] = out.get(w, Fraction(0)) + m * dm.dim(tup)
-    return UniPoly(out)
+    weights, sums = _distinct_rows(dm.weights[:, None], dm._mass)
+    return UniPoly(dict(zip(weights[:, 0].tolist(), sums.tolist())))
 
 
 def dual_cwe(dm: DualMultiset) -> MultiPoly:
     """cwe_{R(H)}(x_1..x_k) = sum mult * prod x_{j_m}; no dimension factor."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for tup, m in dm.items():
-        e = [0] * dm.k
-        for j in tup:
-            e[j] += 1
-        key = tuple(e)
-        terms[key] = terms.get(key, Fraction(0)) + m
-    return MultiPoly(dm.k, terms)
+    return _content_enumerator(dm.index, dm.k, dm.counts)
 
 
 @dataclass(frozen=True)
@@ -323,34 +297,30 @@ def _trivial_dimension_sums(dm: DualMultiset) -> list[int]:
     """Entry S: sum of mult*dim over the tuples trivial on every coordinate
     of the bitmask S.  Such a tuple has its support inside the complement of
     S, so this is one histogram by support mask and one subset-sum (zeta)
-    transform, O(2^n * n) past the histogram."""
-    full = (1 << dm.n) - 1
-    sums = [0] * (full + 1)
-    for tup, m in dm.items():
-        sums[sum(1 << c for c, j in enumerate(tup) if j)] += m * dm.dim(tup)
-    for c in range(dm.n):
-        bit = 1 << c
-        for T in range(full + 1):
-            if T & bit:
-                sums[T] += sums[T ^ bit]
-    return [sums[full & ~S] for S in range(full + 1)]
+    transform: a cumsum along each axis of the histogram viewed as
+    (2,)*n, O(2^n * n) past the histogram."""
+    n = dm.n
+    support = (dm.index != 0) @ (1 << np.arange(n))
+    masks, sums = _distinct_rows(support[:, None], dm._mass)
+    hist = np.zeros(1 << n, dtype=sums.dtype)
+    hist[masks[:, 0]] = sums
+    hist = hist.reshape((2,) * n)
+    for axis in range(n):
+        hist = hist.cumsum(axis=axis, dtype=hist.dtype)
+    # full & ~S = full - S, so entry S sits at the reversed position
+    return hist.reshape(-1)[::-1].tolist()
 
 
-def extension_lemma_checks(
-    rp: RankProfile, dm: DualMultiset, subsets=None
-) -> list[ExtensionCheck]:
+def extension_lemma_checks(rp: RankProfile, dm: DualMultiset) -> list[ExtensionCheck]:
     """Dimension count of the dual tuples trivial on S against the coset
-    count of the projection onto the complement, for each bitmask S in
-    subsets (default: all 2^n):
+    count of the projection onto the complement, for every bitmask S (entry
+    S of the list):
     sum_{j trivial on S} mult*dim = |Gamma|^(n-|S|) / |pr_{E-S}(H)|."""
-    n = rp.n
+    n, q = rp.n, rp.group_order
     full = (1 << n) - 1
     lhs = _trivial_dimension_sums(dm)
-    out = []
-    for S in range(full + 1) if subsets is None else subsets:
-        rhs = Fraction(rp.group_order ** (n - bin(S).count("1")), rp.card[full & ~S])
-        out.append(ExtensionCheck(S, lhs[S] == rhs, Fraction(lhs[S]), rhs))
-    return out
+    rhs = [Fraction(q ** (n - S.bit_count()), rp.card[full & ~S]) for S in range(full + 1)]
+    return [ExtensionCheck(S, a == b, Fraction(a), b) for S, (a, b) in enumerate(zip(lhs, rhs))]
 
 
 def irrep_tuple_label(tup: tuple[int, ...]) -> str:

@@ -32,7 +32,7 @@ GroupWord = tuple[int, ...]
 
 DEFAULT_GROUP_CAP = 5000
 
-# Temporaries of the table kernels hold about this many entries per block;
+# Temporaries of the numpy kernels hold about this many entries per block;
 # rows become Python tuples in blocks of INTERN_BLOCK entries, because each
 # entry of .tolist() is a fresh int object until it is swapped for the
 # shared one.
@@ -69,16 +69,20 @@ def _inverses(T: np.ndarray) -> tuple[int, ...]:
     return tuple(np.concatenate(blocks).tolist())
 
 
-def _element_orders(T: np.ndarray) -> np.ndarray:
+def _element_orders(T: np.ndarray, labels) -> np.ndarray:
     """Order of every element: all powers advance together, one gather per
-    step, until each reaches the identity."""
+    step, until each reaches the identity, within N - 1 steps at order N."""
     x = np.arange(len(T))
     orders = np.ones(len(T), dtype=np.int64)
     live = np.flatnonzero(x)
-    while live.size:
+    for _ in range(len(T) - 1):
+        if not live.size:
+            break
         x[live] = T[x[live], live]
         orders[live] += 1
         live = live[x[live] != 0]
+    if live.size:
+        raise NotAGroup(f"powers of {labels[live[0]]} never reach the identity")
     return orders
 
 
@@ -86,12 +90,14 @@ def _element_orders(T: np.ndarray) -> np.ndarray:
 class FiniteGroup:
     """Immutable finite group over indices 0..order-1, identity at 0.
 
-    cayley is the same table as table, as a read-only index array."""
+    cayley is the same table as table, as a read-only index array, and
+    orders[g] is the order of element g."""
 
     name: str
     table: tuple[tuple[int, ...], ...]
     element_labels: tuple[str, ...]
     inverse: tuple[int, ...] = field(init=False)
+    orders: tuple[int, ...] = field(init=False)
     exponent: int = field(init=False)
     generators: tuple[int, ...] = ()
     cayley: np.ndarray = field(default=None, compare=False, repr=False)
@@ -103,7 +109,9 @@ class FiniteGroup:
         T.setflags(write=False)
         object.__setattr__(self, "cayley", T)
         object.__setattr__(self, "inverse", _inverses(T))
-        object.__setattr__(self, "exponent", lcm(*set(_element_orders(T).tolist())))
+        orders = tuple(_element_orders(T, self.element_labels).tolist())
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "exponent", lcm(*set(orders)))
 
     @property
     def order(self) -> int:
@@ -116,11 +124,7 @@ class FiniteGroup:
         return self.inverse[a]
 
     def element_order(self, g: int) -> int:
-        n, x = 1, g
-        while x != 0:
-            x = self.table[x][g]
-            n += 1
-        return n
+        return self.orders[g]
 
     def is_abelian(self) -> bool:
         return bool((self.cayley == self.cayley.T).all())

@@ -28,19 +28,19 @@ from typing import Mapping
 
 import numpy as np
 
-from . import zring
+from . import groups, zring
 from .chartable import CharacterTable, character_table
 from .codes import (
     DEFAULT_CODE_CAP,
     GroupCode,
     RankProfile,
+    _distinct_rows,
     code_from_words,
     complete_weight_enumerator,
     rank_profile,
     tutte_evaluate,
     weight_enumerator,
 )
-from .cyclotomic import Cyclotomic
 from .duality import (
     DEFAULT_TUPLE_CAP,
     DualMultiset,
@@ -197,18 +197,17 @@ def _cwe_transform(cwe: MultiPoly, T: np.ndarray, size: int) -> MultiPoly:
     before the one reduction mod Phi_m, because a single ordered entry need
     not be rational."""
     k = cwe.nvars
-    n = sum(next(iter(cwe.terms)))
-    counts = {
-        tuple(c for c in range(k) for _ in range(e[c])): int(coeff)
-        for e, coeff in cwe.terms.items()
-    }
-    contents, sums = zring.sum_by_content(zring.contract(counts, T, n), n)
-    terms = {}
-    for e, coeffs in zip(contents, zring.reduce(sums).tolist()):
-        if any(coeffs[1:]):
-            raise NotRational(f"transformed coefficient at {e} is not rational")
-        terms[e] = Fraction(coeffs[0], size)
-    return MultiPoly(k, terms)
+    exponents = np.array(list(cwe.terms), dtype=np.int64)
+    n = int(exponents[0].sum())
+    patterns = np.repeat(np.tile(np.arange(k), len(exponents)), exponents.reshape(-1))
+    coeffs = np.array([int(c) for c in cwe.terms.values()], dtype=object)
+    A = zring.contract(patterns.reshape(len(exponents), n), coeffs, T)
+    contents, sums = zring.sum_by_content(A, n)
+    sums = zring.reduce(sums)
+    irrational = np.flatnonzero(sums[:, 1:].any(axis=1))
+    if len(irrational):
+        raise NotRational(f"transformed coefficient at {contents[irrational[0]]} is not rational")
+    return MultiPoly(k, {e: Fraction(c, size) for e, c in zip(contents, sums[:, 0].tolist())})
 
 
 def macwilliams2_transform(code: GroupCode, ct: CharacterTable) -> MultiPoly:
@@ -293,32 +292,36 @@ def abelian_pairing_exponents(G: FiniteGroup) -> list[list[int]]:
         if x in coords:
             raise NonIntegerMultiplicity("abelian basis is not a direct decomposition")
         coords[x] = mix
-    eps = [[0] * G.order for _ in range(G.order)]
-    for x in range(G.order):
-        for y in range(G.order):
-            total = 0
-            for a, b, t in zip(coords[x], coords[y], orders):
-                total += a * b * (m // t)
-            eps[x][y] = total % m
-    return eps
+    C = np.array([coords[x] for x in range(G.order)], dtype=np.int64).reshape(G.order, -1)
+    return (C * np.array([m // t for t in orders], dtype=np.int64) @ C.T % m).tolist()
 
 
 def classical_dual_code(
     code: GroupCode, eps: list[list[int]], cap: int = DEFAULT_CODE_CAP
 ) -> GroupCode:
-    """{x : pairing(x, h) = 1 for all h in H}, by brute-force enumeration."""
-    G = code.group
+    """{x : pairing(x, h) = 1 for all h in H}, by brute-force enumeration:
+    a block of candidate words at a time, paired with ever larger slices of
+    H by one gather each, keeping the candidates every word so far pairs
+    trivially with."""
+    G, n = code.group, code.n
     m = G.exponent
-    total = G.order**code.n
+    total = G.order**n
     if total > cap:
         raise CapExceeded("classical dual enumeration", total, cap)
-    dual_words = []
-    for x in product(range(G.order), repeat=code.n):
-        if all(
-            sum(eps[a][b] for a, b in zip(x, h)) % m == 0 for h in code.words
-        ):
-            dual_words.append(x)
-    return code_from_words(G, code.n, dual_words, validate=False)
+    E = np.array(eps, dtype=np.int64)
+    H = code.word_array
+    step = max(1, groups.TABLE_BLOCK // n)
+    found = []
+    for lo in range(0, total, step):
+        flat = np.arange(lo, min(lo + step, total))
+        X = np.stack(np.unravel_index(flat, (G.order,) * n), axis=1)
+        done = 0
+        while len(X) and done < code.size:
+            h = H[done : done + max(1, step // len(X))]
+            X = X[(E[X[:, None, :], h].sum(axis=-1) % m == 0).all(axis=1)]
+            done += len(h)
+        found.append(X)
+    return code_from_words(G, n, map(tuple, np.concatenate(found).tolist()), validate=False)
 
 
 def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
@@ -332,39 +335,42 @@ def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
     result = CheckResult("abelian_specialization", True)
     eps = abelian_pairing_exponents(G)
     m = G.exponent
+    # pairing[g, j] = zeta_m^eps[g][j], one-hot over Z[C_m]
+    pairing = np.zeros((G.order, G.order, m), dtype=np.int64)
+    pairing[(*np.indices((G.order, G.order)), np.array(eps))] = 1
 
     # irrep index -> group element with chi_irrep = beta(element, .)
     # (classes of an abelian group are singletons in element order)
-    pairing_rows = {
-        g: tuple(Cyclotomic.zeta(m, eps[g][j]) for j in range(G.order))
-        for g in range(G.order)
-    }
-    irrep_to_element: dict[int, int] = {}
+    characters = zring.reduce(pairing)
+    rows = zring.reduce(ct.zvalues)
+    irrep_to_element = np.zeros(ct.k, dtype=np.int64)
     for i in range(ct.k):
-        row = tuple(ct.values[i])
-        matches = [g for g, prow in pairing_rows.items() if prow == row]
+        matches = np.flatnonzero((characters == rows[i]).all(axis=(1, 2)))
         if len(matches) != 1:
-            raise NonIntegerMultiplicity(
-                f"character row {i} matches {len(matches)} pairing characters"
-            )
+            message = f"character row {i} matches {len(matches)} pairing characters"
+            raise NonIntegerMultiplicity(message)
         irrep_to_element[i] = matches[0]
 
     dm = a.dm
-    if any(mult > 1 for mult in dm.mult.values()):
+    if (dm.counts > 1).any():
         result.fail("dual multiset is not 0/1-valued over an abelian group")
 
     dual = classical_dual_code(code, eps)
-    mapped = {tuple(irrep_to_element[j] for j in tup) for tup in dm.mult}
-    if mapped != dual.word_set:
-        missing = sorted(dual.word_set - mapped)[:5]
-        extra = sorted(mapped - dual.word_set)[:5]
+    relabeled = DualMultiset(
+        dm.n, dm.k, dm.degrees, *_distinct_rows(irrep_to_element[dm.index], dm.counts)
+    )
+    if not np.array_equal(relabeled.index, dual.word_array):
+        # tag 1: image only, 2: dual only, 3: both
+        words, tag = _distinct_rows(
+            np.concatenate([relabeled.index, dual.word_array]),
+            np.repeat([1, 2], [len(relabeled.index), dual.size]),
+        )
+        missing = list(map(tuple, words[tag == 2][:5].tolist()))
+        extra = list(map(tuple, words[tag == 1][:5].tolist()))
         result.fail(f"phi-image mismatch; missing={missing} extra={extra}")
 
     # classical MacWilliams #2 with the element-indexed pairing matrix
     cwe_dual = complete_weight_enumerator(dual, ct.classes)
-    # pairing[g, j] = zeta_m^eps[g][j], one-hot over Z[C_m]
-    pairing = np.zeros((G.order, G.order, m), dtype=np.int64)
-    pairing[(*np.indices((G.order, G.order)), np.array(eps))] = 1
     transformed = _cwe_transform(a.cwe, pairing, code.size)
     if transformed != cwe_dual:
         result.fail(
@@ -373,18 +379,11 @@ def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
         )
 
     # and the representation-route cwe agrees after relabeling through phi
-    relabeled_terms = {}
-    for tup, mult in dm.mult.items():
-        e = [0] * G.order
-        for j in tup:
-            e[irrep_to_element[j]] += 1
-        key = tuple(e)
-        relabeled_terms[key] = relabeled_terms.get(key, Fraction(0)) + mult
-    relabeled = MultiPoly(G.order, relabeled_terms)
-    if relabeled != cwe_dual:
+    relabeled_cwe = dual_cwe(relabeled)
+    if relabeled_cwe != cwe_dual:
         result.fail(
             "relabeled dual cwe differs from the classical dual cwe by "
-            + (relabeled - cwe_dual).render("x")
+            + (relabeled_cwe - cwe_dual).render("x")
         )
     return result
 

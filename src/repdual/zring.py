@@ -82,20 +82,21 @@ def convmatmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def contract(counts: dict[tuple[int, ...], int], T: np.ndarray, n: int) -> np.ndarray:
-    """out[j_1..j_n] = sum_i counts[i] prod_a T[j_a, i_a], dense of shape
+def contract(keys: np.ndarray, counts: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """out[j_1..j_n] = sum_r counts[r] prod_a T[j_a, keys[r, a]] over the
+    distinct rows of the (t, n) index array keys, dense of shape
     (k,)*n + (m,), contracting one axis at a time.
 
     The dtype comes from the bound max|counts| * L^n, L = max_j
     sum_{i,t} |T[j, i, t]|, times k^n and reduction_gain(m), so that any sum
     of output entries can also be reduced without overflow."""
     k, m = T.shape[0], T.shape[-1]
+    n = keys.shape[1]
     L = max(abs_row_sums(T))
-    top = max((abs(c) for c in counts.values()), default=0)
+    top = max(int(counts.max(initial=0)), -int(counts.min(initial=0)))
     dtype = exact_dtype(top * L**n * k**n * reduction_gain(m))
     A = np.zeros((k,) * n + (m,), dtype=dtype)
-    for key, c in counts.items():
-        A[key + (0,)] = c
+    A[(*keys.T, 0)] = counts
     T = T.astype(dtype)
     for _ in range(n):
         # contract the leading axis; its new index goes last, so after n
@@ -124,11 +125,6 @@ def sum_by_content(A: np.ndarray, n: int) -> tuple[list[tuple[int, ...]], np.nda
     keys, inverse = np.unique(code, return_inverse=True)
     sums = np.zeros((len(keys), m), dtype=A.dtype)
     np.add.at(sums, inverse.reshape(-1), A.reshape(-1, m))
-    contents = []
-    for c in keys.tolist():
-        e = [0] * k
-        for _ in range(n):
-            c, j = divmod(c, k)
-            e[j] += 1
-        contents.append(tuple(e))
-    return contents, sums
+    digits = keys[:, None] // k ** np.arange(n - 1, -1, -1) % k
+    contents = (digits[:, :, None] == np.arange(k)).sum(axis=1)
+    return list(map(tuple, contents.tolist())), sums

@@ -208,8 +208,9 @@ def test_criterion_6_extension_lemma(matrix):
     for name, code, ct in matrix:
         dm = dual_multiset(code, ct)
         rp = rank_profile(code)
+        checks = extension_lemma_checks(rp, dm)
         for S in range(1 << code.n):
-            res = extension_lemma_checks(rp, dm, [S])[0]
+            res = checks[S]
             assert res.passed, (name, S, res.lhs, res.rhs)
     elapsed = time.perf_counter() - start
     print(

@@ -1,6 +1,8 @@
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repdual.chartable import character_table
@@ -12,7 +14,8 @@ from repdual.codes import (
     trivial_code,
 )
 from repdual.duality import (
-    DualMultiset,
+    _multiplicities,
+    _to_multiset,
     decompose_permutation_character,
     dual_cwe,
     dual_multiset,
@@ -20,9 +23,11 @@ from repdual.duality import (
     extension_lemma_checks,
     permutation_character,
 )
-from repdual.errors import CapExceeded
+from repdual.errors import CapExceeded, NonIntegerMultiplicity
 from repdual.groups import cyclic_group, quaternion_group, symmetric_group
 from repdual.polynomials import MultiPoly, UniPoly
+
+from reference_tallies import legacy, multiset_from_mult
 
 S3 = symmetric_group(3)
 CT3 = character_table(S3)
@@ -162,12 +167,12 @@ def test_extension_lemma_endpoints():
     dm = dual_multiset(code, CT3)
     rp = rank_profile(code)
     full_mask = 0b11
-    res = extension_lemma_checks(rp, dm, [full_mask])[0]
+    res = extension_lemma_checks(rp, dm)[full_mask]
     assert res.passed and res.lhs == 1
-    res = extension_lemma_checks(rp, dm, [0])[0]
+    res = extension_lemma_checks(rp, dm)[0]
     assert res.passed and res.lhs == 6
     # S = {2} (second coordinate): tuples trivial there are 1x1 and tx1
-    res = extension_lemma_checks(rp, dm, [0b10])[0]
+    res = extension_lemma_checks(rp, dm)[0b10]
     assert res.passed and res.lhs == 3 == res.rhs
 
 
@@ -182,7 +187,7 @@ def test_extension_lemma_all_subsets():
         dm = dual_multiset(code, ct)
         rp = rank_profile(code)
         for S in range(1 << code.n):
-            assert extension_lemma_checks(rp, dm, [S])[0].passed
+            assert extension_lemma_checks(rp, dm)[S].passed
 
 
 def test_coset_cap():
@@ -195,19 +200,52 @@ def test_extension_lemma_checks_match_direct_sums():
     code = diagonal_code(S3, 3)
     dm = dual_multiset(code, CT3)
     rp = rank_profile(code)
-    tampered = DualMultiset(3, dm.k, dm.degrees, {**dm.mult, (0, 2, 0): 1})
+    tampered = multiset_from_mult(3, dm.k, dm.degrees, {**dm.mult, (0, 2, 0): 1})
     for d in (dm, tampered):
         checks = extension_lemma_checks(rp, d)
         assert [c.S for c in checks] == list(range(8))
         for c in checks:
             direct = sum(
-                m * d.dim(t)
-                for t, m in d.items()
+                m * legacy(d).dim(t)
+                for t, m in d.mult.items()
                 if all(t[i] == 0 for i in range(3) if c.S >> i & 1)
             )
             assert c.lhs == direct
             assert c.passed == (direct == c.rhs)
-            assert c == extension_lemma_checks(rp, d, [c.S])[0]
     assert all(c.passed for c in extension_lemma_checks(rp, dm))
     failed = [c.S for c in extension_lemma_checks(rp, tampered) if not c.passed]
     assert failed == [0, 1, 4, 5]
+
+
+# -- the gates of R(H) ------------------------------------------------------------
+
+
+def reduced_array(entries):
+    """A reduced (3, 3, phi(3)) array, as for S3 at n = 2, zero but at the
+    given (j_1, j_2, coefficient) positions."""
+    raw = np.zeros((3, 3, 2), dtype=np.int64)
+    for key, value in entries.items():
+        raw[key] = value
+    return raw
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # each failing entry after the first in lex order fails too
+        ({(0, 0, 0): 6, (2, 0, 1): 1, (1, 2, 1): -2}, "multiplicity of (1, 2) is not rational"),
+        ({(0, 0, 0): 6, (2, 1, 0): 3, (1, 2, 0): 4}, "multiplicity of (1, 2) is 2/3"),
+        ({(0, 0, 0): 6, (2, 2, 0): -12, (0, 1, 0): -6}, "multiplicity of (0, 1) is -1"),
+        ({(0, 0, 0): 6, (2, 2, 0): -3, (0, 2, 0): 5}, "multiplicity of (0, 2) is 5/6"),
+        ({(0, 0, 0): 12, (2, 2, 0): 6}, "trivial tuple has multiplicity 2, expected 1"),
+        ({(0, 1, 0): 6, (2, 2, 0): 6}, "trivial tuple has multiplicity 0, expected 1"),
+        ({(0, 0, 0): 6, (2, 2, 0): 6}, "total dimension 5 != coset count 6"),
+    ],
+)
+def test_dual_multiset_gates(entries, message):
+    # divisor |H| = 6, and 36 / 6 = 6 cosets for the example code
+    with pytest.raises(NonIntegerMultiplicity, match=f"^{re.escape(message)}$"):
+        _to_multiset(reduced_array(entries), 6, example_code(), CT3)
+    if "multiplicity of" in message:
+        with pytest.raises(NonIntegerMultiplicity, match=f"^{re.escape(message)}$"):
+            _multiplicities(reduced_array(entries), 6)

@@ -10,6 +10,7 @@ from repdual.errors import (
     NotAGroup,
 )
 from repdual.groups import (
+    FiniteGroup,
     commutator_subgroup,
     conjugacy_classes,
     cyclic_group,
@@ -132,6 +133,21 @@ def test_group_from_table_rejects_nonassociative_latin_square():
 def test_group_from_table_rejects_bad_identity():
     with pytest.raises(NotAGroup, match="identity"):
         group_from_table([[1, 0], [0, 1]])
+
+
+def test_element_without_order_is_rejected():
+    # the powers of b run b, c, b, c, ... and never reach the identity a
+    with pytest.raises(NotAGroup, match="^powers of b never reach the identity$"):
+        FiniteGroup("bad", ((0, 1, 2), (1, 2, 0), (2, 2, 1)), ("a", "b", "c"))
+
+
+@pytest.mark.parametrize("G", [symmetric_group(4), dihedral_group(6), cyclic_group(12)])
+def test_element_order_reads_the_cached_orders(G):
+    for g in range(G.order):
+        x, order = g, 1
+        while x != 0:
+            x, order = G.mul(x, g), order + 1
+        assert G.element_order(g) == G.orders[g] == order
 
 
 def test_conjugacy_classes_s3():

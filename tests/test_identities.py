@@ -16,7 +16,7 @@ from repdual.codes import (
     weight_enumerator,
 )
 from repdual import codes, identities
-from repdual.duality import DualMultiset, dual_multiset, dual_weight_enumerator
+from repdual.duality import dual_multiset, dual_weight_enumerator
 from repdual.errors import DomainError, NotAGroup
 from repdual.groups import (
     cyclic_group,
@@ -41,6 +41,8 @@ from repdual.identities import (
     verify_macwilliams2,
 )
 from repdual.polynomials import MultiPoly, UniPoly
+
+from reference_tallies import multiset_from_mult
 
 S3 = symmetric_group(3)
 Z2 = cyclic_group(2)
@@ -174,7 +176,7 @@ def test_extension_lemma_verifier_reports_failing_subsets(monkeypatch):
     # subsets that leave coordinate 1 free; rhs = |Gamma|^(n-|S|) / |pr_{E-S}(H)|
     code = diagonal_code(S3, 3)
     dm = dual_multiset(code, character_table(S3))
-    tampered = DualMultiset(3, dm.k, dm.degrees, {**dm.mult, (0, 2, 0): 1})
+    tampered = multiset_from_mult(3, dm.k, dm.degrees, {**dm.mult, (0, 2, 0): 1})
     monkeypatch.setattr(identities, "dual_multiset", lambda *a, **kw: tampered)
     res = verify_extension_lemma(CodeAnalysis(code))
     assert res.passed is False

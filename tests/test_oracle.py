@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repdual import duality
+from repdual import groups
 from repdual.chartable import character_table
 from repdual.codes import code_from_generators, code_from_words, full_code, trivial_code
 from repdual.duality import (
@@ -95,7 +95,7 @@ def test_oracle_matches_reference_on_matrix():
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_block_boundaries(monkeypatch, block):
-    monkeypatch.setattr(duality, "ORACLE_BLOCK", block)
+    monkeypatch.setattr(groups, "TABLE_BLOCK", block)
     for _, code, ct in build_matrix():
         if code.n <= 3 and code.group.name in ("S3", "Q8", "Z4"):
             assert_matches_reference(code, ct.classes)

@@ -1,0 +1,155 @@
+"""Differential tests of the array tallies against the per-word and
+per-tuple references in reference_tallies: on the acceptance matrix, on
+random small codes, on a dual multiset whose sums pass int64 and on the
+failure report of the abelian relabelling."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+import reference_tallies as ref
+from reference_tallies import legacy, multiset_from_mult
+from repdual import identities, zring
+from repdual.chartable import character_table
+from repdual.codes import (
+    _distinct_rows,
+    class_pattern_counts,
+    code_from_generators,
+    complete_weight_enumerator,
+    project_cardinality,
+    weight_enumerator,
+)
+from repdual.duality import (
+    _multiplicities,
+    _trivial_dimension_sums,
+    dual_cwe,
+    dual_multiset,
+    dual_weight_enumerator,
+)
+from repdual.groups import cyclic_group
+from repdual.identities import abelian_pairing_exponents, classical_dual_code
+
+from test_acceptance import build_matrix
+from test_oracle import small_codes
+
+
+def as_dict(keys, values):
+    return dict(zip(map(tuple, keys.tolist()), values.tolist()))
+
+
+def assert_tallies_match(code, ct):
+    classes = ct.classes
+    # words of H
+    patterns, counts = class_pattern_counts(code, classes)
+    want = ref.class_pattern_counts(code, classes)
+    assert as_dict(patterns, counts) == want
+    assert list(map(tuple, patterns.tolist())) == sorted(want)
+    assert weight_enumerator(code) == ref.weight_enumerator(code)
+    assert complete_weight_enumerator(code, classes) == ref.complete_weight_enumerator(
+        code, classes
+    )
+    for S in range(1 << code.n):
+        assert project_cardinality(code, S) == ref.project_cardinality(code, S)
+    # the content sums of the contraction, the first step of MacWilliams #2
+    A = zring.contract(patterns, counts, ct.zvalues)
+    contents, sums = zring.sum_by_content(A, code.n)
+    want_contents, want_sums = ref.sum_by_content(A, code.n)
+    assert contents == want_contents
+    assert (sums == want_sums).all()
+    # tuples of R(H), in the key order of the per-tuple loop
+    raw = zring.reduce(A)
+    index, mult = _multiplicities(raw, code.size)
+    want = ref._multiplicities(raw, code.size)
+    assert list(as_dict(index, mult).items()) == list(want.items())
+    dm = dual_multiset(code, ct)
+    assert list(dm.mult.items()) == list(want.items())
+    old = legacy(dm)
+    assert dm.dims.tolist() == [old.dim(t) for t in dm.mult]
+    assert dm.weights.tolist() == [old.weight(t) for t in dm.mult]
+    assert dm.total_dimension() == old.total_dimension()
+    assert dual_weight_enumerator(dm) == ref.dual_weight_enumerator(old)
+    assert dual_cwe(dm) == ref.dual_cwe(old)
+    assert _trivial_dimension_sums(dm) == ref._trivial_dimension_sums(old)
+    if ct.k == code.group.order:
+        eps = abelian_pairing_exponents(code.group)
+        assert classical_dual_code(code, eps).words == ref.classical_dual_code(code, eps).words
+
+
+def test_tallies_match_reference_on_matrix():
+    checked = 0
+    for _, code, ct in build_matrix():
+        assert_tallies_match(code, ct)
+        checked += 1
+    assert checked == 192
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(small_codes())
+def test_tallies_property(code_and_table):
+    assert_tallies_match(*code_and_table)
+
+
+@pytest.mark.parametrize(
+    "degrees, mult",
+    [
+        # counts * dims = 2^62 * 8 passes int64; two rows share a content,
+        # so the summed counts 2^62 + 2^62 = 2^63 do too
+        (
+            (1, 1, 2),
+            {(0, 0, 0): 1, (1, 2, 0): 2**62, (2, 0, 1): 2**62, (2, 2, 2): 2**62, (0, 2, 2): 5},
+        ),
+        # a single dimension 2^66 passes int64 while every count is small
+        ((1, 2**22), {(0, 0, 0): 1, (1, 1, 1): 3, (0, 1, 1): 2}),
+    ],
+)
+def test_sums_past_int64_are_exact(degrees, mult):
+    dm = multiset_from_mult(3, len(degrees), degrees, mult)
+    old = ref.LegacyMultiset(3, len(degrees), degrees, mult)
+    assert max(m * old.dim(t) for t, m in mult.items()) >= 2**63
+    assert dm.dims.tolist() == [old.dim(t) for t in dm.mult]
+    assert dm.total_dimension() == old.total_dimension()
+    assert dual_weight_enumerator(dm) == ref.dual_weight_enumerator(old)
+    assert dual_cwe(dm) == ref.dual_cwe(old)
+    assert _trivial_dimension_sums(dm) == ref._trivial_dimension_sums(old)
+
+
+def test_distinct_rows_of_wide_entries():
+    # rows are compared entry by entry, so entries past int16 (and words
+    # past int64 when read as base-q numbers) order and count exactly
+    A = np.array([[2**40, 7], [3, 2**62], [2**40, 7], [3, 2**62], [3, 1]] * 2, dtype=np.int64)
+    rows, counts = _distinct_rows(A)
+    assert rows.tolist() == [[3, 1], [3, 2**62], [2**40, 7]]
+    assert counts.tolist() == [2, 4, 4]
+    rows, sums = _distinct_rows(A, np.full(len(A), 2**61, dtype=np.int64))
+    assert sums.tolist() == [2**62, 2**63, 2**63]
+
+
+def test_abelian_relabelling_matches_reference(monkeypatch):
+    # one tuple of R(H) swapped for another: the phi-image and the relabeled
+    # cwe then differ from the classical dual exactly as the per-tuple code
+    # reports it
+    G = cyclic_group(6)
+    ct = character_table(G)
+    code = code_from_generators(G, 2, [(1, 2)])
+    dm = dual_multiset(code, ct)
+    mult = {t: m for t, m in dm.mult.items() if t != max(dm.mult)}
+    mult[next(t for t in itertools.product(range(6), repeat=2) if t not in dm.mult)] = 1
+    tampered = multiset_from_mult(2, dm.k, dm.degrees, mult)
+    monkeypatch.setattr(identities, "dual_multiset", lambda *args, **kwargs: tampered)
+    result = identities.verify_abelian_specialization(identities.CodeAnalysis(code, ct))
+
+    eps = abelian_pairing_exponents(G)
+    phi = ref.irrep_to_element(ct, eps)
+    dual = ref.classical_dual_code(code, eps)
+    mapped = {tuple(phi[j] for j in t) for t in mult}
+    missing = sorted(dual.word_set - mapped)[:5]
+    extra = sorted(mapped - dual.word_set)[:5]
+    relabeled = ref.relabeled_dual_cwe(legacy(tampered), phi, G.order)
+    cwe_dual = ref.complete_weight_enumerator(dual, ct.classes)
+    assert result.details == [
+        f"phi-image mismatch; missing={missing} extra={extra}",
+        "relabeled dual cwe differs from the classical dual cwe by "
+        + (relabeled - cwe_dual).render("x"),
+    ]
