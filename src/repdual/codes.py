@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
 
 import numpy as np
 
@@ -33,34 +32,48 @@ DEFAULT_CODE_CAP = 10**6
 RANK_PROFILE_MAX_N = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupCode:
-    """Subgroup of Gamma^n stored as an explicit sorted word list."""
+    """Subgroup of Gamma^n stored as its distinct words: a read-only
+    (|H|, n) int64 array in lex order.  words and word_set are the same
+    words as tuples, built on first use."""
 
     group: FiniteGroup
     n: int
-    words: tuple[GroupWord, ...]
-    word_set: frozenset[GroupWord]
+    word_array: np.ndarray
+
+    def __post_init__(self):
+        self.word_array.setflags(write=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, GroupCode):
+            return NotImplemented
+        return (self.group, self.n) == (other.group, other.n) and np.array_equal(
+            self.word_array, other.word_array
+        )
+
+    def __hash__(self):
+        return hash((self.group, self.n, self.size))
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return len(self.word_array)
 
     @cached_property
-    def word_array(self) -> np.ndarray:
-        """The words as a read-only (|H|, n) int64 array, in lex order."""
-        flat = np.fromiter(chain.from_iterable(self.words), np.int64, self.size * self.n)
-        A = flat.reshape(self.size, self.n)
-        A.setflags(write=False)
-        return A
+    def words(self) -> tuple[GroupWord, ...]:
+        return tuple(map(tuple, self.word_array.tolist()))
+
+    @cached_property
+    def word_set(self) -> frozenset[GroupWord]:
+        return frozenset(self.words)
 
     def __repr__(self):
         return f"GroupCode({self.group.name}^{self.n}, size={self.size})"
 
 
-def _make_code(group: FiniteGroup, n: int, words) -> GroupCode:
-    ws = tuple(sorted(words))
-    return GroupCode(group, n, ws, frozenset(ws))
+def _make_code(group: FiniteGroup, n: int, A: np.ndarray) -> GroupCode:
+    """The code whose words are the distinct rows of the (m, n) array A."""
+    return GroupCode(group, n, _distinct_rows(A.astype(np.int64).reshape(len(A), n))[0])
 
 
 def code_from_generators(
@@ -84,15 +97,24 @@ def code_from_generators(
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return _make_code(G, n, seen)
+    return _make_code(G, n, np.array(list(seen)))
 
 
 def code_from_words(
     G: FiniteGroup, n: int, words, validate: bool = True
 ) -> GroupCode:
     """Wrap an explicit word set; validate checks subgroup closure outright
-    (skip it only for sets that are closed by construction)."""
-    code = _make_code(G, n, set(words))
+    (skip it only for sets that are closed by construction).  Every word
+    must have length n and entries in 0..|Gamma|-1 either way."""
+    words = list(map(tuple, words))
+    short = next((w for w in words if len(w) != n), None)
+    if short is not None:
+        raise LengthMismatch(f"word {short} does not have length {n}")
+    A = np.array(words, dtype=np.int64).reshape(len(words), n)
+    bad = np.flatnonzero(((A < 0) | (A >= G.order)).any(axis=1))
+    if len(bad):
+        raise NotAGroup(f"word {words[bad[0]]} has an entry outside 0..{G.order - 1}")
+    code = _make_code(G, n, A)
     if validate:
         if (0,) * n not in code.word_set:
             raise NotAGroup("word set lacks the identity word")
@@ -107,18 +129,19 @@ def code_from_words(
 
 
 def trivial_code(G: FiniteGroup, n: int) -> GroupCode:
-    return _make_code(G, n, [(0,) * n])
+    return GroupCode(G, n, np.zeros((1, n), dtype=np.int64))
 
 
 def full_code(G: FiniteGroup, n: int, cap: int = DEFAULT_CODE_CAP) -> GroupCode:
     total = G.order**n
     if total > cap:
         raise ClosureCapExceeded("full code", total, cap)
-    return _make_code(G, n, product(range(G.order), repeat=n))
+    # np.indices counts in lex order, the last coordinate fastest
+    return GroupCode(G, n, np.indices((G.order,) * n, dtype=np.int64).reshape(n, total).T.copy())
 
 
 def diagonal_code(G: FiniteGroup, n: int) -> GroupCode:
-    return _make_code(G, n, [(g,) * n for g in range(G.order)])
+    return _make_code(G, n, np.arange(G.order)[:, None].repeat(n, axis=1))
 
 
 # -- distinct rows ----------------------------------------------------------------
@@ -131,7 +154,7 @@ def _distinct_rows(A: np.ndarray, weights: np.ndarray | None = None):
     numbers; the sort runs on int16 keys when the entries fit (faster)."""
     fits = A.size and -(2**15) <= A.min() and A.max() < 2**15
     keys = A.astype(np.int16) if fits else A
-    order = np.lexsort(keys.T[::-1])
+    order = np.lexsort(keys.T[::-1]) if A.shape[1] else np.zeros(len(A), dtype=np.intp)
     S = keys.take(order, axis=0)
     # edges: where a run of equal rows starts, then len(A)
     new_run = np.ones(len(A) + 1, dtype=bool)
@@ -191,22 +214,33 @@ def rank_profile(code: GroupCode) -> RankProfile:
         raise CapExceeded("rank profile subsets", 2**n, 2**RANK_PROFILE_MAX_N)
     card = [1] + [project_cardinality(code, S) for S in range(1, 1 << n)]
     # normalized by construction; monotone, submodular (local exchange form)
-    for S in range(1 << n):
-        for i in range(n):
-            if S >> i & 1:
-                continue
-            if card[S | 1 << i] < card[S]:
-                raise PolymatroidViolation(f"monotonicity fails at S={S}, i={i}")
-            for j in range(i + 1, n):
-                if S >> j & 1:
-                    continue
-                lhs = card[S | 1 << i] * card[S | 1 << j]
-                rhs = card[S | 1 << i | 1 << j] * card[S]
-                if lhs < rhs:
-                    raise PolymatroidViolation(
-                        f"submodularity fails at S={S}, i={i}, j={j}"
-                    )
+    witness = _polymatroid_witness(card, n)
+    if witness is not None:
+        S, i, j = witness
+        if i == j:
+            raise PolymatroidViolation(f"monotonicity fails at S={S}, i={i}")
+        raise PolymatroidViolation(f"submodularity fails at S={S}, i={i}, j={j}")
     return RankProfile(n, code.group.order, tuple(card))
+
+
+def _polymatroid_witness(card: list[int], n: int):
+    """The first (S, i, j) over S ascending, then i ascending, at which
+    card(S + i) < card(S) (reported with j = i, so before i's other tests)
+    or, for j > i, card(S + i) card(S + j) < card(S + i + j) card(S), with
+    i and j outside S; None when there is none.  Each test runs on slices
+    of the (2,)*n view of card, in which axis n-1-i holds bit i."""
+    C = np.array(card, dtype=zring.exact_dtype(max(card) ** 2)).reshape((2,) * n)
+    masks = np.arange(1 << n).reshape((2,) * n)
+    found = []
+    for i in range(n):
+        a = n - 1 - i
+        C0, C1, S0 = C.take(0, a), C.take(1, a), masks.take(0, a)
+        found += [(int(S), i, i) for S in S0[C1 < C0][:1]]
+        for j in range(i + 1, n):
+            b = n - 1 - j  # < a, so removing axis a leaves it in place
+            bad = C1.take(0, b) * C0.take(1, b) < C1.take(1, b) * C0.take(0, b)
+            found += [(int(S), i, j) for S in S0.take(0, b)[bad][:1]]
+    return min(found, default=None)
 
 
 def tutte_evaluate(rp: RankProfile, x: float, y: float) -> float:

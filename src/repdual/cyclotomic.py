@@ -19,6 +19,7 @@ from math import gcd, lcm
 import cmath
 
 from .errors import NotCoprime, NotRational
+from .polynomials import _power, _render_terms
 
 IntPoly = tuple[int, ...]
 
@@ -316,22 +317,8 @@ class Cyclotomic:
 
     def __str__(self):
         var = f"z{self.conductor}"
-        parts: list[str] = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                power = var if i == 1 else f"{var}^{i}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts) if parts else "0"
+        terms = reversed(list(enumerate(self.coeffs)))
+        return _render_terms((c, _power(var, i)) for i, c in terms if c)
 
     def to_json(self) -> dict:
         return {"conductor": self.conductor, "coeffs": [str(c) for c in self.coeffs]}

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product, repeat
 from math import lcm
-from operator import itemgetter
 
 import numpy as np
 
@@ -32,33 +31,13 @@ GroupWord = tuple[int, ...]
 
 DEFAULT_GROUP_CAP = 5000
 
-# Temporaries of the numpy kernels hold about this many entries per block;
-# rows become Python tuples in blocks of INTERN_BLOCK entries, because each
-# entry of .tolist() is a fresh int object until it is swapped for the
-# shared one.
+# Temporaries of the numpy kernels hold about this many entries per block.
 TABLE_BLOCK = 2**14
-INTERN_BLOCK = 2**12
 
 
 def _index_dtype(order: int):
     """Smallest signed dtype that holds the indices 0..order-1."""
     return np.int16 if order < 2**15 else np.int32
-
-
-def _interned_rows(T: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The rows of an index array as tuples that share one int object per
-    index, converted a block of rows at a time."""
-    n = len(T)
-    step = max(1, INTERN_BLOCK // max(n, 1))
-    rows: list[tuple[int, ...]] = []
-    if n <= 257:  # CPython shares the small ints already
-        for start in range(0, n, step):
-            rows.extend(map(tuple, T[start : start + step].tolist()))
-        return tuple(rows)
-    ints = list(range(n))
-    for start in range(0, n, step):
-        rows.extend(itemgetter(*row)(ints) for row in T[start : start + step].tolist())
-    return tuple(rows)
 
 
 def _inverses(T: np.ndarray) -> tuple[int, ...]:
@@ -86,26 +65,26 @@ def _element_orders(T: np.ndarray, labels) -> np.ndarray:
     return orders
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Immutable finite group over indices 0..order-1, identity at 0.
 
-    cayley is the same table as table, as a read-only index array, and
-    orders[g] is the order of element g."""
+    cayley is the Cayley table as a read-only index array (it may be given
+    as nested rows), table the same rows as tuples, built on first use, and
+    orders[g] is the order of element g.  Groups are equal when their names,
+    labels, generators and tables are."""
 
     name: str
-    table: tuple[tuple[int, ...], ...]
+    cayley: np.ndarray
     element_labels: tuple[str, ...]
     inverse: tuple[int, ...] = field(init=False)
     orders: tuple[int, ...] = field(init=False)
     exponent: int = field(init=False)
     generators: tuple[int, ...] = ()
-    cayley: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        T = self.cayley
-        if T is None:
-            T = np.array(self.table, dtype=_index_dtype(self.order))
+        T = np.asarray(self.cayley)
+        T = T.astype(_index_dtype(len(T)), copy=False)
         T.setflags(write=False)
         object.__setattr__(self, "cayley", T)
         object.__setattr__(self, "inverse", _inverses(T))
@@ -113,9 +92,23 @@ class FiniteGroup:
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "exponent", lcm(*set(orders)))
 
+    def __eq__(self, other):
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return (self.name, self.element_labels, self.generators) == (
+            other.name, other.element_labels, other.generators
+        ) and np.array_equal(self.cayley, other.cayley)
+
+    def __hash__(self):
+        return hash((self.name, self.table_digest()))
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.cayley.tolist()))
+
     @property
     def order(self) -> int:
-        return len(self.table)
+        return len(self.cayley)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -167,10 +160,9 @@ class FiniteGroup:
 
 def _from_array(name: str, T: np.ndarray, labels, generators=None) -> FiniteGroup:
     """Wrap an index array; generators default to _small_generating_set."""
-    rows = _interned_rows(T)
     if generators is None:
-        generators = _small_generating_set(rows)
-    return FiniteGroup(name, rows, tuple(labels), tuple(generators), T)
+        generators = _small_generating_set(T)
+    return FiniteGroup(name, T, tuple(labels), tuple(generators))
 
 
 @dataclass(frozen=True)
@@ -377,24 +369,30 @@ def _associativity_witness(T: np.ndarray):
     return (int(a[bad[0]]), int(b[bad[0]]), int(c[bad[0]])) if len(bad) else None
 
 
-def _small_generating_set(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def _span(T: np.ndarray, gens) -> np.ndarray:
+    """Membership mask of the subgroup that the elements gens generate in
+    the group with Cayley table T: each new element times every generator,
+    one gather per round.  In a finite group every inverse is a positive
+    power, so products alone close."""
+    mask = np.zeros(len(T), dtype=bool)
+    mask[0] = True
+    gens = np.asarray(gens, dtype=np.intp)
+    frontier = np.zeros(1, dtype=np.intp)
+    while len(frontier):
+        Y = np.unique(T[frontier[:, None], gens])
+        frontier = Y[~mask[Y]]
+        mask[frontier] = True
+    return mask
+
+
+def _small_generating_set(T: np.ndarray) -> tuple[int, ...]:
     """Greedy generating set: repeatedly adjoin the smallest element outside
-    the current closure."""
-    n = len(table)
+    the current span."""
     gens: list[int] = []
-    span = {0}
-    while len(span) < n:
-        g = min(set(range(n)) - span)
-        gens.append(g)
-        frontier = list(span | {g})
-        span.add(g)
-        while frontier:
-            x = frontier.pop()
-            for h in gens:
-                for y in (table[x][h], table[h][x]):
-                    if y not in span:
-                        span.add(y)
-                        frontier.append(y)
+    span = _span(T, gens)
+    while not span.all():
+        gens.append(int(np.argmin(span)))
+        span = _span(T, gens)
     return tuple(gens)
 
 
@@ -424,24 +422,17 @@ def conjugacy_classes(G: FiniteGroup) -> ClassData:
 
 
 def commutator_subgroup(G: FiniteGroup) -> frozenset[int]:
-    """Closure of all commutators a b a^-1 b^-1 (used to count the degree-1
-    characters independently of the character table)."""
-    comms = {
-        G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
-        for a in range(G.order)
-        for b in range(G.order)
-    }
-    span = {0}
-    frontier = list(comms | {0})
-    span |= comms
-    while frontier:
-        x = frontier.pop()
-        for c in comms:
-            y = G.mul(x, c)
-            if y not in span:
-                span.add(y)
-                frontier.append(y)
-    return frozenset(span)
+    """Span of all commutators a b a^-1 b^-1, a block of rows a at a time
+    (used to count the degree-1 characters independently of the character
+    table)."""
+    n, T = G.order, G.cayley
+    inv = np.array(G.inverse)
+    comms = np.zeros(n, dtype=bool)
+    step = max(1, TABLE_BLOCK // n)
+    for a0 in range(0, n, step):
+        A = np.arange(a0, min(n, a0 + step))
+        comms[T[T[A], T[inv[A]][:, inv]]] = True
+    return frozenset(np.flatnonzero(_span(T, np.flatnonzero(comms))).tolist())
 
 
 # -- words in the direct product ------------------------------------------------

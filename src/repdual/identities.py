@@ -35,7 +35,7 @@ from .codes import (
     GroupCode,
     RankProfile,
     _distinct_rows,
-    code_from_words,
+    _make_code,
     complete_weight_enumerator,
     rank_profile,
     tutte_evaluate,
@@ -254,14 +254,12 @@ def abelian_basis(G: FiniteGroup) -> tuple[list[int], list[int]]:
         raise DomainError("abelian_basis needs an abelian group")
     basis: list[int] = []
     orders: list[int] = []
-    span = {0}
-    while len(span) < G.order:
+    span = groups._span(G.cayley, basis)  # membership mask
+    while not span.all():
         best_g, best_t = None, 0
-        for g in range(G.order):
-            if g in span:
-                continue
+        for g in np.flatnonzero(~span).tolist():
             t, x = 1, g
-            while x not in span:
+            while not span[x]:
                 x = G.mul(x, g)
                 t += 1
             if t > best_t:
@@ -269,13 +267,14 @@ def abelian_basis(G: FiniteGroup) -> tuple[list[int], list[int]]:
         g, t = best_g, best_t
         if G.power(g, t) != 0:
             target = G.inv(G.power(g, t))
-            fix = next((s for s in sorted(span) if G.power(s, t) == target), None)
+            members = np.flatnonzero(span).tolist()
+            fix = next((s for s in members if G.power(s, t) == target), None)
             if fix is None:
                 raise NonIntegerMultiplicity("abelian basis lift failed")
             g = G.mul(g, fix)
         basis.append(g)
         orders.append(t)
-        span = {G.mul(s, G.power(g, j)) for s in span for j in range(t)}
+        span = groups._span(G.cayley, basis)
     return basis, orders
 
 
@@ -321,7 +320,7 @@ def classical_dual_code(
             X = X[(E[X[:, None, :], h].sum(axis=-1) % m == 0).all(axis=1)]
             done += len(h)
         found.append(X)
-    return code_from_words(G, n, map(tuple, np.concatenate(found).tolist()), validate=False)
+    return _make_code(G, n, np.concatenate(found))
 
 
 def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:

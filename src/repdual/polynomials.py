@@ -11,6 +11,24 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 
+def _render_terms(terms) -> str:
+    """Text of a sum of (nonzero coefficient, monomial) pairs in the given
+    order, such as "2*x^3 - x + 1": a unit coefficient is dropped before a
+    monomial, "" is the monomial of a constant, and no terms read "0"."""
+    parts = []
+    for c, body in terms:
+        mag = abs(c)
+        piece = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        parts.append(("" if c > 0 else "-") if not parts else (" + " if c > 0 else " - "))
+        parts.append(piece)
+    return "".join(parts) or "0"
+
+
+def _power(base: str, e: int) -> str:
+    """base^e as a monomial: "" at e = 0, base at e = 1."""
+    return "" if e == 0 else base if e == 1 else f"{base}^{e}"
+
+
 class UniPoly:
     __slots__ = ("coeffs",)
 
@@ -102,22 +120,7 @@ class UniPoly:
         return total
 
     def render(self, var: str = "z") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d in sorted(self.coeffs):
-            c = self.coeffs[d]
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
-            else:
-                power = var if d == 1 else f"{var}^{d}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return _render_terms((self.coeffs[d], _power(var, d)) for d in sorted(self.coeffs))
 
     def __str__(self):
         return self.render()
@@ -225,27 +228,10 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def render(self, var: str = "x") -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, c in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"{var}{i + 1}")
-                elif e > 1:
-                    factors.append(f"{var}{i + 1}^{e}")
-            body = "*".join(factors)
-            mag = abs(c)
-            if not body:
-                piece = str(mag)
-            else:
-                piece = body if mag == 1 else f"{mag}*{body}"
-            if not parts:
-                parts.append(piece if c > 0 else f"-{piece}")
-            else:
-                parts.append(f" + {piece}" if c > 0 else f" - {piece}")
-        return "".join(parts)
+        return _render_terms(
+            (c, "*".join(_power(f"{var}{i + 1}", e) for i, e in enumerate(exps) if e))
+            for exps, c in self.sorted_terms()
+        )
 
     def __str__(self):
         return self.render()

@@ -21,10 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import groups
 from .cyclotomic import _power_basis, euler_phi
 
 INT64_LIMIT = 2**62
-_CHUNK = 1 << 16
 
 
 def exact_dtype(bound: int):
@@ -116,8 +116,9 @@ def sum_by_content(A: np.ndarray, n: int) -> tuple[list[tuple[int, ...]], np.nda
     # code[flat] = the sorted index tuple read in base k, built a chunk at a
     # time so that the (n, k^n) index array never exists at once
     code = np.empty(total, dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        flat = np.arange(lo, min(lo + _CHUNK, total))
+    step = groups.TABLE_BLOCK
+    for lo in range(0, total, step):
+        flat = np.arange(lo, min(lo + step, total))
         chunk = np.zeros(len(flat), dtype=np.int64)
         for row in np.sort(np.unravel_index(flat, (k,) * n), axis=0):
             chunk = chunk * k + row

@@ -2,7 +2,8 @@
 
 These are the pure-Python implementations the kernels replaced: closure by
 composing permutation tuples, the Cayley table by one composition per
-element pair, conjugacy classes by orbit BFS, the F_p eigenspace split by
+element pair, conjugacy classes by orbit BFS, generating sets and the
+commutator subgroup by closures over Python sets, the F_p eigenspace split by
 row reduction over Python lists, and the Dixon lift by one modular pow per
 (irrep, class, root, power).  Tests compare the kernels with them exactly.
 """
@@ -109,6 +110,48 @@ def reference_conjugacy_classes(G: FiniteGroup) -> ClassData:
     reps = tuple(orbit[0] for orbit in orbits)
     sizes = tuple(len(orbit) for orbit in orbits)
     return ClassData(len(orbits), tuple(class_of), reps, sizes)
+
+
+def reference_small_generating_set(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Greedy generating set: repeatedly adjoin the smallest element outside
+    the current closure."""
+    n = len(table)
+    gens: list[int] = []
+    span = {0}
+    while len(span) < n:
+        g = min(set(range(n)) - span)
+        gens.append(g)
+        frontier = list(span | {g})
+        span.add(g)
+        while frontier:
+            x = frontier.pop()
+            for h in gens:
+                for y in (table[x][h], table[h][x]):
+                    if y not in span:
+                        span.add(y)
+                        frontier.append(y)
+    return tuple(gens)
+
+
+def reference_commutator_subgroup(G: FiniteGroup) -> frozenset[int]:
+    """Closure of all commutators a b a^-1 b^-1 (used to count the degree-1
+    characters independently of the character table)."""
+    comms = {
+        G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
+        for a in range(G.order)
+        for b in range(G.order)
+    }
+    span = {0}
+    frontier = list(comms | {0})
+    span |= comms
+    while frontier:
+        x = frontier.pop()
+        for c in comms:
+            y = G.mul(x, c)
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    return frozenset(span)
 
 
 def reference_table_digest(G: FiniteGroup) -> str:

@@ -2,7 +2,8 @@
 
 These are the pure-Python implementations that the distinct-rows tallies
 replaced, kept as they were: dict-of-tuples counts over the words of a code
-(class patterns, W, cwe, projections), over the tuples of R(H) (its
+(class patterns, W, cwe, projections), the polymatroid check of the rank
+profile as a loop over subsets, over the tuples of R(H) (its
 multiplicities, W_R(H), cwe_R(H), the extension-lemma sums), the classical
 dual by enumeration, the abelian relabelling and the content sums of the
 Z[C_m] kernel.  R(H) is held in the dict-based LegacyMultiset, the class
@@ -21,10 +22,9 @@ import numpy as np
 from repdual.codes import DEFAULT_CODE_CAP, GroupCode, _mask_coords, code_from_words
 from repdual.cyclotomic import Cyclotomic
 from repdual.duality import DualMultiset
-from repdual.errors import CapExceeded, NonIntegerMultiplicity
-from repdual.groups import ClassData, word_weight
+from repdual.errors import CapExceeded, NonIntegerMultiplicity, PolymatroidViolation
+from repdual.groups import TABLE_BLOCK, ClassData, word_weight
 from repdual.polynomials import MultiPoly, UniPoly
-from repdual.zring import _CHUNK
 
 
 def multiset_from_mult(n: int, k: int, degrees, mult) -> DualMultiset:
@@ -47,6 +47,25 @@ def project_cardinality(code: GroupCode, S: int) -> int:
     if not coords:
         return 1
     return len({tuple(w[m] for m in coords) for w in code.words})
+
+
+def check_polymatroid(card, n: int) -> None:
+    """The monotonicity and submodularity loop of rank_profile."""
+    for S in range(1 << n):
+        for i in range(n):
+            if S >> i & 1:
+                continue
+            if card[S | 1 << i] < card[S]:
+                raise PolymatroidViolation(f"monotonicity fails at S={S}, i={i}")
+            for j in range(i + 1, n):
+                if S >> j & 1:
+                    continue
+                lhs = card[S | 1 << i] * card[S | 1 << j]
+                rhs = card[S | 1 << i | 1 << j] * card[S]
+                if lhs < rhs:
+                    raise PolymatroidViolation(
+                        f"submodularity fails at S={S}, i={i}, j={j}"
+                    )
 
 
 def weight_enumerator(code: GroupCode) -> UniPoly:
@@ -240,8 +259,8 @@ def sum_by_content(A: np.ndarray, n: int) -> tuple[list[tuple[int, ...]], np.nda
     # code[flat] = the sorted index tuple read in base k, built a chunk at a
     # time so that the (n, k^n) index array never exists at once
     code = np.empty(total, dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        flat = np.arange(lo, min(lo + _CHUNK, total))
+    for lo in range(0, total, TABLE_BLOCK):
+        flat = np.arange(lo, min(lo + TABLE_BLOCK, total))
         chunk = np.zeros(len(flat), dtype=np.int64)
         for row in np.sort(np.unravel_index(flat, (k,) * n), axis=0):
             chunk = chunk * k + row

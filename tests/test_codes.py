@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from repdual import codes
 from repdual.codes import (
     code_from_generators,
+    code_from_words,
     complete_weight_enumerator,
     diagonal_code,
     full_code,
@@ -14,7 +16,13 @@ from repdual.codes import (
     tutte_evaluate,
     weight_enumerator,
 )
-from repdual.errors import ClosureCapExceeded, DomainError, LengthMismatch
+from repdual.errors import (
+    ClosureCapExceeded,
+    DomainError,
+    LengthMismatch,
+    NotAGroup,
+    PolymatroidViolation,
+)
 from repdual.groups import (
     conjugacy_classes,
     cyclic_group,
@@ -53,6 +61,51 @@ def test_diagonal_code():
     assert code_from_generators(S3, 4, gens).word_set == code.word_set
 
 
+def test_diagonal_code_of_length_zero_has_one_word():
+    assert diagonal_code(S3, 0).words == ((),)
+
+
+def test_full_code_leaves_the_word_tuples_unbuilt():
+    code = full_code(cyclic_group(6), 6)
+    assert code.size == 6**6
+    assert code.word_array[[0, 1, 6, -1]].tolist() == [[0] * 6, [0] * 5 + [1], [0] * 4 + [1, 0], [5] * 6]
+    weight_enumerator(code)
+    rank_profile(code)
+    assert "words" not in code.__dict__
+
+
+@pytest.mark.parametrize(
+    "words, message",
+    [
+        ([(1, 0)], "word set lacks the identity word"),
+        ([(2, 0), (0, 0), (0, 2)], "word set not closed under inverse at (0, 2)"),
+        ([(1, 0), (0, 1), (0, 0)], "word set not closed under product at (0, 1),(1, 0)"),
+    ],
+    ids=["identity", "inverse", "product"],
+)
+def test_code_from_words_names_the_first_failing_axiom(words, message):
+    with pytest.raises(NotAGroup) as exc:
+        code_from_words(S3, 2, words)
+    assert str(exc.value) == message
+    assert code_from_words(S3, 2, words, validate=False).size == len(words)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize(
+    "words, error, message",
+    [
+        ([(0, 0), (1,), (1, 2, 3)], LengthMismatch, "word (1,) does not have length 2"),
+        ([(0, 0), (7, 0), (-1, 0)], NotAGroup, "word (7, 0) has an entry outside 0..5"),
+        ([(0, 0), (0, -1)], NotAGroup, "word (0, -1) has an entry outside 0..5"),
+    ],
+    ids=["length", "too-large", "negative"],
+)
+def test_code_from_words_checks_lengths_and_entries(words, error, message, validate):
+    with pytest.raises(error) as exc:
+        code_from_words(S3, 2, words, validate=validate)
+    assert str(exc.value) == message
+
+
 def test_closure_cap():
     with pytest.raises(ClosureCapExceeded):
         full_code(S3, 4, cap=100)
@@ -85,6 +138,21 @@ def test_rank_profile_trivial_and_full():
 def test_rank_profile_example():
     rp = rank_profile(example_code())
     assert rp.card[0b01] == 2 and rp.card[0b10] == 3 and rp.card[0b11] == 6
+
+
+@pytest.mark.parametrize(
+    "cards, message",
+    [
+        ([1, 2, 2, 1], "monotonicity fails at S=1, i=1"),
+        ([1, 2, 2, 6], "submodularity fails at S=0, i=0, j=1"),
+    ],
+    ids=["monotonicity", "submodularity"],
+)
+def test_rank_profile_names_the_first_polymatroid_violation(cards, message, monkeypatch):
+    monkeypatch.setattr(codes, "project_cardinality", lambda code, S: cards[S])
+    with pytest.raises(PolymatroidViolation) as exc:
+        rank_profile(full_code(cyclic_group(2), 2))
+    assert str(exc.value) == message
 
 
 def test_tutte_trivial_code():

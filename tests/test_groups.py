@@ -141,6 +141,19 @@ def test_element_without_order_is_rejected():
         FiniteGroup("bad", ((0, 1, 2), (1, 2, 0), (2, 2, 1)), ("a", "b", "c"))
 
 
+def test_group_from_rows_equals_group_from_array():
+    G = symmetric_group(4)
+    rows = FiniteGroup(G.name, G.table, G.element_labels, generators=G.generators)
+    wide = FiniteGroup(G.name, G.cayley.astype(int), G.element_labels, generators=G.generators)
+    assert rows == wide == G
+    assert hash(rows) == hash(G)
+    assert rows.cayley.dtype == wide.cayley.dtype == G.cayley.dtype
+    assert not rows.cayley.flags.writeable
+    assert rows.table == G.table
+    assert rows != FiniteGroup("other", G.table, G.element_labels, generators=G.generators)
+    assert rows != FiniteGroup(G.name, G.table, G.element_labels)
+
+
 @pytest.mark.parametrize("G", [symmetric_group(4), dihedral_group(6), cyclic_group(12)])
 def test_element_order_reads_the_cached_orders(G):
     for g in range(G.order):

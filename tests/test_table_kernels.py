@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repdual import groups, zring
+from repdual import chartable, groups, zring
 from repdual.chartable import (
     _central_characters,
     _compute_character_table,
@@ -39,9 +39,11 @@ from reference_tables import (
     reference_character_table,
     reference_class_multiplication,
     reference_common_eigenvectors,
+    reference_commutator_subgroup,
     reference_conjugacy_classes,
     reference_group_from_generators,
     reference_product_table,
+    reference_small_generating_set,
     reference_table_digest,
     reference_table_error,
 )
@@ -62,6 +64,7 @@ def builtin_generators(name):
 
 PERMUTATION_GROUPS = [f"S{n}" for n in range(1, 7)] + [f"D{n}" for n in range(3, 31)]
 PRODUCTS = [("Z2", "Z3"), ("S3", "Z2"), ("S4", "Z3"), ("Z2",) * 5, ("Q8", "S3"), ("D4", "Z2", "Z3")]
+CLASS_GROUPS = PERMUTATION_GROUPS + ["Q8"] + [f"Z{n}" for n in range(1, 61)] + ["x".join(f) for f in PRODUCTS]
 # the reference lift costs k^2 e^2 pows, which is k^4 on Z<k>: the larger
 # cyclic groups are sampled
 TABLE_GROUPS = (
@@ -121,13 +124,32 @@ def test_product_matches_reference(factors):
     )
 
 
-@pytest.mark.parametrize(
-    "name", PERMUTATION_GROUPS + ["Q8"] + [f"Z{n}" for n in range(1, 61)] + ["x".join(f) for f in PRODUCTS]
-)
+@pytest.mark.parametrize("name", CLASS_GROUPS)
 def test_classes_and_digest_match_reference(name):
     G = build(name)
     assert conjugacy_classes(G) == reference_conjugacy_classes(G)
     assert G.table_digest() == reference_table_digest(G)
+
+
+@pytest.mark.parametrize("name", CLASS_GROUPS)
+def test_generators_and_commutators_match_reference(name):
+    """The span kernel gives the greedy generating set and the commutator
+    subgroup of the Python closures; Q8 and the products carry that set."""
+    G = build(name)
+    expected = reference_small_generating_set(G.table)
+    assert groups._small_generating_set(G.cayley) == expected
+    if name == "Q8" or "x" in name:
+        assert G.generators == expected
+    assert groups.commutator_subgroup(G) == reference_commutator_subgroup(G)
+
+
+def test_table_kernels_leave_the_tuple_table_unbuilt(monkeypatch):
+    monkeypatch.setattr(chartable, "_cache", {})
+    S6 = builtin_group("S6")
+    character_table(S6)
+    P = product_group([builtin_group("S4"), cyclic_group(3)])
+    assert "table" not in S6.__dict__
+    assert "table" not in P.__dict__
 
 
 @pytest.mark.parametrize("name", TABLE_GROUPS)

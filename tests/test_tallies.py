@@ -1,9 +1,11 @@
 """Differential tests of the array tallies against the per-word and
 per-tuple references in reference_tallies: on the acceptance matrix, on
-random small codes, on a dual multiset whose sums pass int64 and on the
-failure report of the abelian relabelling."""
+random small codes, on a dual multiset whose sums pass int64, on the
+failure report of the abelian relabelling and on the polymatroid check of
+the rank profile."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -11,14 +13,16 @@ from hypothesis import given, settings
 
 import reference_tallies as ref
 from reference_tallies import legacy, multiset_from_mult
-from repdual import identities, zring
+from repdual import codes, identities, zring
 from repdual.chartable import character_table
 from repdual.codes import (
     _distinct_rows,
     class_pattern_counts,
     code_from_generators,
     complete_weight_enumerator,
+    full_code,
     project_cardinality,
+    rank_profile,
     weight_enumerator,
 )
 from repdual.duality import (
@@ -28,6 +32,7 @@ from repdual.duality import (
     dual_multiset,
     dual_weight_enumerator,
 )
+from repdual.errors import PolymatroidViolation
 from repdual.groups import cyclic_group
 from repdual.identities import abelian_pairing_exponents, classical_dual_code
 
@@ -124,6 +129,35 @@ def test_distinct_rows_of_wide_entries():
     assert counts.tolist() == [2, 4, 4]
     rows, sums = _distinct_rows(A, np.full(len(A), 2**61, dtype=np.int64))
     assert sums.tolist() == [2**62, 2**63, 2**63]
+
+
+def violation(check, *args):
+    try:
+        check(*args)
+    except PolymatroidViolation as exc:
+        return str(exc)
+    return None
+
+
+def test_polymatroid_check_matches_reference(monkeypatch):
+    """Profiles of full codes (card = 6^|S|) with up to two entries moved, so
+    that both failures occur at many S, plus exact cardinalities whose
+    products pass int64."""
+    rng = random.Random(3)
+    found = set()
+    for trial in range(400):
+        n = rng.randint(1, 6)
+        card = [6 ** bin(S).count("1") for S in range(1 << n)]
+        for _ in range(rng.randint(0, 2)):
+            S = rng.randrange(1, 1 << n)
+            card[S] = rng.choice([card[S] * 6, max(1, card[S] // 6), card[S] + 1, max(1, card[S] - 1)])
+        if trial % 10 == 0:
+            card = [c * 2**40 if S else c for S, c in enumerate(card)]
+        monkeypatch.setattr(codes, "project_cardinality", lambda code, S: card[S])
+        expected = violation(ref.check_polymatroid, card, n)
+        assert violation(rank_profile, full_code(cyclic_group(2), n)) == expected
+        found.add(expected.split()[0] if expected else None)
+    assert found == {"monotonicity", "submodularity", None}
 
 
 def test_abelian_relabelling_matches_reference(monkeypatch):
