@@ -14,18 +14,23 @@ product mod p of the values over the power-map table with the Fourier
 matrix.  The lift yields each value's root-of-unity multiplicities, an
 integer array over Z[C_m] (see zring) that is reduced modulo Phi_m once.
 Row and column orthogonality are certified exactly on that integer array
-before a table is ever returned, so the modular shortcut cannot silently
-produce a wrong table.
+before a table is ever returned, as Gram matrices at every embedding of
+Z[zeta_m] modulo as many primes p = 1 (mod m) as an a-priori coefficient
+bound needs, so the modular shortcut cannot silently produce a wrong
+table.  A table stores only that array; its Cyclotomic values, the JSON
+and the disk cache are read from it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import isqrt
 from pathlib import Path
 
@@ -56,40 +61,17 @@ def class_multiplication_coefficients(G: FiniteGroup, classes: ClassData) -> np.
 # -- F_p plumbing -------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def dixon_prime(order: int, exponent: int) -> int:
     """Smallest prime p = 1 (mod exponent) with p > max(2*sqrt(|G|), exponent)."""
-    p = exponent + 1
-    while True:
-        if p > exponent and p * p > 4 * order and _is_prime(p):
-            return p
-        p += exponent if exponent > 1 else 1
+    return zring.prime_1_mod(exponent, max(exponent, isqrt(4 * order)))
 
 
+@lru_cache(maxsize=None)
 def _primitive_root(p: int) -> int:
-    factors = []
-    rest = p - 1
-    f = 2
-    while f * f <= rest:
-        if rest % f == 0:
-            factors.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        factors.append(rest)
+    """The smallest generator of the units mod the prime p."""
+    qs = zring.prime_factors(p - 1)
     for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
             return g
     raise LiftVerificationFailed(f"no primitive root mod {p}")
 
@@ -171,36 +153,62 @@ def _central_characters(a: np.ndarray, p: int) -> np.ndarray:
 # -- the table -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
     """k x k exact character table in canonical order.
 
-    values[i][j] = chi_i on class j, a Cyclotomic of conductor = exponent.
-    zvalues is the same table as a read-only (k, k, conductor) int64 array
-    over Z[C_m]: zvalues[i, j] holds the power-basis coefficients of
-    values[i][j], zero-padded.  Rows: trivial character first, then
-    ascending degree, ties broken by lexicographic comparison of the rows'
-    coefficient vectors.  Columns follow the canonical class order of
-    ClassData.
+    zvalues is the table as a read-only (k, k, conductor) int64 array over
+    Z[C_m], m = conductor = exponent: zvalues[i, j] holds the power-basis
+    coefficients of chi_i on class j, zero-padded past phi(m).  values is
+    the same table as Cyclotomics, built on first use.  Rows: trivial
+    character first, then ascending degree, ties broken by lexicographic
+    comparison of the rows' coefficient vectors.  Columns follow the
+    canonical class order of ClassData.  Tables are equal when their
+    groups, classes, degrees, conductors, row orders and values are.
     """
 
     group: FiniteGroup
     classes: ClassData
-    values: tuple[tuple[Cyclotomic, ...], ...]
     degrees: tuple[int, ...]
     conductor: int
     irrep_order: tuple[int, ...]
-    zvalues: np.ndarray = field(compare=False, repr=False)
+    zvalues: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, CharacterTable):
+            return NotImplemented
+        return (self.group, self.classes, self.degrees, self.conductor, self.irrep_order) == (
+            other.group, other.classes, other.degrees, other.conductor, other.irrep_order
+        ) and np.array_equal(self.zvalues, other.zvalues)
+
+    __hash__ = None  # the values are not hashable either
 
     @property
     def k(self) -> int:
         return self.classes.num_classes
+
+    @cached_property
+    def values(self) -> tuple[tuple[Cyclotomic, ...], ...]:
+        """values[i][j] = chi_i on class j, a Cyclotomic of conductor m."""
+        m = self.conductor
+        rows = self.zvalues[..., : euler_phi(m)].tolist()
+        return tuple(tuple(Cyclotomic._raw(m, c) for c in row) for row in rows)
 
     def value(self, irrep: int, cls: int) -> Cyclotomic:
         return self.values[irrep][cls]
 
     def conjugate_row(self, irrep: int) -> tuple[Cyclotomic, ...]:
         return tuple(v.conjugate() for v in self.values[irrep])
+
+    def _values_json(self) -> list:
+        """The values as Cyclotomic.to_json would write them, straight from
+        the array; each distinct coefficient is formatted once."""
+        m = self.conductor
+        coeffs = self.zvalues[..., : euler_phi(m)]
+        distinct, index = np.unique(coeffs, return_inverse=True)
+        text = np.array([str(c) for c in distinct.tolist()], dtype=object)
+        rows = text[index.reshape(coeffs.shape)].tolist()
+        return [[{"conductor": m, "coeffs": c} for c in row] for row in rows]
 
     def to_json(self) -> dict:
         return {
@@ -210,7 +218,7 @@ class CharacterTable:
             "class_sizes": list(self.classes.class_sizes),
             "class_reps": [self.group.element_labels[r] for r in self.classes.class_reps],
             "degrees": list(self.degrees),
-            "values": [[v.to_json() for v in row] for row in self.values],
+            "values": self._values_json(),
         }
 
 
@@ -222,7 +230,14 @@ def _row_sort_key(row: np.ndarray, degree: int):
 
 def _certify(G: FiniteGroup, classes: ClassData, T: np.ndarray, degrees) -> None:
     """Exact orthogonality + degree checks on the (k, k, m) array over
-    Z[C_m]; raises LiftVerificationFailed."""
+    Z[C_m]; raises LiftVerificationFailed.
+
+    Row and column orthogonality are checked at every embedding of
+    Z[zeta_m] mod enough primes p = 1 (mod m) (see zring): every reduced
+    coefficient of sum_j |C_j| chi_a(c_j) conj(chi_b(c_j)) - |G| [a = b] is
+    at most max|C_j| * (sum of |T|)^2 * reduction_gain(m) + |G| in
+    magnitude, and the primes' product exceeds twice that bound.  The first
+    failing (a, b) is reported after all primes, in row-major order."""
     k = classes.num_classes
     order = G.order
     if sum(d * d for d in degrees) != order:
@@ -233,24 +248,19 @@ def _certify(G: FiniteGroup, classes: ClassData, T: np.ndarray, degrees) -> None
         first = T[i, 0].tolist()
         if any(first[1:]) or first[0] != degrees[i] or first[0] <= 0:
             raise LiftVerificationFailed(f"row {i} identity value is not its degree")
+    m = T.shape[-1]
     sizes = classes.class_sizes
-    dtype = zring.exact_dtype(
-        max(sizes) * sum(zring.abs_row_sums(T)) ** 2 * zring.reduction_gain(T.shape[-1])
-    )
-    T = T.astype(dtype)
-    conj = zring.conjugate(T)
-    weighted = T * np.array(sizes, dtype=dtype)[None, :, None]
-    checks = (
-        ("row", zring.convmatmul(weighted, conj.transpose(1, 0, 2)), [order] * k),
-        ("column", zring.convmatmul(T.transpose(1, 0, 2), conj), [order // s for s in sizes]),
-    )
-    for name, product, diagonal in checks:
-        reduced = zring.reduce(product)
-        expected = np.zeros_like(reduced)
-        expected[range(k), range(k), 0] = diagonal
-        bad = np.argwhere((reduced != expected).any(axis=-1))
-        if len(bad):
-            a, b = bad[0].tolist()
+    bound = max(sizes) * sum(zring.abs_row_sums(T)) ** 2 * zring.reduction_gain(m) + order
+    bad = {"row": np.zeros((k, k), dtype=bool), "column": np.zeros((k, k), dtype=bool)}
+    for p in zring.certification_primes(bound, m, max(k, m)):
+        E, Ebar = zring.embed(T, p)
+        bad["row"] |= zring.gram_mismatch(E, Ebar, sizes, [order] * k, p)
+        cols, cols_bar = E.transpose(0, 2, 1), Ebar.transpose(0, 2, 1)
+        bad["column"] |= zring.gram_mismatch(cols, cols_bar, [1] * k, [order // s for s in sizes], p)
+    for name, mask in bad.items():
+        witness = np.argwhere(mask)
+        if len(witness):
+            a, b = witness[0].tolist()
             raise LiftVerificationFailed(f"{name} orthogonality fails at ({a},{b})")
 
 
@@ -264,8 +274,7 @@ def _certified_table(
     T[..., : P.shape[2]] = P
     T.setflags(write=False)
     _certify(G, classes, T, degrees)
-    values = tuple(tuple(Cyclotomic._raw(m, c) for c in row) for row in P.tolist())
-    return CharacterTable(G, classes, values, tuple(degrees), m, tuple(irrep_order), T)
+    return CharacterTable(G, classes, tuple(degrees), m, tuple(irrep_order), T)
 
 
 def _compute_character_table(G: FiniteGroup) -> CharacterTable:
@@ -347,7 +356,7 @@ def _dump_cached(ct: CharacterTable) -> dict:
         "conductor": ct.conductor,
         "degrees": list(ct.degrees),
         "irrep_order": list(ct.irrep_order),
-        "values": [[v.to_json() for v in row] for row in ct.values],
+        "values": ct._values_json(),
     }
 
 
@@ -374,6 +383,36 @@ def _is_int_list(obj, length: int) -> bool:
     )
 
 
+_DECIMAL = re.compile(r"-?[0-9]+\Z")
+
+
+def _coefficient(c) -> int:
+    """The integer Fraction(c) stands for; plain decimal strings, as the
+    cache writes them, skip the Fraction.  Raises ValueError (or what
+    Fraction raises) for anything else."""
+    if type(c) is str and _DECIMAL.match(c):
+        return int(c)
+    f = Fraction(c)
+    if f.denominator != 1:
+        raise ValueError("coefficient is not an integer")
+    return int(f)
+
+
+def _cached_coefficients(rows, k: int, m: int) -> np.ndarray | None:
+    """The (k, k, phi(m)) int64 power-basis coefficients of a cache blob's
+    k x k values, or None when an entry has another conductor or length;
+    raises on coefficients that are not integers or overflow int64."""
+    d = euler_phi(m)
+    flat = []
+    for row in rows:
+        for v in row:
+            coeffs = [_coefficient(c) for c in v["coeffs"]]
+            if v["conductor"] != m or len(coeffs) != d:
+                return None
+            flat.extend(coeffs)
+    return np.array(flat, dtype=np.int64).reshape(k, k, d)
+
+
 def _load_cached(G: FiniteGroup, path: Path) -> CharacterTable | None:
     """The certified table stored at path, or None (so the caller
     recomputes) when the file is unreadable, malformed, written for another
@@ -394,16 +433,9 @@ def _load_cached(G: FiniteGroup, path: Path) -> CharacterTable | None:
             and all(isinstance(row, list) and len(row) == k for row in rows)
         ):
             return None
-        d = euler_phi(m)
-        P = np.zeros((k, k, d), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                coeffs = [Fraction(c) for c in v["coeffs"]]
-                if v["conductor"] != m or len(coeffs) != d:
-                    return None
-                if any(c.denominator != 1 for c in coeffs):
-                    return None
-                P[i, j] = [int(c) for c in coeffs]
+        P = _cached_coefficients(rows, k, m)
+        if P is None:
+            return None
         return _certified_table(G, classes, P, degrees, irrep_order)
     except (OSError, KeyError, TypeError, ValueError, ArithmeticError, LiftVerificationFailed):
         return None  # stale, corrupt or foreign cache entry; recompute

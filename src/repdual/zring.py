@@ -8,16 +8,23 @@ ring maps onto Z[zeta_m] by reduction modulo the cyclotomic polynomial
 Phi_m, so any representative of a value works, and a result becomes
 canonical after one reduction at the very end.
 
-The Frobenius contraction, the permutation-character decomposition, both
-MacWilliams #2 transforms and the certification of character tables run
-here.  An array is int64 when an a-priori bound on every value it can hold
-stays below 2**62, and dtype=object (exact Python ints) otherwise.  No float
-ever enters.
+The Frobenius contraction, the permutation-character decomposition and both
+MacWilliams #2 transforms run here.  An array is int64 when an a-priori
+bound on every value it can hold stays below 2**62, and dtype=object (exact
+Python ints) otherwise.  No float ever enters.
+
+Identities in Z[zeta_m] are certified at its embeddings modulo primes
+p = 1 (mod m): then Z[zeta_m]/p = F_p^phi(m), one factor per primitive m-th
+root of unity z^a mod p, so an element whose power-basis coefficients are
+below P/2 in magnitude, P the product of the primes, is zero iff all of its
+images are.  A (k, k) Gram matrix over Z[zeta_m] becomes one (k, k) matrix
+product mod p per embedding.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -66,6 +73,121 @@ def conjugate(T: np.ndarray) -> np.ndarray:
     """Complex conjugate of every entry: coefficient t moves to -t mod m."""
     m = T.shape[-1]
     return T[..., (-np.arange(m)) % m]
+
+
+# -- primes p = 1 (mod m) and their roots of unity --------------------------------
+
+# Miller-Rabin with these bases is deterministic below 3.3 * 10**24
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.3 * 10**24."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    if n >= _WITNESS_LIMIT:
+        raise ValueError(f"{n} is past the deterministic Miller-Rabin range")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for q in _WITNESSES:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def prime_1_mod(m: int, above: int) -> int:
+    """Smallest prime p = 1 (mod m) with p > above."""
+    p = above + 1 + (-above) % m
+    while not is_prime(p):
+        p += m
+    return p
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    factors = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            factors.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+@lru_cache(maxsize=None)
+def root_of_unity(m: int, p: int) -> int:
+    """A primitive m-th root of unity mod the prime p = 1 (mod m):
+    g^((p-1)/m) for the smallest g >= 2 that gives order exactly m."""
+    qs = prime_factors(m)
+    for g in range(2, p):
+        z = pow(g, (p - 1) // m, p)
+        if all(pow(z, m // q, p) != 1 for q in qs):
+            return z
+    raise ValueError(f"no primitive {m}-th root of unity mod {p}")
+
+
+def certification_primes(bound: int, m: int, n: int) -> tuple[int, ...]:
+    """Primes p = 1 (mod m), ascending from sqrt(2**60 / n), until their
+    product exceeds 2 * bound.  A sum of n products of two residues mod
+    one of them then stays int64 (the kernels check, and use exact ints
+    past it)."""
+    primes = [prime_1_mod(m, isqrt(INT64_LIMIT // (4 * n)))]
+    product = primes[0]
+    while product <= 2 * bound:
+        primes.append(prime_1_mod(m, primes[-1]))
+        product *= primes[-1]
+    return tuple(primes)
+
+
+def embed(T: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Images of every entry of the (..., m) array T at z^a and at z^-a mod
+    p, z a primitive m-th root of unity, for one a from each pair {a, -a}:
+    two (h, ...) int arrays, h = max(phi(m) / 2, 1).  T is reduced mod p
+    first, so entries of any size stay exact."""
+    m = T.shape[-1]
+    support = np.flatnonzero(np.any(T != 0, axis=tuple(range(T.ndim - 1))))
+    units = np.array([a for a in range(m) if gcd(a, m) == 1 and a <= m - a], dtype=np.int64)
+    exps = np.concatenate([units, -units]) * support[:, None] % m
+    z = root_of_unity(m, p)
+    dtype = exact_dtype(max(len(support), 1) * (p - 1) ** 2)
+    powers = np.array([pow(z, t, p) for t in range(m)], dtype=dtype)
+    X = np.asarray(T[..., support] % p).astype(dtype)
+    E = np.ascontiguousarray(np.moveaxis(X @ powers[exps] % p, -1, 0))
+    return E[: len(units)], E[len(units) :]
+
+
+def gram_mismatch(E: np.ndarray, Ebar: np.ndarray, weights, diagonal, p: int) -> np.ndarray:
+    """Boolean (k, k) mask of the (a, b) at which
+    sum_j weights[j] E[h, a, j] Ebar[h, b, j] != diagonal[a] * (a == b)
+    mod p for some h, with E and Ebar from embed.  The Gram entry at the
+    embedding -a is the transpose of the one at a, so the mask is also
+    OR-ed with its transpose and covers every embedding."""
+    k = E.shape[1]
+    dtype = exact_dtype(max(E.shape[-1], 1) * (p - 1) ** 2)
+    E, Ebar = E.astype(dtype, copy=False), Ebar.astype(dtype, copy=False)
+    w = np.array([x % p for x in weights], dtype=dtype)
+    G = (E * w % p) @ Ebar.transpose(0, 2, 1) % p
+    expected = np.zeros((k, k), dtype=dtype)
+    expected[range(k), range(k)] = [x % p for x in diagonal]
+    bad = (G != expected).any(axis=0)
+    return bad | bad.T
 
 
 def convmatmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -4,20 +4,25 @@ These are the pure-Python implementations the kernels replaced: closure by
 composing permutation tuples, the Cayley table by one composition per
 element pair, conjugacy classes by orbit BFS, generating sets and the
 commutator subgroup by closures over Python sets, the F_p eigenspace split by
-row reduction over Python lists, and the Dixon lift by one modular pow per
-(irrep, class, root, power).  Tests compare the kernels with them exactly.
+row reduction over Python lists, the Dixon lift by one modular pow per
+(irrep, class, root, power), and certification by cyclic convolution over
+Z[C_m].  The table's Cyclotomic values, its JSON and its cache blob are
+rebuilt here one Cyclotomic at a time, and a cache file is parsed with one
+Fraction per coefficient.  Tests compare the kernels with them exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
 from repdual import zring
 from repdual.chartable import _certified_table, _primitive_root, _row_sort_key, dixon_prime
+from repdual.cyclotomic import Cyclotomic, euler_phi
 from repdual.errors import ClosureCapExceeded, LiftVerificationFailed
 from repdual.groups import (
     DEFAULT_GROUP_CAP,
@@ -423,3 +428,87 @@ def reference_character_table(G: FiniteGroup):
     P = zring.reduce(mults)
     order_idx = sorted(range(k), key=lambda i: _row_sort_key(P[i], degrees[i]))
     return _certified_table(G, classes, P[order_idx], [degrees[i] for i in order_idx], order_idx)
+
+
+# -- certification and serialization ----------------------------------------------
+
+
+def reference_certify(G: FiniteGroup, classes: ClassData, T: np.ndarray, degrees) -> None:
+    """Exact orthogonality + degree checks on the (k, k, m) array over
+    Z[C_m]; raises LiftVerificationFailed."""
+    k = classes.num_classes
+    order = G.order
+    if sum(d * d for d in degrees) != order:
+        raise LiftVerificationFailed("sum of squared degrees != |G|")
+    if T[0, :, 0].tolist() != [1] * k or T[0, :, 1:].any():
+        raise LiftVerificationFailed("first row is not the trivial character")
+    for i in range(k):
+        first = T[i, 0].tolist()
+        if any(first[1:]) or first[0] != degrees[i] or first[0] <= 0:
+            raise LiftVerificationFailed(f"row {i} identity value is not its degree")
+    sizes = classes.class_sizes
+    dtype = zring.exact_dtype(
+        max(sizes) * sum(zring.abs_row_sums(T)) ** 2 * zring.reduction_gain(T.shape[-1])
+    )
+    T = T.astype(dtype)
+    conj = zring.conjugate(T)
+    weighted = T * np.array(sizes, dtype=dtype)[None, :, None]
+    checks = (
+        ("row", zring.convmatmul(weighted, conj.transpose(1, 0, 2)), [order] * k),
+        ("column", zring.convmatmul(T.transpose(1, 0, 2), conj), [order // s for s in sizes]),
+    )
+    for name, product, diagonal in checks:
+        reduced = zring.reduce(product)
+        expected = np.zeros_like(reduced)
+        expected[range(k), range(k), 0] = diagonal
+        bad = np.argwhere((reduced != expected).any(axis=-1))
+        if len(bad):
+            a, b = bad[0].tolist()
+            raise LiftVerificationFailed(f"{name} orthogonality fails at ({a},{b})")
+
+
+def reference_values(ct) -> tuple:
+    """One Cyclotomic per entry of the power-basis coefficients."""
+    d = euler_phi(ct.conductor)
+    return tuple(
+        tuple(Cyclotomic._raw(ct.conductor, c) for c in row)
+        for row in ct.zvalues[..., :d].tolist()
+    )
+
+
+def reference_to_json(ct) -> dict:
+    return {
+        "group": ct.group.name,
+        "order": ct.group.order,
+        "conductor": ct.conductor,
+        "class_sizes": list(ct.classes.class_sizes),
+        "class_reps": [ct.group.element_labels[r] for r in ct.classes.class_reps],
+        "degrees": list(ct.degrees),
+        "values": [[v.to_json() for v in row] for row in reference_values(ct)],
+    }
+
+
+def reference_dump_cached(ct) -> dict:
+    return {
+        "conductor": ct.conductor,
+        "degrees": list(ct.degrees),
+        "irrep_order": list(ct.irrep_order),
+        "values": [[v.to_json() for v in row] for row in reference_values(ct)],
+    }
+
+
+def reference_cached_coefficients(rows, k: int, m: int):
+    """The (k, k, phi(m)) int64 coefficients of a cache blob's values, parsed
+    with one Fraction per coefficient, or None where the loader refuses
+    them; exceptions propagate as they would to the loader."""
+    d = euler_phi(m)
+    P = np.zeros((k, k, d), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            coeffs = [Fraction(c) for c in v["coeffs"]]
+            if v["conductor"] != m or len(coeffs) != d:
+                return None
+            if any(c.denominator != 1 for c in coeffs):
+                return None
+            P[i, j] = [int(c) for c in coeffs]
+    return P
