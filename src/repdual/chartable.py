@@ -194,6 +194,19 @@ class CharacterTable:
         rows = self.zvalues[..., : euler_phi(m)].tolist()
         return tuple(tuple(Cyclotomic._raw(m, c) for c in row) for row in rows)
 
+    @cached_property
+    def embedded(self) -> zring.Embedded:
+        """zvalues with its images at the embeddings mod p, built per prime
+        on first use by a contraction, never by table construction."""
+        return zring.Embedded(self.zvalues)
+
+    @cached_property
+    def derived(self) -> dict:
+        """Artifacts of later stages that depend on this table alone (the
+        abelian pairing of identities), built on first use and kept for
+        the table's lifetime."""
+        return {}
+
     def value(self, irrep: int, cls: int) -> Cyclotomic:
         return self.values[irrep][cls]
 

@@ -4,17 +4,18 @@ routes that serve as mutual oracles.
 Primary route (Frobenius reciprocity): the multiplicity of the irrep tuple
 (j_1..j_n) is (1/|H|) sum over words of prod_m chi_{j_m}(h_m).  The sum only
 depends on the words' class patterns, so it is organized as an axis-by-axis
-contraction of the ordered pattern counts with the character table, held as
-an integer array over Z[C_m] (see zring): n integer matrix products per
-nonzero coefficient position instead of k^n*|H| cyclotomic products, and
-one reduction modulo Phi_m at the end.
+contraction of the ordered pattern counts with the character table,
+evaluated at the embeddings of Z[zeta_m] mod p (see zring): n integer
+(k, k) matrix products mod p per embedding instead of k^n*|H| cyclotomic
+products, and the multiplicities are read off where the embeddings agree.
 
 Oracle route (permutation character): enumerate the left cosets x*H of
 Gamma^n, count the cosets fixed by a representative of each class tuple
 (g fixes x*H iff g lies in x*H*x^-1), and decompose the resulting class
 function against the conjugate product character table through the same
-integer kernel.  The coset BFS and the fixed-coset counts are batched int64
-gathers on the Cayley table, with words encoded as base-|Gamma| integers:
+integer kernel, at z^-a where the table is at z^a.  The coset BFS and the
+fixed-coset counts are batched int64 gathers on the Cayley table, with
+words encoded as base-|Gamma| integers:
 O(|Gamma|^n * n^2 * |gens|) work, in blocks of about TABLE_BLOCK entries,
 bounded by coset_cap * |H|.  No class-pattern count or character value
 enters this route before the decomposition, so it stays independent of the
@@ -87,19 +88,20 @@ class DualMultiset:
         return int(self._mass.sum())
 
 
-def _multiplicities(raw: np.ndarray, divisor: int) -> tuple[np.ndarray, np.ndarray]:
-    """raw: reduced (k,)*n + (phi(m),) array of divisor * multiplicity.
-    Every entry must divide to a nonnegative integer.  Returns the index
-    and counts arrays of a DualMultiset."""
-    shape = raw.shape[:-1]
-    irrational = np.flatnonzero(raw[..., 1:].any(axis=-1))
-    if len(irrational):
-        key = tuple(int(x) for x in np.unravel_index(irrational[0], shape))
+def _multiplicities(
+    values: np.ndarray, irrational: np.ndarray, shape: tuple[int, ...], divisor: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """values: divisor * multiplicity of every tuple of shape, flat in C
+    order, exact where irrational is False.  Every entry must be rational
+    and divide to a nonnegative integer.  Returns the index and counts
+    arrays of a DualMultiset."""
+    bad = np.flatnonzero(irrational)
+    if len(bad):
+        key = tuple(int(x) for x in np.unravel_index(bad[0], shape))
         raise NonIntegerMultiplicity(f"multiplicity of {key} is not rational")
-    const = raw[..., 0].reshape(-1)
-    nonzero = np.flatnonzero(const)
+    nonzero = np.flatnonzero(values)
     index = np.stack(np.unravel_index(nonzero, shape), axis=1)
-    values = const[nonzero]
+    values = values[nonzero]
     bad = np.flatnonzero((values % divisor != 0) | (values < 0))
     if len(bad):
         key = tuple(index[bad[0]].tolist())
@@ -110,9 +112,10 @@ def _multiplicities(raw: np.ndarray, divisor: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _to_multiset(
-    raw: np.ndarray, divisor: int, code: GroupCode, ct: CharacterTable
+    sums: tuple[np.ndarray, np.ndarray], divisor: int, code: GroupCode, ct: CharacterTable
 ) -> DualMultiset:
-    dm = DualMultiset(code.n, ct.k, ct.degrees, *_multiplicities(raw, divisor))
+    shape = (ct.k,) * code.n
+    dm = DualMultiset(code.n, ct.k, ct.degrees, *_multiplicities(*sums, shape, divisor))
     # the trivial tuple is the least in lex order
     trivial = int(dm.counts[0]) if len(dm.counts) and not dm.index[0].any() else 0
     if trivial != 1:
@@ -133,8 +136,8 @@ def dual_multiset(
     if k**code.n > cap:
         raise CapExceeded("irrep tuple space", k**code.n, cap)
     patterns, counts = class_pattern_counts(code, ct.classes)
-    raw = zring.reduce(zring.contract(patterns, counts, ct.zvalues))
-    return _to_multiset(raw, code.size, code, ct)
+    sums = zring.contract(patterns, counts, ct.embedded)
+    return _to_multiset(sums, code.size, code, ct)
 
 
 # -- permutation-character oracle ------------------------------------------------
@@ -267,8 +270,9 @@ def decompose_permutation_character(
     tuples = np.array(list(pc), dtype=np.int64).reshape(len(pc), n)
     sizes = np.array(ct.classes.class_sizes, dtype=object)
     weighted = np.array(list(pc.values()), dtype=object) * sizes[tuples].prod(axis=1)
-    raw = zring.reduce(zring.contract(tuples, weighted, zring.conjugate(ct.zvalues)))
-    return DualMultiset(n, ct.k, ct.degrees, *_multiplicities(raw, ct.group.order**n))
+    sums = zring.contract(tuples, weighted, ct.embedded, conjugate=True)
+    shape = (ct.k,) * n
+    return DualMultiset(n, ct.k, ct.degrees, *_multiplicities(*sums, shape, ct.group.order**n))
 
 
 # -- enumerators of the dual -----------------------------------------------------

@@ -9,8 +9,10 @@ into a ratio of projection cardinalities:
   W_R(H)(z)   = sum_S (|Gamma|^(n-|S|) / |H_{E-S}|) (1-z)^|S| z^(n-|S|)
 
 The polynomial of a subset depends only on |S|, so each sum first adds its
-exact coefficients by |S| and then composes n+1 terms; MacWilliams #1 has
-the same binomial shape.
+coefficients by |S| (Python ints wherever the cardinality divides) and then
+composes n+1 terms: sum_s c_s x^(n-s) (1-z)^s, with x = z here and
+x = 1 + (q-1)z for MacWilliams #1, is the vector-matrix product c @ K for
+an integer matrix K built once per (n, q) by the Pascal recurrence.
 
 A floating spot-check at z in {0.3, 0.5, 0.7} ties these back to the raw
 corank-nullity sum through tutte_evaluate; it is the only non-exact step and
@@ -19,12 +21,10 @@ is labelled as such in the reports.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
-from typing import Mapping
 
 import numpy as np
 
@@ -108,33 +108,52 @@ class CodeAnalysis:
 # -- Greene ---------------------------------------------------------------------
 
 
-def _binomial_sum(c: Mapping[int, Fraction], n: int, x: UniPoly) -> UniPoly:
-    """sum_s c[s] x^(n-s) (1-z)^s: one term per distinct s."""
-    one_minus_z = UniPoly.one() - UniPoly.monomial(1)
-    out = UniPoly.zero()
-    for s, coeff in c.items():
-        out = out + coeff * (x ** (n - s) * one_minus_z**s)
-    return out
+@lru_cache(maxsize=64)
+def _binomial_matrix(n: int, a: int, b: int) -> np.ndarray:
+    """(n+1, n+1) object array of Python ints: K[s, d] is the coefficient
+    of z^d in (a + b*z)^(n-s) (1-z)^s, each factor applied by the Pascal
+    recurrence."""
+    rows = []
+    for s in range(n + 1):
+        row = [1] + [0] * n
+        for c0, c1 in [(1, -1)] * s + [(a, b)] * (n - s):
+            row = [c0 * row[0]] + [c0 * row[d] + c1 * row[d - 1] for d in range(1, n + 1)]
+        rows.append(row)
+    K = np.array(rows, dtype=object)
+    K.setflags(write=False)
+    return K
+
+
+def _binomial_sum(c: list, a: int, b: int) -> UniPoly:
+    """sum_s c[s] (a + b*z)^(n-s) (1-z)^s for the n+1 exact coefficients
+    c, as c @ K."""
+    out = np.array(c, dtype=object) @ _binomial_matrix(len(c) - 1, a, b)
+    return UniPoly(dict(enumerate(out.tolist())))
+
+
+def _sums_by_size(numerators: list[int], cards) -> list:
+    """c[s] = sum of numerators[s] / cards[S] over the bitmasks S with
+    |S| = s: a Python int where the card divides, a Fraction otherwise."""
+    c = [0] * len(numerators)
+    for S, card in enumerate(cards):
+        s = S.bit_count()
+        q, r = divmod(numerators[s], card)
+        c[s] += Fraction(numerators[s], card) if r else q
+    return c
 
 
 def greene_subset_form_H(code: GroupCode, rp: RankProfile) -> UniPoly:
     """Simplified right-hand side of the primal Greene identity."""
-    by_size = defaultdict(Fraction)
-    for S in range(1 << code.n):
-        by_size[S.bit_count()] += Fraction(code.size, rp.card[S])
-    return _binomial_sum(by_size, code.n, UniPoly.monomial(1))
+    c = _sums_by_size([code.size] * (code.n + 1), rp.card)
+    return _binomial_sum(c, 0, 1)
 
 
 def greene_subset_form_dual(code: GroupCode, rp: RankProfile) -> UniPoly:
-    """Simplified right-hand side of the dual Greene identity."""
-    n = code.n
-    q = code.group.order
-    full = (1 << n) - 1
-    by_size = defaultdict(Fraction)
-    for S in range(1 << n):
-        s = S.bit_count()
-        by_size[s] += Fraction(q ** (n - s), rp.card[full & ~S])
-    return _binomial_sum(by_size, n, UniPoly.monomial(1))
+    """Simplified right-hand side of the dual Greene identity: the
+    complement of S indexes the reversed card list."""
+    n, q = code.n, code.group.order
+    c = _sums_by_size([q ** (n - s) for s in range(n + 1)], rp.card[::-1])
+    return _binomial_sum(c, 0, 1)
 
 
 def _relative_close(a: float, b: float) -> bool:
@@ -177,8 +196,8 @@ def verify_greene(a: CodeAnalysis) -> CheckResult:
 
 def macwilliams1_rhs(code: GroupCode, W: UniPoly) -> UniPoly:
     """(1/|H|) sum_w A_w (1-z)^w (1+(q-1)z)^(n-w) for W = W_H, exactly."""
-    growth = UniPoly.one() + (code.group.order - 1) * UniPoly.monomial(1)
-    return Fraction(1, code.size) * _binomial_sum(W.coeffs, code.n, growth)
+    out = _binomial_sum([W[w] for w in range(code.n + 1)], 1, code.group.order - 1)
+    return UniPoly({d: c / code.size for d, c in out.coeffs.items()})
 
 
 def verify_macwilliams1(a: CodeAnalysis) -> CheckResult:
@@ -190,38 +209,37 @@ def verify_macwilliams1(a: CodeAnalysis) -> CheckResult:
     return result
 
 
-def _cwe_transform(cwe: MultiPoly, T: np.ndarray, size: int) -> MultiPoly:
-    """(1/size) cwe evaluated at v_c = sum_p T[p, c] x_p, for a (k, k, m)
-    table T over Z[C_m].  Each exponent vector of the cwe sits at its sorted
-    class pattern; the contraction is summed by exponent content in Z[C_m]
-    before the one reduction mod Phi_m, because a single ordered entry need
-    not be rational."""
+def _cwe_transform(cwe: MultiPoly, table: zring.Embedded, size: int) -> MultiPoly:
+    """(1/size) cwe evaluated at v_c = sum_p T[p, c] x_p, for the (k, k, m)
+    table T over Z[C_m] of table.  Each exponent vector of the cwe sits at
+    its sorted class pattern; the contraction is summed by exponent content
+    at every embedding before the rationality gate, because a single
+    ordered entry need not be rational."""
     k = cwe.nvars
     exponents = np.array(list(cwe.terms), dtype=np.int64)
     n = int(exponents[0].sum())
     patterns = np.repeat(np.tile(np.arange(k), len(exponents)), exponents.reshape(-1))
     coeffs = np.array([int(c) for c in cwe.terms.values()], dtype=object)
-    A = zring.contract(patterns.reshape(len(exponents), n), coeffs, T)
-    contents, sums = zring.sum_by_content(A, n)
-    sums = zring.reduce(sums)
-    irrational = np.flatnonzero(sums[:, 1:].any(axis=1))
-    if len(irrational):
-        raise NotRational(f"transformed coefficient at {contents[irrational[0]]} is not rational")
-    return MultiPoly(k, {e: Fraction(c, size) for e, c in zip(contents, sums[:, 0].tolist())})
+    contents, bins = zring.content_bins(k, n)
+    sums, irrational = zring.contract(patterns.reshape(len(exponents), n), coeffs, table, bins)
+    bad = np.flatnonzero(irrational)
+    if len(bad):
+        raise NotRational(f"transformed coefficient at {contents[bad[0]]} is not rational")
+    return MultiPoly(k, {e: Fraction(c, size) for e, c in zip(contents, sums.tolist())})
 
 
 def macwilliams2_transform(code: GroupCode, ct: CharacterTable) -> MultiPoly:
     """(1/|H|) cwe_H evaluated at v_j = sum_p chi_p(c_j) x_p, every
     coefficient reduced to an exact rational."""
     cwe = complete_weight_enumerator(code, ct.classes)
-    return _cwe_transform(cwe, ct.zvalues, code.size)
+    return _cwe_transform(cwe, ct.embedded, code.size)
 
 
 def verify_macwilliams2(a: CodeAnalysis) -> CheckResult:
     result = CheckResult("macwilliams2", True)
     # R(H) first: its tuple cap is checked before the transform runs
     expected = dual_cwe(a.dm)
-    transformed = _cwe_transform(a.cwe, a.ct.zvalues, a.code.size)
+    transformed = _cwe_transform(a.cwe, a.ct.embedded, a.code.size)
     for e, c in transformed.terms.items():
         if Fraction(c).denominator != 1 or c < 0:
             result.fail(f"transformed coefficient at {e} is {c}, not a nonnegative integer")
@@ -323,23 +341,31 @@ def classical_dual_code(
     return _make_code(G, n, np.concatenate(found))
 
 
-def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
-    """For abelian Gamma: the dual multiset is 0/1-valued, its image under
-    the pinned character-group isomorphism is the classical pairing dual,
-    and the elementwise MacWilliams transform reproduces both cwes."""
-    code, ct = a.code, a.ct
-    G = code.group
-    if ct.k != G.order:
-        raise DomainError("abelian specialization needs an abelian group")
-    result = CheckResult("abelian_specialization", True)
+@dataclass(frozen=True)
+class _AbelianPairing:
+    """The per-table artifacts of the abelian check: the pairing exponents,
+    the pairing beta(g, j) = zeta_m^eps[g][j] as a one-hot table over
+    Z[C_m] with its embeddings, and irrep index -> group element with
+    chi_irrep = beta(element, .)."""
+
+    eps: list[list[int]]
+    pairing: zring.Embedded
+    irrep_to_element: np.ndarray
+
+
+def _abelian_pairing(ct: CharacterTable) -> _AbelianPairing:
+    """The abelian artifacts of ct, built once per table."""
+    found = ct.derived.get("abelian_pairing")
+    if found is not None:
+        return found
+    G = ct.group
     eps = abelian_pairing_exponents(G)
     m = G.exponent
-    # pairing[g, j] = zeta_m^eps[g][j], one-hot over Z[C_m]
     pairing = np.zeros((G.order, G.order, m), dtype=np.int64)
     pairing[(*np.indices((G.order, G.order)), np.array(eps))] = 1
+    pairing.setflags(write=False)
 
-    # irrep index -> group element with chi_irrep = beta(element, .)
-    # (classes of an abelian group are singletons in element order)
+    # classes of an abelian group are singletons in element order
     characters = zring.reduce(pairing)
     rows = zring.reduce(ct.zvalues)
     irrep_to_element = np.zeros(ct.k, dtype=np.int64)
@@ -349,6 +375,23 @@ def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
             message = f"character row {i} matches {len(matches)} pairing characters"
             raise NonIntegerMultiplicity(message)
         irrep_to_element[i] = matches[0]
+    irrep_to_element.setflags(write=False)
+    found = _AbelianPairing(eps, zring.Embedded(pairing), irrep_to_element)
+    ct.derived["abelian_pairing"] = found
+    return found
+
+
+def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
+    """For abelian Gamma: the dual multiset is 0/1-valued, its image under
+    the pinned character-group isomorphism is the classical pairing dual,
+    and the elementwise MacWilliams transform reproduces both cwes."""
+    code, ct = a.code, a.ct
+    G = code.group
+    if ct.k != G.order:
+        raise DomainError("abelian specialization needs an abelian group")
+    result = CheckResult("abelian_specialization", True)
+    ab = _abelian_pairing(ct)
+    eps, irrep_to_element = ab.eps, ab.irrep_to_element
 
     dm = a.dm
     if (dm.counts > 1).any():
@@ -370,7 +413,7 @@ def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
 
     # classical MacWilliams #2 with the element-indexed pairing matrix
     cwe_dual = complete_weight_enumerator(dual, ct.classes)
-    transformed = _cwe_transform(a.cwe, pairing, code.size)
+    transformed = _cwe_transform(a.cwe, ab.pairing, code.size)
     if transformed != cwe_dual:
         result.fail(
             "classical cwe transform differs from the brute-force dual by "

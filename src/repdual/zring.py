@@ -1,29 +1,40 @@
-"""Exact integer arrays over the group ring Z[C_m].
+"""Exact integer arrays over Z[zeta_m], evaluated at its embeddings mod p.
 
 Every character value of a group of exponent m is a sum of m-th roots of
 unity, so a value is held as an integer coefficient vector over
-1, zeta, ..., zeta^(m-1).  Sums of values add vectors, and products are
-cyclic convolutions, which is arithmetic in Z[x]/(x^m - 1) = Z[C_m].  That
-ring maps onto Z[zeta_m] by reduction modulo the cyclotomic polynomial
-Phi_m, so any representative of a value works, and a result becomes
-canonical after one reduction at the very end.
+1, zeta, ..., zeta^(m-1): a representative in Z[C_m] = Z[x]/(x^m - 1),
+which maps onto Z[zeta_m] by reduction modulo the cyclotomic polynomial
+Phi_m.  An array is int64 when an a-priori bound on every value it can hold
+stays below 2**62, and dtype=object (exact Python ints) otherwise.  No float
+ever enters.
 
-The Frobenius contraction, the permutation-character decomposition and both
-MacWilliams #2 transforms run here.  An array is int64 when an a-priori
-bound on every value it can hold stays below 2**62, and dtype=object (exact
-Python ints) otherwise.  No float ever enters.
+Sums of products of values are computed at the embeddings of Z[zeta_m]
+modulo primes p = 1 (mod m).  Then pZ[zeta_m] splits completely:
+Z[zeta_m]/p = F_p^phi(m), one factor per primitive m-th root of unity z^a
+mod p (a a unit mod m), and every representative in Z[C_m] has the same
+image there.  A product of values becomes a product of residues, so a
+(k, k) table over Z[zeta_m] becomes phi(m) plain (k, k) matrices mod p, and
+any contraction with it becomes matrix products mod p, one embedding at a
+time.
 
-Identities in Z[zeta_m] are certified at its embeddings modulo primes
-p = 1 (mod m): then Z[zeta_m]/p = F_p^phi(m), one factor per primitive m-th
-root of unity z^a mod p, so an element whose power-basis coefficients are
-below P/2 in magnitude, P the product of the primes, is zero iff all of its
-images are.  A (k, k) Gram matrix over Z[zeta_m] becomes one (k, k) matrix
-product mod p per embedding.
+Exactness.  Let x be in Z[zeta_m] with |sigma(x)| <= B at every complex
+embedding sigma, and let P be a product of distinct such primes with
+P > 2B.  Suppose that for each p | P the images of x at the embeddings mod
+p all equal one residue r_p, and let c be the integer with |c| < P/2 and
+c = r_p mod every p (CRT).  Then y = x - c lies in every prime ideal above
+every p | P, so in P Z[zeta_m].  A nonzero element of P Z[zeta_m] has |N(y)| >= P^phi(m),
+while |N(y)| is the product of the |sigma(y)| <= B + |c| < P, which is less.
+So y = 0 and x = c.  Conversely a rational x has equal images.  So x is
+rational exactly when its images agree, and then it is the symmetric CRT
+residue: the rationality gate and the value come from the same images.
+Identities in Z[zeta_m] (the orthogonality of a table) are certified the
+same way: an element whose power-basis coefficients are below P/2 in
+magnitude is zero iff all of its images are.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -67,12 +78,6 @@ def reduce(A: np.ndarray) -> np.ndarray:
     (..., m) -> (..., phi(m))."""
     R = reduction_matrix(A.shape[-1])
     return A @ (R.astype(object) if A.dtype == object else R)
-
-
-def conjugate(T: np.ndarray) -> np.ndarray:
-    """Complex conjugate of every entry: coefficient t moves to -t mod m."""
-    m = T.shape[-1]
-    return T[..., (-np.arange(m)) % m]
 
 
 # -- primes p = 1 (mod m) and their roots of unity --------------------------------
@@ -190,50 +195,44 @@ def gram_mismatch(E: np.ndarray, Ebar: np.ndarray, weights, diagonal, p: int) ->
     return bad | bad.T
 
 
-def convmatmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Z[a, r] = sum_b X[a, b] * Y[b, r] with entries in Z[C_m], for X of
-    shape (a, b, m) and Y of shape (b, r..., m).  The scalar product is the
-    cyclic convolution of the last axes, done as one matrix product per
-    nonzero coefficient of X, so no intermediate outgrows the result."""
-    m = X.shape[-1]
-    out = np.zeros(X.shape[:1] + Y.shape[1:], dtype=Y.dtype)
-    for t in np.flatnonzero(np.any(X != 0, axis=(0, 1))):
-        P = np.tensordot(X[:, :, t], Y, axes=1)
-        out[..., t:] += P[..., : m - t]
-        out[..., :t] += P[..., m - t :]
-    return out
 
 
-def contract(keys: np.ndarray, counts: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """out[j_1..j_n] = sum_r counts[r] prod_a T[j_a, keys[r, a]] over the
-    distinct rows of the (t, n) index array keys, dense of shape
-    (k,)*n + (m,), contracting one axis at a time.
-
-    The dtype comes from the bound max|counts| * L^n, L = max_j
-    sum_{i,t} |T[j, i, t]|, times k^n and reduction_gain(m), so that any sum
-    of output entries can also be reduced without overflow."""
-    k, m = T.shape[0], T.shape[-1]
-    n = keys.shape[1]
-    L = max(abs_row_sums(T))
-    top = max(int(counts.max(initial=0)), -int(counts.min(initial=0)))
-    dtype = exact_dtype(top * L**n * k**n * reduction_gain(m))
-    A = np.zeros((k,) * n + (m,), dtype=dtype)
-    A[(*keys.T, 0)] = counts
-    T = T.astype(dtype)
-    for _ in range(n):
-        # contract the leading axis; its new index goes last, so after n
-        # rounds the axes are back in order
-        Z = convmatmul(T, A.reshape(k, -1, m))
-        A = np.ascontiguousarray(Z.swapaxes(0, 1)).reshape(A.shape)
-    return A
+# -- contraction at the embeddings -------------------------------------------------
 
 
-def sum_by_content(A: np.ndarray, n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Sums of the entries of a dense (k,)*n + (m,) array over index tuples
-    with equal content (the multiset of indices).  Returns the contents as
-    exponent vectors of length k, ascending by sorted tuple, and the
-    matching (len(contents), m) sums."""
-    k, m = A.shape[0], A.shape[-1]
+class Embedded:
+    """A (k, r, m) array T over Z[C_m] with its images at the embeddings
+    mod p, built on first use for each prime and kept on the object."""
+
+    def __init__(self, T: np.ndarray):
+        self.T = T
+        self._images: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def column_norm(self) -> int:
+        """max over i of sum_{j, t} |T[j, i, t]|: no column of T sums to
+        more than this in absolute value at any complex embedding."""
+        return max(abs_row_sums(self.T.swapaxes(0, 1)), default=0)
+
+    def images(self, p: int) -> np.ndarray:
+        """(phi(m), k, r) images of T at z^a mod p, a over the units mod m
+        in ascending order, so the images at z^-a are the reverse."""
+        if p not in self._images:
+            E, Ebar = embed(self.T, p)
+            self._images[p] = E if self.T.shape[-1] <= 2 else np.concatenate([E, Ebar[::-1]])
+        return self._images[p]
+
+
+def content_bins(k: int, n: int) -> tuple[list[tuple[int, ...]], tuple[np.ndarray, np.ndarray]]:
+    """The contents (multisets of indices, as exponent vectors of length k)
+    of the tuples in (k,)*n, ascending by sorted tuple, and the flat tuple
+    indices grouped by content: order, a permutation of range(k**n) that
+    lists each content's tuples together, and starts, where each content's
+    run begins in it.  Kept for small shapes, which recur once per code."""
+    return _small_content_bins(k, n) if k**n <= groups.TABLE_BLOCK else _content_bins(k, n)
+
+
+def _content_bins(k: int, n: int):
     total = k**n
     # code[flat] = the sorted index tuple read in base k, built a chunk at a
     # time so that the (n, k^n) index array never exists at once
@@ -246,8 +245,77 @@ def sum_by_content(A: np.ndarray, n: int) -> tuple[list[tuple[int, ...]], np.nda
             chunk = chunk * k + row
         code[lo : lo + len(flat)] = chunk
     keys, inverse = np.unique(code, return_inverse=True)
-    sums = np.zeros((len(keys), m), dtype=A.dtype)
-    np.add.at(sums, inverse.reshape(-1), A.reshape(-1, m))
+    order = np.argsort(inverse.reshape(-1), kind="stable")
+    starts = np.searchsorted(inverse.reshape(-1)[order], np.arange(len(keys)))
     digits = keys[:, None] // k ** np.arange(n - 1, -1, -1) % k
     contents = (digits[:, :, None] == np.arange(k)).sum(axis=1)
-    return list(map(tuple, contents.tolist())), sums
+    return list(map(tuple, contents.tolist())), (order, starts)
+
+
+_small_content_bins = lru_cache(maxsize=64)(_content_bins)
+
+
+def contract(
+    keys: np.ndarray, counts: np.ndarray, table: Embedded, bins=None, conjugate: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """out[j] = sum_r counts[r] prod_a T[j_a, keys[r, a]] for every j in
+    (k,)*n, n = keys.shape[1], flat in C order (or, given bins from
+    content_bins, the sums of out over each content), with T = table.T, or
+    its complex conjugate when conjugate is set.  The rows of keys are
+    distinct.  Returns the exact integer values and the mask of the entries
+    that are not rational; the values there are meaningless.
+
+    Every output, and every sum of outputs, is at most
+    B = sum|counts| * table.column_norm^n at every complex embedding, so the
+    primes come from certification_primes(B, ...) and the module's argument
+    applies: an entry is rational exactly when its images at every
+    embedding mod every prime agree, and then it is their symmetric CRT
+    residue.  For each prime the counts are scattered into a dense k^n
+    array mod p, and each axis in turn is contracted with the (k, k) image
+    of T, for a block of embeddings at a time, so memory stays a few int64
+    arrays of max(k^n, TABLE_BLOCK) entries.  The conjugate of T at z^a is
+    T at z^-a, so conjugating only reverses the order of the embeddings."""
+    k, m = table.T.shape[0], table.T.shape[-1]
+    n = keys.shape[1]
+    size = k**n
+    bound = abs_row_sums(counts.reshape(1, -1))[0] * table.column_norm**n
+    flat = np.ravel_multi_index(tuple(keys.T), (k,) * n)
+    irrational = np.zeros(size if bins is None else len(bins[1]), dtype=bool)
+    residues = []
+    primes = certification_primes(bound, m, max(k, m))
+    for p in primes:
+        images = table.images(p)
+        if conjugate:
+            images = images[::-1]
+        A = np.zeros((1, size), dtype=np.int64)
+        A[0, flat] = counts % p
+        block = max(1, groups.TABLE_BLOCK // size)
+        first = None
+        for lo in range(0, len(images), block):
+            M = images[lo : lo + block]
+            X = A
+            for _ in range(n):
+                # contract the leading axis; its new index goes last, so
+                # after n rounds the axes are back in order
+                X = (M @ X.reshape(len(X), k, -1) % p).transpose(0, 2, 1).reshape(len(M), -1)
+            if bins is not None:
+                order, starts = bins
+                X = X[:, order].astype(exact_dtype(size * p))
+                X = np.add.reduceat(X, starts, axis=1) % p
+            if first is None:
+                first = X[0]
+            irrational |= (X != first).any(axis=0)
+        residues.append(first)
+    return _symmetric_crt(residues, primes), irrational
+
+
+def _symmetric_crt(residues: list[np.ndarray], primes) -> np.ndarray:
+    """The integers c with |c| < P/2, P the product of the primes, and
+    c = residues[i] mod primes[i] for every i (Garner's recombination)."""
+    values, P = residues[0], primes[0]
+    if len(primes) > 1:
+        values = values.astype(object)
+        for r, p in zip(residues[1:], primes[1:]):
+            values = values + P * ((r.astype(object) - values) * pow(P, -1, p) % p)
+            P *= p
+    return np.where(values > P // 2, values - P, values)

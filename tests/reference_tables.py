@@ -31,6 +31,8 @@ from repdual.groups import (
     cycle_notation,
 )
 
+from reference_zring import conjugate, convmatmul
+
 
 # -- groups -------------------------------------------------------------------
 
@@ -451,11 +453,11 @@ def reference_certify(G: FiniteGroup, classes: ClassData, T: np.ndarray, degrees
         max(sizes) * sum(zring.abs_row_sums(T)) ** 2 * zring.reduction_gain(T.shape[-1])
     )
     T = T.astype(dtype)
-    conj = zring.conjugate(T)
+    conj = conjugate(T)
     weighted = T * np.array(sizes, dtype=dtype)[None, :, None]
     checks = (
-        ("row", zring.convmatmul(weighted, conj.transpose(1, 0, 2)), [order] * k),
-        ("column", zring.convmatmul(T.transpose(1, 0, 2), conj), [order // s for s in sizes]),
+        ("row", convmatmul(weighted, conj.transpose(1, 0, 2)), [order] * k),
+        ("column", convmatmul(T.transpose(1, 0, 2), conj), [order // s for s in sizes]),
     )
     for name, product, diagonal in checks:
         reduced = zring.reduce(product)

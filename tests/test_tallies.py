@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import reference_tallies as ref
+import reference_zring
 from reference_tallies import legacy, multiset_from_mult
 from repdual import codes, identities, zring
 from repdual.chartable import character_table
@@ -58,14 +59,18 @@ def assert_tallies_match(code, ct):
     for S in range(1 << code.n):
         assert project_cardinality(code, S) == ref.project_cardinality(code, S)
     # the content sums of the contraction, the first step of MacWilliams #2
-    A = zring.contract(patterns, counts, ct.zvalues)
-    contents, sums = zring.sum_by_content(A, code.n)
+    A = reference_zring.contract(patterns, counts, ct.zvalues)
+    contents, bins = zring.content_bins(ct.k, code.n)
+    sums, irrational = zring.contract(patterns, counts, ct.embedded, bins)
     want_contents, want_sums = ref.sum_by_content(A, code.n)
+    want_sums = zring.reduce(want_sums)
     assert contents == want_contents
-    assert (sums == want_sums).all()
+    assert not irrational.any() and not want_sums[:, 1:].any()
+    assert sums.tolist() == want_sums[:, 0].tolist()
     # tuples of R(H), in the key order of the per-tuple loop
     raw = zring.reduce(A)
-    index, mult = _multiplicities(raw, code.size)
+    sums = zring.contract(patterns, counts, ct.embedded)
+    index, mult = _multiplicities(*sums, raw.shape[:-1], code.size)
     want = ref._multiplicities(raw, code.size)
     assert list(as_dict(index, mult).items()) == list(want.items())
     dm = dual_multiset(code, ct)
