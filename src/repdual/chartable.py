@@ -5,20 +5,24 @@ eigenvectors of the class-sum multiplication matrices M_i with
 (M_i)[j][l] = a[i][j][l].  Over F_p with p = 1 (mod exponent) and
 p > 2*sqrt(|G|) the whole eigenproblem is integer arithmetic in numpy mod p:
 the indicator of the identity class has a nonzero component d^2/|G| on every
-central character, so Krylov sequences of it and of its projections split
-F_p^k into the k common eigenvectors (class matrices in order, each split
-by ascending eigenvalue).  The mod-p character values are then lifted to
-exact cyclotomics of conductor exponent(G) by discrete-Fourier counting of
-root-of-unity multiplicities along power maps: one (k*k, e) @ (e, e)
-product mod p of the values over the power-map table with the Fourier
-matrix.  The lift yields each value's root-of-unity multiplicities, an
-integer array over Z[C_m] (see zring) that is reduced modulo Phi_m once.
+central character, so its Krylov sequence under a class matrix M gives M's
+minimal polynomial mu and its roots lam, and (mu/(x - lam))(M) splits every
+current vector at once into its eigencomponents, until F_p^k is split into
+the k common eigenvectors (class matrices in order, each split by ascending
+eigenvalue).  The (k, k, k) class multiplication array is refused past a
+cap (DEFAULT_CLASS_ALGEBRA_CAP entries).  The mod-p character values are
+then lifted to exact cyclotomics of conductor exponent(G) by
+discrete-Fourier counting of root-of-unity multiplicities along power maps:
+one (k*k, e) @ (e, e) product mod p of the values over the power-map table
+with the Fourier matrix.  The lift yields each value's root-of-unity
+multiplicities, an integer array over Z[C_m] (see zring) that is reduced
+modulo Phi_m once.
 Row and column orthogonality are certified exactly on that integer array
 before a table is ever returned, as Gram matrices at every embedding of
 Z[zeta_m] modulo as many primes p = 1 (mod m) as an a-priori coefficient
 bound needs, so the modular shortcut cannot silently produce a wrong
-table.  A table stores only that array; its Cyclotomic values, the JSON
-and the disk cache are read from it.
+table.  A table stores only that array; its Cyclotomic values, their
+text, the JSON and the disk cache are read from it.
 """
 
 from __future__ import annotations
@@ -37,15 +41,25 @@ from pathlib import Path
 import numpy as np
 
 from . import zring
-from .cyclotomic import Cyclotomic, euler_phi
-from .errors import LiftVerificationFailed
-from .groups import ClassData, FiniteGroup, conjugacy_classes
+from .cyclotomic import Cyclotomic, euler_phi, render_coefficients
+from .errors import CapExceeded, LiftVerificationFailed
+from .groups import TABLE_BLOCK, ClassData, FiniteGroup, conjugacy_classes
 
 
-def class_multiplication_coefficients(G: FiniteGroup, classes: ClassData) -> np.ndarray:
+# The (k, k, k) class multiplication array holds at most this many entries;
+# Z300 needs 300^3.
+DEFAULT_CLASS_ALGEBRA_CAP = 2**25
+
+
+def class_multiplication_coefficients(
+    G: FiniteGroup, classes: ClassData, cap: int = DEFAULT_CLASS_ALGEBRA_CAP
+) -> np.ndarray:
     """a[i, j, l] = #{(x,y) in C_i x C_j : x*y = rep(C_l)}, a (k, k, k) int64
-    array: every x pairs with y = x^-1 rep(C_l)."""
+    array: every x pairs with y = x^-1 rep(C_l).  Raises CapExceeded before
+    allocating when k^3 passes cap."""
     k = classes.num_classes
+    if k**3 > cap:
+        raise CapExceeded("class multiplication array (k^3 entries)", k**3, cap)
     class_of = np.array(classes.class_of, dtype=np.int64)
     inv = np.array(G.inverse)[:, None]
     y = G.cayley[inv, np.array(classes.class_reps)[None, :]]  # (|G|, k)
@@ -53,7 +67,7 @@ def class_multiplication_coefficients(G: FiniteGroup, classes: ClassData) -> np.
     a = np.bincount(flat.ravel(), minlength=k**3).reshape(k, k, k)
     # total count: summing a[i][j][l]*|C_l| over l recovers |C_i|*|C_j|
     sizes = np.array(classes.class_sizes, dtype=np.int64)
-    if ((a * sizes).sum(axis=-1) != np.outer(sizes, sizes)).any():
+    if (a @ sizes != np.outer(sizes, sizes)).any():
         raise LiftVerificationFailed("class multiplication totals are off")
     return a
 
@@ -76,74 +90,103 @@ def _primitive_root(p: int) -> int:
     raise LiftVerificationFailed(f"no primitive root mod {p}")
 
 
-def _krylov_split(M: np.ndarray, u: np.ndarray, p: int) -> list[np.ndarray]:
-    """Split u into its components in the eigenspaces of M, by ascending
-    eigenvalue.
+def _minimal_polynomial(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients, constant term first, of the monic minimal polynomial
+    of M relative to u.
 
-    The Krylov vectors u, Mu, M^2u, ... are reduced as they come (rows[:m]
-    in reduced echelon form, combos[:m] expressing them in the Krylov
-    vectors) until M^m u depends on the earlier ones; that relation is the
-    minimal polynomial mu of M relative to u.  When mu has m distinct roots
-    lam in F_p, (mu(x)/(x - lam))(M) u is a nonzero multiple of the
-    component of u in the lam-eigenspace."""
+    The Krylov vectors u, Mu, M^2u, ... are reduced as they come, each
+    beside its combination of the Krylov vectors (rows[:m] in reduced
+    echelon form on the left), until M^m u reduces to zero; its combination
+    is then the polynomial."""
     k = len(u)
-    krylov = np.zeros((k + 1, k), dtype=u.dtype)
-    rows = np.zeros((k, k), dtype=u.dtype)
-    combos = np.zeros((k, k), dtype=u.dtype)
-    krylov[0] = u
-    pivots: list[int] = []
+    rows = np.zeros((k, 2 * k + 1), dtype=u.dtype)
+    pivots = np.zeros(k, dtype=np.intp)
+    w = u
     for m in range(k + 1):  # k + 1 vectors in F_p^k are dependent
-        w = krylov[m]
-        c = w[pivots]
-        residue = (w - c @ rows[:m]) % p
-        combo = (-c @ combos[:m, :m]) % p  # residue = w + combo . krylov[:m]
-        nonzero = np.flatnonzero(residue)
+        row = np.zeros(2 * k + 1, dtype=u.dtype)
+        row[:k], row[k + m] = w, 1
+        row = (row - w[pivots[:m]] @ rows[:m]) % p
+        nonzero = np.flatnonzero(row[:k])
         if not len(nonzero):
             break
-        piv = int(nonzero[0])
-        scale = pow(int(residue[piv]), p - 2, p)
-        row = residue * scale % p
-        hist = np.append(combo, 1) * scale % p
-        f = rows[:m, piv, None].copy()
-        rows[:m] = (rows[:m] - f * row) % p
-        combos[:m, : m + 1] = (combos[:m, : m + 1] - f * hist) % p
-        rows[m], combos[m, : m + 1] = row, hist
-        pivots.append(piv)
-        krylov[m + 1] = M @ w % p
-    # mu = x^m + combo . (1, x, ..., x^(m-1)), constant term first
-    mu = np.append(combo, 1)
-    xs = np.arange(p, dtype=u.dtype)
-    values = np.zeros(p, dtype=u.dtype)
+        piv = nonzero[0]
+        row = row * pow(int(row[piv]), p - 2, p) % p
+        rows[:m] = (rows[:m] - rows[:m, piv, None] * row) % p
+        rows[m], pivots[m] = row, piv
+        w = M @ w % p
+    return row[k : k + m + 1]
+
+
+def _split(M: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
+    """Replace every row v of V by its nonzero components in the eigenspaces
+    of M, by ascending eigenvalue, keeping the order of the rows.
+
+    Rows that M already scales stay as they are.  The identity class e_0
+    has a nonzero component on every central character, so its minimal
+    polynomial mu relative to M is M's.  When mu has as many distinct roots
+    lam in F_p as its degree, (mu/(x - lam))(M) v is a nonzero multiple of
+    the component of v in the lam-eigenspace, or zero when v has none
+    there.  The other rows are split together, a block of about TABLE_BLOCK
+    entries of their Krylov vectors v, Mv, ..., M^deg(mu) v at a time."""
+    k = V.shape[1]
+    MT = M.T  # the rows of V @ M.T are the vectors M v
+    MV = V @ MT % p
+    piv = (V != 0).argmax(axis=1)[:, None]
+    cross = np.take_along_axis(V, piv, 1) * MV - np.take_along_axis(MV, piv, 1) * V
+    scaled = (cross % p == 0).all(axis=1)
+    if scaled.all():
+        return V
+    e0 = np.zeros(k, dtype=V.dtype)
+    e0[0] = 1
+    mu = _minimal_polynomial(M, e0, p)
+    d = len(mu) - 1
+    xs = np.arange(p, dtype=V.dtype)
+    values = np.zeros(p, dtype=V.dtype)
     for coeff in mu[::-1]:
         values = (values * xs + coeff) % p
-    roots = np.flatnonzero(values == 0).astype(u.dtype)
-    if len(roots) != m:
+    roots = np.flatnonzero(values == 0).astype(V.dtype)
+    if len(roots) != d:
         raise LiftVerificationFailed("class-sum matrix not diagonalizable mod p")
     # synthetic division: q = mu / (x - lam) for every root at once
-    q = np.zeros((m, m), dtype=u.dtype)
-    q[:, m - 1] = 1
-    for j in range(m - 1, 0, -1):
+    q = np.zeros((d, d), dtype=V.dtype)
+    q[:, d - 1] = 1
+    for j in range(d - 1, 0, -1):
         q[:, j - 1] = (mu[j] + roots * q[:, j]) % p
-    return list(q @ krylov[:m] % p)
+    rest = np.flatnonzero(~scaled)
+    out, parent = [V[scaled]], [np.flatnonzero(scaled)]
+    step = max(1, TABLE_BLOCK // (d * k))
+    for b in range(0, len(rest), step):
+        rows = rest[b : b + step]
+        krylov = np.empty((d + 1, len(rows), k), dtype=V.dtype)
+        krylov[0], krylov[1] = V[rows], MV[rows]
+        for j in range(2, d + 1):
+            krylov[j] = krylov[j - 1] @ MT % p
+        krylov = krylov.reshape(d + 1, -1)
+        if (mu @ krylov % p != 0).any():  # some v is no sum of eigenvectors
+            raise LiftVerificationFailed("class-sum matrix not diagonalizable mod p")
+        parts = (q @ krylov[:d] % p).reshape(d, len(rows), k).transpose(1, 0, 2)
+        nonzero = (parts != 0).any(axis=2)
+        out.append(parts[nonzero])
+        parent.append(np.repeat(rows, d)[nonzero.ravel()])
+    return np.concatenate(out)[np.argsort(np.concatenate(parent), kind="stable")]
 
 
 def _central_characters(a: np.ndarray, p: int) -> np.ndarray:
     """The k central characters mod p as rows (value 1 at the identity
     class), in split order: sorted by their eigenvalues on M_1, then M_2,
-    and so on."""
+    and so on.  Starting from the identity class, every class matrix in
+    turn splits all current vectors at once (see _split), until there are
+    k of them."""
     k = len(a)
     dtype = zring.exact_dtype(k * (p - 1) ** 2)
-    mats = (a % p).astype(dtype)
-    start = np.zeros(k, dtype=dtype)
-    start[0] = 1  # the identity class: sum_r (d_r^2/|G|) omega_r
-    vecs = [start]
-    for M in mats[1:]:
-        if len(vecs) == k:
+    omega = np.zeros((1, k), dtype=dtype)
+    omega[0, 0] = 1  # the identity class: sum_r (d_r^2/|G|) omega_r
+    for M in a[1:]:
+        if len(omega) == k:
             break
-        vecs = [part for u in vecs for part in _krylov_split(M, u, p)]
-    if len(vecs) != k:
+        omega = _split((M % p).astype(dtype, copy=False), omega, p)
+    if len(omega) != k:
         raise LiftVerificationFailed("could not isolate one-dimensional eigenspaces")
-    omega = np.array(vecs).reshape(k, k)
     if not omega[:, 0].all():
         raise LiftVerificationFailed("central character vanishes at the identity")
     norm = np.array([pow(int(v), p - 2, p) for v in omega[:, 0]], dtype=dtype)
@@ -212,6 +255,15 @@ class CharacterTable:
 
     def conjugate_row(self, irrep: int) -> tuple[Cyclotomic, ...]:
         return tuple(v.conjugate() for v in self.values[irrep])
+
+    def values_text(self) -> list[list[str]]:
+        """values[i][j] as str(Cyclotomic) writes it, straight from the
+        array; each distinct value is rendered once."""
+        m, k = self.conductor, self.k
+        coeffs = self.zvalues[..., : euler_phi(m)].reshape(k * k, -1)
+        distinct, index = np.unique(coeffs, axis=0, return_inverse=True)
+        text = np.array([render_coefficients(m, c) for c in distinct.tolist()], dtype=object)
+        return text[index.reshape(k, k)].tolist()
 
     def _values_json(self) -> list:
         """The values as Cyclotomic.to_json would write them, straight from

@@ -34,7 +34,7 @@ from .duality import (
     permutation_character,
 )
 from .errors import DomainError, RepdualError, SpecFileError
-from .groups import symmetric_group
+from .groups import conjugacy_classes, symmetric_group
 from .identities import CHECKS, CodeAnalysis, macwilliams2_transform
 from .specfiles import load_code_spec, load_group_spec
 
@@ -108,16 +108,17 @@ def _load_code(args):
 
 def cmd_classes(args) -> int:
     G = _load_group(args)
-    ct = character_table(G, cache_dir=args.cache_dir)
-    cd = ct.classes
+    cd = conjugacy_classes(G)
     lines = [f"group {G.name}: order {G.order}, {cd.num_classes} conjugacy classes"]
     blob = {"group": G.name, "order": G.order, "num_classes": cd.num_classes, "classes": []}
+    members = [[] for _ in range(cd.num_classes)]
+    for label, c in zip(G.element_labels, cd.class_of):
+        members[c].append(label)
     for c in range(cd.num_classes):
-        members = [G.element_labels[g] for g in cd.members(c)]
         rep = G.element_labels[cd.class_reps[c]]
         lines.append(f"  class {c + 1}: size {cd.class_sizes[c]}, rep {rep}")
         blob["classes"].append(
-            {"index": c + 1, "size": cd.class_sizes[c], "rep": rep, "members": members}
+            {"index": c + 1, "size": cd.class_sizes[c], "rep": rep, "members": members[c]}
         )
     _emit(args, lines, blob)
     return 0
@@ -131,9 +132,8 @@ def cmd_chartable(args) -> int:
         f"group {G.name}: {ct.k} irreducible characters, conductor {ct.conductor}",
         f"  classes: {reps}",
     ]
-    for i in range(ct.k):
-        row = ", ".join(str(v) for v in ct.values[i])
-        lines.append(f"  chi{i + 1} [deg {ct.degrees[i]}]: {row}")
+    for i, row in enumerate(ct.values_text()):
+        lines.append(f"  chi{i + 1} [deg {ct.degrees[i]}]: {', '.join(row)}")
     _emit(args, lines, ct.to_json())
     return 0
 

@@ -101,6 +101,14 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def render_coefficients(m: int, coeffs) -> str:
+    """Text of sum_i coeffs[i] zeta_m^i, highest power first, such as
+    "-z8^3 + 2*z8"; str(Cyclotomic) and the chartable text both use it."""
+    var = f"z{m}"
+    terms = reversed(list(enumerate(coeffs)))
+    return _render_terms((c, _power(var, i)) for i, c in terms if c)
+
+
 class Cyclotomic:
     """An element of Q(zeta_m), canonically reduced modulo Phi_m."""
 
@@ -316,9 +324,7 @@ class Cyclotomic:
         return f"Cyclotomic({self.conductor}, {self!s})"
 
     def __str__(self):
-        var = f"z{self.conductor}"
-        terms = reversed(list(enumerate(self.coeffs)))
-        return _render_terms((c, _power(var, i)) for i, c in terms if c)
+        return render_coefficients(self.conductor, self.coeffs)
 
     def to_json(self) -> dict:
         return {"conductor": self.conductor, "coeffs": [str(c) for c in self.coeffs]}

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product, repeat
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -140,17 +140,18 @@ class FiniteGroup:
     def _table_digest(self) -> str:
         """sha256 of the order and the rows, each written "|" then its
         entries in decimal joined by ",".  Every entry becomes "," plus its
-        digits, NUL-padded to one width; the leading "," of each row turns
-        into "|" and the padding is dropped."""
+        digits, NUL-padded to one word (4 bytes, 8 above order 1000), so a
+        block of rows is one gather of words; the leading "," of each row
+        turns into "|" and the padding is dropped."""
         n = self.order
         h = hashlib.sha256(str(n).encode())
-        width = len(str(n - 1)) + 1
-        cells = np.array([f",{v}".encode() for v in range(n)], dtype=f"S{width}")
-        cells = cells.view(np.uint8).reshape(n, width)
-        step = max(1, TABLE_BLOCK // (n * width))
+        size = 4 if n <= 1000 else 8
+        cells = np.array([f",{v}".encode() for v in range(n)], dtype=f"S{size}")
+        words = cells.view(f"u{size}")
+        step = max(1, TABLE_BLOCK // n)
         for start in range(0, n, step):
-            text = cells[self.cayley[start : start + step]]
-            text[:, 0, 0] = ord("|")
+            text = words[self.cayley[start : start + step]].view(np.uint8)
+            text[:, 0] = ord("|")
             h.update(text[text != 0].tobytes())
         return h.hexdigest()
 
@@ -267,16 +268,35 @@ def _closure(gens: np.ndarray, degree: int, cap: int):
 
 def _cayley_from_bfs(right: np.ndarray, levels) -> np.ndarray:
     """Cayley table from right multiplication by the generators: when
-    b = parent o g_s, column b is right[column parent, s], so each BFS level
-    fills its columns with one gather."""
-    n = len(right)
-    T = np.empty((n, n), dtype=_index_dtype(n))
-    T[:, 0] = np.arange(n)
-    right = right.astype(T.dtype)
+    b = parent o g_s, column b is right[column parent, s].  Each BFS level
+    fills its columns as rows of the transposed table, row gathers through
+    the flat index of right, a block of about TABLE_BLOCK entries at a time;
+    the result is transposed in place."""
+    n, r = right.shape
+    U = np.empty((n, n), dtype=_index_dtype(n))  # U[b] is column b
+    U[0] = np.arange(n)
+    flat = right.astype(U.dtype).ravel()
+    step = max(1, TABLE_BLOCK // n)
     for cols, parents, steps in levels:
-        if len(cols):
-            T[:, cols] = right[T[:, parents], steps]
-    return T
+        for s in range(0, len(cols), step):
+            index = U[parents[s : s + step]].astype(np.intp)
+            index *= r
+            index += steps[s : s + step, None]
+            U[cols[s : s + step]] = flat[index]
+    _transpose_in_place(U)
+    return U
+
+
+def _transpose_in_place(U: np.ndarray) -> None:
+    """Transpose the square array U by swapping blocks of about TABLE_BLOCK
+    entries across the diagonal."""
+    n, b = len(U), isqrt(TABLE_BLOCK)
+    for i in range(0, n, b):
+        U[i : i + b, i : i + b] = U[i : i + b, i : i + b].T.copy()
+        for j in range(i + b, n, b):
+            upper = U[i : i + b, j : j + b].copy()
+            U[i : i + b, j : j + b] = U[j : j + b, i : i + b].T
+            U[j : j + b, i : i + b] = upper.T
 
 
 def group_from_generators(
@@ -400,17 +420,22 @@ def _small_generating_set(T: np.ndarray) -> tuple[int, ...]:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ClassData:
-    """The class of g is {y g y^-1 : y in G}, so its smallest member is one
-    column minimum of a gather; canonical class order (identity class
-    first, then ascending smallest member index) is the order of those
-    minima."""
+    """The class of g is {y g y^-1 : y in G}, so its smallest member is a
+    running minimum over y of the conjugates (yg)y^-1, taken a block of rows
+    y at a time as one gather through the flat table; canonical class order
+    (identity class first, then ascending smallest member index) is the
+    order of those minima."""
     n = G.order
     T = G.cayley
-    inv = np.array(G.inverse, dtype=T.dtype)[:, None]
-    smallest = np.empty(n, dtype=T.dtype)
+    flat = T.ravel()
+    inv = np.array(G.inverse, dtype=np.intp)
+    smallest = np.arange(n, dtype=T.dtype)
     step = max(1, TABLE_BLOCK // n)
-    for g0 in range(0, n, step):
-        smallest[g0 : g0 + step] = T[T[:, g0 : g0 + step], inv].min(axis=0)
+    for y0 in range(0, n, step):
+        index = T[y0 : y0 + step].astype(np.intp)  # yg
+        index *= n
+        index += inv[y0 : y0 + step, None]
+        np.minimum(smallest, flat[index].min(axis=0), out=smallest)
     reps, class_of = np.unique(smallest, return_inverse=True)
     class_of = class_of.reshape(-1)
     return ClassData(
@@ -458,7 +483,9 @@ def word_weight(a: GroupWord) -> int:
 # -- builtin groups ---------------------------------------------------------------
 
 
-def cyclic_group(n: int) -> FiniteGroup:
+def cyclic_group(n: int, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
+    if n > cap:
+        raise ClosureCapExceeded("cyclic group order", n, cap)
     idx = np.arange(n)
     T = ((idx[:, None] + idx) % n).astype(_index_dtype(n))
     gens = (1,) if n > 1 else ()
@@ -537,7 +564,7 @@ def product_group(
 
 def builtin_group(name: str, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     """Named groups accepted by spec files and the CLI: Z<n>, S<n>, D<n>, Q8.
-    cap bounds the closures of S<n> and D<n>."""
+    cap bounds the order of Z<n> and the closures of S<n> and D<n>."""
     if name == "Q8":
         return quaternion_group()
     if len(name) >= 2 and name[0] in "ZSD" and name[1:].isdigit():
@@ -545,7 +572,7 @@ def builtin_group(name: str, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
         if n < 1:
             raise ValueError(f"builtin group {name!r} needs a positive parameter")
         if name[0] == "Z":
-            return cyclic_group(n)
+            return cyclic_group(n, cap)
         if name[0] == "S":
             return symmetric_group(n, cap)
         return dihedral_group(n, cap)

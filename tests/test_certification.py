@@ -249,7 +249,10 @@ def test_verify_on_a_cached_table_leaves_values_unbuilt(tmp_path, monkeypatch, c
         (ct,) = chartable._cache.values()
         assert "values" not in ct.__dict__
     capsys.readouterr()
+    # the chartable text is rendered from zvalues as well
     assert main(["chartable", "--group", "builtin:S3", "--cache-dir", str(tmp_path)]) == 0
+    assert "values" not in ct.__dict__
+    ct.value(0, 0)
     assert "values" in ct.__dict__
 
 

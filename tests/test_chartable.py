@@ -272,3 +272,13 @@ def test_failed_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         character_table(symmetric_group(3), cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("factors", [("Z60",), ("D60",), ("Q8", "Z4")], ids="x".join)
+def test_values_text_matches_cyclotomic_str(factors):
+    from repdual.groups import builtin_group, product_group
+
+    F = [builtin_group(f) for f in factors]
+    G = F[0] if len(F) == 1 else product_group(F)
+    ct = character_table(G)
+    assert ct.values_text() == [[str(v) for v in row] for row in ct.values]

@@ -77,6 +77,43 @@ def test_cli_classes(capsys):
     assert "class 2: size 3" in out
 
 
+def test_cli_classes_builds_no_table(capsys, tmp_path, monkeypatch):
+    import repdual.cli as cli
+
+    monkeypatch.setattr(cli, "character_table", None)
+    code, out, _ = run(capsys, "classes", "--group", "builtin:D4", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert "5 conjugacy classes" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_classes_json_lists_members_in_index_order(capsys):
+    from repdual.groups import conjugacy_classes, symmetric_group
+
+    code, out, _ = run(capsys, "classes", "--group", "builtin:S4", "--format", "json")
+    assert code == 0
+    G = symmetric_group(4)
+    cd = conjugacy_classes(G)
+    members = [c["members"] for c in json.loads(out)["classes"]]
+    assert members == [[G.element_labels[g] for g in cd.members(c)] for c in range(cd.num_classes)]
+
+
+def test_cli_chartable_refuses_a_large_class_algebra(capsys):
+    # Z300 is the largest cyclic table under the default cap
+    code, out, err = run(capsys, "chartable", "--group", "builtin:Z1000")
+    assert code == 1
+    assert out == ""
+    message = "class multiplication array (k^3 entries) needs 1000000000 > cap 33554432"
+    assert err == f"error: {message}\n"
+
+
+def test_cli_cyclic_groups_keep_the_group_cap(capsys):
+    code, out, err = run(capsys, "classes", "--group", "builtin:Z5001")
+    assert code == 2
+    assert out == ""
+    assert "cyclic group order needs 5001 > cap 5000" in err
+
+
 def test_cli_chartable_json(capsys):
     code, out, _ = run(capsys, "chartable", "--group", "builtin:S3", "--format", "json")
     assert code == 0

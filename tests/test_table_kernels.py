@@ -22,7 +22,13 @@ from repdual.chartable import (
     class_multiplication_coefficients,
     dixon_prime,
 )
-from repdual.errors import ClosureCapExceeded, NotAGroup, SpecFileError
+from repdual.errors import (
+    CapExceeded,
+    ClosureCapExceeded,
+    LiftVerificationFailed,
+    NotAGroup,
+    SpecFileError,
+)
 from repdual.groups import (
     builtin_group,
     conjugacy_classes,
@@ -163,10 +169,8 @@ def test_character_table_matches_reference(name):
     assert np.array_equal(ct.zvalues, ref.zvalues)
 
 
-@pytest.mark.parametrize("name", ["S5", "D12", "Q8", "Z2xZ2xZ2xZ2xZ2", "S4xZ3", "Z24"])
-def test_split_order_matches_reference(name):
-    """The central characters come out in the list split's order."""
-    G = build(name)
+def assert_split_order(G):
+    """The central characters come out in the reference split's order."""
     classes = conjugacy_classes(G)
     k = classes.num_classes
     p = dixon_prime(G.order, G.exponent)
@@ -180,7 +184,58 @@ def test_split_order_matches_reference(name):
     assert _central_characters(a, p).tolist() == expected
 
 
-@pytest.mark.parametrize("name", ["S4", "D6", "Q8", "Z12"])
+SPLIT_GROUPS = [
+    "S5", "D12", "Q8", "Z2xZ2xZ2xZ2xZ2", "S4xZ3", "Z24", "D30", "S6", "Z30", "Z2xZ2xZ2xS3", "Q8xZ4",
+]
+
+
+@pytest.mark.parametrize("name", SPLIT_GROUPS)
+def test_split_order_matches_reference(name):
+    assert_split_order(build(name))
+
+
+def split_error(split, a, p):
+    try:
+        split(a, p)
+    except LiftVerificationFailed as exc:
+        return str(exc)
+    return None
+
+
+def reference_split(a, p):
+    k = len(a)
+    return reference_common_eigenvectors([a[i].tolist() for i in range(1, k)], k, p)
+
+
+def test_split_gates_match_reference():
+    """Class matrices with a Jordan block cannot be diagonalized, whether
+    the identity class sees the block (M_1 below) or only a part split off
+    by an earlier matrix does (M_2 of the 3 x 3 case), and scalar class
+    matrices cannot isolate anything: both splits stop with the same
+    message."""
+    G = build("S4")
+    classes = conjugacy_classes(G)
+    k = classes.num_classes
+    p = dixon_prime(G.order, G.exponent)
+    jordan = class_multiplication_coefficients(G, classes).copy()
+    jordan[1] = np.eye(k, dtype=np.int64)
+    jordan[1, 1, 0] = 1  # M_1 e_0 = e_0 + e_1 and M_1 e_1 = e_1
+    # M_1 splits e_0 into e_0 - e_2 and e_2; M_2 fixes e_0 but maps e_2 to e_1 + e_2
+    hidden = np.array(
+        [np.eye(3), [[0, 0, 0], [0, 0, 0], [1, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]]
+    ).astype(np.int64)
+    scalar = np.array([np.eye(k, dtype=np.int64) * (i + 1) for i in range(k)])
+    cases = [
+        ("class-sum matrix not diagonalizable mod p", jordan),
+        ("class-sum matrix not diagonalizable mod p", hidden),
+        ("could not isolate one-dimensional eigenspaces", scalar),
+    ]
+    for message, a in cases:
+        assert split_error(_central_characters, a, p) == message
+        assert split_error(reference_split, a, p) == message
+
+
+@pytest.mark.parametrize("name", ["S4", "D6", "Q8", "Z12", "Z2xZ2xZ2xZ2xZ2"])
 def test_python_int_path_gives_the_same_table(name, monkeypatch):
     """Past the int64 bounds (k (p-1)^2 for the split, e (p-1)^2 for the
     lift) the kernels run on Python ints; force that path everywhere."""
@@ -207,6 +262,7 @@ def test_random_permutation_groups_match_reference(gens):
     assert G.table_digest() == reference_table_digest(R)
     assert conjugacy_classes(G) == reference_conjugacy_classes(R)
     if G.order <= 120:
+        assert_split_order(G)
         ct, ref = _compute_character_table(G), reference_character_table(R)
         assert (ct.to_json(), ct.irrep_order) == (ref.to_json(), ref.irrep_order)
 
@@ -248,10 +304,35 @@ def test_builtin_and_product_caps():
         builtin_group("S4", cap=23)
     with pytest.raises(ClosureCapExceeded, match="product group order needs 12 > cap 11"):
         product_group([cyclic_group(3), cyclic_group(4)], cap=11)
-    assert builtin_group("Z7", cap=1).order == 7  # a cyclic table has no closure
+    with pytest.raises(ClosureCapExceeded, match="cyclic group order needs 7 > cap 6"):
+        builtin_group("Z7", cap=6)
+    assert builtin_group("Z7", cap=7).order == 7
+
+
+def test_class_multiplication_cap():
+    G = cyclic_group(40)
+    classes = conjugacy_classes(G)
+    message = r"class multiplication array \(k\^3 entries\) needs 64000 > cap 63999"
+    with pytest.raises(CapExceeded, match=message):
+        class_multiplication_coefficients(G, classes, cap=63999)
+    assert class_multiplication_coefficients(G, classes, cap=64000).shape == (40, 40, 40)
+    assert 300**3 <= chartable.DEFAULT_CLASS_ALGEBRA_CAP < 1000**3  # Z300 in, Z1000 out
 
 
 # -- the table digest -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+def test_digest_across_decimal_widths_matches_reference(order):
+    """Cells are 4-byte words up to order 1000 and 8-byte words above."""
+    G = cyclic_group(order)
+    assert G.table_digest() == reference_table_digest(G)
+
+
+@pytest.mark.parametrize("factors", [("D5", "Z100"), ("Z7", "Z11", "Z13")], ids="x".join)
+def test_product_digest_at_the_word_switch_matches_reference(factors):
+    G = product_group([builtin_group(f) for f in factors])  # orders 1000 and 1001
+    assert G.table_digest() == reference_table_digest(G)
 
 
 def test_digest_is_computed_once(monkeypatch):
