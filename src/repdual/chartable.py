@@ -51,13 +51,11 @@ from .groups import TABLE_BLOCK, ClassData, FiniteGroup, conjugacy_classes
 DEFAULT_CLASS_ALGEBRA_CAP = 2**25
 
 
-def class_multiplication_coefficients(
-    G: FiniteGroup, classes: ClassData, cap: int = DEFAULT_CLASS_ALGEBRA_CAP
-) -> np.ndarray:
+def class_multiplication_coefficients(G: FiniteGroup, classes: ClassData) -> np.ndarray:
     """a[i, j, l] = #{(x,y) in C_i x C_j : x*y = rep(C_l)}, a (k, k, k) int64
     array: every x pairs with y = x^-1 rep(C_l).  Raises CapExceeded before
-    allocating when k^3 passes cap."""
-    k = classes.num_classes
+    allocating when k^3 passes DEFAULT_CLASS_ALGEBRA_CAP."""
+    k, cap = classes.num_classes, DEFAULT_CLASS_ALGEBRA_CAP
     if k**3 > cap:
         raise CapExceeded("class multiplication array (k^3 entries)", k**3, cap)
     class_of = np.array(classes.class_of, dtype=np.int64)

@@ -292,8 +292,7 @@ def _transpose_in_place(U: np.ndarray) -> None:
     entries across the diagonal."""
     n, b = len(U), isqrt(TABLE_BLOCK)
     for i in range(0, n, b):
-        U[i : i + b, i : i + b] = U[i : i + b, i : i + b].T.copy()
-        for j in range(i + b, n, b):
+        for j in range(i, n, b):
             upper = U[i : i + b, j : j + b].copy()
             U[i : i + b, j : j + b] = U[j : j + b, i : i + b].T
             U[j : j + b, i : i + b] = upper.T

@@ -309,14 +309,16 @@ def test_builtin_and_product_caps():
     assert builtin_group("Z7", cap=7).order == 7
 
 
-def test_class_multiplication_cap():
+def test_class_multiplication_cap(monkeypatch):
+    assert 300**3 <= chartable.DEFAULT_CLASS_ALGEBRA_CAP < 1000**3  # Z300 in, Z1000 out
     G = cyclic_group(40)
     classes = conjugacy_classes(G)
     message = r"class multiplication array \(k\^3 entries\) needs 64000 > cap 63999"
+    monkeypatch.setattr(chartable, "DEFAULT_CLASS_ALGEBRA_CAP", 63999)
     with pytest.raises(CapExceeded, match=message):
-        class_multiplication_coefficients(G, classes, cap=63999)
-    assert class_multiplication_coefficients(G, classes, cap=64000).shape == (40, 40, 40)
-    assert 300**3 <= chartable.DEFAULT_CLASS_ALGEBRA_CAP < 1000**3  # Z300 in, Z1000 out
+        class_multiplication_coefficients(G, classes)
+    monkeypatch.setattr(chartable, "DEFAULT_CLASS_ALGEBRA_CAP", 64000)
+    assert class_multiplication_coefficients(G, classes).shape == (40, 40, 40)
 
 
 # -- the table digest -----------------------------------------------------------
