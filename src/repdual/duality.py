@@ -13,13 +13,16 @@ Oracle route (permutation character): enumerate the left cosets x*H of
 Gamma^n, count the cosets fixed by a representative of each class tuple
 (g fixes x*H iff g lies in x*H*x^-1), and decompose the resulting class
 function against the conjugate product character table through the same
-integer kernel, at z^-a where the table is at z^a.  The coset BFS and the
-fixed-coset counts are batched int64 gathers on the Cayley table, with
-words encoded as base-|Gamma| integers:
-O(|Gamma|^n * n^2 * |gens|) work, in blocks of about TABLE_BLOCK entries,
-bounded by coset_cap * |H|.  No class-pattern count or character value
-enters this route before the decomposition, so it stays independent of the
-Frobenius route; nothing about it is floating point.
+integer kernel, at z^-a where the table is at z^a.  The lex-minimal coset
+representatives are a product of per-coordinate transversals: with K_i the
+letters i of the words of H whose letters 1..i-1 are the identity (a
+subgroup of Gamma), they are T_1 x ... x T_n with T_i the least element of
+every left coset of K_i.  Finding them reads H's words and the Cayley table
+only, O(|H|*n + n*|Gamma|*max|K_i| + cosets*n) work; the fixed-coset
+counts are batched int64 gathers on the Cayley table and bincounts,
+O(cosets*|H|*n), bounded by coset_cap * |H|.  No class-pattern count or
+character value enters this route before the decomposition, so it stays
+independent of the Frobenius route; nothing about it is floating point.
 """
 
 from __future__ import annotations
@@ -88,6 +91,16 @@ class DualMultiset:
         return int(self._mass.sum())
 
 
+def _digits(flat: np.ndarray, radices, dtype) -> np.ndarray:
+    """The mixed-radix digits of every flat index, most significant first
+    (C order, as np.unravel_index), as a (len(flat), len(radices)) array of
+    dtype filled one column at a time."""
+    out = np.empty((len(flat), len(radices)), dtype=dtype)
+    for i in range(len(radices) - 1, -1, -1):
+        flat, out[:, i] = np.divmod(flat, radices[i])
+    return out
+
+
 def _multiplicities(
     values: np.ndarray, irrational: np.ndarray, shape: tuple[int, ...], divisor: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -95,12 +108,13 @@ def _multiplicities(
     order, exact where irrational is False.  Every entry must be rational
     and divide to a nonnegative integer.  Returns the index and counts
     arrays of a DualMultiset."""
+    dtype = groups._index_dtype(max(shape, default=1))
     bad = np.flatnonzero(irrational)
     if len(bad):
-        key = tuple(int(x) for x in np.unravel_index(bad[0], shape))
+        key = tuple(_digits(bad[:1], shape, dtype)[0].tolist())
         raise NonIntegerMultiplicity(f"multiplicity of {key} is not rational")
     nonzero = np.flatnonzero(values)
-    index = np.stack(np.unravel_index(nonzero, shape), axis=1)
+    index = _digits(nonzero, shape, dtype)
     values = values[nonzero]
     bad = np.flatnonzero((values % divisor != 0) | (values < 0))
     if len(bad):
@@ -143,32 +157,28 @@ def dual_multiset(
 # -- permutation-character oracle ------------------------------------------------
 
 
-def _word_arrays(code: GroupCode) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The Cayley table, the words of H as an (|H|, n) array, the weights
-    that encode a word as an integer in base |Gamma| (integer order is then
-    lex order), and how many words' products with all of H fit one block:
-    TABLE_BLOCK entries, or one coset's worth (|H|*n) when H is larger."""
-    G = code.group
-    if G.order**code.n > 2**63:
-        raise CapExceeded("int64 word encoding", G.order**code.n, 2**63)
-    MUL = G.cayley.astype(np.int64)
-    weights = G.order ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
-    rows = max(1, groups.TABLE_BLOCK // (code.size * code.n))
-    return MUL, code.word_array, weights, rows
-
-
-def _in_sorted(a: np.ndarray, sorted_b: np.ndarray) -> np.ndarray:
-    idx = np.minimum(np.searchsorted(sorted_b, a), len(sorted_b) - 1)
-    return sorted_b[idx] == a
+def _is_closed(T: np.ndarray, K: np.ndarray) -> bool:
+    """Whether the element set K is closed under the product of the
+    Cayley table T (a nonempty closed set is a subgroup), checked a block of
+    about TABLE_BLOCK products at a time."""
+    member = np.zeros(len(T), dtype=bool)
+    member[K] = True
+    step = max(1, groups.TABLE_BLOCK // len(K))
+    return all(member[T[K[lo : lo + step, None], K]].all() for lo in range(0, len(K), step))
 
 
 def _coset_representatives(code: GroupCode, cap: int) -> np.ndarray:
     """Canonical (lex-minimal) representatives of the left cosets x*H, as a
-    sorted (cosets, n) array, found by BFS with left multiplication by
-    per-coordinate generators.  A whole frontier block is expanded with one
-    gather on the Cayley table, and each block of b neighbours is
-    canonicalized by one (b, |H|, n) gather of x*h and a min over H of the
-    encoded words."""
+    sorted (cosets, n) int64 array.
+
+    Let H_0 = H, H_i the words of H_{i-1} whose letter i is the identity,
+    and K_i = pr_i(H_{i-1}), a subgroup of Gamma.  Once letters 1..i-1 of a
+    word of xH are at their least, the words of xH that keep them are
+    y*H_{i-1} for one such y, whose letter i ranges over y_i*K_i.  So the
+    least word of a coset has at every letter the least element of that
+    letter's own left coset of K_i, and the representatives are exactly
+    T_1 x ... x T_n with T_i = {g : g = min(g*K_i)}; |H| = prod |K_i|.
+    Enumerated in mixed-radix order, the product is sorted."""
     G = code.group
     n = code.n
     n_cosets, rem = divmod(G.order**n, code.size)
@@ -176,36 +186,28 @@ def _coset_representatives(code: GroupCode, cap: int) -> np.ndarray:
         raise RepdualError("|H| does not divide |Gamma|^n; not a subgroup?")
     if n_cosets > cap:
         raise CapExceeded("coset enumeration", n_cosets, cap)
-    MUL, H, weights, rows = _word_arrays(code)
-    gens = np.array(G.generators or range(1, G.order), dtype=np.int64)
-    moves = len(gens) * n
-    move_coord = np.repeat(np.arange(n), len(gens))
-    move_gen = np.tile(gens, n)[:, None]
-    per_chunk = max(1, rows // max(moves, 1))
-
-    def canonical(X: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [(MUL[X[i : i + rows, None, :], H] @ weights).min(axis=1)
-             for i in range(0, len(X), rows)]
-        )
-
-    seen = canonical(np.zeros((1, n), dtype=np.int64))
-    frontier = seen
-    while len(frontier) and moves:
-        found = []
-        for lo in range(0, len(frontier), per_chunk):
-            X = frontier[lo : lo + per_chunk, None] // weights % G.order
-            Y = np.repeat(X[None], moves, axis=0)
-            Y[np.arange(moves), :, move_coord] = MUL[move_gen, X[:, move_coord].T]
-            reps = np.unique(canonical(Y.reshape(-1, n)))
-            found.append(reps[~_in_sorted(reps, seen)])
-        frontier = np.unique(np.concatenate(found))
-        seen = np.sort(np.concatenate([seen, frontier]))
-    if len(seen) != n_cosets:
+    # the tallies index class tuples, k^n <= |Gamma|^n of them, in int64
+    if G.order**n > 2**63:
+        raise CapExceeded("int64 word encoding", G.order**n, 2**63)
+    T, H = G.cayley, code.word_array
+    transversals = []
+    for i in range(n):
+        K = np.flatnonzero(np.bincount(H[:, i], minlength=G.order))
+        if not _is_closed(T, K):
+            raise RepdualError(
+                f"coset transversal: K_{i + 1} is not closed under the product; not a subgroup?"
+            )
+        transversals.append(np.flatnonzero(T[:, K].min(axis=1) == np.arange(G.order)))
+        H = H[H[:, i] == 0]
+    sizes = [len(t) for t in transversals]
+    if prod(sizes) != n_cosets:
         raise RepdualError(
-            f"coset BFS found {len(seen)} cosets, expected {n_cosets}"
+            f"coset transversal has {prod(sizes)} cosets, expected {n_cosets}; not a subgroup?"
         )
-    return seen[:, None] // weights % G.order
+    X = _digits(np.arange(n_cosets), sizes, np.int64)
+    for i, t in enumerate(transversals):
+        X[:, i] = t[X[:, i]]
+    return X
 
 
 def permutation_character(
@@ -220,39 +222,45 @@ def permutation_character(
     g fixes xH iff g lies in x H x^-1, and h -> x h x^-1 is injective, so
     chi(g) counts the pairs (x, h) with x h x^-1 = g.  Every conjugate is
     formed, one (b, |H|, n) gather per block of coset representatives, and
-    tallied when it is the representative word of a class tuple, into a
-    dense count over the k^n class tuples (bounded by tuple_cap).
+    tallied by one bincount when it is the representative word of a class
+    tuple, into a dense count over the k^n class tuples (bounded by
+    tuple_cap); a block holds about max(k^n, TABLE_BLOCK) letters.
     Class-constancy is verified by a second tally at the word of last class
     members; the Burnside total sum_g chi(g) = |Gamma|^n is checked too."""
     G = code.group
     k = classes.num_classes
     n = code.n
-    if k**n > tuple_cap:
-        raise CapExceeded("class tuple space", k**n, tuple_cap)
+    size = k**n
+    if size > tuple_cap:
+        raise CapExceeded("class tuple space", size, tuple_cap)
     X = _coset_representatives(code, coset_cap)
-    MUL, H, _, rows = _word_arrays(code)
+    MUL, H = G.cayley.astype(np.int64), code.word_array
     INV = np.array(G.inverse, dtype=np.int64)
-    shape = (k,) * n
+    rows = max(1, max(size, groups.TABLE_BLOCK) // max(1, code.size * n))
+    # flat index of a class tuple; a letter outside the members counts
+    # size, so a word with one lands at size or beyond, and below size^2
+    # (exact in int64 for size < 3 * 10^9, past any tally that fits memory)
+    radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
     tallies = []
     for members in (classes.class_reps, [classes.members(c)[-1] for c in range(k)]):
-        class_at = np.full(G.order, -1, dtype=np.int64)
+        class_at = np.full(G.order, size, dtype=np.int64)
         class_at[list(members)] = np.arange(k)
-        tallies.append((class_at, np.zeros(k**n, dtype=np.int64)))
+        tallies.append((class_at, np.zeros(size, dtype=np.int64)))
     for lo in range(0, len(X), rows):
         x = X[lo : lo + rows, None, :]
         conj = MUL[MUL[x, H], INV[x]]
         for class_at, counts in tallies:
-            tup = class_at[conj]
-            flat = np.ravel_multi_index(tuple(tup[(tup >= 0).all(axis=-1)].T), shape)
-            keys, found = np.unique(flat, return_counts=True)
-            counts[keys] += found
+            flat = class_at[conj] @ radix
+            counts += np.bincount(flat[flat < size], minlength=size)
     (_, rep), (_, alt) = tallies
+    shape = (k,) * n
+    dtype = groups._index_dtype(k)
     differ = np.flatnonzero(rep != alt)
     if len(differ):
-        tup = tuple(int(c) for c in np.unravel_index(differ[0], shape))
+        tup = tuple(_digits(differ[:1], shape, dtype)[0].tolist())
         raise RepdualError(f"permutation character not constant on class tuple {tup}")
     nonzero = np.flatnonzero(rep)
-    tuples = np.stack(np.unravel_index(nonzero, shape), axis=1)
+    tuples = _digits(nonzero, shape, dtype)
     out = dict(zip(map(tuple, tuples.tolist()), rep[nonzero].tolist()))
     sizes = classes.class_sizes
     burnside = sum(count * prod(sizes[c] for c in tup) for tup, count in out.items())

@@ -279,7 +279,7 @@ def contract(
     n = keys.shape[1]
     size = k**n
     bound = abs_row_sums(counts.reshape(1, -1))[0] * table.column_norm**n
-    flat = np.ravel_multi_index(tuple(keys.T), (k,) * n)
+    flat = keys @ k ** np.arange(n - 1, -1, -1, dtype=np.int64)
     irrational = np.zeros(size if bins is None else len(bins[1]), dtype=bool)
     residues = []
     primes = certification_primes(bound, m, max(k, m))

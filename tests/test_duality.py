@@ -14,6 +14,7 @@ from repdual.codes import (
     trivial_code,
 )
 from repdual.duality import (
+    _digits,
     _multiplicities,
     _to_multiset,
     decompose_permutation_character,
@@ -59,6 +60,29 @@ def test_trivial_code_dual_is_regular_representation():
 def test_diagonal_s3_4_multiplicity():
     dm = dual_multiset(diagonal_code(S3, 4), CT3)
     assert dm.mult[(2, 2, 2, 2)] == 3
+
+
+def test_length_zero_code_dual_is_the_empty_tuple():
+    dm = dual_multiset(diagonal_code(S3, 0), CT3)
+    assert dm.mult == {(): 1}
+    assert dm.total_dimension() == 1
+
+
+@pytest.mark.parametrize("radices", [(3, 3, 3), (5, 1, 7, 2), (4,), ()])
+def test_digits_match_unravel_index(radices):
+    total = int(np.prod(radices))
+    flat = np.array(sorted({0, total - 1, *random.Random(0).sample(range(total), min(total, 9))}))
+    got = _digits(flat, radices, np.int16)
+    assert got.dtype == np.int16 and got.shape == (len(flat), len(radices))
+    want = np.stack(np.unravel_index(flat, radices), axis=1) if radices else got
+    assert np.array_equal(got, want)
+
+
+def test_index_is_lex_ordered_int16_digits():
+    for code in (example_code(), diagonal_code(S3, 4), trivial_code(S3, 3)):
+        dm = dual_multiset(code, CT3)
+        assert dm.index.dtype == np.int16
+        assert list(map(tuple, dm.index.tolist())) == sorted(dm.mult)
 
 
 def test_tuple_cap():

@@ -1,10 +1,12 @@
-"""Differential and gate tests of the batched coset oracle.
+"""Differential and gate tests of the coset oracle.
 
 The reference below is the per-word oracle the batched one replaced: a BFS
 that canonicalizes every neighbour with |H| word products, and one count of
-fixed cosets per class tuple.
+fixed cosets per class tuple.  The oracle now builds the representatives as
+a product of per-coordinate transversals, so the BFS checks it.
 """
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -14,7 +16,13 @@ from hypothesis import strategies as st
 
 from repdual import groups
 from repdual.chartable import character_table
-from repdual.codes import code_from_generators, code_from_words, full_code, trivial_code
+from repdual.codes import (
+    code_from_generators,
+    code_from_words,
+    diagonal_code,
+    full_code,
+    trivial_code,
+)
 from repdual.duality import (
     DEFAULT_COSET_CAP,
     _coset_representatives,
@@ -23,7 +31,14 @@ from repdual.duality import (
     permutation_character,
 )
 from repdual.errors import CapExceeded, RepdualError
-from repdual.groups import ClassData, builtin_group, symmetric_group, word_mul
+from repdual.groups import (
+    ClassData,
+    builtin_group,
+    dihedral_group,
+    product_group,
+    symmetric_group,
+    word_mul,
+)
 
 from test_acceptance import build_matrix
 
@@ -101,10 +116,41 @@ def test_block_boundaries(monkeypatch, block):
             assert_matches_reference(code, ct.classes)
 
 
-# -- gates ---------------------------------------------------------------------
-
 S3 = symmetric_group(3)
 CT3 = character_table(S3)
+
+
+def more_codes():
+    """Codes outside the acceptance matrix: product groups, permutation
+    groups on up to 5 points, several generators, and n = 5, 6."""
+    Z2, Z4 = builtin_group("Z2"), builtin_group("Z4")
+    S3xZ2, Z2_3 = product_group([S3, Z2]), product_group([Z2, Z2, Z2])
+    S4, D5 = symmetric_group(4), dihedral_group(5)
+    return [
+        diagonal_code(S3xZ2, 2),
+        code_from_generators(S3xZ2, 3, [(3, 4, 7), (10, 0, 3)]),
+        code_from_generators(Z2_3, 3, [(1, 2, 0), (4, 4, 4)]),
+        diagonal_code(S4, 3),
+        code_from_generators(S4, 2, [(1, 5), (7, 0)]),
+        code_from_generators(D5, 3, [(1, 2, 3)]),
+        code_from_generators(D5, 2, [(1, 0), (0, 5)]),
+        code_from_generators(Z2, 6, [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 0), (0, 1, 0, 1, 0, 1)]),
+        code_from_generators(Z2, 5, [(1, 0, 1, 1, 0)]),
+        code_from_generators(Z4, 5, [(1, 2, 3, 0, 1)]),
+        code_from_generators(Z4, 6, [(2, 2, 0, 0, 2, 2), (1, 0, 1, 0, 1, 0)]),
+        diagonal_code(S3, 5),
+        code_from_generators(S3, 6, [(1, 2, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0), (0, 0, 0, 0, 1, 2)]),
+    ]
+
+
+@pytest.mark.parametrize("code", more_codes(), ids=repr)
+def test_oracle_matches_reference_off_matrix(code):
+    ct = character_table(code.group)
+    pc = assert_matches_reference(code, ct.classes)
+    assert decompose_permutation_character(pc, ct, code.n).mult == dual_multiset(code, ct).mult
+
+
+# -- gates ---------------------------------------------------------------------
 
 
 def test_wrong_partition_is_not_class_constant():
@@ -124,17 +170,45 @@ def test_wrong_partition_reports_first_tuple_in_lex_order():
         permutation_character(H, bad)
 
 
+def test_length_zero_code_has_one_coset():
+    # Gamma^0 is the trivial group: one coset, fixed by the empty tuple
+    H = diagonal_code(S3, 0)
+    assert _coset_representatives(H, DEFAULT_COSET_CAP).shape == (1, 0)
+    pc = permutation_character(H, CT3.classes)
+    assert pc == {(): 1}
+    assert decompose_permutation_character(pc, CT3, 0).mult == {(): 1}
+
+
 @pytest.mark.parametrize(
     "words, message",
     [
         ([(0,), (1,), (2,), (3,)], "does not divide"),
-        ([(0,), (1,), (3,)], "coset BFS found"),
+        ([(0,), (1,), (3,)], "K_1 is not closed"),
+        # K_1 = {()} is closed, K_2 = {(), (0 1), (1 2)} is not
+        ([(0, 0), (0, 1), (0, 3)], "K_2 is not closed"),
+        # K_1 = {(), (0 1)} and K_2 = {()} are subgroups, but their indices
+        # multiply to 18 cosets where |S3^2| / |H| = 12
+        ([(0, 0), (1, 0), (1, 2)], "coset transversal has 18 cosets, expected 12"),
     ],
 )
 def test_non_subgroup_word_sets_are_rejected(words, message):
-    H = code_from_words(S3, 1, words, validate=False)
+    H = code_from_words(S3, len(words[0]), words, validate=False)
     with pytest.raises(RepdualError, match=message):
         permutation_character(H, CT3.classes)
+
+
+def test_coset_cap_refuses_before_allocating():
+    # trivial Q8^6 has 262144 cosets, 12.6 MB of representatives
+    H = trivial_code(builtin_group("Q8"), 6)
+    classes = character_table(H.group).classes
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="coset enumeration needs 262144 > cap 262143"):
+            permutation_character(H, classes, coset_cap=262143)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_words_past_int64_are_refused():
