@@ -3,8 +3,15 @@ projection-cardinality polymatroid, the Tutte evaluation and both enumerators.
 
 |H| and the projection cardinalities are kept as exact integers throughout;
 the real-exponent rank r(S) = log_q|pr_S(H)| only ever appears inside the
-floating Tutte evaluation.  Subsets of coordinates are bitmasks.  Tallies
-over the words count distinct rows of the code's one word array.
+floating Tutte evaluation.  Subsets of coordinates are bitmasks.  The
+rank profile is one subset-sum transform of the words' support histogram:
+|pr_S(H)| = |H| / #{words trivial on S}, for all 2^n masks at once.
+Enumerators are tallied by content rank (zring.content_ranks: the entries
+of each row sorted, then one gather and add per column) into count vectors over
+all contents, which the identity checks compare as arrays; the polynomials
+of the API come from the same vectors, or from the distinct rows where the
+contents far outnumber the rows.  Class-pattern counts and projections
+count distinct rows of the code's one word array.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import zring
+from . import groups, zring
 from .errors import (
     CapExceeded,
     ClosureCapExceeded,
@@ -164,18 +171,69 @@ def _distinct_rows(A: np.ndarray, weights: np.ndarray | None = None):
     rows = A[order[starts]]
     if weights is None:
         return rows, edges[1:] - starts
+    return rows, np.add.reduceat(weights.astype(_sum_dtype(weights))[order], starts)
+
+
+def _sum_dtype(weights: np.ndarray):
+    """A dtype that holds every sum of entries of weights exactly."""
     top = max(int(weights.max(initial=0)), -int(weights.min(initial=0)))
-    weights = weights.astype(zring.exact_dtype(top * len(weights)))
-    return rows, np.add.reduceat(weights[order], starts)
+    return zring.exact_dtype(top * len(weights))
 
 
-def _content_enumerator(P: np.ndarray, k: int, weights: np.ndarray | None = None) -> MultiPoly:
+def _tally(pos: np.ndarray, size: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """out[i]: how many entries of pos are i, or the exact sum of weights
+    over them, added as integers (never bincount's float weights)."""
+    if weights is None:
+        return np.bincount(pos, minlength=size)
+    out = np.zeros(size, dtype=_sum_dtype(weights))
+    np.add.at(out, pos, weights.astype(out.dtype))
+    return out
+
+
+def _subset_sums(support: np.ndarray, n: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """Entry S: how many rows (or the sum of weights over the rows) have a
+    support mask disjoint from the bitmask S.  One histogram by support mask
+    and one subset-sum (zeta) transform, a cumsum along each axis of the
+    histogram viewed as (2,)*n, which counts the rows with support inside
+    every mask; full & ~S = full - S, so entry S sits at the reversed
+    position."""
+    hist = _tally(support, 1 << n, weights).reshape((2,) * n)
+    for axis in range(n):
+        hist = hist.cumsum(axis=axis, dtype=hist.dtype)
+    return hist.reshape(-1)[::-1]
+
+
+def content_counts(P: np.ndarray, k: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """Entry i: how many rows of P (entries in range(k)) have the content of
+    rank i (zring.content_tuples), or the exact sum of weights over them."""
+    return _tally(zring.content_ranks(P, k), zring.n_contents(k, P.shape[1]), weights)
+
+
+def content_poly(k: int, n: int, values: np.ndarray, divisor: int = 1) -> MultiPoly:
+    """The polynomial with coefficient values[i] / divisor at the content of
+    rank i, terms by rank, zero values dropped."""
+    nonzero = np.flatnonzero(values)
+    return _content_terms(k, zring.content_tuples(k, n)[nonzero], values[nonzero], divisor)
+
+
+def _content_terms(k: int, tuples: np.ndarray, values: np.ndarray, divisor: int = 1) -> MultiPoly:
+    exponents = zring.content_exponents(tuples, k)
+    coeffs = (Fraction(v, divisor) for v in values.tolist())
+    return MultiPoly(k, dict(zip(map(tuple, exponents.tolist()), coeffs)))
+
+
+def content_enumerator(P: np.ndarray, k: int, weights: np.ndarray | None = None) -> MultiPoly:
     """sum_r w_r prod_m x_{P[r, m]} over the rows r of P, entries in
     range(k), with w_r = weights[r] (1 without weights); rows with equal
-    content share a term."""
+    content share a term, terms by rank.  Tallied over all contents
+    (content_counts) while their table is no larger than P or TABLE_BLOCK
+    entries; past that (cwe of diag S6^20: 30045015 contents, 11 terms) by
+    the distinct rows of P with sorted entries."""
+    n = P.shape[1]
+    if zring.n_contents(k, n) * n <= max(P.size, groups.TABLE_BLOCK):
+        return content_poly(k, n, content_counts(P, k, weights))
     rows, totals = _distinct_rows(np.sort(P, axis=1), weights)
-    contents = (rows[:, :, None] == np.arange(k)).sum(axis=1)
-    return MultiPoly(k, dict(zip(map(tuple, contents.tolist()), map(Fraction, totals.tolist()))))
+    return _content_terms(k, rows, totals)
 
 
 # -- projections and the polymatroid -------------------------------------------
@@ -186,7 +244,9 @@ def _mask_coords(S: int, n: int) -> list[int]:
 
 
 def project_cardinality(code: GroupCode, S: int) -> int:
-    """|pr_S(H)| for a coordinate-subset bitmask S."""
+    """|pr_S(H)| for a coordinate-subset bitmask S, by counting the distinct
+    rows of the projection (the per-subset reference of
+    projection_cardinalities)."""
     coords = _mask_coords(S, code.n)
     if not coords:
         return 1
@@ -208,11 +268,32 @@ class RankProfile:
         return math.log(self.card[S]) / math.log(self.group_order)
 
 
+def projection_cardinalities(code: GroupCode) -> list[int]:
+    """|pr_S(H)| for every bitmask S, by one subset-sum transform.  The
+    words trivial on S are the kernel of pr_S, so for a subgroup H
+    |pr_S(H)| = |H| / #{h in H : h_i = e for all i in S}."""
+    support = (code.word_array != 0) @ (1 << np.arange(code.n))
+    trivial = _subset_sums(support, code.n)
+    bad = np.flatnonzero(np.gcd(trivial, code.size) != trivial)
+    if len(bad):
+        S = int(bad[0])
+        raise NotAGroup(
+            f"rank profile: {trivial[S]} words are trivial on S={S}, which does not divide "
+            f"|H| = {code.size}; not a subgroup?"
+        )
+    return (code.size // trivial).tolist()
+
+
 def rank_profile(code: GroupCode) -> RankProfile:
+    """The projection cardinalities of H by one subset-sum transform
+    (projection_cardinalities), checked to be a polymatroid.  The transform
+    assumes H is a subgroup: a count of trivial words that does not divide
+    |H| raises NotAGroup, and a word set from code_from_words(...,
+    validate=False) rests on the caller's promise."""
     n = code.n
     if n > RANK_PROFILE_MAX_N:
         raise CapExceeded("rank profile subsets", 2**n, 2**RANK_PROFILE_MAX_N)
-    card = [1] + [project_cardinality(code, S) for S in range(1, 1 << n)]
+    card = projection_cardinalities(code)
     # normalized by construction; monotone, submodular (local exchange form)
     witness = _polymatroid_witness(card, n)
     if witness is not None:
@@ -273,7 +354,12 @@ def weight_enumerator(code: GroupCode) -> UniPoly:
 def complete_weight_enumerator(code: GroupCode, classes: ClassData) -> MultiPoly:
     """cwe_H(y_1..y_k): coefficient of prod y_c^(e_c) counts the words whose
     coordinates hit class c exactly e_c times."""
-    return _content_enumerator(_class_patterns(code, classes), classes.num_classes)
+    return content_enumerator(_class_patterns(code, classes), classes.num_classes)
+
+
+def cwe_counts(code: GroupCode, classes: ClassData) -> np.ndarray:
+    """The coefficients of cwe_H at every content, by rank."""
+    return content_counts(_class_patterns(code, classes), classes.num_classes)
 
 
 def _class_patterns(code: GroupCode, classes: ClassData) -> np.ndarray:

@@ -39,9 +39,10 @@ from .chartable import CharacterTable
 from .codes import (
     GroupCode,
     RankProfile,
-    _content_enumerator,
-    _distinct_rows,
+    _subset_sums,
+    _tally,
     class_pattern_counts,
+    content_enumerator,
 )
 from .errors import CapExceeded, NonIntegerMultiplicity, RepdualError
 from .groups import ClassData
@@ -288,13 +289,12 @@ def decompose_permutation_character(
 
 def dual_weight_enumerator(dm: DualMultiset) -> UniPoly:
     """W_{R(H)}(z) = sum mult * dim * z^(n - #trivial components)."""
-    weights, sums = _distinct_rows(dm.weights[:, None], dm._mass)
-    return UniPoly(dict(zip(weights[:, 0].tolist(), sums.tolist())))
+    return UniPoly(dict(enumerate(_tally(dm.weights, dm.n + 1, dm._mass).tolist())))
 
 
 def dual_cwe(dm: DualMultiset) -> MultiPoly:
     """cwe_{R(H)}(x_1..x_k) = sum mult * prod x_{j_m}; no dimension factor."""
-    return _content_enumerator(dm.index, dm.k, dm.counts)
+    return content_enumerator(dm.index, dm.k, dm.counts)
 
 
 @dataclass(frozen=True)
@@ -307,20 +307,10 @@ class ExtensionCheck:
 
 def _trivial_dimension_sums(dm: DualMultiset) -> list[int]:
     """Entry S: sum of mult*dim over the tuples trivial on every coordinate
-    of the bitmask S.  Such a tuple has its support inside the complement of
-    S, so this is one histogram by support mask and one subset-sum (zeta)
-    transform: a cumsum along each axis of the histogram viewed as
-    (2,)*n, O(2^n * n) past the histogram."""
-    n = dm.n
-    support = (dm.index != 0) @ (1 << np.arange(n))
-    masks, sums = _distinct_rows(support[:, None], dm._mass)
-    hist = np.zeros(1 << n, dtype=sums.dtype)
-    hist[masks[:, 0]] = sums
-    hist = hist.reshape((2,) * n)
-    for axis in range(n):
-        hist = hist.cumsum(axis=axis, dtype=hist.dtype)
-    # full & ~S = full - S, so entry S sits at the reversed position
-    return hist.reshape(-1)[::-1].tolist()
+    of the bitmask S, the tuples whose support is disjoint from S: one
+    subset-sum transform, O(2^n * n) past the histogram."""
+    support = (dm.index != 0) @ (1 << np.arange(dm.n))
+    return _subset_sums(support, dm.n, dm._mass).tolist()
 
 
 def extension_lemma_checks(rp: RankProfile, dm: DualMultiset) -> list[ExtensionCheck]:

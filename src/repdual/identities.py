@@ -14,6 +14,13 @@ composes n+1 terms: sum_s c_s x^(n-s) (1-z)^s, with x = z here and
 x = 1 + (q-1)z for MacWilliams #1, is the vector-matrix product c @ K for
 an integer matrix K built once per (n, q) by the Pascal recurrence.
 
+MacWilliams #2 and the abelian specialization compare exact integer vectors
+indexed by content rank (codes.content_counts), not polynomials: the content
+counts of cwe_H, of cwe_R(H) and of the classical dual, and the transform's
+sums, which must be nonnegative multiples of |H| equal to |H| times the
+dual's counts.  Polynomials are built only for the API and for failure
+messages, with the same text and order as a polynomial comparison.
+
 A floating spot-check at z in {0.3, 0.5, 0.7} ties these back to the raw
 corank-nullity sum through tutte_evaluate; it is the only non-exact step and
 is labelled as such in the reports.
@@ -35,8 +42,9 @@ from .codes import (
     GroupCode,
     RankProfile,
     _distinct_rows,
-    _make_code,
-    complete_weight_enumerator,
+    content_counts,
+    content_poly,
+    cwe_counts,
     rank_profile,
     tutte_evaluate,
     weight_enumerator,
@@ -44,7 +52,7 @@ from .codes import (
 from .duality import (
     DEFAULT_TUPLE_CAP,
     DualMultiset,
-    dual_cwe,
+    _digits,
     dual_multiset,
     dual_weight_enumerator,
     extension_lemma_checks,
@@ -73,8 +81,8 @@ class CheckResult:
 
 class CodeAnalysis:
     """The artifacts of one code that the checks read, each computed on
-    first use and then shared: the rank profile, W_H, cwe_H, R(H) and
-    W_R(H).
+    first use and then shared: the rank profile, W_H, the coefficients of
+    cwe_H at every content, R(H) and W_R(H).
     tuple_cap bounds the irrep tuple space of R(H)."""
 
     def __init__(
@@ -93,8 +101,8 @@ class CodeAnalysis:
         return weight_enumerator(self.code)
 
     @cached_property
-    def cwe(self) -> MultiPoly:
-        return complete_weight_enumerator(self.code, self.ct.classes)
+    def cwe_counts(self) -> np.ndarray:
+        return cwe_counts(self.code, self.ct.classes)
 
     @cached_property
     def dm(self) -> DualMultiset:
@@ -209,44 +217,56 @@ def verify_macwilliams1(a: CodeAnalysis) -> CheckResult:
     return result
 
 
-def _cwe_transform(cwe: MultiPoly, table: zring.Embedded, size: int) -> MultiPoly:
-    """(1/size) cwe evaluated at v_c = sum_p T[p, c] x_p, for the (k, k, m)
-    table T over Z[C_m] of table.  Each exponent vector of the cwe sits at
-    its sorted class pattern; the contraction is summed by exponent content
-    at every embedding before the rationality gate, because a single
-    ordered entry need not be rational."""
-    k = cwe.nvars
-    exponents = np.array(list(cwe.terms), dtype=np.int64)
-    n = int(exponents[0].sum())
-    patterns = np.repeat(np.tile(np.arange(k), len(exponents)), exponents.reshape(-1))
-    coeffs = np.array([int(c) for c in cwe.terms.values()], dtype=object)
-    contents, bins = zring.content_bins(k, n)
-    sums, irrational = zring.contract(patterns.reshape(len(exponents), n), coeffs, table, bins)
+def _cwe_transform(counts: np.ndarray, table: zring.Embedded, n: int) -> np.ndarray:
+    """The cwe with coefficient counts[i] at the content of rank i
+    evaluated at v_c = sum_p T[p, c] x_p, for the (k, k, m) table T over
+    Z[C_m] of table: |H| times the transform, as the exact integer
+    coefficient at every content.  The contraction's keys are the sorted
+    tuples of the nonzero contents; it is summed by content at every
+    embedding before the rationality gate, because a single ordered entry
+    need not be rational."""
+    k = table.T.shape[0]
+    tuples = zring.content_tuples(k, n)
+    nonzero = np.flatnonzero(counts)
+    bins = zring.content_bins(k, n)
+    sums, irrational = zring.contract(tuples[nonzero], counts[nonzero], table, bins)
     bad = np.flatnonzero(irrational)
     if len(bad):
-        raise NotRational(f"transformed coefficient at {contents[bad[0]]} is not rational")
-    return MultiPoly(k, {e: Fraction(c, size) for e, c in zip(contents, sums.tolist())})
+        e = tuple(zring.content_exponents(tuples[bad[:1]], k)[0].tolist())
+        raise NotRational(f"transformed coefficient at {e} is not rational")
+    return sums
+
+
+def _content_difference(k: int, n: int, sums: np.ndarray, divisor: int, counts: np.ndarray):
+    """The polynomial sums / divisor - counts, over the contents of (k,)*n,
+    rendered; None when it is zero."""
+    if not ((sums % divisor != 0) | (sums // divisor != counts)).any():
+        return None
+    return (content_poly(k, n, sums, divisor) - content_poly(k, n, counts)).render("x")
 
 
 def macwilliams2_transform(code: GroupCode, ct: CharacterTable) -> MultiPoly:
     """(1/|H|) cwe_H evaluated at v_j = sum_p chi_p(c_j) x_p, every
     coefficient reduced to an exact rational."""
-    cwe = complete_weight_enumerator(code, ct.classes)
-    return _cwe_transform(cwe, ct.embedded, code.size)
+    sums = _cwe_transform(cwe_counts(code, ct.classes), ct.embedded, code.n)
+    return content_poly(ct.k, code.n, sums, code.size)
 
 
 def verify_macwilliams2(a: CodeAnalysis) -> CheckResult:
     result = CheckResult("macwilliams2", True)
     # R(H) first: its tuple cap is checked before the transform runs
-    expected = dual_cwe(a.dm)
-    transformed = _cwe_transform(a.cwe, a.ct.embedded, a.code.size)
-    for e, c in transformed.terms.items():
-        if Fraction(c).denominator != 1 or c < 0:
-            result.fail(f"transformed coefficient at {e} is {c}, not a nonnegative integer")
-    if transformed != expected:
+    expected = content_counts(a.dm.index, a.dm.k, a.dm.counts)
+    k, n, size = a.ct.k, a.code.n, a.code.size
+    sums = _cwe_transform(a.cwe_counts, a.ct.embedded, n)
+    bad = np.flatnonzero((sums % size != 0) | (sums < 0))
+    exponents = zring.content_exponents(zring.content_tuples(k, n)[bad], k)
+    for e, c in zip(map(tuple, exponents.tolist()), sums[bad].tolist()):
         result.fail(
-            f"cwe transform differs from dual cwe by {(transformed - expected).render('x')}"
+            f"transformed coefficient at {e} is {Fraction(c, size)}, not a nonnegative integer"
         )
+    difference = _content_difference(k, n, sums, size, expected)
+    if difference is not None:
+        result.fail(f"cwe transform differs from dual cwe by {difference}")
     return result
 
 
@@ -327,18 +347,20 @@ def classical_dual_code(
         raise CapExceeded("classical dual enumeration", total, cap)
     E = np.array(eps, dtype=np.int64)
     H = code.word_array
-    step = max(1, groups.TABLE_BLOCK // n)
+    step = max(1, groups.TABLE_BLOCK // max(n, 1))
     found = []
     for lo in range(0, total, step):
         flat = np.arange(lo, min(lo + step, total))
-        X = np.stack(np.unravel_index(flat, (G.order,) * n), axis=1)
+        X = _digits(flat, (G.order,) * n, np.int64)
         done = 0
         while len(X) and done < code.size:
             h = H[done : done + max(1, step // len(X))]
             X = X[(E[X[:, None, :], h].sum(axis=-1) % m == 0).all(axis=1)]
             done += len(h)
         found.append(X)
-    return _make_code(G, n, np.concatenate(found))
+    # the candidates ascend in lex order, so the dual's words are already
+    # distinct and sorted
+    return GroupCode(G, n, np.concatenate(found))
 
 
 @dataclass(frozen=True)
@@ -398,35 +420,29 @@ def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
         result.fail("dual multiset is not 0/1-valued over an abelian group")
 
     dual = classical_dual_code(code, eps)
-    relabeled = DualMultiset(
-        dm.n, dm.k, dm.degrees, *_distinct_rows(irrep_to_element[dm.index], dm.counts)
-    )
-    if not np.array_equal(relabeled.index, dual.word_array):
+    image = irrep_to_element[dm.index]
+    rows = _distinct_rows(image)[0]
+    if not np.array_equal(rows, dual.word_array):
         # tag 1: image only, 2: dual only, 3: both
         words, tag = _distinct_rows(
-            np.concatenate([relabeled.index, dual.word_array]),
-            np.repeat([1, 2], [len(relabeled.index), dual.size]),
+            np.concatenate([rows, dual.word_array]), np.repeat([1, 2], [len(rows), dual.size])
         )
         missing = list(map(tuple, words[tag == 2][:5].tolist()))
         extra = list(map(tuple, words[tag == 1][:5].tolist()))
         result.fail(f"phi-image mismatch; missing={missing} extra={extra}")
 
     # classical MacWilliams #2 with the element-indexed pairing matrix
-    cwe_dual = complete_weight_enumerator(dual, ct.classes)
-    transformed = _cwe_transform(a.cwe, ab.pairing, code.size)
-    if transformed != cwe_dual:
-        result.fail(
-            "classical cwe transform differs from the brute-force dual by "
-            + (transformed - cwe_dual).render("x")
-        )
+    k, n = ct.k, code.n
+    cwe_dual = cwe_counts(dual, ct.classes)
+    transformed = _cwe_transform(a.cwe_counts, ab.pairing, n)
+    difference = _content_difference(k, n, transformed, code.size, cwe_dual)
+    if difference is not None:
+        result.fail(f"classical cwe transform differs from the brute-force dual by {difference}")
 
     # and the representation-route cwe agrees after relabeling through phi
-    relabeled_cwe = dual_cwe(relabeled)
-    if relabeled_cwe != cwe_dual:
-        result.fail(
-            "relabeled dual cwe differs from the classical dual cwe by "
-            + (relabeled_cwe - cwe_dual).render("x")
-        )
+    difference = _content_difference(k, n, content_counts(image, dm.k, dm.counts), 1, cwe_dual)
+    if difference is not None:
+        result.fail(f"relabeled dual cwe differs from the classical dual cwe by {difference}")
     return result
 
 

@@ -35,7 +35,7 @@ magnitude is zero iff all of its images are.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 import numpy as np
 
@@ -223,33 +223,91 @@ class Embedded:
         return self._images[p]
 
 
-def content_bins(k: int, n: int) -> tuple[list[tuple[int, ...]], tuple[np.ndarray, np.ndarray]]:
-    """The contents (multisets of indices, as exponent vectors of length k)
-    of the tuples in (k,)*n, ascending by sorted tuple, and the flat tuple
-    indices grouped by content: order, a permutation of range(k**n) that
-    lists each content's tuples together, and starts, where each content's
-    run begins in it.  Kept for small shapes, which recur once per code."""
+def n_contents(k: int, n: int) -> int:
+    """How many contents (multisets of n indices in range(k)) there are."""
+    return comb(n + k - 1, n)
+
+
+def content_tuples(k: int, n: int) -> np.ndarray:
+    """The (n_contents(k, n), n) sorted tuples of all contents, in lex
+    order: row i is the content of rank i.  Kept for small shapes."""
+    if n_contents(k, n) * n <= groups.TABLE_BLOCK:
+        return _small_content_tuples(k, n)
+    return _content_tuples(k, n)
+
+
+def _content_tuples(k: int, n: int) -> np.ndarray:
+    # column by column, each tuple followed by every entry from its last up
+    T, last = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        parent = np.repeat(np.arange(len(T)), k - last)
+        first = np.cumsum(k - last) - (k - last)
+        last = last[parent] + np.arange(len(parent)) - first[parent]
+        T = np.column_stack([T[parent], last])
+    T.setflags(write=False)
+    return T
+
+
+_small_content_tuples = lru_cache(maxsize=64)(_content_tuples)
+
+
+@lru_cache(maxsize=64)
+def _rank_table(k: int, n: int) -> np.ndarray:
+    """F[j, t] with sum_j F[j, y_j] the rank of every sorted tuple y.  The
+    sorted tuples before y are, for each j, those that agree with y before
+    j and have y_(j-1) <= z_j < y_j: G(j, y_j) - G(j, y_(j-1)) of them, with
+    G(j, t) = sum_(v<t) comb(n-j-1 + k-v-1, n-j-1) (the sorted tails over
+    range(v, k)); telescoping over j gives F[j] = G(j) - G(j+1)."""
+    G = [[0] * k for _ in range(n + 1)]
+    for j in range(n):
+        for t in range(1, k):
+            G[j][t] = G[j][t - 1] + comb(n - j - 1 + k - t, n - j - 1)
+    F = np.array([[G[j][t] - G[j + 1][t] for t in range(k)] for j in range(n)])
+    return F.astype(exact_dtype(n_contents(k, n))).reshape(n, k)
+
+
+def content_ranks(P: np.ndarray, k: int) -> np.ndarray:
+    """The rank of each row's content (entries in range(k)) among all
+    contents: its row of content_tuples.  The entries of each row are
+    sorted, then one gather and add per column; rows are never sorted
+    against each other."""
+    S = np.sort(P, axis=1)
+    F = _rank_table(k, P.shape[1])
+    rank = np.zeros(len(P), dtype=F.dtype)
+    for j, column in enumerate(F):
+        rank += column[S[:, j]]
+    return rank
+
+
+def content_exponents(tuples: np.ndarray, k: int) -> np.ndarray:
+    """The (len(tuples), k) exponent vectors of sorted tuples."""
+    t = len(tuples)
+    flat = (np.arange(t)[:, None] * k + tuples).reshape(-1)
+    return np.bincount(flat, minlength=t * k).reshape(t, k)
+
+
+def content_bins(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of (k,)*n grouped by content, contents by rank:
+    order, a permutation of range(k**n) that lists each content's tuples
+    together, and starts, where each content's run begins in it.  Kept for
+    small shapes, which recur once per code."""
     return _small_content_bins(k, n) if k**n <= groups.TABLE_BLOCK else _content_bins(k, n)
 
 
 def _content_bins(k: int, n: int):
-    total = k**n
-    # code[flat] = the sorted index tuple read in base k, built a chunk at a
-    # time so that the (n, k^n) index array never exists at once
-    code = np.empty(total, dtype=np.int64)
-    step = groups.TABLE_BLOCK
-    for lo in range(0, total, step):
-        flat = np.arange(lo, min(lo + step, total))
-        chunk = np.zeros(len(flat), dtype=np.int64)
-        for row in np.sort(np.unravel_index(flat, (k,) * n), axis=0):
-            chunk = chunk * k + row
-        code[lo : lo + len(flat)] = chunk
-    keys, inverse = np.unique(code, return_inverse=True)
-    order = np.argsort(inverse.reshape(-1), kind="stable")
-    starts = np.searchsorted(inverse.reshape(-1)[order], np.arange(len(keys)))
-    digits = keys[:, None] // k ** np.arange(n - 1, -1, -1) % k
-    contents = (digits[:, :, None] == np.arange(k)).sum(axis=1)
-    return list(map(tuple, contents.tolist())), (order, starts)
+    # the content rank of every tuple of (k,)*m for m = 0..n, flat in C
+    # order: appending index v to a tuple of content rank r gives the tuple
+    # of rank grow[r, v], so each length is one gather from the last
+    C = n_contents(k, n)
+    rank = np.zeros(1, dtype=groups._index_dtype(C))
+    for m in range(n):
+        T = content_tuples(k, m)
+        grown = np.column_stack([np.repeat(T, k, axis=0), np.tile(np.arange(k), len(T))])
+        grow = content_ranks(grown, k).astype(rank.dtype).reshape(len(T), k)
+        rank = grow[rank].reshape(-1)
+    order = np.argsort(rank, kind="stable")
+    starts = np.searchsorted(rank[order], np.arange(C))
+    return order, starts
 
 
 _small_content_bins = lru_cache(maxsize=64)(_content_bins)

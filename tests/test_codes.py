@@ -149,9 +149,34 @@ def test_rank_profile_example():
     ids=["monotonicity", "submodularity"],
 )
 def test_rank_profile_names_the_first_polymatroid_violation(cards, message, monkeypatch):
-    monkeypatch.setattr(codes, "project_cardinality", lambda code, S: cards[S])
+    monkeypatch.setattr(codes, "projection_cardinalities", lambda code: cards)
     with pytest.raises(PolymatroidViolation) as exc:
         rank_profile(full_code(cyclic_group(2), 2))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "words, message",
+    [
+        # K = pr_1 = Z3, but the words with letter 2 trivial are only 2 of 3
+        (
+            [(0, 0), (1, 1), (2, 0)],
+            "rank profile: 2 words are trivial on S=2, which does not divide |H| = 3; "
+            "not a subgroup?",
+        ),
+        # no identity word: no word is trivial on the first coordinate
+        (
+            [(1, 1)],
+            "rank profile: 0 words are trivial on S=1, which does not divide |H| = 1; "
+            "not a subgroup?",
+        ),
+    ],
+    ids=["count-2-of-3", "no-identity"],
+)
+def test_rank_profile_refuses_counts_that_do_not_divide(words, message):
+    code = code_from_words(cyclic_group(3), 2, words, validate=False)
+    with pytest.raises(NotAGroup) as exc:
+        rank_profile(code)
     assert str(exc.value) == message
 
 

@@ -1,7 +1,9 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from repdual.chartable import character_table
@@ -17,7 +19,7 @@ from repdual.codes import (
 )
 from repdual import codes, identities
 from repdual.duality import dual_multiset, dual_weight_enumerator
-from repdual.errors import DomainError, NotAGroup
+from repdual.errors import DomainError, NotAGroup, NotRational
 from repdual.groups import (
     cyclic_group,
     dihedral_group,
@@ -284,9 +286,9 @@ def test_verify_all_computes_each_artifact_once(monkeypatch, code):
 
     for name in ("dual_multiset", "rank_profile", "weight_enumerator", "dual_weight_enumerator"):
         count(identities, name)
-    # the abelian check also enumerates the classical dual code
-    count(identities, "complete_weight_enumerator", lambda c, *_: c is code)
-    count(codes, "project_cardinality")
+    # the abelian check also tallies the classical dual code
+    count(identities, "cwe_counts", lambda c, *_: c is code)
+    count(codes, "projection_cardinalities")
     results = verify_all(code)
     assert len(results) == (5 if code.group.is_abelian() else 4)
     assert all(r.passed for r in results), [(r.name, r.details) for r in results]
@@ -295,9 +297,101 @@ def test_verify_all_computes_each_artifact_once(monkeypatch, code):
         "rank_profile": 1,
         "weight_enumerator": 1,
         "dual_weight_enumerator": 1,
-        "complete_weight_enumerator": 1,
-        "project_cardinality": 2**code.n - 1,
+        "cwe_counts": 1,
+        "projection_cardinalities": 1,
     }
+
+
+def tampered_analysis(monkeypatch, G, gens, extra, fewer, swap=True) -> CodeAnalysis:
+    """An analysis whose R(H) has its largest tuple swapped for the least
+    missing one, at multiplicity 2 (when swap is set), and whose cwe_H has
+    extra more words at its first nonzero content and fewer words at its
+    last (content order)."""
+    ct = character_table(G)
+    n = len(gens[0])
+    code = code_from_generators(G, n, gens)
+    dm = dual_multiset(code, ct)
+    mult = {t: m for t, m in dm.mult.items() if t != max(dm.mult)}
+    mult[next(t for t in product(range(ct.k), repeat=n) if t not in dm.mult)] = 2
+    tampered = multiset_from_mult(n, dm.k, dm.degrees, mult) if swap else dm
+    monkeypatch.setattr(identities, "dual_multiset", lambda *args, **kwargs: tampered)
+    counts = codes.cwe_counts(code, ct.classes).copy()
+    nonzero = np.flatnonzero(counts)
+    counts[nonzero[0]] += extra
+    counts[nonzero[-1]] -= fewer
+    real = codes.cwe_counts
+    monkeypatch.setattr(
+        identities, "cwe_counts", lambda c, classes: counts if c is code else real(c, classes)
+    )
+    return CodeAnalysis(code, ct)
+
+
+def test_macwilliams2_failure_details(monkeypatch):
+    # every coefficient that is not a nonnegative integer, in content order,
+    # then the difference rendered as a polynomial
+    a = tampered_analysis(monkeypatch, S3, [(1, 2)], 1, 12)
+    assert verify_macwilliams2(a).details == [
+        "transformed coefficient at (2, 0, 0) is -5/6, not a nonnegative integer",
+        "transformed coefficient at (1, 1, 0) is 4/3, not a nonnegative integer",
+        "transformed coefficient at (1, 0, 1) is 11/3, not a nonnegative integer",
+        "transformed coefficient at (0, 2, 0) is 13/6, not a nonnegative integer",
+        "transformed coefficient at (0, 1, 1) is -1/3, not a nonnegative integer",
+        "transformed coefficient at (0, 0, 2) is 2/3, not a nonnegative integer",
+        "cwe transform differs from dual cwe by -11/6*x1^2 + 1/3*x1*x2 + 2/3*x1*x3 + 13/6*x2^2"
+        " - 1/3*x2*x3 + 2/3*x3^2",
+    ]
+    # one more word: every coefficient moves by less than 1
+    a = tampered_analysis(monkeypatch, S3, [(1, 2)], 1, 0, swap=False)
+    assert verify_macwilliams2(a).details == [
+        "transformed coefficient at (2, 0, 0) is 7/6, not a nonnegative integer",
+        "transformed coefficient at (1, 1, 0) is 4/3, not a nonnegative integer",
+        "transformed coefficient at (1, 0, 1) is 5/3, not a nonnegative integer",
+        "transformed coefficient at (0, 2, 0) is 1/6, not a nonnegative integer",
+        "transformed coefficient at (0, 1, 1) is 5/3, not a nonnegative integer",
+        "transformed coefficient at (0, 0, 2) is 2/3, not a nonnegative integer",
+        "cwe transform differs from dual cwe by 1/6*x1^2 + 1/3*x1*x2 + 2/3*x1*x3 + 1/6*x2^2"
+        " + 2/3*x2*x3 + 2/3*x3^2",
+    ]
+    a = tampered_analysis(monkeypatch, S3, [(1, 2)], 6, 12)
+    assert verify_macwilliams2(a).details == [
+        "cwe transform differs from dual cwe by -x1^2 + 2*x1*x2 + 4*x1*x3 + 3*x2^2 + 3*x2*x3"
+        " + 4*x3^2",
+    ]
+    a = tampered_analysis(monkeypatch, Z2, [(1, 1, 0)], 6, 12)
+    assert verify_macwilliams2(a).details == [
+        "transformed coefficient at (3, 0) is -2, not a nonnegative integer",
+        "transformed coefficient at (0, 3) is -2, not a nonnegative integer",
+        "cwe transform differs from dual cwe by -3*x1^3 + 13*x1^2*x2 + 15*x1*x2^2 - 2*x2^3",
+    ]
+    assert verify_abelian_specialization(a).details == [
+        "dual multiset is not 0/1-valued over an abelian group",
+        "phi-image mismatch; missing=[(1, 1, 1)] extra=[(0, 1, 0)]",
+        "classical cwe transform differs from the brute-force dual by -3*x1^3 + 15*x1^2*x2"
+        " + 15*x1*x2^2 - 3*x2^3",
+        "relabeled dual cwe differs from the classical dual cwe by 2*x1^2*x2 - x2^3",
+    ]
+
+
+def test_macwilliams2_rationality_gate_names_the_first_content(monkeypatch):
+    # Z4 has complex characters: one more word at a content makes the
+    # transform irrational, reported at the first such content
+    a = tampered_analysis(monkeypatch, cyclic_group(4), [(1, 2, 0)], 1, 3)
+    cases = [(verify_macwilliams2, "(2, 0, 1, 0)"), (verify_abelian_specialization, "(2, 1, 0, 0)")]
+    for check, content in cases:
+        with pytest.raises(NotRational) as exc:
+            check(a)
+        assert str(exc.value) == f"transformed coefficient at {content} is not rational"
+
+
+def test_verify_all_on_length_zero_codes():
+    # one word, one coset, R(H) = {(): 1}: every check holds, MacWilliams #2
+    # and the classical dual included
+    for G in (S3, cyclic_group(4)):
+        code, ct = diagonal_code(G, 0), character_table(G)
+        results = verify_all(code, ct)
+        assert len(results) == (5 if G.is_abelian() else 4)
+        assert all(r.passed for r in results), [(r.name, r.details) for r in results]
+        assert macwilliams2_transform(code, ct) == MultiPoly(ct.k, {(0,) * ct.k: 1})
 
 
 def test_code_from_words_validation():

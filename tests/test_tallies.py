@@ -2,10 +2,14 @@
 per-tuple references in reference_tallies: on the acceptance matrix, on
 random small codes, on a dual multiset whose sums pass int64, on the
 failure report of the abelian relabelling and on the polymatroid check of
-the rank profile."""
+the rank profile.  The rank profile's subset-sum transform is compared with
+the per-subset projections, and the content-count vectors with the
+per-word enumerators, on both sides of the switch to distinct rows."""
 
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,8 +25,14 @@ from repdual.codes import (
     class_pattern_counts,
     code_from_generators,
     complete_weight_enumerator,
+    content_counts,
+    content_enumerator,
+    content_poly,
+    cwe_counts,
+    diagonal_code,
     full_code,
     project_cardinality,
+    projection_cardinalities,
     rank_profile,
     weight_enumerator,
 )
@@ -34,8 +44,9 @@ from repdual.duality import (
     dual_weight_enumerator,
 )
 from repdual.errors import PolymatroidViolation
-from repdual.groups import cyclic_group
+from repdual.groups import cyclic_group, symmetric_group
 from repdual.identities import abelian_pairing_exponents, classical_dual_code
+from repdual.polynomials import MultiPoly
 
 from test_acceptance import build_matrix
 from test_oracle import small_codes
@@ -43,6 +54,12 @@ from test_oracle import small_codes
 
 def as_dict(keys, values):
     return dict(zip(map(tuple, keys.tolist()), values.tolist()))
+
+
+def assert_profile_matches(code):
+    card = [project_cardinality(code, S) for S in range(1 << code.n)]
+    assert projection_cardinalities(code) == card
+    assert rank_profile(code).card == tuple(card)
 
 
 def assert_tallies_match(code, ct):
@@ -53,18 +70,19 @@ def assert_tallies_match(code, ct):
     assert as_dict(patterns, counts) == want
     assert list(map(tuple, patterns.tolist())) == sorted(want)
     assert weight_enumerator(code) == ref.weight_enumerator(code)
-    assert complete_weight_enumerator(code, classes) == ref.complete_weight_enumerator(
-        code, classes
-    )
+    want = ref.complete_weight_enumerator(code, classes)
+    assert complete_weight_enumerator(code, classes) == want
+    assert content_poly(ct.k, code.n, cwe_counts(code, classes)) == want
     for S in range(1 << code.n):
         assert project_cardinality(code, S) == ref.project_cardinality(code, S)
+    assert_profile_matches(code)
     # the content sums of the contraction, the first step of MacWilliams #2
     A = reference_zring.contract(patterns, counts, ct.zvalues)
-    contents, bins = zring.content_bins(ct.k, code.n)
-    sums, irrational = zring.contract(patterns, counts, ct.embedded, bins)
+    sums, irrational = zring.contract(patterns, counts, ct.embedded, zring.content_bins(ct.k, code.n))
+    contents = zring.content_exponents(zring.content_tuples(ct.k, code.n), ct.k)
     want_contents, want_sums = ref.sum_by_content(A, code.n)
     want_sums = zring.reduce(want_sums)
-    assert contents == want_contents
+    assert list(map(tuple, contents.tolist())) == want_contents
     assert not irrational.any() and not want_sums[:, 1:].any()
     assert sums.tolist() == want_sums[:, 0].tolist()
     # tuples of R(H), in the key order of the per-tuple loop
@@ -81,6 +99,7 @@ def assert_tallies_match(code, ct):
     assert dm.total_dimension() == old.total_dimension()
     assert dual_weight_enumerator(dm) == ref.dual_weight_enumerator(old)
     assert dual_cwe(dm) == ref.dual_cwe(old)
+    assert content_poly(dm.k, dm.n, content_counts(dm.index, dm.k, dm.counts)) == ref.dual_cwe(old)
     assert _trivial_dimension_sums(dm) == ref._trivial_dimension_sums(old)
     if ct.k == code.group.order:
         eps = abelian_pairing_exponents(code.group)
@@ -122,7 +141,66 @@ def test_sums_past_int64_are_exact(degrees, mult):
     assert dm.total_dimension() == old.total_dimension()
     assert dual_weight_enumerator(dm) == ref.dual_weight_enumerator(old)
     assert dual_cwe(dm) == ref.dual_cwe(old)
+    assert content_poly(dm.k, dm.n, content_counts(dm.index, dm.k, dm.counts)) == ref.dual_cwe(old)
     assert _trivial_dimension_sums(dm) == ref._trivial_dimension_sums(old)
+
+
+def test_transform_profile_matches_per_subset_past_the_matrix():
+    # 2^6 and 2^14 subsets; diag S3^14 is the large-n regime of verify --all
+    S3 = symmetric_group(3)
+    for code in (full_code(S3, 6), diagonal_code(S3, 14)):
+        assert_profile_matches(code)
+
+
+@pytest.mark.parametrize(
+    "k, n, rows, dense",
+    [
+        (61, 1, 300, True),
+        (70, 1, 300, True),
+        (30, 3, 300, True),
+        (40, 3, 300, False),
+        (40, 3, 12000, True),
+        (300, 2, 300, False),
+        (11, 20, 300, False),
+        (100, 30, 300, False),
+    ],
+)
+def test_content_tallies_by_rank(k, n, rows, dense, monkeypatch):
+    # both sides of (n+1)^k = 2^62, where contents read in base n+1 leave
+    # int64, and both sides of content_enumerator's switch from the table
+    # of all contents to the distinct rows: (40, 3) has 11480 contents,
+    # tallied over all of them for 12000 rows and by distinct rows for 300;
+    # diag S6^20's shape (11, 20) has 30045015, and (100, 30) more than
+    # 2^63, so its ranks are Python ints
+    C = zring.n_contents(k, n)
+    rng = np.random.default_rng(k * 10 + n)
+    P = rng.integers(0, k, size=(rows, n))
+    P[:100] = np.sort(P[:100], axis=1)[:, ::-1]  # contents that recur in other orders
+    P[0], P[1] = 0, k - 1  # the first and the last content
+    assert zring.content_ranks(P[:2], k).tolist() == [0, C - 1]
+    weights = rng.integers(-(2**61), 2**61, size=rows)
+    calls = []
+    real = codes.content_counts
+    monkeypatch.setattr(codes, "content_counts", lambda *a: calls.append(a) or real(*a))
+    for w in (None, weights):
+        want = Counter()
+        for r, row in enumerate(P.tolist()):
+            want[tuple(np.bincount(row, minlength=k).tolist())] += 1 if w is None else int(w[r])
+        want = MultiPoly(k, {e: Fraction(c) for e, c in want.items()})
+        assert content_enumerator(P, k, w) == want
+        if C <= 10**6:
+            assert content_poly(k, n, real(P, k, w)) == want
+    assert len(calls) == 2 * dense
+
+
+@pytest.mark.parametrize("k, n", [(1, 0), (3, 0), (1, 4), (2, 5), (4, 3), (3, 10), (30, 3)])
+def test_content_bins_group_tuples_by_rank(k, n):
+    # 3^10 and 30^3 are past TABLE_BLOCK, so they are built afresh
+    order, starts = zring.content_bins(k, n)
+    assert sorted(order.tolist()) == list(range(k**n))
+    digits = order[:, None] // k ** np.arange(n - 1, -1, -1) % k
+    content = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, k**n)))
+    assert np.array_equal(np.sort(digits, axis=1), zring.content_tuples(k, n)[content])
 
 
 def test_distinct_rows_of_wide_entries():
@@ -158,7 +236,7 @@ def test_polymatroid_check_matches_reference(monkeypatch):
             card[S] = rng.choice([card[S] * 6, max(1, card[S] // 6), card[S] + 1, max(1, card[S] - 1)])
         if trial % 10 == 0:
             card = [c * 2**40 if S else c for S, c in enumerate(card)]
-        monkeypatch.setattr(codes, "project_cardinality", lambda code, S: card[S])
+        monkeypatch.setattr(codes, "projection_cardinalities", lambda code: card)
         expected = violation(ref.check_polymatroid, card, n)
         assert violation(rank_profile, full_code(cyclic_group(2), n)) == expected
         found.add(expected.split()[0] if expected else None)

@@ -189,7 +189,8 @@ def assert_routes_match(code, ct):
     assert identities.macwilliams2_transform(code, ct).terms == want.terms
     if ct.k == ct.group.order:
         pairing = identities._abelian_pairing(ct).pairing
-        got = identities._cwe_transform(cwe, pairing, code.size)
+        sums = identities._cwe_transform(codes.cwe_counts(code, ct.classes), pairing, code.n)
+        got = codes.content_poly(ct.k, code.n, sums, code.size)
         assert got.terms == rz.reference_cwe_transform(cwe, pairing.T, code.size).terms
 
 
@@ -272,7 +273,7 @@ def test_tampered_tables_fail_as_the_reference(label, G, edit):
                 outcome(rz.reference_decompose, pc, bad, code.n),
             ),
             (
-                outcome(identities._cwe_transform, cwe, bad.embedded, code.size),
+                outcome(identities.macwilliams2_transform, code, bad),
                 outcome(rz.reference_cwe_transform, cwe, bad.zvalues, code.size),
             ),
         ]
@@ -317,7 +318,7 @@ def reference_values(keys, counts, T, bins=False):
 def assert_contract_matches(keys, counts, table: zring.Embedded, bins=False):
     k, n = table.T.shape[0], keys.shape[1]
     want_values, want_irrational = reference_values(keys, counts, table.T, bins)
-    _, content_groups = zring.content_bins(k, n)
+    content_groups = zring.content_bins(k, n)
     values, irrational = zring.contract(keys, counts, table, content_groups if bins else None)
     assert irrational.tolist() == want_irrational.tolist()
     assert values[~irrational].tolist() == want_values[~want_irrational].tolist()
