@@ -1,7 +1,15 @@
-"""Exact character tables via Dixon's finite-field method.
+"""Exact character tables: in closed form for abelian groups, via Dixon's
+finite-field method for the others.
 
-The central characters w_i = |C_i| chi(c_i) / chi(1) are simultaneous
-eigenvectors of the class-sum multiplication matrices M_i with
+An abelian group (k = |G| classes, each a single element) has the
+characters chi_x(y) = zeta_m^eps(x, y), one per element x, where eps is the
+pairing of abelian_pairing_exponents and m = exponent(G) (Serre, Linear
+Representations of Finite Groups, 3.1): the table's coefficients are the
+rows of zring.reduction_matrix(m) gathered at eps.  Its (k, k, m) array is
+refused past a cap (DEFAULT_CLASS_ALGEBRA_CAP entries) before it is built.
+
+For the others, the central characters w_i = |C_i| chi(c_i) / chi(1) are
+simultaneous eigenvectors of the class-sum multiplication matrices M_i with
 (M_i)[j][l] = a[i][j][l].  Over F_p with p = 1 (mod exponent) and
 p > 2*sqrt(|G|) the whole eigenproblem is integer arithmetic in numpy mod p:
 the indicator of the identity class has a nonzero component d^2/|G| on every
@@ -9,20 +17,22 @@ central character, so its Krylov sequence under a class matrix M gives M's
 minimal polynomial mu and its roots lam, and (mu/(x - lam))(M) splits every
 current vector at once into its eigencomponents, until F_p^k is split into
 the k common eigenvectors (class matrices in order, each split by ascending
-eigenvalue).  The (k, k, k) class multiplication array is refused past a
-cap (DEFAULT_CLASS_ALGEBRA_CAP entries).  The mod-p character values are
-then lifted to exact cyclotomics of conductor exponent(G) by
-discrete-Fourier counting of root-of-unity multiplicities along power maps:
-one (k*k, e) @ (e, e) product mod p of the values over the power-map table
-with the Fourier matrix.  The lift yields each value's root-of-unity
-multiplicities, an integer array over Z[C_m] (see zring) that is reduced
-modulo Phi_m once.
-Row and column orthogonality are certified exactly on that integer array
-before a table is ever returned, as Gram matrices at every embedding of
-Z[zeta_m] modulo as many primes p = 1 (mod m) as an a-priori coefficient
-bound needs, so the modular shortcut cannot silently produce a wrong
-table.  A table stores only that array; its Cyclotomic values, their
-text, the JSON and the disk cache are read from it.
+eigenvalue).  The (k, k, k) class multiplication array is refused past the
+same cap.  The mod-p character values are then lifted to exact cyclotomics
+of conductor exponent(G) by discrete-Fourier counting of root-of-unity
+multiplicities along power maps: one (k*k, e) @ (e, e) product mod p of the
+values over the power-map table with the Fourier matrix.  The lift yields
+each value's root-of-unity multiplicities, an integer array over Z[C_m]
+(see zring) that is reduced modulo Phi_m once.
+
+Both paths sort the rows canonically and record in irrep_order the split
+order above, which is the lexicographic order of the central characters
+mod p.  Row and column orthogonality are certified exactly on the integer
+array before a table is ever returned, as Gram matrices at every embedding
+of Z[zeta_m] modulo as many primes p = 1 (mod m) as an a-priori coefficient
+bound needs, so neither shortcut can silently produce a wrong table.  A
+table stores only that array; its Cyclotomic values, their text, the JSON
+and the disk cache are read from it.
 """
 
 from __future__ import annotations
@@ -42,12 +52,12 @@ import numpy as np
 
 from . import zring
 from .cyclotomic import Cyclotomic, euler_phi, render_coefficients
-from .errors import CapExceeded, LiftVerificationFailed
+from .errors import CapExceeded, DomainError, LiftVerificationFailed, NonIntegerMultiplicity
 from .groups import TABLE_BLOCK, ClassData, FiniteGroup, conjugacy_classes
 
 
-# The (k, k, k) class multiplication array holds at most this many entries;
-# Z300 needs 300^3.
+# The (k, k, k) class multiplication array, and an abelian table's (k, k, m)
+# array, hold at most this many entries; Z300 needs 300^3.
 DEFAULT_CLASS_ALGEBRA_CAP = 2**25
 
 
@@ -86,6 +96,11 @@ def _primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
             return g
     raise LiftVerificationFailed(f"no primitive root mod {p}")
+
+
+def _unit_root(p: int, e: int) -> int:
+    """The primitive e-th root of unity mod p at which a table is reduced."""
+    return pow(_primitive_root(p), (p - 1) // e, p)
 
 
 def _minimal_polynomial(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
@@ -254,14 +269,23 @@ class CharacterTable:
     def conjugate_row(self, irrep: int) -> tuple[Cyclotomic, ...]:
         return tuple(v.conjugate() for v in self.values[irrep])
 
+    def _distinct_values(self) -> tuple[list[list[int]], np.ndarray]:
+        """The distinct values' power-basis coefficients, and the (k, k)
+        index of every entry among them: one np.unique over the coefficient
+        rows, each viewed as a single void item."""
+        k, d = self.k, euler_phi(self.conductor)
+        coeffs = np.ascontiguousarray(self.zvalues[..., :d]).reshape(k * k, d)
+        cells = coeffs.view(np.dtype((np.void, coeffs.itemsize * d))).reshape(-1)
+        distinct, index = np.unique(cells, return_inverse=True)
+        rows = np.frombuffer(distinct.tobytes(), dtype=coeffs.dtype).reshape(-1, d)
+        return rows.tolist(), index.reshape(k, k)
+
     def values_text(self) -> list[list[str]]:
         """values[i][j] as str(Cyclotomic) writes it, straight from the
         array; each distinct value is rendered once."""
-        m, k = self.conductor, self.k
-        coeffs = self.zvalues[..., : euler_phi(m)].reshape(k * k, -1)
-        distinct, index = np.unique(coeffs, axis=0, return_inverse=True)
-        text = np.array([render_coefficients(m, c) for c in distinct.tolist()], dtype=object)
-        return text[index.reshape(k, k)].tolist()
+        distinct, index = self._distinct_values()
+        text = np.array([render_coefficients(self.conductor, c) for c in distinct], dtype=object)
+        return text[index].tolist()
 
     def _values_json(self) -> list:
         """The values as Cyclotomic.to_json would write them, straight from
@@ -342,6 +366,114 @@ def _certified_table(
 
 def _compute_character_table(G: FiniteGroup) -> CharacterTable:
     classes = conjugacy_classes(G)
+    if classes.num_classes == G.order:
+        return _abelian_table(G, classes)
+    return _dixon_table(G, classes)
+
+
+# -- abelian groups in closed form ---------------------------------------------------
+
+
+def abelian_basis(G: FiniteGroup) -> tuple[list[int], list[int]]:
+    """Cyclic basis (elements, orders) with every element uniquely a product
+    of basis powers.  Greedy maximal quotient order with a lift fix-up; the
+    classical basis theorem guarantees each step succeeds.
+
+    Each step takes the first element g of largest order t modulo the span
+    S so far (all powers outside S advance together, one gather per step),
+    multiplies it by the first s in S with s^t = g^-t when g^t is not the
+    identity, and grows S to S * {g^0, ..., g^(t-1)}."""
+    if not G.is_abelian():
+        raise DomainError("abelian_basis needs an abelian group")
+    T = G.cayley
+    basis: list[int] = []
+    orders: list[int] = []
+    span = np.zeros(G.order, dtype=bool)  # membership mask
+    span[0] = True
+    while not span.all():
+        outside = np.flatnonzero(~span)
+        x, t = outside.copy(), np.ones(len(outside), dtype=np.int64)
+        live = np.arange(len(outside))
+        while len(live):
+            x[live] = T[x[live], outside[live]]
+            t[live] += 1
+            live = live[~span[x[live]]]
+        best = int(np.argmax(t))
+        g, order = int(outside[best]), int(t[best])
+        if x[best] != 0:
+            members = np.flatnonzero(span)
+            y = np.zeros(len(members), dtype=np.intp)
+            for _ in range(order):
+                y = T[y, members]
+            fix = np.flatnonzero(y == G.inverse[x[best]])
+            if not len(fix):
+                raise NonIntegerMultiplicity("abelian basis lift failed")
+            g = int(T[g, members[fix[0]]])
+        basis.append(g)
+        orders.append(order)
+        span[T[np.flatnonzero(span)[:, None], _powers(T, g, order)]] = True
+    return basis, orders
+
+
+def _powers(T: np.ndarray, g: int, t: int) -> np.ndarray:
+    """g^0, ..., g^(t-1) in the group with Cayley table T."""
+    powers = np.zeros(t, dtype=np.intp)
+    for a in range(1, t):
+        powers[a] = T[powers[a - 1], g]
+    return powers
+
+
+def abelian_pairing_exponents(G: FiniteGroup) -> list[list[int]]:
+    """eps[x][y] with pairing beta(x, y) = zeta_m^eps[x][y], m = exponent(G),
+    for the pinned basis decomposition.  Symmetric and nondegenerate.
+
+    The products of basis powers are enumerated with their exponent vectors
+    in mixed radix, the last basis element fastest, one gather per basis
+    element; they cover G, and exactly once when the basis is direct."""
+    basis, orders = abelian_basis(G)
+    m, T = G.exponent, G.cayley
+    x, digits = np.zeros(1, dtype=np.intp), np.zeros((1, 0), dtype=np.int64)
+    for b, t in zip(basis, orders):
+        x = T[x[:, None], _powers(T, b, t)].reshape(-1)
+        digits = np.column_stack([np.repeat(digits, t, axis=0), np.tile(np.arange(t), len(digits))])
+    if len(x) != G.order:
+        raise NonIntegerMultiplicity("abelian basis is not a direct decomposition")
+    C = np.empty_like(digits)
+    C[x] = digits
+    return (C * np.array([m // t for t in orders], dtype=np.int64) @ C.T % m).tolist()
+
+
+def _split_order(central: np.ndarray) -> list[int]:
+    """irrep_order of rows whose central characters mod the Dixon prime are
+    the rows of central: the position of each in lexicographic order, which
+    is the order in which _central_characters splits them off."""
+    order = np.empty(len(central), dtype=np.int64)
+    order[np.lexsort(central.T[::-1])] = np.arange(len(central))
+    return order.tolist()
+
+
+def _abelian_table(G: FiniteGroup, classes: ClassData) -> CharacterTable:
+    """The table of an abelian group, whose classes are its elements in
+    order: chi_x(y) = zeta_m^eps[x][y] in canonical row order, every central
+    character (chi_x itself) taken mod the Dixon prime at its root z."""
+    k, m = G.order, G.exponent
+    cap = DEFAULT_CLASS_ALGEBRA_CAP
+    if k * k * m > cap:
+        raise CapExceeded("character table array (k*k*m entries)", k * k * m, cap)
+    eps = np.array(abelian_pairing_exponents(G), dtype=np.intp)
+    P = zring.reduction_matrix(m)[eps]
+    rows = sorted(range(k), key=lambda x: _row_sort_key(P[x], 1))
+    p = dixon_prime(k, m)
+    z = _unit_root(p, m)
+    z_pow = np.array([pow(z, t, p) for t in range(m)], dtype=np.int64)
+    irrep_order = _split_order(z_pow[eps[rows]])
+    return _certified_table(G, classes, P[rows], [1] * k, irrep_order)
+
+
+# -- other groups by Dixon's method --------------------------------------------------
+
+
+def _dixon_table(G: FiniteGroup, classes: ClassData) -> CharacterTable:
     k = classes.num_classes
     e = G.exponent
     p = dixon_prime(G.order, e)
@@ -372,7 +504,7 @@ def _compute_character_table(G: FiniteGroup) -> CharacterTable:
     # mults[r, j, t]: multiplicity of zeta_e^t among the eigenvalues of
     # irrep r at class j, so chi_r(c_j) = sum_t mults[r, j, t] zeta_e^t:
     # (1/e) sum_s chi_r(c_j^s) z^(-ts), one product over the power maps
-    z = pow(_primitive_root(p), (p - 1) // e, p)
+    z = _unit_root(p, e)
     dtype = zring.exact_dtype(e * (p - 1) ** 2)
     z_pow = np.array([pow(z, t, p) for t in range(e)], dtype=dtype)
     fourier = z_pow[-np.outer(np.arange(e), np.arange(e)) % e]
@@ -408,19 +540,22 @@ def character_table(G: FiniteGroup, cache_dir: str | Path | None = None) -> Char
     if table is None:
         table = _compute_character_table(G)
         if path:
-            _write_atomic(path, json.dumps(_dump_cached(table), indent=None, sort_keys=False))
+            _write_atomic(path, _cache_text(table))
     with _cache_lock:
         _cache.setdefault(digest, table)
     return table
 
 
-def _dump_cached(ct: CharacterTable) -> dict:
-    return {
-        "conductor": ct.conductor,
-        "degrees": list(ct.degrees),
-        "irrep_order": list(ct.irrep_order),
-        "values": ct._values_json(),
-    }
+def _cache_text(ct: CharacterTable) -> str:
+    """The cache blob: json.dumps of {"conductor", "degrees", "irrep_order",
+    "values"} with the values as to_json writes them, joined from the text
+    of each distinct value, which is rendered once."""
+    m = ct.conductor
+    distinct, index = ct._distinct_values()
+    text = [json.dumps({"conductor": m, "coeffs": [str(c) for c in coeffs]}) for coeffs in distinct]
+    rows = np.array(text, dtype=object)[index].tolist()
+    head = json.dumps({"conductor": m, "degrees": list(ct.degrees), "irrep_order": list(ct.irrep_order)})
+    return head[:-1] + ', "values": [[' + "], [".join(map(", ".join, rows)) + "]]}"
 
 
 def _write_atomic(path: Path, text: str) -> None:

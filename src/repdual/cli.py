@@ -16,7 +16,6 @@ import sys
 from .chartable import character_table
 from .codes import (
     DEFAULT_CODE_CAP,
-    _mask_coords,
     code_from_generators,
     complete_weight_enumerator,
     diagonal_code,
@@ -170,18 +169,20 @@ def cmd_cwe(args) -> int:
 def cmd_rank(args) -> int:
     code = _load_code(args)
     rp = rank_profile(code)
+    # the masks with highest bit b are 2^b + S for S < 2^b, so their
+    # coordinates are those of S followed by b + 1
+    coords, text = [[]], [""]
+    for b in range(code.n):
+        coords += [c + [b + 1] for c in coords]
+        text += [str(b + 1)] + [f"{t},{b + 1}" for t in text[1:]]
     lines = [f"polymatroid of H <= {code.group.name}^{code.n} (|H| = {code.size})"]
-    cards = []
-    for S in range(1 << code.n):
-        coords = [m + 1 for m in _mask_coords(S, code.n)]
-        lines.append(f"  S={{{','.join(map(str, coords))}}}: |pr_S(H)| = {rp.card[S]}")
-        cards.append([coords, rp.card[S]])
+    lines += [f"  S={{{t}}}: |pr_S(H)| = {c}" for t, c in zip(text, rp.card)]
     blob = {
         "group": code.group.name,
         "n": code.n,
         "size": code.size,
         "q": code.group.order,
-        "cards": cards,
+        "cards": [list(pair) for pair in zip(coords, rp.card)],
     }
     _emit(args, lines, blob)
     return 0

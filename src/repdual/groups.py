@@ -198,22 +198,45 @@ def perm_from_cycles(cycles: list[list[int]], degree: int) -> tuple[int, ...]:
     return tuple(images)
 
 
-def cycle_notation(perm: tuple[int, ...]) -> str:
-    seen = [False] * len(perm)
-    parts = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        parts.append("(" + " ".join(map(str, cycle)) + ")")
-    return "".join(parts) if parts else "()"
+def _cycle_labels(P: np.ndarray) -> list[str]:
+    """The cycle notation of every row of the (N, degree) image array P,
+    all at once: each cycle in parentheses, its points separated by spaces,
+    starting from its smallest point, cycles by their smallest points, fixed
+    points left out, and "()" for the identity.
+
+    Every point i walks its cycle for degree steps, all rows together,
+    recording the cycle's length, its smallest point c and how many steps
+    from c to i.  Sorted by (c, steps), the moved points of a row are its
+    cycle notation read off; each becomes one fixed-width cell, "(" opening
+    and ")" closing a cycle, and the rows' cells, NUL padding dropped, are
+    joined with newlines and split once."""
+    N, d = P.shape
+    rows = np.arange(N)[:, None]
+    x = np.broadcast_to(np.arange(d), (N, d))
+    smallest, at, length = x, np.zeros((N, d), dtype=np.intp), np.zeros((N, d), dtype=np.intp)
+    for s in range(1, d + 1):
+        x = P[rows, x]
+        lower = x < smallest
+        smallest, at = np.where(lower, x, smallest), np.where(lower, s, at)
+        length = np.where((length == 0) & (x == np.arange(d)), s, length)
+    steps = (length - at) % length
+    moved = length > 1
+    order = np.argsort(np.where(moved, smallest * d + steps, d * d), axis=1, kind="stable")
+    # cell 4i + 2 first + last for a moved point i; 4d + 1 (empty) for a
+    # fixed point, and 4d ("()") opens a row that moves nothing
+    cell = 4 * order + 2 * (steps == 0)[rows, order] + (steps == length - 1)[rows, order]
+    cell[~moved[rows, order]] = 4 * d + 1
+    cell[~moved.any(axis=1), 0] = 4 * d
+    texts = [
+        f"{'(' if first else ' '}{i}{')' if last else ''}"
+        for i in range(d) for first in (0, 1) for last in (0, 1)
+    ]
+    cells = np.array([t.encode() for t in texts] + [b"()", b""], dtype=bytes)
+    width = cells.dtype.itemsize
+    text = np.zeros((N, d * width + 1), dtype=np.uint8)
+    text[:, :-1] = cells[cell].view(np.uint8).reshape(N, -1)
+    text[:, -1] = ord("\n")
+    return text[text != 0].tobytes().decode().split("\n")[:-1]
 
 
 def _perm_keys(Y: np.ndarray, degree: int) -> np.ndarray:
@@ -313,11 +336,10 @@ def group_from_generators(
             raise InvalidPermutation(f"{p} is not a bijection on 0..{degree - 1}")
     gens = np.array(perms, dtype=np.intp).reshape(len(perms), degree)
     elements, right, levels = _closure(gens, degree, cap)
-    labels = (cycle_notation(p) for p in elements.tolist())
     return _from_array(
         name or f"perm[{len(elements)}]",
         _cayley_from_bfs(right, levels),
-        labels,
+        _cycle_labels(elements),
         right[0].tolist(),  # identity o g = g
     )
 

@@ -31,12 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
 from . import groups, zring
-from .chartable import CharacterTable, character_table
+from .chartable import CharacterTable, abelian_pairing_exponents, character_table
 from .codes import (
     DEFAULT_CODE_CAP,
     GroupCode,
@@ -58,7 +57,6 @@ from .duality import (
     extension_lemma_checks,
 )
 from .errors import CapExceeded, DomainError, NonIntegerMultiplicity, NotRational
-from .groups import FiniteGroup
 from .polynomials import MultiPoly, UniPoly
 
 SPOT_CHECK_POINTS = (0.3, 0.5, 0.7)
@@ -282,55 +280,6 @@ def verify_extension_lemma(a: CodeAnalysis) -> CheckResult:
 
 
 # -- abelian specialization ---------------------------------------------------------
-
-
-def abelian_basis(G: FiniteGroup) -> tuple[list[int], list[int]]:
-    """Cyclic basis (elements, orders) with every element uniquely a product
-    of basis powers.  Greedy maximal quotient order with a lift fix-up; the
-    classical basis theorem guarantees each step succeeds."""
-    if not G.is_abelian():
-        raise DomainError("abelian_basis needs an abelian group")
-    basis: list[int] = []
-    orders: list[int] = []
-    span = groups._span(G.cayley, basis)  # membership mask
-    while not span.all():
-        best_g, best_t = None, 0
-        for g in np.flatnonzero(~span).tolist():
-            t, x = 1, g
-            while not span[x]:
-                x = G.mul(x, g)
-                t += 1
-            if t > best_t:
-                best_g, best_t = g, t
-        g, t = best_g, best_t
-        if G.power(g, t) != 0:
-            target = G.inv(G.power(g, t))
-            members = np.flatnonzero(span).tolist()
-            fix = next((s for s in members if G.power(s, t) == target), None)
-            if fix is None:
-                raise NonIntegerMultiplicity("abelian basis lift failed")
-            g = G.mul(g, fix)
-        basis.append(g)
-        orders.append(t)
-        span = groups._span(G.cayley, basis)
-    return basis, orders
-
-
-def abelian_pairing_exponents(G: FiniteGroup) -> list[list[int]]:
-    """eps[x][y] with pairing beta(x, y) = zeta_m^eps[x][y], m = exponent(G),
-    for the pinned basis decomposition.  Symmetric and nondegenerate."""
-    basis, orders = abelian_basis(G)
-    m = G.exponent
-    coords: dict[int, tuple[int, ...]] = {}
-    for mix in product(*(range(t) for t in orders)):
-        x = 0
-        for b, a in zip(basis, mix):
-            x = G.mul(x, G.power(b, a))
-        if x in coords:
-            raise NonIntegerMultiplicity("abelian basis is not a direct decomposition")
-        coords[x] = mix
-    C = np.array([coords[x] for x in range(G.order)], dtype=np.int64).reshape(G.order, -1)
-    return (C * np.array([m // t for t in orders], dtype=np.int64) @ C.T % m).tolist()
 
 
 def classical_dual_code(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import numpy as np
@@ -23,13 +24,8 @@ import numpy as np
 from repdual import zring
 from repdual.chartable import _certified_table, _primitive_root, _row_sort_key, dixon_prime
 from repdual.cyclotomic import Cyclotomic, euler_phi
-from repdual.errors import ClosureCapExceeded, LiftVerificationFailed
-from repdual.groups import (
-    DEFAULT_GROUP_CAP,
-    ClassData,
-    FiniteGroup,
-    cycle_notation,
-)
+from repdual.errors import ClosureCapExceeded, LiftVerificationFailed, NonIntegerMultiplicity
+from repdual.groups import DEFAULT_GROUP_CAP, ClassData, FiniteGroup
 
 from reference_zring import conjugate, convmatmul
 
@@ -40,6 +36,25 @@ from reference_zring import conjugate, convmatmul
 def _compose(f, g):
     """(f o g)(x) = f(g(x))"""
     return tuple(f[x] for x in g)
+
+
+def reference_cycle_notation(perm: tuple[int, ...]) -> str:
+    """One permutation at a time, as groups._cycle_labels labels them all."""
+    seen = [False] * len(perm)
+    parts = []
+    for start in range(len(perm)):
+        if seen[start] or perm[start] == start:
+            seen[start] = True
+            continue
+        cycle = [start]
+        seen[start] = True
+        nxt = perm[start]
+        while nxt != start:
+            cycle.append(nxt)
+            seen[nxt] = True
+            nxt = perm[nxt]
+        parts.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(parts) if parts else "()"
 
 
 def reference_group_from_generators(perms, cap=DEFAULT_GROUP_CAP, name=None) -> FiniteGroup:
@@ -61,7 +76,7 @@ def reference_group_from_generators(perms, cap=DEFAULT_GROUP_CAP, name=None) -> 
                     nxt.append(y)
         frontier = nxt
     table = tuple(tuple(index[_compose(a, b)] for b in elements) for a in elements)
-    labels = tuple(cycle_notation(p) for p in elements)
+    labels = tuple(reference_cycle_notation(p) for p in elements)
     gen_indices = tuple(index[tuple(p)] for p in perms)
     return FiniteGroup(name or f"perm[{len(elements)}]", table, labels, generators=gen_indices)
 
@@ -514,3 +529,54 @@ def reference_cached_coefficients(rows, k: int, m: int):
                 return None
             P[i, j] = [int(c) for c in coeffs]
     return P
+
+
+# -- abelian groups -------------------------------------------------------------
+
+
+def reference_abelian_basis(G: FiniteGroup) -> tuple[list[int], list[int]]:
+    """chartable.abelian_basis one element at a time: the order of each
+    element modulo the span by repeated products, the span by closure."""
+    basis: list[int] = []
+    orders: list[int] = []
+    span = {0}
+    while len(span) < G.order:
+        best_g, best_t = None, 0
+        for g in range(G.order):
+            if g in span:
+                continue
+            t, x = 1, g
+            while x not in span:
+                x = G.mul(x, g)
+                t += 1
+            if t > best_t:
+                best_g, best_t = g, t
+        g, t = best_g, best_t
+        if G.power(g, t) != 0:
+            target = G.inv(G.power(g, t))
+            fix = next((s for s in sorted(span) if G.power(s, t) == target), None)
+            if fix is None:
+                raise NonIntegerMultiplicity("abelian basis lift failed")
+            g = G.mul(g, fix)
+        basis.append(g)
+        orders.append(t)
+        span = {G.mul(s, G.power(g, a)) for s in span for a in range(t)}
+    return basis, orders
+
+
+def reference_abelian_pairing_exponents(G: FiniteGroup) -> list[list[int]]:
+    """chartable.abelian_pairing_exponents with one product per element."""
+    basis, orders = reference_abelian_basis(G)
+    m = G.exponent
+    coords: dict[int, tuple[int, ...]] = {}
+    for mix in product(*(range(t) for t in orders)):
+        x = 0
+        for b, a in zip(basis, mix):
+            x = G.mul(x, G.power(b, a))
+        if x in coords:
+            raise NonIntegerMultiplicity("abelian basis is not a direct decomposition")
+        coords[x] = mix
+    return [
+        [sum(a * b * (m // t) for a, b, t in zip(coords[x], coords[y], orders)) % m for y in range(G.order)]
+        for x in range(G.order)
+    ]

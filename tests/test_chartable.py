@@ -22,6 +22,8 @@ from repdual.groups import (
     symmetric_group,
 )
 
+from reference_tables import reference_dump_cached
+
 
 def test_dixon_prime_choices():
     assert dixon_prime(6, 6) == 7  # S3 / Z6
@@ -237,7 +239,7 @@ def test_corrupt_cache_is_recomputed(tmp_path, corrupt):
     assert (ct.values, ct.degrees, ct.irrep_order) == (ref.values, ref.degrees, ref.irrep_order)
     # the recomputed table replaced the corrupt file, with no temp file left
     assert list(tmp_path.iterdir()) == [path]
-    assert json.loads(path.read_text()) == mod._dump_cached(ref)
+    assert json.loads(path.read_text()) == reference_dump_cached(ref)
 
 
 def test_cache_entries_off_by_2_63_are_recomputed(tmp_path):
@@ -258,7 +260,7 @@ def test_cache_entries_off_by_2_63_are_recomputed(tmp_path):
     assert mod._load_cached(G, path) is None
     ct = character_table(G, cache_dir=tmp_path)
     assert (ct.values, ct.degrees, ct.irrep_order) == (ref.values, ref.degrees, ref.irrep_order)
-    assert json.loads(path.read_text()) == mod._dump_cached(ref)
+    assert json.loads(path.read_text()) == reference_dump_cached(ref)
 
 
 def test_failed_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):

@@ -99,11 +99,12 @@ def test_cli_classes_json_lists_members_in_index_order(capsys):
 
 
 def test_cli_chartable_refuses_a_large_class_algebra(capsys):
-    # Z300 is the largest cyclic table under the default cap
+    # the closed-form table of Z<n> has n^3 entries: Z322 is the largest
+    # cyclic table under the default cap
     code, out, err = run(capsys, "chartable", "--group", "builtin:Z1000")
     assert code == 1
     assert out == ""
-    message = "class multiplication array (k^3 entries) needs 1000000000 > cap 33554432"
+    message = "character table array (k*k*m entries) needs 1000000000 > cap 33554432"
     assert err == f"error: {message}\n"
 
 

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from repdual.chartable import character_table
+from repdual.chartable import abelian_basis, abelian_pairing_exponents, character_table
 from repdual.codes import (
     RankProfile,
     code_from_generators,
@@ -28,8 +28,6 @@ from repdual.groups import (
 )
 from repdual.identities import (
     CodeAnalysis,
-    abelian_basis,
-    abelian_pairing_exponents,
     classical_dual_code,
     greene_subset_form_H,
     greene_subset_form_dual,

@@ -47,6 +47,7 @@ from reference_tables import (
     reference_common_eigenvectors,
     reference_commutator_subgroup,
     reference_conjugacy_classes,
+    reference_cycle_notation,
     reference_group_from_generators,
     reference_product_table,
     reference_small_generating_set,
@@ -238,11 +239,13 @@ def test_split_gates_match_reference():
 @pytest.mark.parametrize("name", ["S4", "D6", "Q8", "Z12", "Z2xZ2xZ2xZ2xZ2"])
 def test_python_int_path_gives_the_same_table(name, monkeypatch):
     """Past the int64 bounds (k (p-1)^2 for the split, e (p-1)^2 for the
-    lift) the kernels run on Python ints; force that path everywhere."""
+    lift) the Dixon kernels run on Python ints; force that path everywhere,
+    on the abelian groups too."""
     G = build(name)
-    expected = _compute_character_table(G)
+    classes = conjugacy_classes(G)
+    expected = chartable._dixon_table(G, classes)
     monkeypatch.setattr(zring, "exact_dtype", lambda bound: object)
-    ct = _compute_character_table(G)
+    ct = chartable._dixon_table(G, classes)
     assert (ct.to_json(), ct.irrep_order) == (expected.to_json(), expected.irrep_order)
 
 
@@ -265,6 +268,30 @@ def test_random_permutation_groups_match_reference(gens):
         assert_split_order(G)
         ct, ref = _compute_character_table(G), reference_character_table(R)
         assert (ct.to_json(), ct.irrep_order) == (ref.to_json(), ref.irrep_order)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cycle_labels_match_cycle_notation(n):
+    P = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    expected = [reference_cycle_notation(p) for p in P.tolist()]
+    assert groups._cycle_labels(P) == expected
+    assert sorted(symmetric_group(n, cap=5040).element_labels) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "degree, generators",
+    [
+        (12, [[list(range(10))]]),
+        (12, [[[0, 1, 2], [5, 6, 7, 8, 9, 10, 11]]]),
+        (11, [[list(range(11))], [[i, (11 - i) % 11] for i in range(1, 6)]]),
+        (13, [[[12, 3]], [[0, 10, 11, 12]]]),
+        (3, []),
+    ],
+)
+def test_permutation_spec_labels_match_reference(degree, generators):
+    G = load_group_spec({"kind": "permutation", "degree": degree, "generators": generators})
+    R = reference_group_from_generators([perm_from_cycles(c, degree) for c in generators])
+    assert G.element_labels == R.element_labels
 
 
 # -- caps ---------------------------------------------------------------------
