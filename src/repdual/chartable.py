@@ -28,11 +28,11 @@ each value's root-of-unity multiplicities, an integer array over Z[C_m]
 Both paths sort the rows canonically and record in irrep_order the split
 order above, which is the lexicographic order of the central characters
 mod p.  Row and column orthogonality are certified exactly on the integer
-array before a table is ever returned, as Gram matrices at every embedding
-of Z[zeta_m] modulo as many primes p = 1 (mod m) as an a-priori coefficient
-bound needs, so neither shortcut can silently produce a wrong table.  A
-table stores only that array; its Cyclotomic values, their text, the JSON
-and the disk cache are read from it.
+array before a table is ever returned, as Gram matrices (k^3 products, same
+cap) on the images the table keeps (ct.embedded) modulo as many primes
+p = 1 (mod m) as zring's norm bound needs, so neither shortcut can silently
+produce a wrong table.  A table stores only that array; its Cyclotomic
+values, their text, the JSON and the disk cache are read from it.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ from .errors import CapExceeded, DomainError, LiftVerificationFailed, NonInteger
 from .groups import TABLE_BLOCK, ClassData, FiniteGroup, conjugacy_classes
 
 
-# The (k, k, k) class multiplication array, and an abelian table's (k, k, m)
-# array, hold at most this many entries; Z300 needs 300^3.
+# The k^3 class multiplication array and certification Gram products, and
+# an abelian table's (k, k, m) array, are refused past this many entries;
+# Z300 needs 300^3.
 DEFAULT_CLASS_ALGEBRA_CAP = 2**25
 
 
@@ -252,8 +253,9 @@ class CharacterTable:
 
     @cached_property
     def embedded(self) -> zring.Embedded:
-        """zvalues with its images at the embeddings mod p, built per prime
-        on first use by a contraction, never by table construction."""
+        """zvalues with its images at the embeddings mod p, built once per
+        prime: certification builds the first prime's, which every later
+        contraction starts from."""
         return zring.Embedded(self.zvalues)
 
     @cached_property
@@ -315,18 +317,22 @@ def _row_sort_key(row: np.ndarray, degree: int):
     return (0 if is_trivial else 1, degree, tuple(map(tuple, row.tolist())))
 
 
-def _certify(G: FiniteGroup, classes: ClassData, T: np.ndarray, degrees) -> None:
-    """Exact orthogonality + degree checks on the (k, k, m) array over
-    Z[C_m]; raises LiftVerificationFailed.
+def _certify(G: FiniteGroup, classes: ClassData, table: zring.Embedded, degrees) -> None:
+    """Exact orthogonality + degree checks on the (k, k, m) array table.T
+    over Z[C_m]; raises LiftVerificationFailed, or CapExceeded before any
+    Gram product when k^3 passes DEFAULT_CLASS_ALGEBRA_CAP.
 
-    Row and column orthogonality are checked at every embedding of
-    Z[zeta_m] mod enough primes p = 1 (mod m) (see zring): every reduced
-    coefficient of sum_j |C_j| chi_a(c_j) conj(chi_b(c_j)) - |G| [a = b] is
-    at most max|C_j| * (sum of |T|)^2 * reduction_gain(m) + |G| in
-    magnitude, and the primes' product exceeds twice that bound.  The first
+    Row and column orthogonality are checked on table.images at every
+    embedding mod enough primes p = 1 (mod m) (see zring).  With N the
+    largest sum of one value's coefficient magnitudes, no value exceeds N
+    at any complex embedding, so no Gram entry minus its expected value
+    (|G| [a = b] or |G|/|C_a| [a = b]) exceeds |G| (N^2 + 1) there
+    (k <= |G|), and the primes' product exceeds twice that.  The first
     failing (a, b) is reported after all primes, in row-major order."""
-    k = classes.num_classes
-    order = G.order
+    k, cap = classes.num_classes, DEFAULT_CLASS_ALGEBRA_CAP
+    if k**3 > cap:
+        raise CapExceeded("certification Gram products (k^3 entries)", k**3, cap)
+    T, order = table.T, G.order
     if sum(d * d for d in degrees) != order:
         raise LiftVerificationFailed("sum of squared degrees != |G|")
     if T[0, :, 0].tolist() != [1] * k or T[0, :, 1:].any():
@@ -337,13 +343,13 @@ def _certify(G: FiniteGroup, classes: ClassData, T: np.ndarray, degrees) -> None
             raise LiftVerificationFailed(f"row {i} identity value is not its degree")
     m = T.shape[-1]
     sizes = classes.class_sizes
-    bound = max(sizes) * sum(zring.abs_row_sums(T)) ** 2 * zring.reduction_gain(m) + order
+    bound = order * (max(zring.abs_row_sums(T.reshape(k * k, m))) ** 2 + 1)
     bad = {"row": np.zeros((k, k), dtype=bool), "column": np.zeros((k, k), dtype=bool)}
     for p in zring.certification_primes(bound, m, max(k, m)):
-        E, Ebar = zring.embed(T, p)
-        bad["row"] |= zring.gram_mismatch(E, Ebar, sizes, [order] * k, p)
-        cols, cols_bar = E.transpose(0, 2, 1), Ebar.transpose(0, 2, 1)
-        bad["column"] |= zring.gram_mismatch(cols, cols_bar, [1] * k, [order // s for s in sizes], p)
+        images = table.images(p)
+        bad["row"] |= zring.gram_mismatch(images, sizes, [order] * k, p)
+        cols = images.transpose(0, 2, 1)
+        bad["column"] |= zring.gram_mismatch(cols, [1] * k, [order // s for s in sizes], p)
     for name, mask in bad.items():
         witness = np.argwhere(mask)
         if len(witness):
@@ -355,13 +361,14 @@ def _certified_table(
     G: FiniteGroup, classes: ClassData, P: np.ndarray, degrees, irrep_order
 ) -> CharacterTable:
     """Certify the power-basis coefficients P, shape (k, k, phi(m)), of a
-    table in canonical row order, then wrap them."""
+    table in canonical row order through its ct.embedded, then return it."""
     m = G.exponent
     T = np.zeros(P.shape[:2] + (m,), dtype=np.int64)
     T[..., : P.shape[2]] = P
     T.setflags(write=False)
-    _certify(G, classes, T, degrees)
-    return CharacterTable(G, classes, tuple(degrees), m, tuple(irrep_order), T)
+    ct = CharacterTable(G, classes, tuple(degrees), m, tuple(irrep_order), T)
+    _certify(G, classes, ct.embedded, degrees)
+    return ct
 
 
 def _compute_character_table(G: FiniteGroup) -> CharacterTable:

@@ -126,6 +126,9 @@ def cmd_classes(args) -> int:
 def cmd_chartable(args) -> int:
     G = _load_group(args)
     ct = character_table(G, cache_dir=args.cache_dir)
+    if args.format == "json":  # a large table's text and JSON are each costly
+        _emit(args, [], ct.to_json())
+        return 0
     reps = " ".join(G.element_labels[r] for r in ct.classes.class_reps)
     lines = [
         f"group {G.name}: {ct.k} irreducible characters, conductor {ct.conductor}",
@@ -133,7 +136,7 @@ def cmd_chartable(args) -> int:
     ]
     for i, row in enumerate(ct.values_text()):
         lines.append(f"  chi{i + 1} [deg {ct.degrees[i]}]: {', '.join(row)}")
-    _emit(args, lines, ct.to_json())
+    _emit(args, lines, None)
     return 0
 
 

@@ -27,9 +27,8 @@ while |N(y)| is the product of the |sigma(y)| <= B + |c| < P, which is less.
 So y = 0 and x = c.  Conversely a rational x has equal images.  So x is
 rational exactly when its images agree, and then it is the symmetric CRT
 residue: the rationality gate and the value come from the same images.
-Identities in Z[zeta_m] (the orthogonality of a table) are certified the
-same way: an element whose power-basis coefficients are below P/2 in
-magnitude is zero iff all of its images are.
+Identities in Z[zeta_m] (the orthogonality of a table) are certified by the
+same argument: x is zero exactly when all of its images are.
 """
 
 from __future__ import annotations
@@ -56,11 +55,6 @@ def reduction_matrix(m: int) -> np.ndarray:
     R = np.array(_power_basis(m)[:m], dtype=np.int64).reshape(m, euler_phi(m))
     R.setflags(write=False)
     return R
-
-
-def reduction_gain(m: int) -> int:
-    """Largest factor by which reduce() can grow a coefficient's magnitude."""
-    return int(np.abs(reduction_matrix(m)).sum(axis=0).max())
 
 
 def abs_row_sums(T: np.ndarray) -> list[int]:
@@ -161,40 +155,37 @@ def certification_primes(bound: int, m: int, n: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def embed(T: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Images of every entry of the (..., m) array T at z^a and at z^-a mod
-    p, z a primitive m-th root of unity, for one a from each pair {a, -a}:
-    two (h, ...) int arrays, h = max(phi(m) / 2, 1).  T is reduced mod p
-    first, so entries of any size stay exact."""
+def embed(T: np.ndarray, p: int) -> np.ndarray:
+    """(phi(m), ...) images of every entry of the (..., m) array T at z^a
+    mod p, z a primitive m-th root of unity, a over the units mod m in
+    ascending order, so the images at z^-a are the reverse.  T is reduced
+    mod p first, so entries of any size stay exact."""
     m = T.shape[-1]
     support = np.flatnonzero(np.any(T != 0, axis=tuple(range(T.ndim - 1))))
-    units = np.array([a for a in range(m) if gcd(a, m) == 1 and a <= m - a], dtype=np.int64)
-    exps = np.concatenate([units, -units]) * support[:, None] % m
+    units = np.array([a for a in range(m) if gcd(a, m) == 1], dtype=np.int64)
     z = root_of_unity(m, p)
     dtype = exact_dtype(max(len(support), 1) * (p - 1) ** 2)
     powers = np.array([pow(z, t, p) for t in range(m)], dtype=dtype)
     X = np.asarray(T[..., support] % p).astype(dtype)
-    E = np.ascontiguousarray(np.moveaxis(X @ powers[exps] % p, -1, 0))
-    return E[: len(units)], E[len(units) :]
+    return np.ascontiguousarray(np.moveaxis(X @ powers[units * support[:, None] % m] % p, -1, 0))
 
 
-def gram_mismatch(E: np.ndarray, Ebar: np.ndarray, weights, diagonal, p: int) -> np.ndarray:
+def gram_mismatch(images: np.ndarray, weights, diagonal, p: int) -> np.ndarray:
     """Boolean (k, k) mask of the (a, b) at which
-    sum_j weights[j] E[h, a, j] Ebar[h, b, j] != diagonal[a] * (a == b)
-    mod p for some h, with E and Ebar from embed.  The Gram entry at the
-    embedding -a is the transpose of the one at a, so the mask is also
-    OR-ed with its transpose and covers every embedding."""
-    k = E.shape[1]
-    dtype = exact_dtype(max(E.shape[-1], 1) * (p - 1) ** 2)
-    E, Ebar = E.astype(dtype, copy=False), Ebar.astype(dtype, copy=False)
+    sum_j weights[j] E[a, j] conj(E[b, j]) != diagonal[a] * (a == b) mod p
+    at some embedding, with images (phi(m), k, r) from embed.  The Gram
+    entry at z^-a is the transpose of the one at z^a, so only the first
+    half of the embeddings is multiplied, with the reversed images as the
+    conjugates, and the mask is OR-ed with its transpose."""
+    k, h = images.shape[1], max(len(images) // 2, 1)
+    dtype = exact_dtype(max(images.shape[-1], 1) * (p - 1) ** 2)
+    images = images.astype(dtype, copy=False)
     w = np.array([x % p for x in weights], dtype=dtype)
-    G = (E * w % p) @ Ebar.transpose(0, 2, 1) % p
+    G = (images[:h] * w % p) @ images[::-1][:h].transpose(0, 2, 1) % p
     expected = np.zeros((k, k), dtype=dtype)
     expected[range(k), range(k)] = [x % p for x in diagonal]
     bad = (G != expected).any(axis=0)
     return bad | bad.T
-
-
 
 
 # -- contraction at the embeddings -------------------------------------------------
@@ -215,11 +206,9 @@ class Embedded:
         return max(abs_row_sums(self.T.swapaxes(0, 1)), default=0)
 
     def images(self, p: int) -> np.ndarray:
-        """(phi(m), k, r) images of T at z^a mod p, a over the units mod m
-        in ascending order, so the images at z^-a are the reverse."""
+        """embed(T, p), kept for the next caller."""
         if p not in self._images:
-            E, Ebar = embed(self.T, p)
-            self._images[p] = E if self.T.shape[-1] <= 2 else np.concatenate([E, Ebar[::-1]])
+            self._images[p] = embed(self.T, p)
         return self._images[p]
 
 

@@ -27,7 +27,7 @@ from repdual.cyclotomic import Cyclotomic, euler_phi
 from repdual.errors import ClosureCapExceeded, LiftVerificationFailed, NonIntegerMultiplicity
 from repdual.groups import DEFAULT_GROUP_CAP, ClassData, FiniteGroup
 
-from reference_zring import conjugate, convmatmul
+from reference_zring import conjugate, convmatmul, reduction_gain
 
 
 # -- groups -------------------------------------------------------------------
@@ -465,7 +465,7 @@ def reference_certify(G: FiniteGroup, classes: ClassData, T: np.ndarray, degrees
             raise LiftVerificationFailed(f"row {i} identity value is not its degree")
     sizes = classes.class_sizes
     dtype = zring.exact_dtype(
-        max(sizes) * sum(zring.abs_row_sums(T)) ** 2 * zring.reduction_gain(T.shape[-1])
+        max(sizes) * sum(zring.abs_row_sums(T)) ** 2 * reduction_gain(T.shape[-1])
     )
     T = T.astype(dtype)
     conj = conjugate(T)

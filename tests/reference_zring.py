@@ -4,7 +4,8 @@ conjugate of an array over Z[C_m], the matrix product whose scalar product
 is a cyclic convolution, and the dense axis-by-axis Frobenius contraction.
 Reduce a result with zring.reduce to read it in the power basis.  The
 multiplicities of R(H), the permutation-character decomposition and the
-MacWilliams #2 transform are rebuilt on them as they ran before."""
+MacWilliams #2 transform are rebuilt on them as they ran before, and
+reduction_gain sizes their dtypes and that of reference_certify."""
 
 from __future__ import annotations
 
@@ -14,9 +15,14 @@ import numpy as np
 
 from repdual.errors import NotRational
 from repdual.polynomials import MultiPoly
-from repdual.zring import abs_row_sums, exact_dtype, reduce, reduction_gain
+from repdual.zring import abs_row_sums, exact_dtype, reduce, reduction_matrix
 
 from reference_tallies import _multiplicities, sum_by_content
+
+
+def reduction_gain(m: int) -> int:
+    """Largest factor by which reduce() can grow a coefficient's magnitude."""
+    return int(np.abs(reduction_matrix(m)).sum(axis=0).max())
 
 
 def conjugate(T: np.ndarray) -> np.ndarray:

@@ -114,11 +114,21 @@ def test_irrep_order_is_the_central_character_order(name):
     assert ct.irrep_order == central_character_order(ct)
 
 
-def test_closed_form_cap(monkeypatch):
-    G = build("Z2xZ2xZ2")  # 8 * 8 * 2 entries
+def test_closed_form_cap(monkeypatch, tmp_path):
+    G = build("Z2xZ2xZ2")  # 8 * 8 * 2 entries, 8^3 Gram products
     message = r"character table array \(k\*k\*m entries\) needs 128 > cap 127"
     monkeypatch.setattr(chartable, "DEFAULT_CLASS_ALGEBRA_CAP", 127)
     with pytest.raises(CapExceeded, match=message):
         chartable._compute_character_table(G)
+    message = r"certification Gram products \(k\^3 entries\) needs 512 > cap 128"
     monkeypatch.setattr(chartable, "DEFAULT_CLASS_ALGEBRA_CAP", 128)
-    assert chartable._compute_character_table(G).zvalues.shape == (8, 8, 2)
+    with pytest.raises(CapExceeded, match=message):
+        chartable._compute_character_table(G)
+    monkeypatch.setattr(chartable, "DEFAULT_CLASS_ALGEBRA_CAP", 512)
+    monkeypatch.setattr(chartable, "_cache", {})
+    assert character_table(G, cache_dir=tmp_path).zvalues.shape == (8, 8, 2)
+    # a cached table is certified again, under the same cap
+    monkeypatch.setattr(chartable, "DEFAULT_CLASS_ALGEBRA_CAP", 128)
+    monkeypatch.setattr(chartable, "_cache", {})
+    with pytest.raises(CapExceeded, match=message):
+        character_table(G, cache_dir=tmp_path)

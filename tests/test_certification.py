@@ -27,6 +27,7 @@ from reference_tables import (
     reference_to_json,
     reference_values,
 )
+from reference_zring import reduction_gain
 from test_table_kernels import CLASS_GROUPS, build
 
 CAUGHT = (KeyError, TypeError, ValueError, ArithmeticError)
@@ -41,9 +42,14 @@ def outcome(certify, ct, T, degrees=None):
     return None
 
 
+def certify(G, classes, T, degrees):
+    """_certify on the images of T itself."""
+    _certify(G, classes, zring.Embedded(T), degrees)
+
+
 def assert_same_outcome(ct, T, degrees=None):
     expected = outcome(reference_certify, ct, T, degrees)
-    assert outcome(_certify, ct, T, degrees) == expected
+    assert outcome(certify, ct, T, degrees) == expected
     return expected
 
 
@@ -88,11 +94,11 @@ def test_a_multiple_of_the_first_prime_needs_the_second(name):
     T = ct.zvalues.copy()
     T[k - 1, k - 1, 0] += p
     # every image mod p is that of the certified table
-    E, Ebar = zring.embed(T, p)
+    images = zring.embed(T, p)
     sizes, order = ct.classes.class_sizes, ct.group.order
-    assert not zring.gram_mismatch(E, Ebar, sizes, [order] * k, p).any()
-    cols, cols_bar = E.transpose(0, 2, 1), Ebar.transpose(0, 2, 1)
-    assert not zring.gram_mismatch(cols, cols_bar, [1] * k, [order // s for s in sizes], p).any()
+    assert not zring.gram_mismatch(images, sizes, [order] * k, p).any()
+    cols = images.transpose(0, 2, 1)
+    assert not zring.gram_mismatch(cols, [1] * k, [order // s for s in sizes], p).any()
     message = assert_same_outcome(ct, T)
     assert message is not None and "orthogonality fails" in message
 
@@ -123,11 +129,11 @@ def test_gram_mismatch_covers_every_embedding():
     T = np.zeros((2, 2, m), dtype=np.int64)
     T[0, 0, 0] = 1
     T[1, 0, :2] = (-c, 1)
-    E, Ebar = zring.embed(T, p)
-    assert len(E) == 1  # z^2 = z^-1 is not evaluated
+    images = zring.embed(T, p)
+    assert len(images) == 2  # the product at z^2 = z^-1 is not evaluated
     expected = brute_force_mismatch(T, [1, 1], [1, 0], p)
     assert expected.tolist() == [[False, True], [True, False]]
-    assert np.array_equal(zring.gram_mismatch(E, Ebar, [1, 1], [1, 0], p), expected)
+    assert np.array_equal(zring.gram_mismatch(images, [1, 1], [1, 0], p), expected)
     rng = random.Random(3)
     for name in ("S3", "Z4", "Z5", "Q8", "D6", "Z12"):
         ct = character_table(build(name))
@@ -136,22 +142,22 @@ def test_gram_mismatch_covers_every_embedding():
         for _ in range(3):
             T = ct.zvalues.copy()
             T[rng.randrange(1, ct.k), rng.randrange(1, ct.k), rng.randrange(ct.conductor)] += rng.choice((1, -2, p - 1))
-            E, Ebar = zring.embed(T, p)
-            got = zring.gram_mismatch(E, Ebar, sizes, [order] * ct.k, p)
+            got = zring.gram_mismatch(zring.embed(T, p), sizes, [order] * ct.k, p)
             assert np.array_equal(got, brute_force_mismatch(T, sizes, [order] * ct.k, p))
 
 
-def test_two_primes_certify_d60_and_z60():
-    for name in ("D60", "Z60"):
-        ct = character_table(build(name))
-        m, T = ct.conductor, ct.zvalues
-        bound = (
-            max(ct.classes.class_sizes) * sum(zring.abs_row_sums(T)) ** 2 * zring.reduction_gain(m)
-            + ct.group.order
-        )
-        primes = zring.certification_primes(bound, m, max(ct.k, m))
-        assert len(primes) == 2
-        assert all(p % m == 1 and zring.is_prime(p) for p in primes)
+def test_one_prime_certifies_d30_d60_z60_and_z120():
+    # the norm bound |G| (N^2 + 1) needs one prime for each, where a bound
+    # on the reduced coefficients (the reference's dtype bound) needs two
+    for name in ("D30", "D60", "Z60", "Z120"):
+        ct = _compute_character_table(build(name))
+        m, k, T = ct.conductor, ct.k, ct.zvalues
+        N = max(zring.abs_row_sums(T.reshape(k * k, m)))
+        primes = zring.certification_primes(ct.group.order * (N * N + 1), m, max(k, m))
+        assert len(primes) == 1 and primes[0] % m == 1 and zring.is_prime(primes[0])
+        assert list(ct.embedded._images) == list(primes)
+        reduced = max(ct.classes.class_sizes) * sum(zring.abs_row_sums(T)) ** 2 * reduction_gain(m)
+        assert len(zring.certification_primes(reduced + ct.group.order, m, max(k, m))) == 2
 
 
 def test_2_63_entries_match_reference():

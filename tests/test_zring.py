@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repdual import codes, identities, zring
+from repdual import chartable, codes, identities, zring
 from repdual.chartable import (
     CharacterTable,
     _certify,
@@ -15,7 +15,7 @@ from repdual.chartable import (
     character_table,
 )
 from repdual.codes import complete_weight_enumerator, diagonal_code, full_code, trivial_code
-from repdual.cyclotomic import Cyclotomic
+from repdual.cyclotomic import Cyclotomic, euler_phi
 from repdual.duality import (
     _multiplicities,
     decompose_permutation_character,
@@ -23,7 +23,7 @@ from repdual.duality import (
     permutation_character,
 )
 from repdual.errors import LiftVerificationFailed, NonIntegerMultiplicity, NotRational
-from repdual.groups import cyclic_group, symmetric_group
+from repdual.groups import cyclic_group, dihedral_group, symmetric_group
 
 import reference_zring as rz
 from reference_tallies import class_pattern_counts, sum_by_content
@@ -112,19 +112,19 @@ def test_certify_rejects_tampered_tables():
     # its inverse (i and -i)
     for G, (a, b) in ((symmetric_group(3), (1, 2)), (cyclic_group(4), (1, 3))):
         ct = character_table(G)
-        _certify(G, ct.classes, ct.zvalues, ct.degrees)
+        _certify(G, ct.classes, zring.Embedded(ct.zvalues), ct.degrees)
         i = next(i for i in range(ct.k) if (ct.zvalues[i, a] != ct.zvalues[i, b]).any())
         T = ct.zvalues.copy()
         T[i, [a, b]] = T[i, [b, a]]
         with pytest.raises(LiftVerificationFailed, match="orthogonality"):
-            _certify(G, ct.classes, T, ct.degrees)
+            _certify(G, ct.classes, zring.Embedded(T), ct.degrees)
     ct = character_table(symmetric_group(3))
     with pytest.raises(LiftVerificationFailed, match="squared degrees"):
-        _certify(ct.group, ct.classes, ct.zvalues, (1, 1, 3))
+        _certify(ct.group, ct.classes, zring.Embedded(ct.zvalues), (1, 1, 3))
     T = ct.zvalues.copy()
     T[2, 0, 0] = 3
     with pytest.raises(LiftVerificationFailed, match="not its degree"):
-        _certify(ct.group, ct.classes, T, ct.degrees)
+        _certify(ct.group, ct.classes, zring.Embedded(T), ct.degrees)
 
 
 def test_overflow_bounds_do_not_wrap():
@@ -148,7 +148,7 @@ def test_overflow_bounds_do_not_wrap():
     T[sign, cls, 0] = 1 - 2**63
     T[std, cls, 0] = -(2**63)
     with pytest.raises(LiftVerificationFailed, match="orthogonality"):
-        _certify(ct.group, ct.classes, T, ct.degrees)
+        _certify(ct.group, ct.classes, zring.Embedded(T), ct.degrees)
 
 
 # -- the contraction at the embeddings against the convolution reference -----------
@@ -354,15 +354,26 @@ def test_decompose_needs_two_primes_on_diag_s3_7():
     assert list(dual_multiset(code, ct).mult.items()) == decompose_items(pc, ct, 7)
 
 
-def test_images_are_built_lazily_once_per_prime():
-    # table construction embeds nothing
-    G = cyclic_group(7)
-    ct = _compute_character_table(G)
-    assert "embedded" not in vars(ct)
-    code = diagonal_code(G, 2)
-    dual_multiset(code, ct)
-    images = dict(ct.embedded._images)
-    assert len(images) == 1
-    dual_multiset(code, ct)
-    (p, E), = ct.embedded._images.items()
-    assert E is images[p] and E.shape == (6, 7, 7)
+@pytest.mark.parametrize("source", ["cold", "cached"])
+def test_each_table_is_embedded_once_per_prime(source, tmp_path, monkeypatch):
+    # certification embeds the table at its first prime, and the
+    # contractions after it reuse those images
+    calls = []
+    embed = zring.embed
+    monkeypatch.setattr(zring, "embed", lambda T, p: calls.append(p) or embed(T, p))
+    for G in (symmetric_group(3), cyclic_group(7), dihedral_group(30)):
+        cache_dir = tmp_path if source == "cached" else None
+        if cache_dir:
+            monkeypatch.setattr(chartable, "_cache", {})
+            character_table(G, cache_dir=cache_dir)
+        monkeypatch.setattr(chartable, "_cache", {})
+        calls.clear()
+        ct = character_table(G, cache_dir=cache_dir)
+        assert calls == [zring.certification_primes(0, ct.conductor, max(ct.k, ct.conductor))[0]]
+        code = diagonal_code(G, 2)
+        dual_multiset(code, ct)
+        images = dict(ct.embedded._images)
+        dual_multiset(code, ct)
+        assert sorted(calls) == sorted(set(calls)) == sorted(images)
+        for p, E in ct.embedded._images.items():
+            assert E is images[p] and E.shape == (euler_phi(ct.conductor), ct.k, ct.k)
