@@ -27,12 +27,15 @@ each value's root-of-unity multiplicities, an integer array over Z[C_m]
 
 Both paths sort the rows canonically and record in irrep_order the split
 order above, which is the lexicographic order of the central characters
-mod p.  Row and column orthogonality are certified exactly on the integer
-array before a table is ever returned, as Gram matrices (k^3 products, same
-cap) on the images the table keeps (ct.embedded) modulo as many primes
-p = 1 (mod m) as zring's norm bound needs, so neither shortcut can silently
-produce a wrong table.  A table stores only that array; its Cyclotomic
-values, their text, the JSON and the disk cache are read from it.
+mod p, with zeta_m read as zring.root_of_unity(m, p).  Row orthogonality
+is certified exactly on the integer array before a table is ever returned,
+as one Gram matrix per embedding (k^3 products, same cap) on the images the
+table keeps (ct.embedded) modulo the primes of ct.embedded.primes, as many
+as zring's norm bound needs, so neither shortcut can silently produce a
+wrong table.  Column orthogonality follows from it, since a square table
+whose rows are orthogonal is invertible (see _certify).  A table stores
+only that array; its Cyclotomic values, their text, the JSON and the disk
+cache are read from it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isqrt
 from pathlib import Path
 
@@ -87,21 +90,6 @@ def class_multiplication_coefficients(G: FiniteGroup, classes: ClassData) -> np.
 def dixon_prime(order: int, exponent: int) -> int:
     """Smallest prime p = 1 (mod exponent) with p > max(2*sqrt(|G|), exponent)."""
     return zring.prime_1_mod(exponent, max(exponent, isqrt(4 * order)))
-
-
-@lru_cache(maxsize=None)
-def _primitive_root(p: int) -> int:
-    """The smallest generator of the units mod the prime p."""
-    qs = zring.prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-    raise LiftVerificationFailed(f"no primitive root mod {p}")
-
-
-def _unit_root(p: int, e: int) -> int:
-    """The primitive e-th root of unity mod p at which a table is reduced."""
-    return pow(_primitive_root(p), (p - 1) // e, p)
 
 
 def _minimal_polynomial(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
@@ -322,13 +310,15 @@ def _certify(G: FiniteGroup, classes: ClassData, table: zring.Embedded, degrees)
     over Z[C_m]; raises LiftVerificationFailed, or CapExceeded before any
     Gram product when k^3 passes DEFAULT_CLASS_ALGEBRA_CAP.
 
-    Row and column orthogonality are checked on table.images at every
-    embedding mod enough primes p = 1 (mod m) (see zring).  With N the
-    largest sum of one value's coefficient magnitudes, no value exceeds N
-    at any complex embedding, so no Gram entry minus its expected value
-    (|G| [a = b] or |G|/|C_a| [a = b]) exceeds |G| (N^2 + 1) there
-    (k <= |G|), and the primes' product exceeds twice that.  The first
-    failing (a, b) is reported after all primes, in row-major order."""
+    Row orthogonality X D X* = |G| I, D the diagonal of class sizes, is
+    checked on table.images at every embedding mod table.primes (see
+    zring).  It implies column orthogonality: the square X is then
+    invertible with inverse D X* / |G|, so X* X = |G| D^-1 (Isaacs,
+    Character Theory of Finite Groups, ch. 2).  With N the largest sum of
+    one value's coefficient magnitudes, no value exceeds N at any complex
+    embedding, so no Gram entry minus |G| [a = b] exceeds |G| (N^2 + 1)
+    there, and the primes' product exceeds twice that.  The first failing
+    (a, b) is reported after all primes, in row-major order."""
     k, cap = classes.num_classes, DEFAULT_CLASS_ALGEBRA_CAP
     if k**3 > cap:
         raise CapExceeded("certification Gram products (k^3 entries)", k**3, cap)
@@ -341,20 +331,14 @@ def _certify(G: FiniteGroup, classes: ClassData, table: zring.Embedded, degrees)
         first = T[i, 0].tolist()
         if any(first[1:]) or first[0] != degrees[i] or first[0] <= 0:
             raise LiftVerificationFailed(f"row {i} identity value is not its degree")
-    m = T.shape[-1]
-    sizes = classes.class_sizes
-    bound = order * (max(zring.abs_row_sums(T.reshape(k * k, m))) ** 2 + 1)
-    bad = {"row": np.zeros((k, k), dtype=bool), "column": np.zeros((k, k), dtype=bool)}
-    for p in zring.certification_primes(bound, m, max(k, m)):
-        images = table.images(p)
-        bad["row"] |= zring.gram_mismatch(images, sizes, [order] * k, p)
-        cols = images.transpose(0, 2, 1)
-        bad["column"] |= zring.gram_mismatch(cols, [1] * k, [order // s for s in sizes], p)
-    for name, mask in bad.items():
-        witness = np.argwhere(mask)
-        if len(witness):
-            a, b = witness[0].tolist()
-            raise LiftVerificationFailed(f"{name} orthogonality fails at ({a},{b})")
+    bound = order * (max(zring.abs_row_sums(T.reshape(k * k, -1))) ** 2 + 1)
+    bad = np.zeros((k, k), dtype=bool)
+    for p in table.primes(bound):
+        bad |= zring.gram_mismatch(table.images(p), classes.class_sizes, [order] * k, p)
+    witness = np.argwhere(bad)
+    if len(witness):
+        a, b = witness[0].tolist()
+        raise LiftVerificationFailed(f"row orthogonality fails at ({a},{b})")
 
 
 def _certified_table(
@@ -471,7 +455,7 @@ def _abelian_table(G: FiniteGroup, classes: ClassData) -> CharacterTable:
     P = zring.reduction_matrix(m)[eps]
     rows = sorted(range(k), key=lambda x: _row_sort_key(P[x], 1))
     p = dixon_prime(k, m)
-    z = _unit_root(p, m)
+    z = zring.root_of_unity(m, p)
     z_pow = np.array([pow(z, t, p) for t in range(m)], dtype=np.int64)
     irrep_order = _split_order(z_pow[eps[rows]])
     return _certified_table(G, classes, P[rows], [1] * k, irrep_order)
@@ -511,7 +495,7 @@ def _dixon_table(G: FiniteGroup, classes: ClassData) -> CharacterTable:
     # mults[r, j, t]: multiplicity of zeta_e^t among the eigenvalues of
     # irrep r at class j, so chi_r(c_j) = sum_t mults[r, j, t] zeta_e^t:
     # (1/e) sum_s chi_r(c_j^s) z^(-ts), one product over the power maps
-    z = _unit_root(p, e)
+    z = zring.root_of_unity(e, p)
     dtype = zring.exact_dtype(e * (p - 1) ** 2)
     z_pow = np.array([pow(z, t, p) for t in range(e)], dtype=dtype)
     fourier = z_pow[-np.outer(np.arange(e), np.arange(e)) % e]

@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .chartable import character_table
 from .codes import (
     DEFAULT_CODE_CAP,
@@ -29,7 +31,6 @@ from .duality import (
     dual_cwe,
     dual_multiset,
     dual_weight_enumerator,
-    irrep_tuple_label,
     permutation_character,
 )
 from .errors import DomainError, RepdualError, SpecFileError
@@ -87,10 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, text_lines, json_obj) -> None:
+    """Print text_lines() or json_obj(), whichever --format asks for; the
+    other is never built."""
     if args.format == "json":
-        print(json.dumps(json_obj, indent=2))
+        print(json.dumps(json_obj(), indent=2))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -103,6 +106,11 @@ def _load_group(args):
 def _load_code(args):
     group = load_group_spec(args.group) if args.group else None
     return load_code_spec(args.code, group, cap=args.closure_cap)
+
+
+def _code_json(code, **fields) -> dict:
+    """A code command's JSON object: the code's group, n and size, then fields."""
+    return {"group": code.group.name, "n": code.n, "size": code.size, **fields}
 
 
 def cmd_classes(args) -> int:
@@ -119,38 +127,35 @@ def cmd_classes(args) -> int:
         blob["classes"].append(
             {"index": c + 1, "size": cd.class_sizes[c], "rep": rep, "members": members[c]}
         )
-    _emit(args, lines, blob)
+    _emit(args, lambda: lines, lambda: blob)
     return 0
 
 
 def cmd_chartable(args) -> int:
     G = _load_group(args)
     ct = character_table(G, cache_dir=args.cache_dir)
-    if args.format == "json":  # a large table's text and JSON are each costly
-        _emit(args, [], ct.to_json())
-        return 0
-    reps = " ".join(G.element_labels[r] for r in ct.classes.class_reps)
-    lines = [
-        f"group {G.name}: {ct.k} irreducible characters, conductor {ct.conductor}",
-        f"  classes: {reps}",
-    ]
-    for i, row in enumerate(ct.values_text()):
-        lines.append(f"  chi{i + 1} [deg {ct.degrees[i]}]: {', '.join(row)}")
-    _emit(args, lines, None)
+
+    def lines():
+        reps = " ".join(G.element_labels[r] for r in ct.classes.class_reps)
+        rows = enumerate(zip(ct.degrees, ct.values_text()))
+        return [
+            f"group {G.name}: {ct.k} irreducible characters, conductor {ct.conductor}",
+            f"  classes: {reps}",
+            *(f"  chi{i + 1} [deg {d}]: {', '.join(row)}" for i, (d, row) in rows),
+        ]
+
+    _emit(args, lines, ct.to_json)
     return 0
 
 
 def cmd_wenum(args) -> int:
     code = _load_code(args)
     W = weight_enumerator(code)
-    lines = [f"W_H(z) = {W.render('z')}"]
-    blob = {
-        "group": code.group.name,
-        "n": code.n,
-        "size": code.size,
-        "weight_enumerator": W.to_json(),
-    }
-    _emit(args, lines, blob)
+    _emit(
+        args,
+        lambda: [f"W_H(z) = {W.render('z')}"],
+        lambda: _code_json(code, weight_enumerator=W.to_json()),
+    )
     return 0
 
 
@@ -158,35 +163,34 @@ def cmd_cwe(args) -> int:
     code = _load_code(args)
     ct = character_table(code.group, cache_dir=args.cache_dir)
     cwe = complete_weight_enumerator(code, ct.classes)
-    lines = [f"cwe_H = {cwe.render('y')}"]
-    blob = {
-        "group": code.group.name,
-        "n": code.n,
-        "size": code.size,
-        "cwe": cwe.to_json(),
-    }
-    _emit(args, lines, blob)
+    _emit(
+        args,
+        lambda: [f"cwe_H = {cwe.render('y')}"],
+        lambda: _code_json(code, cwe=cwe.to_json()),
+    )
     return 0
 
 
 def cmd_rank(args) -> int:
     code = _load_code(args)
     rp = rank_profile(code)
+
     # the masks with highest bit b are 2^b + S for S < 2^b, so their
     # coordinates are those of S followed by b + 1
-    coords, text = [[]], [""]
-    for b in range(code.n):
-        coords += [c + [b + 1] for c in coords]
-        text += [str(b + 1)] + [f"{t},{b + 1}" for t in text[1:]]
-    lines = [f"polymatroid of H <= {code.group.name}^{code.n} (|H| = {code.size})"]
-    lines += [f"  S={{{t}}}: |pr_S(H)| = {c}" for t, c in zip(text, rp.card)]
-    blob = {
-        "group": code.group.name,
-        "n": code.n,
-        "size": code.size,
-        "q": code.group.order,
-        "cards": [list(pair) for pair in zip(coords, rp.card)],
-    }
+    def lines():
+        text = [""]
+        for b in range(code.n):
+            text += [str(b + 1)] + [f"{t},{b + 1}" for t in text[1:]]
+        head = f"polymatroid of H <= {code.group.name}^{code.n} (|H| = {code.size})"
+        return [head] + [f"  S={{{t}}}: |pr_S(H)| = {c}" for t, c in zip(text, rp.card)]
+
+    def blob():
+        coords = [[]]
+        for b in range(code.n):
+            coords += [c + [b + 1] for c in coords]
+        cards = [list(pair) for pair in zip(coords, rp.card)]
+        return _code_json(code, q=code.group.order, cards=cards)
+
     _emit(args, lines, blob)
     return 0
 
@@ -196,8 +200,8 @@ def cmd_tutte(args) -> int:
     value = tutte_evaluate(rank_profile(code), args.x, args.y)
     _emit(
         args,
-        [f"T(x={args.x}, y={args.y}) = {value!r}"],
-        {"x": args.x, "y": args.y, "value": value},
+        lambda: [f"T(x={args.x}, y={args.y}) = {value!r}"],
+        lambda: {"x": args.x, "y": args.y, "value": value},
     )
     return 0
 
@@ -207,27 +211,33 @@ def cmd_dual(args) -> int:
     ct = character_table(code.group, cache_dir=args.cache_dir)
     dm = dual_multiset(code, ct, cap=args.tuple_cap)
     cosets = code.group.order**code.n // code.size
-    lines = [
-        f"R(H) for H <= {code.group.name}^{code.n}: {cosets} total dimensions",
-    ]
-    tuples = []
-    rows = zip(dm.index.tolist(), dm.counts.tolist(), dm.dims.tolist(), dm.weights.tolist())
-    for tup, m, dim, weight in rows:
-        lines.append(f"  {m} x {irrep_tuple_label(tup)} (dim {dim}, weight {weight})")
-        tuples.append({"j": [j + 1 for j in tup], "mult": m, "dim": dim, "weight": weight})
-    W = dual_weight_enumerator(dm)
-    cwe = dual_cwe(dm)
-    lines.append(f"W_R(z) = {W.render('z')}")
-    lines.append(f"cwe_R = {cwe.render('x')}")
-    blob = {
-        "group": code.group.name,
-        "n": code.n,
-        "size": code.size,
-        "cosets": cosets,
-        "tuples": tuples,
-        "dual_weight_enumerator": W.to_json(),
-        "dual_cwe": cwe.to_json(),
-    }
+    W, cwe = dual_weight_enumerator(dm), dual_cwe(dm)
+    columns = dm.counts.tolist(), dm.dims.tolist(), dm.weights.tolist()
+
+    def lines():
+        # every tuple's irrep names, one name column per coordinate
+        names = np.array([f"rho{j + 1}" for j in range(dm.k)], dtype=object)[dm.index]
+        rows = zip(map("(x)".join, names.tolist()), *columns)
+        return [
+            f"R(H) for H <= {code.group.name}^{code.n}: {cosets} total dimensions",
+            *(f"  {m} x {label} (dim {dim}, weight {weight})" for label, m, dim, weight in rows),
+            f"W_R(z) = {W.render('z')}",
+            f"cwe_R = {cwe.render('x')}",
+        ]
+
+    def blob():
+        rows = zip(dm.index.tolist(), *columns)
+        return _code_json(
+            code,
+            cosets=cosets,
+            tuples=[
+                {"j": [j + 1 for j in tup], "mult": m, "dim": dim, "weight": weight}
+                for tup, m, dim, weight in rows
+            ],
+            dual_weight_enumerator=W.to_json(),
+            dual_cwe=cwe.to_json(),
+        )
+
     _emit(args, lines, blob)
     return 0
 
@@ -251,14 +261,8 @@ def cmd_verify(args) -> int:
         lines.append(f"{r.name}: {'PASS' if r.passed else 'FAIL'}")
         lines.extend(f"  {d}" for d in r.details)
     passed = all(r.passed for r in results)
-    blob = {
-        "group": code.group.name,
-        "n": code.n,
-        "size": code.size,
-        "checks": [r.to_json() for r in results],
-        "passed": passed,
-    }
-    _emit(args, lines, blob)
+    checks = [r.to_json() for r in results]
+    _emit(args, lambda: lines, lambda: _code_json(code, checks=checks, passed=passed))
     return 0 if passed else 1
 
 

@@ -24,20 +24,27 @@ from .polynomials import _power, _render_terms
 IntPoly = tuple[int, ...]
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    factors = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            factors.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError("phi is defined for positive integers")
-    result = m
-    p, rest = 2, m
-    while p * p <= rest:
-        if rest % p == 0:
-            result -= result // p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        result -= result // rest
-    return result
+    for q in prime_factors(m):
+        m -= m // q
+    return m
 
 
 def _poly_divmod_exact(num: list[int], den: IntPoly) -> list[int]:

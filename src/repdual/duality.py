@@ -12,8 +12,10 @@ products, and the multiplicities are read off where the embeddings agree.
 Oracle route (permutation character): enumerate the left cosets x*H of
 Gamma^n, count the cosets fixed by a representative of each class tuple
 (g fixes x*H iff g lies in x*H*x^-1), and decompose the resulting class
-function against the conjugate product character table through the same
-integer kernel, at z^-a where the table is at z^a.  The lex-minimal coset
+function through the same integer kernel.  The permutation character pi is
+integer-valued, so sum pi chi is the complex conjugate of sum pi conj(chi)
+and a rational multiplicity is the same either way: the decomposition
+contracts with the product character table itself.  The lex-minimal coset
 representatives are a product of per-coordinate transversals: with K_i the
 letters i of the words of H whose letters 1..i-1 are the identity (a
 subgroup of Gamma), they are T_1 x ... x T_n with T_i the least element of
@@ -275,11 +277,13 @@ def decompose_permutation_character(
 ) -> DualMultiset:
     """Inner product of the permutation character with every product
     character chi_j1 x ... x chi_jn, as exact rationals.  Must reproduce
-    dual_multiset tuple-for-tuple (this is the oracle equivalence)."""
+    dual_multiset tuple-for-tuple (this is the oracle equivalence).  The
+    integer-valued character is contracted with the table itself: a
+    rational sum equals its conjugate (see zring)."""
     tuples = np.array(list(pc), dtype=np.int64).reshape(len(pc), n)
     sizes = np.array(ct.classes.class_sizes, dtype=object)
     weighted = np.array(list(pc.values()), dtype=object) * sizes[tuples].prod(axis=1)
-    sums = zring.contract(tuples, weighted, ct.embedded, conjugate=True)
+    sums = zring.contract(tuples, weighted, ct.embedded)
     shape = (ct.k,) * n
     return DualMultiset(n, ct.k, ct.degrees, *_multiplicities(*sums, shape, ct.group.order**n))
 
@@ -323,7 +327,3 @@ def extension_lemma_checks(rp: RankProfile, dm: DualMultiset) -> list[ExtensionC
     lhs = _trivial_dimension_sums(dm)
     rhs = [Fraction(q ** (n - S.bit_count()), rp.card[full & ~S]) for S in range(full + 1)]
     return [ExtensionCheck(S, a == b, Fraction(a), b) for S, (a, b) in enumerate(zip(lhs, rhs))]
-
-
-def irrep_tuple_label(tup: tuple[int, ...]) -> str:
-    return "(x)".join(f"rho{j + 1}" for j in tup)

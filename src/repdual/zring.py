@@ -29,6 +29,15 @@ rational exactly when its images agree, and then it is the symmetric CRT
 residue: the rationality gate and the value come from the same images.
 Identities in Z[zeta_m] (the orthogonality of a table) are certified by the
 same argument: x is zero exactly when all of its images are.
+
+Complex conjugation maps the embedding at z^a to the one at z^-a.  So a
+Gram entry at z^-a is the transpose of the one at z^a, and for integer
+c_r the sum y = sum_r c_r prod conj(x_r,a) is the conjugate of
+x = sum_r c_r prod x_r,a: the images of y are those of x in reverse order,
+so y is rational exactly when x is, and then y = x.  A contraction with
+integer counts never needs the conjugate table.  All images mod p are
+taken at the one root of unity root_of_unity(m, p), and every caller takes
+its primes from Embedded.primes, so a table is embedded once per prime.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from math import comb, gcd, isqrt
 import numpy as np
 
 from . import groups
-from .cyclotomic import _power_basis, euler_phi
+from .cyclotomic import _power_basis, euler_phi, prime_factors
 
 INT64_LIMIT = 2**62
 
@@ -115,44 +124,21 @@ def prime_1_mod(m: int, above: int) -> int:
     return p
 
 
-def prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, ascending, by trial division."""
-    factors = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            factors.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        factors.append(n)
-    return factors
-
-
 @lru_cache(maxsize=None)
-def root_of_unity(m: int, p: int) -> int:
-    """A primitive m-th root of unity mod the prime p = 1 (mod m):
-    g^((p-1)/m) for the smallest g >= 2 that gives order exactly m."""
-    qs = prime_factors(m)
+def primitive_root(p: int) -> int:
+    """The smallest generator of the units mod the prime p."""
+    qs = prime_factors(p - 1)
     for g in range(2, p):
-        z = pow(g, (p - 1) // m, p)
-        if all(pow(z, m // q, p) != 1 for q in qs):
-            return z
-    raise ValueError(f"no primitive {m}-th root of unity mod {p}")
+        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
+            return g
+    raise ValueError(f"no primitive root mod {p}")
 
 
-def certification_primes(bound: int, m: int, n: int) -> tuple[int, ...]:
-    """Primes p = 1 (mod m), ascending from sqrt(2**60 / n), until their
-    product exceeds 2 * bound.  A sum of n products of two residues mod
-    one of them then stays int64 (the kernels check, and use exact ints
-    past it)."""
-    primes = [prime_1_mod(m, isqrt(INT64_LIMIT // (4 * n)))]
-    product = primes[0]
-    while product <= 2 * bound:
-        primes.append(prime_1_mod(m, primes[-1]))
-        product *= primes[-1]
-    return tuple(primes)
+def root_of_unity(m: int, p: int) -> int:
+    """The primitive m-th root of unity mod the prime p = 1 (mod m) at
+    which every table is reduced and embedded: g^((p-1)/m) for g =
+    primitive_root(p)."""
+    return pow(primitive_root(p), (p - 1) // m, p)
 
 
 def embed(T: np.ndarray, p: int) -> np.ndarray:
@@ -204,6 +190,21 @@ class Embedded:
         """max over i of sum_{j, t} |T[j, i, t]|: no column of T sums to
         more than this in absolute value at any complex embedding."""
         return max(abs_row_sums(self.T.swapaxes(0, 1)), default=0)
+
+    def primes(self, bound: int) -> tuple[int, ...]:
+        """Primes p = 1 (mod m), ascending from sqrt(2**60 / max(k, m)) for
+        T of shape (k, ..., m), until their product exceeds 2 * bound.  A
+        sum of max(k, m) products of two residues mod one of them then
+        stays int64 (the kernels check, and use exact ints past it).  The
+        first prime depends on T's shape alone, so every caller reuses its
+        images."""
+        k, m = self.T.shape[0], self.T.shape[-1]
+        primes = [prime_1_mod(m, isqrt(INT64_LIMIT // (4 * max(k, m))))]
+        product = primes[0]
+        while product <= 2 * bound:
+            primes.append(prime_1_mod(m, primes[-1]))
+            product *= primes[-1]
+        return tuple(primes)
 
     def images(self, p: int) -> np.ndarray:
         """embed(T, p), kept for the next caller."""
@@ -303,37 +304,34 @@ _small_content_bins = lru_cache(maxsize=64)(_content_bins)
 
 
 def contract(
-    keys: np.ndarray, counts: np.ndarray, table: Embedded, bins=None, conjugate: bool = False
+    keys: np.ndarray, counts: np.ndarray, table: Embedded, bins=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """out[j] = sum_r counts[r] prod_a T[j_a, keys[r, a]] for every j in
     (k,)*n, n = keys.shape[1], flat in C order (or, given bins from
-    content_bins, the sums of out over each content), with T = table.T, or
-    its complex conjugate when conjugate is set.  The rows of keys are
-    distinct.  Returns the exact integer values and the mask of the entries
-    that are not rational; the values there are meaningless.
+    content_bins, the sums of out over each content), with T = table.T.
+    The rows of keys are distinct.  Returns the exact integer values and
+    the mask of the entries that are not rational; the values there are
+    meaningless.
 
     Every output, and every sum of outputs, is at most
     B = sum|counts| * table.column_norm^n at every complex embedding, so the
-    primes come from certification_primes(B, ...) and the module's argument
-    applies: an entry is rational exactly when its images at every
-    embedding mod every prime agree, and then it is their symmetric CRT
-    residue.  For each prime the counts are scattered into a dense k^n
-    array mod p, and each axis in turn is contracted with the (k, k) image
-    of T, for a block of embeddings at a time, so memory stays a few int64
-    arrays of max(k^n, TABLE_BLOCK) entries.  The conjugate of T at z^a is
-    T at z^-a, so conjugating only reverses the order of the embeddings."""
-    k, m = table.T.shape[0], table.T.shape[-1]
+    primes come from table.primes(B) and the module's argument applies: an
+    entry is rational exactly when its images at every embedding mod every
+    prime agree, and then it is their symmetric CRT residue.  For each
+    prime the counts are scattered into a dense k^n array mod p, and each
+    axis in turn is contracted with the (k, k) image of T, for a block of
+    embeddings at a time, so memory stays a few int64 arrays of
+    max(k^n, TABLE_BLOCK) entries."""
+    k = table.T.shape[0]
     n = keys.shape[1]
     size = k**n
     bound = abs_row_sums(counts.reshape(1, -1))[0] * table.column_norm**n
     flat = keys @ k ** np.arange(n - 1, -1, -1, dtype=np.int64)
     irrational = np.zeros(size if bins is None else len(bins[1]), dtype=bool)
     residues = []
-    primes = certification_primes(bound, m, max(k, m))
+    primes = table.primes(bound)
     for p in primes:
         images = table.images(p)
-        if conjugate:
-            images = images[::-1]
         A = np.zeros((1, size), dtype=np.int64)
         A[0, flat] = counts % p
         block = max(1, groups.TABLE_BLOCK // size)

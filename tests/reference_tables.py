@@ -22,7 +22,7 @@ from math import isqrt
 import numpy as np
 
 from repdual import zring
-from repdual.chartable import _certified_table, _primitive_root, _row_sort_key, dixon_prime
+from repdual.chartable import _certified_table, _row_sort_key, dixon_prime
 from repdual.cyclotomic import Cyclotomic, euler_phi
 from repdual.errors import ClosureCapExceeded, LiftVerificationFailed, NonIntegerMultiplicity
 from repdual.groups import DEFAULT_GROUP_CAP, ClassData, FiniteGroup
@@ -412,7 +412,7 @@ def reference_character_table(G: FiniteGroup):
 
     inv_class = [classes.class_of[G.inv(r)] for r in classes.class_reps]
     size_inv = [pow(s, p - 2, p) for s in classes.class_sizes]
-    z = pow(_primitive_root(p), (p - 1) // e, p)
+    z = zring.root_of_unity(e, p)
     e_inv = pow(e, p - 2, p)
     power_class = []
     for rep in classes.class_reps:

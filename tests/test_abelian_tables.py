@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repdual import chartable
+from repdual import chartable, zring
 from repdual.chartable import (
     _abelian_table,
     _cache_text,
@@ -98,7 +98,7 @@ def central_character_order(ct):
     among all of them in lexicographic order."""
     G, m = ct.group, ct.conductor
     p = chartable.dixon_prime(G.order, m)
-    z = pow(chartable._primitive_root(p), (p - 1) // m, p)
+    z = zring.root_of_unity(m, p)
     chi = ct.zvalues @ np.array([pow(z, t, p) for t in range(m)], dtype=np.int64) % p
     sizes = np.array(ct.classes.class_sizes, dtype=np.int64)
     central = [

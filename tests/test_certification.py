@@ -13,6 +13,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repdual import chartable, zring
 from repdual.chartable import _certify, _compute_character_table, character_table
@@ -28,7 +30,7 @@ from reference_tables import (
     reference_values,
 )
 from reference_zring import reduction_gain
-from test_table_kernels import CLASS_GROUPS, build
+from test_table_kernels import CLASS_GROUPS, TABLE_GROUPS, build
 
 CAUGHT = (KeyError, TypeError, ValueError, ArithmeticError)
 
@@ -55,7 +57,7 @@ def assert_same_outcome(ct, T, degrees=None):
 
 def first_prime(ct) -> int:
     """The first certification prime, which no bound changes."""
-    return zring.certification_primes(0, ct.conductor, max(ct.k, ct.conductor))[0]
+    return ct.embedded.primes(0)[0]
 
 
 @pytest.mark.parametrize("name", CLASS_GROUPS)
@@ -84,6 +86,73 @@ def test_seeded_tamperings_match_reference(name):
             T[i, j, t] += rng.choice((1, -1, 2, -3, 1 << 40))
         messages.add(assert_same_outcome(ct, T))
     assert len(messages - {None}) >= 2
+
+
+def raised(certify, ct, T):
+    """(type, message) of what certify raises on T, or None when it accepts."""
+    try:
+        certify(ct.group, ct.classes, T, ct.degrees)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def tamperings(draw):
+    """A TABLE_GROUPS table with one entry changed (past the first row and
+    column, whose checks come first, when there is one), or two of its rows
+    or two of its columns swapped."""
+    ct = character_table(build(draw(st.sampled_from(TABLE_GROUPS))))
+    k, p = ct.k, first_prime(ct)
+    T = ct.zvalues.copy()
+    kind = draw(st.sampled_from(["entry", "rows", "columns"]))
+    a, b = (draw(st.integers(min(kind == "entry", k - 1), k - 1)) for _ in range(2))
+    if kind == "entry":
+        t = draw(st.integers(0, ct.conductor - 1))
+        T[a, b, t] += draw(st.sampled_from([p, -2 * p, 1, -1, 2, -3, 1 << 40]))
+    elif kind == "rows":
+        T[[a, b]] = T[[b, a]]
+    else:
+        T[:, [a, b]] = T[:, [b, a]]
+    return ct, T
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(tamperings())
+def test_tamperings_fail_as_the_two_gram_reference(tampering):
+    # the reference checks row and then column orthogonality; _certify
+    # checks rows only, which imply the columns
+    ct, T = tampering
+    assert raised(certify, ct, T) == raised(reference_certify, ct, T)
+
+
+@pytest.mark.parametrize("source", ["cold", "cached"])
+def test_certify_runs_one_gram_product_per_prime(source, tmp_path, monkeypatch):
+    calls = []
+    gram = zring.gram_mismatch
+    monkeypatch.setattr(
+        zring, "gram_mismatch", lambda E, w, d, p: calls.append(p) or gram(E, w, d, p)
+    )
+    for name in ("S3", "Z12", "D15", "D60", "Z60"):
+        G = build(name)
+        cache_dir = tmp_path if source == "cached" else None
+        if cache_dir:
+            monkeypatch.setattr(chartable, "_cache", {})
+            character_table(G, cache_dir=cache_dir)
+        monkeypatch.setattr(chartable, "_cache", {})
+        calls.clear()
+        ct = character_table(G, cache_dir=cache_dir)
+        assert calls == [first_prime(ct)]
+    # off by a multiple of the first prime: one product at each prime
+    ct = character_table(build("S4"))
+    k, p = ct.k, first_prime(ct)
+    T = ct.zvalues.copy()
+    T[k - 1, k - 1, 0] += p
+    N = max(zring.abs_row_sums(T.reshape(k * k, -1)))
+    calls.clear()
+    assert "row orthogonality fails" in outcome(certify, ct, T)
+    primes = zring.Embedded(T).primes(ct.group.order * (N * N + 1))
+    assert len(primes) >= 2 and calls == list(primes)
 
 
 @pytest.mark.parametrize("name", ["S4", "D15", "Z12", "D60"])
@@ -124,7 +193,7 @@ def test_gram_mismatch_covers_every_embedding():
     # the Gram entry (0, 1) of rows (1, 0) and (zeta - c, 0) vanishes at z
     # exactly when c = z^-1, so only the embedding at z^-1 sees it
     m = 3
-    p = zring.certification_primes(0, m, m)[0]
+    p = zring.Embedded(np.zeros((2, 2, m), dtype=np.int64)).primes(0)[0]
     c = pow(zring.root_of_unity(m, p), m - 1, p)
     T = np.zeros((2, 2, m), dtype=np.int64)
     T[0, 0, 0] = 1
@@ -153,11 +222,11 @@ def test_one_prime_certifies_d30_d60_z60_and_z120():
         ct = _compute_character_table(build(name))
         m, k, T = ct.conductor, ct.k, ct.zvalues
         N = max(zring.abs_row_sums(T.reshape(k * k, m)))
-        primes = zring.certification_primes(ct.group.order * (N * N + 1), m, max(k, m))
+        primes = ct.embedded.primes(ct.group.order * (N * N + 1))
         assert len(primes) == 1 and primes[0] % m == 1 and zring.is_prime(primes[0])
         assert list(ct.embedded._images) == list(primes)
         reduced = max(ct.classes.class_sizes) * sum(zring.abs_row_sums(T)) ** 2 * reduction_gain(m)
-        assert len(zring.certification_primes(reduced + ct.group.order, m, max(k, m))) == 2
+        assert len(ct.embedded.primes(reduced + ct.group.order)) == 2
 
 
 def test_2_63_entries_match_reference():
@@ -205,6 +274,23 @@ def test_prime_helpers():
         z = zring.root_of_unity(m, p)
         assert pow(z, m, p) == 1 and all(pow(z, m // q, p) != 1 for q in zring.prime_factors(m))
     assert zring.prime_factors(1) == [] and zring.prime_factors(360) == [2, 3, 5]
+
+
+def test_root_of_unity_is_a_power_of_the_primitive_root():
+    # the smallest g whose powers are all the units, by brute force
+    for p in (q for q in range(3, 200) if zring.is_prime(q)):
+        powers = [{pow(g, e, p) for e in range(p - 1)} for g in range(2, p)]
+        assert zring.primitive_root(p) == 2 + [len(s) for s in powers].index(p - 1)
+    for m in (1, 2, 3, 6, 7, 12, 60, 120, 300):
+        table = zring.Embedded(np.zeros((1, 1, m), dtype=np.int64))
+        for p in (zring.prime_1_mod(m, 10**6), table.primes(0)[0]):
+            g = zring.primitive_root(p)
+            qs = zring.prime_factors(p - 1)
+            generators = [all(pow(h, (p - 1) // q, p) != 1 for q in qs) for h in range(2, g + 1)]
+            assert generators == [False] * (g - 2) + [True]
+            z = zring.root_of_unity(m, p)
+            assert z == pow(g, (p - 1) // m, p)
+            assert pow(z, m, p) == 1 and all(pow(z, m // q, p) != 1 for q in zring.prime_factors(m))
 
 
 # -- one int array per table -------------------------------------------------------

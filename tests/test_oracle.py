@@ -197,6 +197,23 @@ def test_non_subgroup_word_sets_are_rejected(words, message):
         permutation_character(H, CT3.classes)
 
 
+@pytest.mark.parametrize(
+    "words, message",
+    [
+        ([(0,), (1,), (2,), (3,)], "|H| does not divide |Gamma|^n; not a subgroup?"),
+        ([(0,), (1,), (3,)], "coset transversal: K_1 is not closed under the product; not a subgroup?"),
+        ([(0, 0), (0, 1), (0, 3)], "coset transversal: K_2 is not closed under the product; not a subgroup?"),
+        ([(0, 0), (1, 0), (1, 2)], "coset transversal has 18 cosets, expected 12; not a subgroup?"),
+    ],
+)
+def test_oracle_refusals_keep_their_messages(words, message):
+    # the whole oracle, decomposition included, refuses with the exact text
+    H = code_from_words(S3, len(words[0]), words, validate=False)
+    with pytest.raises(RepdualError) as refusal:
+        decompose_permutation_character(permutation_character(H, CT3.classes), CT3, H.n)
+    assert str(refusal.value) == message
+
+
 def test_coset_cap_refuses_before_allocating():
     # trivial Q8^6 has 262144 cosets, 12.6 MB of representatives
     H = trivial_code(builtin_group("Q8"), 6)

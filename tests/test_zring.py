@@ -297,7 +297,7 @@ def test_imaginary_entry_is_caught_across_embeddings():
     T = np.zeros((1, 1, 5), dtype=np.int64)
     T[0, 0, :4] = [int(c) for c in value.coeffs]
     table = zring.Embedded(T)
-    p = zring.certification_primes(0, 5, 5)[0]
+    p = table.primes(0)[0]
     images = table.images(p)[:, 0, 0]
     assert images.all() and not ((images + images[::-1]) % p).any()
     # the entry itself, and its square 2 - zeta^2 - zeta^-2, which is real
@@ -331,7 +331,7 @@ def test_counts_past_int64_recombine_by_crt():
     for G in (cyclic_group(6), symmetric_group(3), symmetric_group(4)):
         ct = character_table(G)
         bound = (2**70 + 3 + 5**40) * ct.embedded.column_norm**2
-        assert len(zring.certification_primes(bound, ct.conductor, max(ct.k, ct.conductor))) >= 3
+        assert len(ct.embedded.primes(bound)) >= 3
         for bins in (False, True):
             assert_contract_matches(keys % ct.k, counts, ct.embedded, bins)
     # S3: every product of rational values is rational, and the largest
@@ -348,7 +348,7 @@ def test_decompose_needs_two_primes_on_diag_s3_7():
     ct = character_table(S3)
     code = diagonal_code(S3, 7)
     bound = 6**7 * ct.embedded.column_norm**7
-    assert len(zring.certification_primes(bound, ct.conductor, max(ct.k, ct.conductor))) == 2
+    assert len(ct.embedded.primes(bound)) == 2
     pc = permutation_character(code, ct.classes)
     assert decompose_items(pc, ct, 7) == list(rz.reference_decompose(pc, ct, 7).items())
     assert list(dual_multiset(code, ct).mult.items()) == decompose_items(pc, ct, 7)
@@ -369,7 +369,7 @@ def test_each_table_is_embedded_once_per_prime(source, tmp_path, monkeypatch):
         monkeypatch.setattr(chartable, "_cache", {})
         calls.clear()
         ct = character_table(G, cache_dir=cache_dir)
-        assert calls == [zring.certification_primes(0, ct.conductor, max(ct.k, ct.conductor))[0]]
+        assert calls == [ct.embedded.primes(0)[0]]
         code = diagonal_code(G, 2)
         dual_multiset(code, ct)
         images = dict(ct.embedded._images)
