@@ -89,12 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, text_lines, json_obj) -> None:
     """Print text_lines() or json_obj(), whichever --format asks for; the
-    other is never built."""
+    other is never built.  The text goes out in one write, each line ended
+    by a newline."""
     if args.format == "json":
         print(json.dumps(json_obj(), indent=2))
     else:
-        for line in text_lines():
-            print(line)
+        sys.stdout.write("".join(f"{line}\n" for line in text_lines()))
 
 
 def _load_group(args):

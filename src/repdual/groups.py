@@ -4,8 +4,10 @@ Elements of a group of order N are the indices 0..N-1 with the identity
 always at index 0.  A word in the n-fold direct product is a plain tuple of
 n element indices; the product group is never materialized as a table.
 
-Closure, Cayley tables, products and conjugacy classes run as numpy gathers
-on exact integer index arrays.
+Cayley tables, products and conjugacy classes run as numpy gathers on exact
+integer index arrays.  Permutation closure gathers each BFS level's
+neighbours at once and keys every element by its image bytes in a dict;
+labels come from one cycle walk per permutation.
 
 Canonical conventions pinned here (everything downstream relies on them):
   * permutation closures index elements in BFS order from the identity,
@@ -199,93 +201,61 @@ def perm_from_cycles(cycles: list[list[int]], degree: int) -> tuple[int, ...]:
 
 
 def _cycle_labels(P: np.ndarray) -> list[str]:
-    """The cycle notation of every row of the (N, degree) image array P,
-    all at once: each cycle in parentheses, its points separated by spaces,
-    starting from its smallest point, cycles by their smallest points, fixed
-    points left out, and "()" for the identity.
-
-    Every point i walks its cycle for degree steps, all rows together,
-    recording the cycle's length, its smallest point c and how many steps
-    from c to i.  Sorted by (c, steps), the moved points of a row are its
-    cycle notation read off; each becomes one fixed-width cell, "(" opening
-    and ")" closing a cycle, and the rows' cells, NUL padding dropped, are
-    joined with newlines and split once."""
-    N, d = P.shape
-    rows = np.arange(N)[:, None]
-    x = np.broadcast_to(np.arange(d), (N, d))
-    smallest, at, length = x, np.zeros((N, d), dtype=np.intp), np.zeros((N, d), dtype=np.intp)
-    for s in range(1, d + 1):
-        x = P[rows, x]
-        lower = x < smallest
-        smallest, at = np.where(lower, x, smallest), np.where(lower, s, at)
-        length = np.where((length == 0) & (x == np.arange(d)), s, length)
-    steps = (length - at) % length
-    moved = length > 1
-    order = np.argsort(np.where(moved, smallest * d + steps, d * d), axis=1, kind="stable")
-    # cell 4i + 2 first + last for a moved point i; 4d + 1 (empty) for a
-    # fixed point, and 4d ("()") opens a row that moves nothing
-    cell = 4 * order + 2 * (steps == 0)[rows, order] + (steps == length - 1)[rows, order]
-    cell[~moved[rows, order]] = 4 * d + 1
-    cell[~moved.any(axis=1), 0] = 4 * d
-    texts = [
-        f"{'(' if first else ' '}{i}{')' if last else ''}"
-        for i in range(d) for first in (0, 1) for last in (0, 1)
-    ]
-    cells = np.array([t.encode() for t in texts] + [b"()", b""], dtype=bytes)
-    width = cells.dtype.itemsize
-    text = np.zeros((N, d * width + 1), dtype=np.uint8)
-    text[:, :-1] = cells[cell].view(np.uint8).reshape(N, -1)
-    text[:, -1] = ord("\n")
-    return text[text != 0].tobytes().decode().split("\n")[:-1]
-
-
-def _perm_keys(Y: np.ndarray, degree: int) -> np.ndarray:
-    """An exact integer key per row of images: sum_i Y[:, i] * degree**i in
-    int64 up to degree 15; above, where degree**degree passes 2**63, the
-    row's uint32 bytes read as one Python int."""
-    if degree**degree <= 2**63:
-        return Y @ degree ** np.arange(degree, dtype=np.int64)
-    data, width = Y.astype(np.uint32).tobytes(), 4 * degree
-    keys = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
-    return np.array(keys, dtype=object)
+    """The cycle notation of every row of the (N, degree) image array P, one
+    walk per permutation: each cycle in parentheses from its smallest point,
+    its points separated by spaces, cycles by their smallest points, fixed
+    points left out, and "()" for the identity."""
+    names = [str(i) for i in range(P.shape[1])]
+    labels = []
+    for perm in map(np.ndarray.tolist, P):
+        seen = [False] * len(perm)
+        parts = []
+        for start, x in enumerate(perm):
+            if x == start or seen[start]:
+                continue
+            cycle = [names[start]]
+            while x != start:
+                seen[x] = True
+                cycle.append(names[x])
+                x = perm[x]
+            parts.append("(" + " ".join(cycle) + ")")
+        labels.append("".join(parts) or "()")
+    return labels
 
 
 def _closure(gens: np.ndarray, degree: int, cap: int):
     """BFS closure of the generator images gens, shape (r, degree).
 
-    Returns the elements (N, degree) in BFS order, right (N, r) with
-    right[x, s] the index of x o gens[s], and per BFS level the indices of
-    the elements it found with the (parent, generator) that found each."""
+    Each level's neighbours x o g, x-major and generator-minor, are one
+    gather of the frontier's rows; a dict from an element's image bytes to
+    its index tells the new ones from the known.  Returns the elements
+    (N, degree) in BFS order, right (N, r) with right[x, s] the index of
+    x o gens[s], and per BFS level the indices of the elements it found with
+    the (parent, generator) that found each."""
     r = len(gens)
-    frontier = np.arange(degree)[None, :]
-    seen = _perm_keys(frontier, degree)  # sorted keys of all elements so far
-    seen_index = np.zeros(1, dtype=np.intp)  # element index of each key
+    frontier = np.arange(degree, dtype=_index_dtype(degree))[None, :]
+    index = {frontier.tobytes(): 0}
     elements, right, levels = [frontier], [], []
-    count, first_of_frontier = 1, 0
     while len(frontier):
-        # the neighbours x o g in scan order: x-major, generator-minor
+        count = len(index)
         Y = frontier[:, gens].reshape(-1, degree)
-        keys, first, inverse = np.unique(
-            _perm_keys(Y, degree), return_index=True, return_inverse=True
-        )
-        pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
-        known = seen[pos] == keys
-        index = np.empty(len(keys), dtype=np.intp)
-        index[known] = seen_index[pos[known]]
-        fresh = np.flatnonzero(~known)  # in key order
-        new = fresh[np.argsort(first[fresh])]  # in order of first occurrence
-        if count + len(new) > cap:
-            raise ClosureCapExceeded("group closure", cap + 1, cap)
-        index[new] = np.arange(count, count + len(new))
-        right.append(index[inverse.reshape(-1)].reshape(len(frontier), r))
-        found = first[new]
-        levels.append((index[new], first_of_frontier + found // r, found % r))
+        data, width = Y.tobytes(), Y.itemsize * degree
+        found, row = [], []
+        for j in range(len(Y)):
+            key = data[j * width : (j + 1) * width]
+            if key not in index:
+                if len(index) >= cap:
+                    raise ClosureCapExceeded("group closure", cap + 1, cap)
+                index[key] = len(index)
+                found.append(j)
+            row.append(index[key])
+        found = np.array(found, dtype=np.intp)
+        right.append(np.array(row, dtype=np.intp).reshape(len(frontier), r))
+        # the frontier is the last len(frontier) elements found
+        parents = count - len(frontier) + found // r
+        levels.append((np.arange(count, len(index)), parents, found % r))
         frontier = Y[found]
         elements.append(frontier)
-        first_of_frontier, count = count, count + len(new)
-        at = np.searchsorted(seen, keys[fresh])
-        seen = np.insert(seen, at, keys[fresh])
-        seen_index = np.insert(seen_index, at, index[fresh])
     return np.concatenate(elements), np.concatenate(right), levels
 
 

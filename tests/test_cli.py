@@ -1,8 +1,9 @@
 import json
+from argparse import Namespace
 
 import pytest
 
-from repdual.cli import main
+from repdual.cli import _emit, main
 from repdual.errors import SpecFileError
 from repdual.specfiles import load_code_spec, load_group_spec
 
@@ -247,6 +248,15 @@ def test_cli_deterministic_json(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("lines", [[], [""], ["a", "", "b c"]], ids=["none", "empty", "three"])
+def test_emit_writes_the_bytes_of_one_print_per_line(capsys, lines):
+    for line in lines:
+        print(line)
+    want = capsys.readouterr().out
+    _emit(Namespace(format="text"), lambda: lines, dict)
+    assert capsys.readouterr().out == want
 
 
 def test_cli_byte_identical_across_processes():

@@ -107,7 +107,6 @@ def test_closure_matches_reference(name):
 
 
 def test_closure_on_degree_16_and_more_matches_reference():
-    # degree**degree passes 2**63 from degree 16 on: the keys are Python ints
     cases = [
         builtin_generators("D16"),
         [perm_from_cycles([[0, 1, 2]], 18), perm_from_cycles([[13, 14, 15, 16, 17]], 18)],
@@ -116,9 +115,6 @@ def test_closure_on_degree_16_and_more_matches_reference():
     ]
     for gens in cases:
         assert_same_group(group_from_generators(gens), reference_group_from_generators(gens))
-    Y = np.array([list(range(15, -1, -1))])
-    assert groups._perm_keys(Y, 16).tolist() == [sum((15 - i) * 2 ** (32 * i) for i in range(16))]
-    assert groups._perm_keys(Y[:, 1:], 15).tolist() == [sum((14 - i) * 15**i for i in range(15))]
 
 
 @pytest.mark.parametrize("factors", PRODUCTS, ids="x".join)
@@ -268,6 +264,36 @@ def test_random_permutation_groups_match_reference(gens):
         assert_split_order(G)
         ct, ref = _compute_character_table(G), reference_character_table(R)
         assert (ct.to_json(), ct.irrep_order) == (ref.to_json(), ref.irrep_order)
+
+
+@st.composite
+def wide_generators(draw):
+    """1-3 generators on 16-64 points, each a few disjoint 2- and 3-cycles
+    on one shared set of at most five points, so orders stay at most 120."""
+    degree = draw(st.integers(16, 64))
+    support = draw(st.lists(st.integers(0, degree - 1), min_size=2, max_size=5, unique=True))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        points, cycles = draw(st.permutations(support)), []
+        while points:
+            length = draw(st.integers(2, 3))
+            cycles.append(points[:length])
+            points = points[length:]
+        gens.append(perm_from_cycles(cycles, degree))
+    return gens
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(wide_generators())
+def test_wide_permutation_groups_match_reference(gens):
+    G = group_from_generators(gens)
+    assert_same_group(G, reference_group_from_generators(gens))
+    if G.order > 1:
+        with pytest.raises(ClosureCapExceeded) as got:
+            group_from_generators(gens, cap=G.order - 1)
+        with pytest.raises(ClosureCapExceeded) as want:
+            reference_group_from_generators(gens, cap=G.order - 1)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
