@@ -277,17 +277,14 @@ class CharacterTable:
         text = np.array([render_coefficients(self.conductor, c) for c in distinct], dtype=object)
         return text[index].tolist()
 
-    def _values_json(self) -> list:
-        """The values as Cyclotomic.to_json would write them, straight from
-        the array; each distinct coefficient is formatted once."""
-        m = self.conductor
-        coeffs = self.zvalues[..., : euler_phi(m)]
-        distinct, index = np.unique(coeffs, return_inverse=True)
-        text = np.array([str(c) for c in distinct.tolist()], dtype=object)
-        rows = text[index.reshape(coeffs.shape)].tolist()
-        return [[{"conductor": m, "coeffs": c} for c in row] for row in rows]
-
     def to_json(self) -> dict:
+        """The table as Cyclotomic.to_json would write its values, straight
+        from the array: one {"conductor", "coeffs"} dict per distinct value,
+        which every entry holding that value shares."""
+        m = self.conductor
+        distinct, index = self._distinct_values()
+        cells = [{"conductor": m, "coeffs": [str(c) for c in coeffs]} for coeffs in distinct]
+        cells = np.array(cells, dtype=object)
         return {
             "group": self.group.name,
             "order": self.group.order,
@@ -295,7 +292,7 @@ class CharacterTable:
             "class_sizes": list(self.classes.class_sizes),
             "class_reps": [self.group.element_labels[r] for r in self.classes.class_reps],
             "degrees": list(self.degrees),
-            "values": self._values_json(),
+            "values": cells[index].tolist(),
         }
 
 

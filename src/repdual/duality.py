@@ -309,12 +309,30 @@ class ExtensionCheck:
     rhs: Fraction
 
 
-def _trivial_dimension_sums(dm: DualMultiset) -> list[int]:
+def _trivial_dimension_sums(dm: DualMultiset) -> np.ndarray:
     """Entry S: sum of mult*dim over the tuples trivial on every coordinate
     of the bitmask S, the tuples whose support is disjoint from S: one
     subset-sum transform, O(2^n * n) past the histogram."""
     support = (dm.index != 0) @ (1 << np.arange(dm.n))
-    return _subset_sums(support, dm.n, dm._mass).tolist()
+    return _subset_sums(support, dm.n, dm._mass)
+
+
+def _extension_sides(
+    rp: RankProfile, dm: DualMultiset
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The extension lemma at every bitmask S at once, cross-multiplied:
+    lhs[S], the dimension sum of the tuples trivial on S; card[S] =
+    |pr_{E-S}(H)|; and power[S] = |Gamma|^(n-|S|).  The lemma holds at S iff
+    lhs[S] * card[S] == power[S].  All three share one exact integer dtype
+    that also holds that product."""
+    n, q = rp.n, rp.group_order
+    lhs = _trivial_dimension_sums(dm)
+    dtype = zring.exact_dtype(max(q**n, int(np.abs(lhs).max()) * max(rp.card)))
+    # bit i of S is the ith doubling, so the upper half divides by q once more
+    power = np.array([q**n], dtype=dtype)
+    for _ in range(n):
+        power = np.concatenate([power, power // q])
+    return lhs.astype(dtype), np.array(rp.card[::-1], dtype=dtype), power
 
 
 def extension_lemma_checks(rp: RankProfile, dm: DualMultiset) -> list[ExtensionCheck]:
@@ -322,8 +340,8 @@ def extension_lemma_checks(rp: RankProfile, dm: DualMultiset) -> list[ExtensionC
     count of the projection onto the complement, for every bitmask S (entry
     S of the list):
     sum_{j trivial on S} mult*dim = |Gamma|^(n-|S|) / |pr_{E-S}(H)|."""
-    n, q = rp.n, rp.group_order
-    full = (1 << n) - 1
-    lhs = _trivial_dimension_sums(dm)
-    rhs = [Fraction(q ** (n - S.bit_count()), rp.card[full & ~S]) for S in range(full + 1)]
-    return [ExtensionCheck(S, a == b, Fraction(a), b) for S, (a, b) in enumerate(zip(lhs, rhs))]
+    sides = zip(*(side.tolist() for side in _extension_sides(rp, dm)))
+    return [
+        ExtensionCheck(S, a * card == b, Fraction(a), Fraction(b, card))
+        for S, (a, card, b) in enumerate(sides)
+    ]

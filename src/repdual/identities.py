@@ -52,9 +52,9 @@ from .duality import (
     DEFAULT_TUPLE_CAP,
     DualMultiset,
     _digits,
+    _extension_sides,
     dual_multiset,
     dual_weight_enumerator,
-    extension_lemma_checks,
 )
 from .errors import CapExceeded, DomainError, NonIntegerMultiplicity, NotRational
 from .polynomials import MultiPoly, UniPoly
@@ -273,10 +273,13 @@ def verify_macwilliams2(a: CodeAnalysis) -> CheckResult:
 
 
 def verify_extension_lemma(a: CodeAnalysis) -> CheckResult:
+    """The extension lemma at every bitmask S, compared as integer arrays;
+    only a failing S is formatted, with its right side as a Fraction."""
     result = CheckResult("extension_lemma", True)
-    for res in extension_lemma_checks(a.rp, a.dm):
-        if not res.passed:
-            result.fail(f"subset {res.S:#x}: dimension sum {res.lhs} != {res.rhs}")
+    lhs, card, power = _extension_sides(a.rp, a.dm)
+    for S in np.flatnonzero(lhs * card != power).tolist():
+        rhs = Fraction(int(power[S]), int(card[S]))
+        result.fail(f"subset {S:#x}: dimension sum {int(lhs[S])} != {rhs}")
     return result
 
 

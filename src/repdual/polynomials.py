@@ -1,12 +1,16 @@
 """Sparse exact polynomials over Q, univariate and multivariate.
 
 UniPoly maps degree -> Fraction; MultiPoly maps a length-k exponent tuple to
-a rational coefficient.  Zero coefficients are never stored, so equality is
-plain dict equality.
+a rational coefficient.  Both are one sparse core, _SparsePoly: a dict from
+exponent key to nonzero coefficient, with ==, +, -, * and ** written once
+and int and Fraction scalars promoted to constants.  Each class supplies the
+key of its constant, how two exponent keys add, and how a term is written.
+Zero coefficients are never stored, so equality is plain dict equality.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -29,16 +33,87 @@ def _power(base: str, e: int) -> str:
     return "" if e == 0 else base if e == 1 else f"{base}^{e}"
 
 
-class UniPoly:
-    __slots__ = ("coeffs",)
+class _SparsePoly:
+    """The arithmetic UniPoly and MultiPoly share.  A subclass supplies
+    _unit, the key of its constant; _add_keys, the key of a product of two
+    monomials; render, how its terms are written; and _new, a polynomial of
+    its own kind (and shape) from a dict of terms, zero coefficients
+    dropped."""
+
+    __slots__ = ("_terms",)
+
+    def _promote(self, other):
+        """other as a polynomial of this kind: an int or Fraction becomes a
+        constant, and any value of another type is NotImplemented."""
+        if isinstance(other, (int, Fraction)):
+            return self._new({self._unit: other})
+        return other if isinstance(other, type(self)) else NotImplemented
+
+    def __eq__(self, other):
+        other = self._promote(other)
+        if other is NotImplemented:
+            return other
+        return self._unit == other._unit and self._terms == other._terms
+
+    __hash__ = None
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __add__(self, other):
+        other = self._promote(other)
+        if other is NotImplemented:
+            return other
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            out[e] = out.get(e, 0) + c
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({e: -c for e, c in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._promote(other)
+        return other if other is NotImplemented else self + -other
+
+    def __mul__(self, other):
+        other = self._promote(other)
+        if other is NotImplemented:
+            return other
+        out = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                e = self._add_keys(e1, e2)
+                out[e] = out.get(e, 0) + c1 * c2
+        return self._new(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        result = self._new({self._unit: Fraction(1)})
+        for _ in range(e):
+            result = result * self
+        return result
+
+    def __str__(self):
+        return self.render()
+
+
+class UniPoly(_SparsePoly):
+    __slots__ = ()
+    _unit = 0
 
     def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
-        self.coeffs: dict[int, Fraction] = {}
-        if coeffs:
-            for d, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[d] = c
+        self._terms = {d: f for d, c in (coeffs or {}).items() if (f := Fraction(c))}
+
+    _add_keys = staticmethod(operator.add)
+
+    def _new(self, coeffs) -> "UniPoly":
+        return UniPoly(coeffs)
+
+    coeffs = _SparsePoly._terms  # the terms dict under its public name
 
     @staticmethod
     def zero() -> "UniPoly":
@@ -52,166 +127,59 @@ class UniPoly:
     def monomial(degree: int, coeff=1) -> "UniPoly":
         return UniPoly({degree: Fraction(coeff)})
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly({0: Fraction(other)})
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    __hash__ = None
-
     def __getitem__(self, d: int) -> Fraction:
-        return self.coeffs.get(d, Fraction(0))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly({0: Fraction(other)})
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            s = out.get(d, Fraction(0)) + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly({d: -c for d, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly({0: Fraction(other)})
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return UniPoly({d: c * q for d, c in self.coeffs.items()}) if q else UniPoly()
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                s = out.get(d, Fraction(0)) + c1 * c2
-                if s:
-                    out[d] = s
-                else:
-                    out.pop(d, None)
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "UniPoly":
-        result = UniPoly.one()
-        for _ in range(e):
-            result = result * self
-        return result
+        return self._terms.get(d, Fraction(0))
 
     def evaluate(self, x):
         """Exact for Fraction input, floating for float input."""
         total = x * 0
-        for d, c in self.coeffs.items():
+        for d, c in self._terms.items():
             total += (c if isinstance(x, Fraction) else float(c)) * x**d
         return total
 
     def render(self, var: str = "z") -> str:
-        return _render_terms((self.coeffs[d], _power(var, d)) for d in sorted(self.coeffs))
-
-    def __str__(self):
-        return self.render()
+        return _render_terms((self._terms[d], _power(var, d)) for d in sorted(self._terms))
 
     def __repr__(self):
         return f"UniPoly({self.render()})"
 
     def to_json(self) -> list:
-        return [[d, str(self.coeffs[d])] for d in sorted(self.coeffs)]
+        return [[d, str(self._terms[d])] for d in sorted(self._terms)]
 
 
-class MultiPoly:
+class MultiPoly(_SparsePoly):
     """Polynomial in nvars variables; keys are exponent tuples."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], object] | None = None):
         self.nvars = nvars
-        self.terms: dict[tuple[int, ...], object] = {}
-        if terms:
-            for e, c in terms.items():
-                if len(e) != nvars:
-                    raise ValueError(f"exponent tuple {e} has wrong length")
-                if c:
-                    self.terms[e] = c
+        for e in terms or ():
+            if len(e) != nvars:
+                raise ValueError(f"exponent tuple {e} has wrong length")
+        self._terms = {e: c for e, c in (terms or {}).items() if c}
+
+    def _new(self, terms) -> "MultiPoly":
+        return MultiPoly(self.nvars, terms)
+
+    @property
+    def _unit(self) -> tuple[int, ...]:
+        return (0,) * self.nvars
 
     @staticmethod
-    def constant(nvars: int, c) -> "MultiPoly":
-        return MultiPoly(nvars, {(0,) * nvars: c})
+    def _add_keys(e1, e2) -> tuple[int, ...]:
+        return tuple(a + b for a, b in zip(e1, e2))
 
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if not s:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MultiPoly(self.nvars, out)
-
-    def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            return self.scale(other)
-        out: dict[tuple[int, ...], object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if not s:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "MultiPoly":
-        if not c:
-            return MultiPoly(self.nvars)
-        return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
-
-    def __pow__(self, e: int) -> "MultiPoly":
-        result = MultiPoly.constant(self.nvars, Fraction(1))
-        for _ in range(e):
-            result = result * self
-        return result
+    terms = _SparsePoly._terms  # the terms dict under its public name
 
     def map_coefficients(self, fn) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
+        return self._new({e: fn(c) for e, c in self._terms.items()})
 
     def substitute_univariate(self, images: Sequence[tuple[Fraction, int]]) -> UniPoly:
         """Substitute variable i -> coeff_i * z^deg_i; coefficients must be
         rational at that point."""
         out = UniPoly()
-        for exps, c in self.terms.items():
+        for exps, c in self._terms.items():
             degree = 0
             scalar = Fraction(c)
             for i, e in enumerate(exps):
@@ -225,7 +193,7 @@ class MultiPoly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         """Descending lexicographic on exponent tuples (x1-major), matching
         the usual hand-written ordering x1^n, ..., xk^n."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def render(self, var: str = "x") -> str:
         return _render_terms(
@@ -233,14 +201,8 @@ class MultiPoly:
             for exps, c in self.sorted_terms()
         )
 
-    def __str__(self):
-        return self.render()
-
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.render()})"
 
     def to_json(self) -> list:
-        out = []
-        for exps, c in self.sorted_terms():
-            out.append([list(exps), str(Fraction(c))])
-        return out
+        return [[list(exps), str(Fraction(c))] for exps, c in self.sorted_terms()]

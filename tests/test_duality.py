@@ -7,6 +7,7 @@ import pytest
 
 from repdual.chartable import character_table
 from repdual.codes import (
+    RankProfile,
     code_from_generators,
     diagonal_code,
     full_code,
@@ -26,6 +27,7 @@ from repdual.duality import (
 )
 from repdual.errors import CapExceeded, NonIntegerMultiplicity
 from repdual.groups import cyclic_group, quaternion_group, symmetric_group
+from repdual.identities import CodeAnalysis, verify_extension_lemma
 from repdual.polynomials import MultiPoly, UniPoly
 
 from reference_tallies import legacy, multiset_from_mult
@@ -239,6 +241,30 @@ def test_extension_lemma_checks_match_direct_sums():
     assert all(c.passed for c in extension_lemma_checks(rp, dm))
     failed = [c.S for c in extension_lemma_checks(rp, tampered) if not c.passed]
     assert failed == [0, 1, 4, 5]
+    # complement cards 7 (at S = 0) and 5 (at S = 0b100) divide no power of
+    # |S3| = 6, so the right side is a proper Fraction there
+    card = list(rp.card)
+    card[0b111], card[0b011] = 7, 5
+    bad = RankProfile(3, 6, tuple(card))
+    checks = extension_lemma_checks(bad, dm)
+    assert [(c.S, c.lhs, c.rhs) for c in checks if not c.passed] == [
+        (0, 36, Fraction(216, 7)),
+        (4, 6, Fraction(36, 5)),
+    ]
+    assert all(type(c.lhs) is type(c.rhs) is Fraction for c in checks)
+    analysis = CodeAnalysis(code, CT3)
+    analysis.rp = bad
+    assert verify_extension_lemma(analysis).details == [
+        "subset 0x0: dimension sum 36 != 216/7",
+        "subset 0x4: dimension sum 6 != 36/5",
+    ]
+    # |Gamma|^n = 2^120 is past int64: the sides are compared as Python ints
+    huge = RankProfile(3, 2**40, bad.card)
+    for c in extension_lemma_checks(huge, dm):
+        assert c.rhs == Fraction(2 ** (40 * (3 - c.S.bit_count())), bad.card[0b111 & ~c.S])
+        assert c.passed == (c.lhs == c.rhs) == (c.S == 0b111)
+    analysis.rp = huge
+    assert len(verify_extension_lemma(analysis).details) == 7
 
 
 # -- the gates of R(H) ------------------------------------------------------------

@@ -17,7 +17,7 @@ from repdual.codes import (
     trivial_code,
     weight_enumerator,
 )
-from repdual import codes, identities
+from repdual import codes, duality, identities
 from repdual.duality import dual_multiset, dual_weight_enumerator
 from repdual.errors import DomainError, NotAGroup, NotRational
 from repdual.groups import (
@@ -169,6 +169,27 @@ def test_macwilliams2_example_code():
 def test_extension_lemma_verifier():
     for code in (example_code(), diagonal_code(S3, 3), full_code(Z2, 3)):
         assert verify_extension_lemma(CodeAnalysis(code)).passed
+
+
+def test_passing_extension_lemma_builds_no_per_subset_object(monkeypatch):
+    # the 64 subsets of diag S3^6 are compared as integer arrays: no
+    # ExtensionCheck and no Fraction is built while every subset passes
+    a = CodeAnalysis(diagonal_code(S3, 6))
+    assert a.rp.n == a.dm.n == 6  # both are built before the spies go in
+    built = []
+
+    def spy(real):
+        def build(*args, **kwargs):
+            built.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return build
+
+    monkeypatch.setattr(duality, "ExtensionCheck", spy(duality.ExtensionCheck))
+    monkeypatch.setattr(duality, "Fraction", spy(Fraction))
+    monkeypatch.setattr(identities, "Fraction", spy(Fraction))
+    assert verify_extension_lemma(a).passed
+    assert built == []
 
 
 def test_extension_lemma_verifier_reports_failing_subsets(monkeypatch):

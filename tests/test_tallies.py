@@ -100,7 +100,7 @@ def assert_tallies_match(code, ct):
     assert dual_weight_enumerator(dm) == ref.dual_weight_enumerator(old)
     assert dual_cwe(dm) == ref.dual_cwe(old)
     assert content_poly(dm.k, dm.n, content_counts(dm.index, dm.k, dm.counts)) == ref.dual_cwe(old)
-    assert _trivial_dimension_sums(dm) == ref._trivial_dimension_sums(old)
+    assert _trivial_dimension_sums(dm).tolist() == ref._trivial_dimension_sums(old)
     if ct.k == code.group.order:
         eps = abelian_pairing_exponents(code.group)
         assert classical_dual_code(code, eps).words == ref.classical_dual_code(code, eps).words
@@ -142,7 +142,7 @@ def test_sums_past_int64_are_exact(degrees, mult):
     assert dual_weight_enumerator(dm) == ref.dual_weight_enumerator(old)
     assert dual_cwe(dm) == ref.dual_cwe(old)
     assert content_poly(dm.k, dm.n, content_counts(dm.index, dm.k, dm.counts)) == ref.dual_cwe(old)
-    assert _trivial_dimension_sums(dm) == ref._trivial_dimension_sums(old)
+    assert _trivial_dimension_sums(dm).tolist() == ref._trivial_dimension_sums(old)
 
 
 def test_transform_profile_matches_per_subset_past_the_matrix():
