@@ -290,7 +290,7 @@ class CharacterTable:
             "order": self.group.order,
             "conductor": self.conductor,
             "class_sizes": list(self.classes.class_sizes),
-            "class_reps": [self.group.element_labels[r] for r in self.classes.class_reps],
+            "class_reps": self.group.labels_of(self.classes.class_reps),
             "degrees": list(self.degrees),
             "values": cells[index].tolist(),
         }

@@ -116,18 +116,30 @@ def _code_json(code, **fields) -> dict:
 def cmd_classes(args) -> int:
     G = _load_group(args)
     cd = conjugacy_classes(G)
-    lines = [f"group {G.name}: order {G.order}, {cd.num_classes} conjugacy classes"]
-    blob = {"group": G.name, "order": G.order, "num_classes": cd.num_classes, "classes": []}
-    members = [[] for _ in range(cd.num_classes)]
-    for label, c in zip(G.element_labels, cd.class_of):
-        members[c].append(label)
-    for c in range(cd.num_classes):
-        rep = G.element_labels[cd.class_reps[c]]
-        lines.append(f"  class {c + 1}: size {cd.class_sizes[c]}, rep {rep}")
-        blob["classes"].append(
-            {"index": c + 1, "size": cd.class_sizes[c], "rep": rep, "members": members[c]}
-        )
-    _emit(args, lambda: lines, lambda: blob)
+    head = f"group {G.name}: order {G.order}, {cd.num_classes} conjugacy classes"
+    sizes = cd.class_sizes
+
+    def lines():
+        reps = G.labels_of(cd.class_reps)
+        return [head] + [
+            f"  class {c + 1}: size {size}, rep {rep}"
+            for c, (size, rep) in enumerate(zip(sizes, reps))
+        ]
+
+    def blob():
+        labels = list(G.element_labels)
+        members = [[] for _ in range(cd.num_classes)]
+        for label, c in zip(labels, cd.class_of):
+            members[c].append(label)
+        classes = [
+            {"index": c + 1, "size": sizes[c], "rep": labels[r], "members": members[c]}
+            for c, r in enumerate(cd.class_reps)
+        ]
+        return {
+            "group": G.name, "order": G.order, "num_classes": cd.num_classes, "classes": classes
+        }
+
+    _emit(args, lines, blob)
     return 0
 
 
@@ -136,7 +148,7 @@ def cmd_chartable(args) -> int:
     ct = character_table(G, cache_dir=args.cache_dir)
 
     def lines():
-        reps = " ".join(G.element_labels[r] for r in ct.classes.class_reps)
+        reps = " ".join(G.labels_of(ct.classes.class_reps))
         rows = enumerate(zip(ct.degrees, ct.values_text()))
         return [
             f"group {G.name}: {ct.k} irreducible characters, conductor {ct.conductor}",
@@ -293,7 +305,7 @@ def cmd_demo(args) -> int:
     pc = permutation_character(code, ct.classes, coset_cap=args.coset_cap)
     want_pc = {(0, 0): 6, (1, 0): 2, (0, 2): 6, (1, 2): 2}
     for tup in sorted(want_pc):
-        reps = ", ".join(G.element_labels[ct.classes.class_reps[c]] for c in tup)
+        reps = ", ".join(G.labels_of([ct.classes.class_reps[c] for c in tup]))
         check(f"chi({reps})", pc.get(tup, 0), want_pc[tup])
     check("chi elsewhere", {t: c for t, c in pc.items() if t not in want_pc}, {})
     dm = dual_multiset(code, ct, cap=args.tuple_cap)

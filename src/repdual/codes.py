@@ -262,10 +262,16 @@ class RankProfile:
     group_order: int
     card: tuple[int, ...]  # indexed by bitmask
 
-    def rank(self, S: int) -> float:
+    @cached_property
+    def ranks(self) -> tuple[float, ...]:
+        """r(S) = log(card(S)) / log(q) for every bitmask S, computed once."""
         if self.group_order == 1:
-            return 0.0
-        return math.log(self.card[S]) / math.log(self.group_order)
+            return (0.0,) * len(self.card)
+        log_q = math.log(self.group_order)
+        return tuple(math.log(c) / log_q for c in self.card)
+
+    def rank(self, S: int) -> float:
+        return self.ranks[S]
 
 
 def projection_cardinalities(code: GroupCode) -> list[int]:
@@ -332,12 +338,10 @@ def tutte_evaluate(rp: RankProfile, x: float, y: float) -> float:
     hence the x,y > 1 domain."""
     if x <= 1 or y <= 1:
         raise DomainError(f"tutte_evaluate needs x > 1 and y > 1, got ({x}, {y})")
-    n = rp.n
-    full = (1 << n) - 1
-    r_full = rp.rank(full)
+    ranks = rp.ranks
+    r_full = ranks[-1]
     total = 0.0
-    for S in range(1 << n):
-        r_S = rp.rank(S)
+    for S, r_S in enumerate(ranks):
         total += (x - 1.0) ** (r_full - r_S) * (y - 1.0) ** (bin(S).count("1") - r_S)
     return total
 

@@ -6,8 +6,12 @@ n element indices; the product group is never materialized as a table.
 
 Cayley tables, products and conjugacy classes run as numpy gathers on exact
 integer index arrays.  Permutation closure gathers each BFS level's
-neighbours at once and keys every element by its image bytes in a dict;
-labels come from one cycle walk per permutation.
+neighbours at once and keys every element by its image bytes in a dict.
+Besides the table itself and the axiom checks of group_from_table, building
+a group makes no quadratic pass: the one power walk that gives the element
+orders gives the inverses too, and conjugacy classes are orbits under
+conjugation by the generators.  A permutation group keeps its image array
+and writes an element's cycle notation only when the label is read.
 
 Canonical conventions pinned here (everything downstream relies on them):
   * permutation closures index elements in BFS order from the identity,
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product, repeat
@@ -42,29 +47,27 @@ def _index_dtype(order: int):
     return np.int16 if order < 2**15 else np.int32
 
 
-def _inverses(T: np.ndarray) -> tuple[int, ...]:
-    """Column of the identity 0 in each row, its smallest entry; argmin
-    copies its operand, so it runs a block of rows at a time."""
-    step = max(1, TABLE_BLOCK // len(T))
-    blocks = [np.argmin(T[s : s + step], axis=1) for s in range(0, len(T), step)]
-    return tuple(np.concatenate(blocks).tolist())
-
-
-def _element_orders(T: np.ndarray, labels) -> np.ndarray:
-    """Order of every element: all powers advance together, one gather per
-    step, until each reaches the identity, within N - 1 steps at order N."""
-    x = np.arange(len(T))
-    orders = np.ones(len(T), dtype=np.int64)
-    live = np.flatnonzero(x)
-    for _ in range(len(T) - 1):
+def _orders_and_inverses(T: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Order and inverse of every element: the powers g^m of the elements
+    not yet back at the identity advance together, one gather per step,
+    within N - 1 steps at order N.  Each step first records m as the order
+    and g^(m-1) as the inverse, which stay once g^m is the identity."""
+    n = len(T)
+    orders = np.ones(n, dtype=np.int64)
+    inverse = np.zeros(n, dtype=np.intp)
+    live = np.arange(1, n)
+    x = live  # g^(m-1) for each g in live
+    for m in range(2, n + 1):
+        orders[live] = m
+        inverse[live] = x
+        y = T[x, live]
+        keep = y != 0
+        live, x = live[keep], y[keep]
         if not live.size:
             break
-        x[live] = T[x[live], live]
-        orders[live] += 1
-        live = live[x[live] != 0]
     if live.size:
         raise NotAGroup(f"powers of {labels[live[0]]} never reach the identity")
-    return orders
+    return orders, inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +76,15 @@ class FiniteGroup:
 
     cayley is the Cayley table as a read-only index array (it may be given
     as nested rows), table the same rows as tuples, built on first use, and
-    orders[g] is the order of element g.  Groups are equal when their names,
-    labels, generators and tables are."""
+    orders[g] is the order of element g.  element_labels is a tuple of
+    strings or, for a permutation group, CycleLabels.  generators, when
+    given, must generate the group: conjugacy classes are orbits under
+    them.  Groups are equal when their names, labels, generators and tables
+    are."""
 
     name: str
     cayley: np.ndarray
-    element_labels: tuple[str, ...]
+    element_labels: Sequence[str]
     inverse: tuple[int, ...] = field(init=False)
     orders: tuple[int, ...] = field(init=False)
     exponent: int = field(init=False)
@@ -89,8 +95,9 @@ class FiniteGroup:
         T = T.astype(_index_dtype(len(T)), copy=False)
         T.setflags(write=False)
         object.__setattr__(self, "cayley", T)
-        object.__setattr__(self, "inverse", _inverses(T))
-        orders = tuple(_element_orders(T, self.element_labels).tolist())
+        orders, inverse = _orders_and_inverses(T, self.element_labels)
+        orders = tuple(orders.tolist())
+        object.__setattr__(self, "inverse", tuple(inverse.tolist()))
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "exponent", lcm(*set(orders)))
 
@@ -111,6 +118,14 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.cayley)
+
+    def labels_of(self, elements) -> list[str]:
+        """The labels of elements, a permutation group's written in one
+        batch."""
+        labels = self.element_labels
+        if isinstance(labels, CycleLabels):
+            return labels.take(elements)
+        return [labels[g] for g in elements]
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -165,7 +180,7 @@ def _from_array(name: str, T: np.ndarray, labels, generators=None) -> FiniteGrou
     """Wrap an index array; generators default to _small_generating_set."""
     if generators is None:
         generators = _small_generating_set(T)
-    return FiniteGroup(name, T, tuple(labels), tuple(generators))
+    return FiniteGroup(name, T, labels, tuple(generators))
 
 
 @dataclass(frozen=True)
@@ -221,6 +236,43 @@ def _cycle_labels(P: np.ndarray) -> list[str]:
             parts.append("(" + " ".join(cycle) + ")")
         labels.append("".join(parts) or "()")
     return labels
+
+
+class CycleLabels(Sequence):
+    """The labels of a permutation group: the cycle notation of each row of
+    its (N, degree) image array, written the first time it is read and kept.
+    An index reads one label; iteration, take and comparison read many and
+    write the missing ones in one _cycle_labels batch.  Equal to a tuple or
+    CycleLabels holding the same strings."""
+
+    def __init__(self, images: np.ndarray):
+        self.images = images
+        self._written: list[str | None] = [None] * len(images)
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self.take(range(len(self))[i]))
+        return self.take([range(len(self))[i]])[0]
+
+    def take(self, elements) -> list[str]:
+        """The labels of elements, the missing ones written in one batch."""
+        written = self._written
+        missing = [g for g in elements if written[g] is None]
+        if missing:
+            for g, label in zip(missing, _cycle_labels(self.images[missing])):
+                written[g] = label
+        return [written[g] for g in elements]
+
+    def __iter__(self):
+        return iter(self.take(range(len(self))))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, CycleLabels)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
 
 
 def _closure(gens: np.ndarray, degree: int, cap: int):
@@ -309,7 +361,7 @@ def group_from_generators(
     return _from_array(
         name or f"perm[{len(elements)}]",
         _cayley_from_bfs(right, levels),
-        _cycle_labels(elements),
+        CycleLabels(elements),
         right[0].tolist(),  # identity o g = g
     )
 
@@ -380,30 +432,36 @@ def _associativity_witness(T: np.ndarray):
     return (int(a[bad[0]]), int(b[bad[0]]), int(c[bad[0]])) if len(bad) else None
 
 
-def _span(T: np.ndarray, gens) -> np.ndarray:
+def _span(T: np.ndarray, gens, mask: np.ndarray | None = None) -> np.ndarray:
     """Membership mask of the subgroup that the elements gens generate in
     the group with Cayley table T: each new element times every generator,
     one gather per round.  In a finite group every inverse is a positive
-    power, so products alone close."""
-    mask = np.zeros(len(T), dtype=bool)
-    mask[0] = True
+    power, so products alone close.  Given mask, the span of gens[:-1], it
+    grows that mask in place: the old span is closed under the old
+    generators, so only the last one moves it in the first round."""
     gens = np.asarray(gens, dtype=np.intp)
-    frontier = np.zeros(1, dtype=np.intp)
+    if mask is None:
+        mask = np.zeros(len(T), dtype=bool)
+        mask[0] = True
+        frontier, step = np.zeros(1, dtype=np.intp), gens
+    else:
+        frontier, step = np.flatnonzero(mask), gens[-1:]
     while len(frontier):
-        Y = np.unique(T[frontier[:, None], gens])
+        Y = np.unique(T[frontier[:, None], step])
         frontier = Y[~mask[Y]]
         mask[frontier] = True
+        step = gens
     return mask
 
 
 def _small_generating_set(T: np.ndarray) -> tuple[int, ...]:
     """Greedy generating set: repeatedly adjoin the smallest element outside
-    the current span."""
+    the current span, and grow the span from the previous one."""
     gens: list[int] = []
     span = _span(T, gens)
     while not span.all():
         gens.append(int(np.argmin(span)))
-        span = _span(T, gens)
+        _span(T, gens, span)
     return tuple(gens)
 
 
@@ -411,28 +469,35 @@ def _small_generating_set(T: np.ndarray) -> tuple[int, ...]:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ClassData:
-    """The class of g is {y g y^-1 : y in G}, so its smallest member is a
-    running minimum over y of the conjugates (yg)y^-1, taken a block of rows
-    y at a time as one gather through the flat table; canonical class order
+    """The class of g is its orbit under the maps g -> s g s^-1 for the
+    generators s (G.generators, or _small_generating_set when there are
+    none), found by orbit propagation (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 4.1).  Every element carries a label, at
+    first itself, that is always a member of its orbit no larger than it.
+    Each round lowers a label to the least label among the element's images,
+    one gather through all r maps T[T[s], inv[s]] at once, and then to its
+    own label's label, until nothing changes; the fixed point labels each
+    element with its orbit's smallest member.  Canonical class order
     (identity class first, then ascending smallest member index) is the
-    order of those minima."""
-    n = G.order
+    order of those members."""
     T = G.cayley
-    flat = T.ravel()
-    inv = np.array(G.inverse, dtype=np.intp)
-    smallest = np.arange(n, dtype=T.dtype)
-    step = max(1, TABLE_BLOCK // n)
-    for y0 in range(0, n, step):
-        index = T[y0 : y0 + step].astype(np.intp)  # yg
-        index *= n
-        index += inv[y0 : y0 + step, None]
-        np.minimum(smallest, flat[index].min(axis=0), out=smallest)
-    reps, class_of = np.unique(smallest, return_inverse=True)
-    class_of = class_of.reshape(-1)
+    n = len(T)
+    gens = list(G.generators or _small_generating_set(T))
+    inv = np.array([G.inverse[s] for s in gens], dtype=np.intp)
+    maps = T[T[gens], inv[:, None]].astype(np.intp)  # (r, n)
+    label = np.arange(n)
+    while True:
+        lower = np.minimum(label, label[maps].min(axis=0, initial=n))
+        lower = lower[lower]
+        if (lower == label).all():
+            break
+        label = lower
+    is_rep = label == np.arange(n)
+    class_of = (np.cumsum(is_rep) - 1)[label]
     return ClassData(
-        len(reps),
+        int(is_rep.sum()),
         tuple(class_of.tolist()),
-        tuple(reps.tolist()),
+        tuple(np.flatnonzero(is_rep).tolist()),
         tuple(np.bincount(class_of).tolist()),
     )
 
@@ -480,7 +545,7 @@ def cyclic_group(n: int, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     idx = np.arange(n)
     T = ((idx[:, None] + idx) % n).astype(_index_dtype(n))
     gens = (1,) if n > 1 else ()
-    return _from_array(f"Z{n}", T, (str(i) for i in range(n)), gens)
+    return _from_array(f"Z{n}", T, tuple(map(str, range(n))), gens)
 
 
 def symmetric_group(n: int, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
@@ -546,7 +611,7 @@ def product_group(
     for G in factors:
         o = G.order
         T = (T[:, None, :, None] * o + G.cayley[None, :, None, :]).reshape(len(T) * o, -1)
-    labels = (
+    labels = tuple(
         "(" + ",".join(parts) + ")"
         for parts in product(*(G.element_labels for G in factors))
     )

@@ -2,8 +2,10 @@
 
 These are the pure-Python implementations the kernels replaced: closure by
 composing permutation tuples, the Cayley table by one composition per
-element pair, conjugacy classes by orbit BFS, generating sets and the
-commutator subgroup by closures over Python sets, the F_p eigenspace split by
+element pair, inverses by the position of the identity in each row,
+conjugacy classes by orbit BFS over every conjugator (and, on arrays, by the
+running minimum over every conjugator that orbit classes replaced),
+generating sets and the commutator subgroup by closures over Python sets, the F_p eigenspace split by
 row reduction over Python lists, the Dixon lift by one modular pow per
 (irrep, class, root, power), and certification by cyclic convolution over
 Z[C_m].  The table's Cyclotomic values, its JSON and its cache blob are
@@ -109,8 +111,22 @@ def reference_product_table(factors) -> tuple:
     )
 
 
+def reference_inverses(table) -> tuple[int, ...]:
+    """The column of the identity 0 in each row: its smallest entry, found
+    by argmin over the whole Cayley table a block of rows at a time, as the
+    group constructor found inverses before the power walk."""
+    T = np.asarray(table)
+    step = max(1, 2**14 // len(T))
+    blocks = [np.argmin(T[s : s + step], axis=1) for s in range(0, len(T), step)]
+    return tuple(np.concatenate(blocks).tolist())
+
+
 def reference_conjugacy_classes(G: FiniteGroup) -> ClassData:
+    """Orbit BFS under conjugation by every element, with inverses taken
+    from the table (reference_inverses), not from G."""
     n = G.order
+    table = G.table
+    inverse = reference_inverses(G.cayley)
     class_of = [-1] * n
     orbits = []
     for g in range(n):
@@ -121,7 +137,7 @@ def reference_conjugacy_classes(G: FiniteGroup) -> ClassData:
         while stack:
             x = stack.pop()
             for y in range(n):
-                z = G.conjugate(x, y)
+                z = table[table[y][x]][inverse[y]]
                 if z not in orbit:
                     orbit.add(z)
                     stack.append(z)
@@ -132,6 +148,30 @@ def reference_conjugacy_classes(G: FiniteGroup) -> ClassData:
     reps = tuple(orbit[0] for orbit in orbits)
     sizes = tuple(len(orbit) for orbit in orbits)
     return ClassData(len(orbits), tuple(class_of), reps, sizes)
+
+
+def reference_scan_classes(G: FiniteGroup) -> ClassData:
+    """The smallest member of each class as a running minimum of the
+    conjugates (yg)y^-1 over every y, a block of rows y at a time: quadratic,
+    but on arrays, so it reaches groups of order a few thousand."""
+    n, T = G.order, G.cayley
+    flat = T.ravel()
+    inv = np.array(reference_inverses(T), dtype=np.intp)
+    smallest = np.arange(n, dtype=T.dtype)
+    step = max(1, 2**14 // n)
+    for y0 in range(0, n, step):
+        index = T[y0 : y0 + step].astype(np.intp)  # yg
+        index *= n
+        index += inv[y0 : y0 + step, None]
+        np.minimum(smallest, flat[index].min(axis=0), out=smallest)
+    reps, class_of = np.unique(smallest, return_inverse=True)
+    class_of = class_of.reshape(-1)
+    return ClassData(
+        len(reps),
+        tuple(class_of.tolist()),
+        tuple(reps.tolist()),
+        tuple(np.bincount(class_of).tolist()),
+    )
 
 
 def reference_small_generating_set(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

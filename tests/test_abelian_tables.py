@@ -9,7 +9,6 @@ exponents against their per-element references, on relabelled tables too.
 """
 
 import json
-import random
 from math import prod
 
 import numpy as np
@@ -27,14 +26,14 @@ from repdual.chartable import (
     character_table,
 )
 from repdual.errors import CapExceeded
-from repdual.groups import conjugacy_classes, cyclic_group, group_from_table, product_group
+from repdual.groups import conjugacy_classes, cyclic_group, product_group
 
 from reference_tables import (
     reference_abelian_basis,
     reference_abelian_pairing_exponents,
     reference_dump_cached,
 )
-from test_table_kernels import CLASS_GROUPS, build
+from test_table_kernels import CLASS_GROUPS, build, relabelled
 
 CYCLIC_PRODUCTS = [
     "Z2xZ2xZ2xZ2xZ2", "Z2xZ4", "Z3xZ3", "Z2xZ6", "Z4xZ4", "Z2xZ2xZ3", "Z6xZ10", "Z3xZ4xZ5", "Z12xZ8",
@@ -65,14 +64,6 @@ def cyclic_orders(draw, bound=120):
     for _ in range(draw(st.integers(1, 3))):
         orders.append(draw(st.integers(1, min(12, bound // prod(orders)))))
     return orders
-
-
-def relabelled(G, seed):
-    """G with its non-identity elements renumbered at random."""
-    perm = [0] + random.Random(seed).sample(range(1, G.order), G.order - 1)
-    T = np.empty_like(G.cayley)
-    T[np.ix_(perm, perm)] = np.array(perm)[G.cayley]
-    return group_from_table(T.tolist())
 
 
 @settings(derandomize=True, deadline=None, max_examples=25, database=None)

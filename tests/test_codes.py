@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -222,6 +223,24 @@ def test_tutte_example_against_high_precision():
     got = tutte_evaluate(rp, 2.0, 2.0)
     want = high_precision_tutte(rp, "2", "2")
     assert abs(Decimal(got) - want) <= abs(want) * Decimal("1e-12")
+
+
+@pytest.mark.parametrize("code", [example_code(), diagonal_code(S3, 5), trivial_code(cyclic_group(1), 3)])
+def test_ranks_are_taken_once_per_profile(code, monkeypatch):
+    """The ranks are log(card(S)) / log(q), bit for bit, logged once per
+    profile: the first Tutte evaluation takes 2^n + 1 logs (none when
+    q = 1), and later evaluations and rank reads take none."""
+    rp = rank_profile(code)
+    q = rp.group_order
+    expected = [math.log(c) / math.log(q) if q > 1 else 0.0 for c in rp.card]
+    logs = []
+    log = math.log
+    monkeypatch.setattr(math, "log", lambda x: logs.append(x) or log(x))
+    first = tutte_evaluate(rp, 2.5, 3.25)
+    assert len(logs) == (len(rp.card) + 1 if q > 1 else 0)
+    assert tutte_evaluate(rp, 2.5, 3.25) == first
+    assert [rp.rank(S) for S in range(len(rp.card))] == expected
+    assert len(logs) == (len(rp.card) + 1 if q > 1 else 0)
 
 
 def test_weight_enumerator_trivial():

@@ -30,7 +30,7 @@ from repdual.duality import (
     dual_multiset,
     permutation_character,
 )
-from repdual.errors import CapExceeded, RepdualError
+from repdual.errors import CapExceeded, NonIntegerMultiplicity, RepdualError
 from repdual.groups import (
     ClassData,
     builtin_group,
@@ -212,6 +212,23 @@ def test_oracle_refusals_keep_their_messages(words, message):
     with pytest.raises(RepdualError) as refusal:
         decompose_permutation_character(permutation_character(H, CT3.classes), CT3, H.n)
     assert str(refusal.value) == message
+
+
+def test_transversal_checks_pass_a_non_subgroup_that_decomposition_refuses():
+    """{(0,0), (1,1), (2,0)} over Z3 is no subgroup: (1,1) + (1,1) = (2,2)
+    is missing.  Yet K_1 = Z3 and K_2 = {0} are subgroups whose indices
+    give 9 / 3 = 3 cosets, so the transversal checks accept the word set
+    and count a permutation character from it; only the decomposition
+    refuses it, at a multiplicity that is not rational."""
+    Z3 = builtin_group("Z3")
+    ct = character_table(Z3)
+    H = code_from_words(Z3, 2, [(0, 0), (1, 1), (2, 0)], validate=False)
+    assert _coset_representatives(H, DEFAULT_COSET_CAP).tolist() == [[0, 0], [0, 1], [0, 2]]
+    pc = permutation_character(H, ct.classes)
+    assert pc == {(0, 0): 3, (1, 1): 3, (2, 0): 3}
+    with pytest.raises(NonIntegerMultiplicity) as refusal:
+        decompose_permutation_character(pc, ct, H.n)
+    assert str(refusal.value) == "multiplicity of (0, 1) is not rational"
 
 
 def test_coset_cap_refuses_before_allocating():

@@ -2,10 +2,14 @@
 
 Every kernel is compared exactly with the per-element implementation it
 replaced (tests/reference_tables.py): closure, Cayley table, labels and
-generators; conjugacy classes; the table digest; the group-axiom messages
-of group_from_table; the F_p eigenvector split order and the Dixon lift.
+generators; inverses from the power walk; conjugacy classes as generator
+orbits; cycle notation written on demand; the table digest; the group-axiom
+messages of group_from_table; the F_p eigenvector split order and the Dixon
+lift.
 """
 
+import contextlib
+import io
 import itertools
 import random
 
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repdual import chartable, groups, zring
+from repdual import chartable, cli, groups, zring
 from repdual.chartable import (
     _central_characters,
     _compute_character_table,
@@ -30,9 +34,11 @@ from repdual.errors import (
     SpecFileError,
 )
 from repdual.groups import (
+    FiniteGroup,
     builtin_group,
     conjugacy_classes,
     cyclic_group,
+    dihedral_group,
     group_from_generators,
     group_from_table,
     perm_from_cycles,
@@ -49,7 +55,9 @@ from reference_tables import (
     reference_conjugacy_classes,
     reference_cycle_notation,
     reference_group_from_generators,
+    reference_inverses,
     reference_product_table,
+    reference_scan_classes,
     reference_small_generating_set,
     reference_table_digest,
     reference_table_error,
@@ -71,7 +79,13 @@ def builtin_generators(name):
 
 PERMUTATION_GROUPS = [f"S{n}" for n in range(1, 7)] + [f"D{n}" for n in range(3, 31)]
 PRODUCTS = [("Z2", "Z3"), ("S3", "Z2"), ("S4", "Z3"), ("Z2",) * 5, ("Q8", "S3"), ("D4", "Z2", "Z3")]
-CLASS_GROUPS = PERMUTATION_GROUPS + ["Q8"] + [f"Z{n}" for n in range(1, 61)] + ["x".join(f) for f in PRODUCTS]
+CLASS_GROUPS = (
+    PERMUTATION_GROUPS
+    + [f"D{n}" for n in range(31, 61)]
+    + ["Q8"]
+    + [f"Z{n}" for n in range(1, 61)]
+    + ["x".join(f) for f in PRODUCTS]
+)
 # the reference lift costs k^2 e^2 pows, which is k^4 on Z<k>: the larger
 # cyclic groups are sampled
 TABLE_GROUPS = (
@@ -132,6 +146,50 @@ def test_classes_and_digest_match_reference(name):
     G = build(name)
     assert conjugacy_classes(G) == reference_conjugacy_classes(G)
     assert G.table_digest() == reference_table_digest(G)
+
+
+@pytest.mark.parametrize("name", CLASS_GROUPS)
+def test_inverses_match_row_argmin(name):
+    G = build(name)
+    assert G.inverse == reference_inverses(G.cayley)
+    assert all(G.mul(g, G.inv(g)) == G.mul(G.inv(g), g) == 0 for g in range(G.order))
+
+
+def relabelled(G, seed):
+    """G with its non-identity elements renumbered at random."""
+    perm = [0] + random.Random(seed).sample(range(1, G.order), G.order - 1)
+    T = np.empty_like(G.cayley)
+    T[np.ix_(perm, perm)] = np.array(perm)[G.cayley]
+    return group_from_table(T.tolist())
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "D12", "D31", "Q8", "Z12", "S3xZ2", "D4xZ2xZ3", "Q8xS3"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_relabelled_tables_match_reference(name, seed):
+    """Relabelling puts the class minima, the generating set and the orbit
+    structure the generators see anywhere in the index range."""
+    G = relabelled(build(name), seed)
+    assert conjugacy_classes(G) == reference_conjugacy_classes(G)
+    assert G.inverse == reference_inverses(G.cayley)
+    assert G.generators == groups._small_generating_set(G.cayley)
+    assert G.generators == reference_small_generating_set(G.table)
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z6", "S4", "D5", "Q8", "S3xZ2"])
+def test_classes_without_generators_use_a_small_generating_set(name):
+    G = build(name)
+    bare = FiniteGroup(G.name, G.cayley, G.element_labels, generators=())
+    assert bare.generators == ()
+    assert conjugacy_classes(bare) == conjugacy_classes(G) == reference_conjugacy_classes(G)
+
+
+@pytest.mark.parametrize("n", [250, 500, 1000])
+def test_classes_of_large_dihedral_groups_match_the_scan(n):
+    """The reflections of D<n> form orbits of n/2 or n elements, which
+    propagation through the generator maps alone crosses in hundreds of
+    rounds; the label jumps must still reach the full scan's classes."""
+    G = dihedral_group(n)
+    assert conjugacy_classes(G) == reference_scan_classes(G)
 
 
 @pytest.mark.parametrize("name", CLASS_GROUPS)
@@ -287,7 +345,10 @@ def wide_generators(draw):
 @given(wide_generators())
 def test_wide_permutation_groups_match_reference(gens):
     G = group_from_generators(gens)
-    assert_same_group(G, reference_group_from_generators(gens))
+    R = reference_group_from_generators(gens)
+    assert_same_group(G, R)
+    assert G.inverse == reference_inverses(R.table)
+    assert conjugacy_classes(G) == reference_conjugacy_classes(R)
     if G.order > 1:
         with pytest.raises(ClosureCapExceeded) as got:
             group_from_generators(gens, cap=G.order - 1)
@@ -302,6 +363,69 @@ def test_cycle_labels_match_cycle_notation(n):
     expected = [reference_cycle_notation(p) for p in P.tolist()]
     assert groups._cycle_labels(P) == expected
     assert sorted(symmetric_group(n, cap=5040).element_labels) == sorted(expected)
+
+
+def spy_labels(monkeypatch):
+    """The number of labels each _cycle_labels batch writes, in call order."""
+    calls = []
+    write = groups._cycle_labels
+
+    def spy(P):
+        calls.append(len(P))
+        return write(P)
+
+    monkeypatch.setattr(groups, "_cycle_labels", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["S5", "D12", "D31"])
+def test_labels_on_demand_match_cycle_notation(name, monkeypatch):
+    """Single reads, bulk reads and a mix of both give the reference
+    notation, and each label is written once."""
+    expected = reference_group_from_generators(builtin_generators(name)).element_labels
+    calls = spy_labels(monkeypatch)
+    n = len(expected)
+    order = random.Random(name).sample(range(n), n)
+
+    single = builtin_group(name).element_labels
+    assert [single[g] for g in order] == [expected[g] for g in order]
+    assert single[-1] == expected[-1] and single[1:4] == expected[1:4]
+    with pytest.raises(IndexError):
+        single[n]
+    assert calls == [1] * n
+
+    calls.clear()
+    bulk = builtin_group(name)
+    assert bulk.element_labels == expected
+    assert list(bulk.element_labels) == list(expected)
+    assert calls == [n]
+
+    calls.clear()
+    G = builtin_group(name)
+    mixed = G.element_labels
+    assert [mixed[g] for g in order[:3]] == [expected[g] for g in order[:3]]
+    some = order[2:9] + order[:2]
+    assert G.labels_of(some) == [expected[g] for g in some]
+    assert dict(enumerate(mixed)) == dict(enumerate(expected))
+    assert calls == [1, 1, 1, 6, n - 9]
+    assert mixed == single == bulk.element_labels
+    assert calls == [1, 1, 1, 6, n - 9]
+
+
+def test_cold_character_table_writes_no_label(monkeypatch):
+    monkeypatch.setattr(chartable, "_cache", {})
+    calls = spy_labels(monkeypatch)
+    character_table(builtin_group("S6"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("fmt, written", [("text", 11), ("json", 720)])
+def test_classes_command_writes_only_the_labels_it_prints(fmt, written, monkeypatch):
+    """Text prints the 11 class representatives of S6, JSON every member."""
+    calls = spy_labels(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["classes", "--group", "builtin:S6", "--format", fmt]) == 0
+    assert calls == [written]
 
 
 @pytest.mark.parametrize(
