@@ -255,7 +255,10 @@ class CycleLabels(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self.take(range(len(self))[i]))
-        return self.take([range(len(self))[i]])[0]
+        label = self._written[i]
+        if label is None:
+            label = self._written[i] = _cycle_labels(self.images[[i]])[0]
+        return label
 
     def take(self, elements) -> list[str]:
         """The labels of elements, the missing ones written in one batch."""
@@ -267,7 +270,9 @@ class CycleLabels(Sequence):
         return [written[g] for g in elements]
 
     def __iter__(self):
-        return iter(self.take(range(len(self))))
+        if None in self._written:
+            self.take(range(len(self)))
+        return iter(self._written)
 
     def __eq__(self, other):
         if isinstance(other, (tuple, CycleLabels)):
@@ -492,12 +497,12 @@ def conjugacy_classes(G: FiniteGroup) -> ClassData:
         if (lower == label).all():
             break
         label = lower
-    is_rep = label == np.arange(n)
-    class_of = (np.cumsum(is_rep) - 1)[label]
+    reps = np.flatnonzero(label == np.arange(n))
+    class_of = reps.searchsorted(label)
     return ClassData(
-        int(is_rep.sum()),
+        len(reps),
         tuple(class_of.tolist()),
-        tuple(np.flatnonzero(is_rep).tolist()),
+        tuple(reps.tolist()),
         tuple(np.bincount(class_of).tolist()),
     )
 

@@ -388,8 +388,9 @@ def test_labels_on_demand_match_cycle_notation(name, monkeypatch):
     order = random.Random(name).sample(range(n), n)
 
     single = builtin_group(name).element_labels
+    assert single[-1] == expected[-1]
     assert [single[g] for g in order] == [expected[g] for g in order]
-    assert single[-1] == expected[-1] and single[1:4] == expected[1:4]
+    assert single[1:4] == expected[1:4]
     with pytest.raises(IndexError):
         single[n]
     assert calls == [1] * n
