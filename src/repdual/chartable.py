@@ -3,10 +3,10 @@ finite-field method for the others.
 
 An abelian group (k = |G| classes, each a single element) has the
 characters chi_x(y) = zeta_m^eps(x, y), one per element x, where eps is the
-pairing of abelian_pairing_exponents and m = exponent(G) (Serre, Linear
-Representations of Finite Groups, 3.1): the table's coefficients are the
-rows of zring.reduction_matrix(m) gathered at eps.  Its (k, k, m) array is
-refused past a cap (DEFAULT_CLASS_ALGEBRA_CAP entries) before it is built.
+pairing of abelian_pairing_exponents on the greedy abelian_basis and m =
+exponent(G) (Serre, Linear Representations of Finite Groups, 3.1): the
+table's coefficients are the rows of zring.reduction_matrix(m) at eps.  Its
+(k, k, m) array is refused past DEFAULT_CLASS_ALGEBRA_CAP before it is built.
 
 For the others, the central characters w_i = |C_i| chi(c_i) / chi(1) are
 simultaneous eigenvectors of the class-sum multiplication matrices M_i with
@@ -368,38 +368,31 @@ def abelian_basis(G: FiniteGroup) -> tuple[list[int], list[int]]:
     classical basis theorem guarantees each step succeeds.
 
     Each step takes the first element g of largest order t modulo the span
-    S so far (all powers outside S advance together, one gather per step),
-    multiplies it by the first s in S with s^t = g^-t when g^t is not the
-    identity, and grows S to S * {g^0, ..., g^(t-1)}."""
+    S so far, found by repeated products in the Cayley table, multiplies it
+    by the first s in S with s^t = g^-t when g^t is not the identity, and
+    grows S to S * {g^0, ..., g^(t-1)}."""
     if not G.is_abelian():
         raise DomainError("abelian_basis needs an abelian group")
-    T = G.cayley
+    T = G.table
     basis: list[int] = []
     orders: list[int] = []
-    span = np.zeros(G.order, dtype=bool)  # membership mask
-    span[0] = True
-    while not span.all():
-        outside = np.flatnonzero(~span)
-        x, t = outside.copy(), np.ones(len(outside), dtype=np.int64)
-        live = np.arange(len(outside))
-        while len(live):
-            x[live] = T[x[live], outside[live]]
-            t[live] += 1
-            live = live[~span[x[live]]]
-        best = int(np.argmax(t))
-        g, order = int(outside[best]), int(t[best])
-        if x[best] != 0:
-            members = np.flatnonzero(span)
-            y = np.zeros(len(members), dtype=np.intp)
-            for _ in range(order):
-                y = T[y, members]
-            fix = np.flatnonzero(y == G.inverse[x[best]])
-            if not len(fix):
+    span = {0}
+    while len(span) < G.order:
+        g, order, top = 0, 1, 0  # members of S have order 1 modulo S
+        for y in range(G.order):
+            x, t = y, 1
+            while x not in span:
+                x, t = T[x][y], t + 1
+            if t > order:
+                g, order, top = y, t, x
+        if top != 0:
+            fix = next((s for s in sorted(span) if T[G.power(s, order)][top] == 0), None)
+            if fix is None:
                 raise NonIntegerMultiplicity("abelian basis lift failed")
-            g = int(T[g, members[fix[0]]])
+            g = T[g][fix]
         basis.append(g)
         orders.append(order)
-        span[T[np.flatnonzero(span)[:, None], _powers(T, g, order)]] = True
+        span = {T[s][a] for a in _powers(G.cayley, g, order).tolist() for s in span}
     return basis, orders
 
 

@@ -244,8 +244,9 @@ def permutation_character(
     # size, so a word with one lands at size or beyond, and below size^2
     # (exact in int64 for size < 3 * 10^9, past any tally that fits memory)
     radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    last = dict(zip(classes.class_of, range(G.order)))  # the last member of each class
     tallies = []
-    for members in (classes.class_reps, [classes.members(c)[-1] for c in range(k)]):
+    for members in (classes.class_reps, [last[c] for c in range(k)]):
         class_at = np.full(G.order, size, dtype=np.int64)
         class_at[list(members)] = np.arange(k)
         tallies.append((class_at, np.zeros(size, dtype=np.int64)))

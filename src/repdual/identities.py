@@ -329,27 +329,32 @@ class _AbelianPairing:
 
 
 def _abelian_pairing(ct: CharacterTable) -> _AbelianPairing:
-    """The abelian artifacts of ct, built once per table."""
+    """The abelian artifacts of ct, built once per table.  Classes of an
+    abelian group are singletons in element order, so table row i is the
+    character beta(g, .) with the same reduced coefficients, all found by
+    one searchsorted into the sorted characters, each row one void item."""
     found = ct.derived.get("abelian_pairing")
     if found is not None:
         return found
     G = ct.group
     eps = abelian_pairing_exponents(G)
-    m = G.exponent
-    pairing = np.zeros((G.order, G.order, m), dtype=np.int64)
-    pairing[(*np.indices((G.order, G.order)), np.array(eps))] = 1
+    m, E = G.exponent, np.array(eps, dtype=np.intp)
+    pairing = np.eye(m, dtype=np.int64)[E]
     pairing.setflags(write=False)
 
-    # classes of an abelian group are singletons in element order
-    characters = zring.reduce(pairing)
-    rows = zring.reduce(ct.zvalues)
-    irrep_to_element = np.zeros(ct.k, dtype=np.int64)
-    for i in range(ct.k):
-        matches = np.flatnonzero((characters == rows[i]).all(axis=(1, 2)))
-        if len(matches) != 1:
-            message = f"character row {i} matches {len(matches)} pairing characters"
-            raise NonIntegerMultiplicity(message)
-        irrep_to_element[i] = matches[0]
+    R = zring.reduction_matrix(m)
+    k, d = G.order, R.shape[1]
+    item = np.dtype((np.void, R.itemsize * k * d))
+    characters = R[E].reshape(k, -1).view(item).ravel()
+    rows = np.ascontiguousarray(ct.zvalues[..., :d]).reshape(k, -1).view(item).ravel()
+    order = np.argsort(characters)
+    lo = np.searchsorted(characters, rows, sorter=order)
+    matches = np.searchsorted(characters, rows, side="right", sorter=order) - lo
+    bad = np.flatnonzero(matches != 1)
+    if len(bad):
+        i = bad[0]
+        raise NonIntegerMultiplicity(f"character row {i} matches {matches[i]} pairing characters")
+    irrep_to_element = order[lo]
     irrep_to_element.setflags(write=False)
     found = _AbelianPairing(eps, zring.Embedded(pairing), irrep_to_element)
     ct.derived["abelian_pairing"] = found

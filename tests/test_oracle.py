@@ -150,6 +150,24 @@ def test_oracle_matches_reference_off_matrix(code):
     assert decompose_permutation_character(pc, ct, code.n).mult == dual_multiset(code, ct).mult
 
 
+def test_large_groups_match_reference_without_member_scans(monkeypatch):
+    # the class-constancy tally takes the last member of every class from
+    # one pass over class_of, not from one scan of the group per class
+    codes = [
+        diagonal_code(dihedral_group(60), 2),
+        diagonal_code(dihedral_group(300), 1),
+        trivial_code(dihedral_group(300), 1),
+        diagonal_code(symmetric_group(6), 2),
+    ]
+    for code in codes:
+        classes = groups.conjugacy_classes(code.group)
+        reps = _coset_representatives(code, DEFAULT_COSET_CAP).tolist()
+        want = reference_permutation_character(code, classes, reps)
+        with monkeypatch.context() as m:
+            m.setattr(ClassData, "members", lambda self, c: pytest.fail("members scanned"))
+            assert permutation_character(code, classes) == want
+
+
 # -- gates ---------------------------------------------------------------------
 
 
