@@ -580,12 +580,17 @@ def _coefficient(c) -> int:
 def _cached_coefficients(rows, k: int, m: int) -> np.ndarray | None:
     """The (k, k, phi(m)) int64 power-basis coefficients of a cache blob's
     k x k values, or None when an entry has another conductor or length;
-    raises on coefficients that are not integers or overflow int64."""
+    raises on coefficients that are not integers or overflow int64.  Each
+    distinct coefficient list is parsed once."""
     d = euler_phi(m)
+    parsed: dict[tuple, list[int]] = {}
     flat = []
     for row in rows:
         for v in row:
-            coeffs = [_coefficient(c) for c in v["coeffs"]]
+            key = tuple(v["coeffs"])
+            coeffs = parsed.get(key)
+            if coeffs is None:
+                coeffs = parsed[key] = [_coefficient(c) for c in key]
             if v["conductor"] != m or len(coeffs) != d:
                 return None
             flat.extend(coeffs)

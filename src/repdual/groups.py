@@ -17,13 +17,14 @@ Canonical conventions pinned here (everything downstream relies on them):
   * permutation closures index elements in BFS order from the identity,
     generators in input order;
   * conjugacy classes are ordered identity first, then by smallest element
-    index.
+    index;
+  * the table digest (the character-table cache key) is the sha256 of the
+    order in decimal and the table's little-endian bytes in its index dtype.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -155,21 +156,14 @@ class FiniteGroup:
 
     @cached_property
     def _table_digest(self) -> str:
-        """sha256 of the order and the rows, each written "|" then its
-        entries in decimal joined by ",".  Every entry becomes "," plus its
-        digits, NUL-padded to one word (4 bytes, 8 above order 1000), so a
-        block of rows is one gather of words; the leading "," of each row
-        turns into "|" and the padding is dropped."""
-        n = self.order
-        h = hashlib.sha256(str(n).encode())
-        size = 4 if n <= 1000 else 8
-        cells = np.array([f",{v}".encode() for v in range(n)], dtype=f"S{size}")
-        words = cells.view(f"u{size}")
-        step = max(1, TABLE_BLOCK // n)
-        for start in range(0, n, step):
-            text = words[self.cayley[start : start + step]].view(np.uint8)
-            text[:, 0] = ord("|")
-            h.update(text[text != 0].tobytes())
+        """sha256 of the order in decimal and then the Cayley table's
+        row-major little-endian bytes in its index dtype (_index_dtype of
+        the order), read from the array's own buffer on a little-endian
+        machine."""
+        T = self.cayley
+        T = np.ascontiguousarray(T, dtype=T.dtype.newbyteorder("<"))
+        h = hashlib.sha256(str(len(T)).encode())
+        h.update(T)
         return h.hexdigest()
 
     def __repr__(self):
@@ -381,9 +375,10 @@ def group_from_table(
 ) -> FiniteGroup:
     """Validate the group axioms and wrap the table.
 
-    Associativity is checked on all order^3 triples up to order 200 and on
-    20*order seeded random triples above that.  Each failing axiom names its
-    first witness in lexicographic (for random triples, drawing) order."""
+    Associativity is exact at every order (Light's test on a generating
+    set, _associativity_witness).  Each failing axiom names its first
+    witness in lexicographic order; above order 200 an associativity
+    witness is the first one Light's test meets."""
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
         raise NotAGroup("table is not square")
@@ -407,34 +402,52 @@ def group_from_table(
     if len(bad):
         g = bad[0]
         raise NotAGroup(f"inverse axiom: {right_inverse[g]} inverts {g} on the right only")
-    witness = _associativity_witness(T)
+    gens = _small_generating_set(T)
+    witness = _associativity_witness(T, gens)
     if witness is not None:
         raise NotAGroup("associativity fails at triple ({},{},{})".format(*witness))
     labs = tuple(labels) if labels else tuple(f"g{i}" for i in range(n))
     if len(labs) != n:
         raise NotAGroup("label count does not match order")
-    return _from_array(name or f"table[{n}]", T.astype(_index_dtype(n)), labs)
+    return _from_array(name or f"table[{n}]", T.astype(_index_dtype(n)), labs, gens)
 
 
-def _associativity_witness(T: np.ndarray):
-    """First triple (a, b, c) with (ab)c != a(bc): over all triples in lex
-    order up to order 200, over 20*order seeded random triples above."""
+def _associativity_witness(T: np.ndarray, gens) -> tuple[int, int, int] | None:
+    """A triple (a, b, c) with (ab)c != a(bc), or None when the Latin square
+    T with identity 0 is associative.
+
+    Light's test (Clifford & Preston, The Algebraic Theory of Semigroups,
+    vol. 1): the s with (xs)y = x(sy) for all x and y are closed under
+    products, so T is associative exactly when every s in gens, which
+    generate T under products, passes.  Each s is one comparison
+    T[T[:, s]] == T[:, T[s]] over all (x, y), a block of rows at a time.
+    When one fails, the witness is the lex-first triple of the exhaustive
+    scan up to order 200, and the first failing (x, s, y) above it."""
     n = len(T)
-    if n <= EXHAUSTIVE_ASSOC_LIMIT:
-        step = max(1, TABLE_BLOCK // (n * n))
-        for a0 in range(0, n, step):
-            A = np.arange(a0, min(n, a0 + step))
-            bad = T[T[A]] != T[A[:, None, None], T[None]]  # [a, b, c]
+    step = max(1, TABLE_BLOCK // n)
+    for s in gens:
+        for x0 in range(0, n, step):
+            bad = T[T[x0 : x0 + step, s]] != T[x0 : x0 + step, T[s]]
             if bad.any():
-                i, b, c = np.unravel_index(np.argmax(bad), bad.shape)
-                return a0 + int(i), int(b), int(c)
-        return None
-    rng = random.Random(n)
-    a, b, c = np.array(
-        [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(20 * n)]
-    ).T
-    bad = np.flatnonzero(T[T[a, b], c] != T[a, T[b, c]])
-    return (int(a[bad[0]]), int(b[bad[0]]), int(c[bad[0]])) if len(bad) else None
+                if n <= EXHAUSTIVE_ASSOC_LIMIT:
+                    return _lex_first_witness(T)
+                x, y = np.unravel_index(np.argmax(bad), bad.shape)
+                return x0 + int(x), s, int(y)
+    return None
+
+
+def _lex_first_witness(T: np.ndarray) -> tuple[int, int, int]:
+    """The lexicographically first triple (a, b, c) with (ab)c != a(bc), by
+    a scan of all triples; T must have one."""
+    n = len(T)
+    step = max(1, TABLE_BLOCK // (n * n))
+    for a0 in range(0, n, step):
+        A = np.arange(a0, min(n, a0 + step))
+        bad = T[T[A]] != T[A[:, None, None], T[None]]  # [a, b, c]
+        if bad.any():
+            i, b, c = np.unravel_index(np.argmax(bad), bad.shape)
+            return a0 + int(i), int(b), int(c)
+    raise AssertionError("table is associative")
 
 
 def _span(T: np.ndarray, gens, mask: np.ndarray | None = None) -> np.ndarray:

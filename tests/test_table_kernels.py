@@ -9,13 +9,14 @@ lift.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repdual import chartable, cli, groups, zring
@@ -504,15 +505,58 @@ def test_class_multiplication_cap(monkeypatch):
 
 @pytest.mark.parametrize("order", [9, 10, 11, 99, 100, 101, 999, 1000, 1001])
 def test_digest_across_decimal_widths_matches_reference(order):
-    """Cells are 4-byte words up to order 1000 and 8-byte words above."""
+    """The order enters the digest in decimal, whose width changes here."""
     G = cyclic_group(order)
     assert G.table_digest() == reference_table_digest(G)
 
 
 @pytest.mark.parametrize("factors", [("D5", "Z100"), ("Z7", "Z11", "Z13")], ids="x".join)
 def test_product_digest_at_the_word_switch_matches_reference(factors):
-    G = product_group([builtin_group(f) for f in factors])  # orders 1000 and 1001
+    """Product tables (orders 1000 and 1001) are built by broadcasting
+    rather than by a closure."""
+    G = product_group([builtin_group(f) for f in factors])
     assert G.table_digest() == reference_table_digest(G)
+
+
+def test_equal_tables_built_two_ways_have_equal_digests():
+    S3 = symmetric_group(3)
+    T = load_group_spec({"kind": "table", "table": [list(row) for row in S3.table]})
+    assert T.cayley.dtype == S3.cayley.dtype and T.name != S3.name
+    assert T.table_digest() == S3.table_digest() == reference_table_digest(S3)
+
+
+def test_different_tables_of_one_order_have_different_digests():
+    Z4, V4 = cyclic_group(4), product_group([cyclic_group(2)] * 2)
+    assert Z4.table_digest() != V4.table_digest()
+    assert (Z4.table_digest(), V4.table_digest()) == (reference_table_digest(Z4), reference_table_digest(V4))
+
+
+def _text_digest(G):
+    """The earlier cache key: sha256 of the order and the rows in decimal,
+    each written "|" then its entries joined by ","."""
+    h = hashlib.sha256(str(G.order).encode())
+    for row in G.table:
+        h.update(b"|" + ",".join(map(str, row)).encode())
+    return h.hexdigest()
+
+
+def test_cache_file_under_an_earlier_name_is_left_alone(tmp_path, monkeypatch):
+    """A file named by the earlier text digest is neither read nor touched:
+    the table is computed and written once under the current name, with
+    the same contents."""
+    G = symmetric_group(4)
+    old = tmp_path / f"chartable-{_text_digest(G)}.json"
+    old.write_text(chartable._cache_text(_compute_character_table(G)))
+    before = (old.read_bytes(), old.stat().st_mtime_ns)
+    monkeypatch.setattr(chartable, "_cache", {})
+    loads = []
+    monkeypatch.setattr(chartable, "_load_cached", lambda *args: loads.append(args))
+    character_table(G, cache_dir=tmp_path)
+    new = tmp_path / f"chartable-{G.table_digest()}.json"
+    assert not loads
+    assert sorted(tmp_path.iterdir()) == sorted([old, new])
+    assert (old.read_bytes(), old.stat().st_mtime_ns) == before
+    assert new.read_bytes() == before[0]
 
 
 def test_digest_is_computed_once(monkeypatch):
@@ -601,9 +645,97 @@ def test_associativity_witnesses_match_reference():
         table = _loop_product(loop, m)
         assert table_error(table) == reference_table_error(table)
         assert table_error(table).startswith("associativity fails")
-    table = _loop_product(loop, 41)  # order 205: seeded random triples
+    table = _loop_product(loop, 41)  # order 205: Light's test
     assert table_error(table) == reference_table_error(table)
     assert table_error(table).startswith("associativity fails")
     big = [list(row) for row in cyclic_group(210).table]
     assert table_error(big) is None
     assert group_from_table(big).table == cyclic_group(210).table
+
+
+def intercalate_loop(n, a=1, c=1):
+    """Z_n (n even) with the 2x2 subsquare on rows a, a + n/2 and columns
+    c, c + n/2 swapped: a Latin square with identity and two-sided
+    inverses that is not associative."""
+    t = [[(i + j) % n for j in range(n)] for i in range(n)]
+    h = n // 2
+    for r in (a, a + h):
+        t[r][c], t[r][c + h] = t[r][c + h], t[r][c]
+    return t
+
+
+def is_associative(table):
+    """Every triple at once, for small tables."""
+    T = np.array(table)
+    return bool((T[T] == T[:, T]).all())  # [a, b, c]: (ab)c and a(bc)
+
+
+def assert_true_witness(table, message):
+    a, b, c = map(int, message.removeprefix("associativity fails at triple (").rstrip(")").split(","))
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+@pytest.mark.parametrize("n", [200, 256, 400, 1000])
+def test_intercalate_loops_are_refused(n):
+    """One swapped intercalate breaks few triples (4032 of 16.8M at order
+    256), so only an exact check refuses these loops past order 200."""
+    table = intercalate_loop(n)
+    message = table_error(table)
+    assert message == reference_table_error(table)
+    assert_true_witness(table, message)
+
+
+@pytest.mark.parametrize("name", ["S5", "S6", "Q8", "D60", "Z300"])
+def test_large_group_tables_are_accepted(name):
+    G = builtin_group(name)
+    H = group_from_table([list(row) for row in G.table])
+    assert H.table == G.table
+
+
+def test_d2500_passes_lights_test():
+    """The D2500 table passes Light's test.  group_from_table itself takes
+    seconds on it, nearly all of them reading 25M Python ints."""
+    T = builtin_group("D2500").cayley
+    assert groups._associativity_witness(T, groups._small_generating_set(T)) is None
+
+
+def _swap_intercalates(t, draw):
+    """Swap up to two intercalates rows r, r z and columns c, z c for an
+    involution z, keeping row and column 0."""
+    n = len(t)
+    involutions = [z for z in range(1, n) if t[z][z] == 0]
+    for _ in range(draw(st.integers(0, 2)) if involutions else 0):
+        z = draw(st.sampled_from(involutions))
+        r, c = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        r2, c2 = t[r][z], t[z][c]
+        if 0 in (r2, c2) or t[r][c] != t[r2][c2] or t[r][c2] != t[r2][c]:
+            continue
+        t[r][c], t[r][c2] = t[r][c2], t[r][c]
+        t[r2][c], t[r2][c2] = t[r2][c2], t[r2][c]
+    return t
+
+
+@st.composite
+def near_group_tables(draw):
+    """A Z_n, product or relabelled group table of order at most 64, with
+    up to two intercalates swapped."""
+    kind = draw(st.sampled_from(["cyclic", "product", "relabelled"]))
+    if kind == "cyclic":
+        G = cyclic_group(2 * draw(st.integers(1, 32)))
+    elif kind == "product":
+        names = draw(st.lists(st.sampled_from(["Z2", "Z3", "Z4", "S3", "Q8", "D4"]), min_size=2, max_size=3))
+        G = product_group([builtin_group(f) for f in names])
+        assume(G.order <= 64)  # is_associative holds order^3 entries
+    else:
+        G = relabelled(build(draw(st.sampled_from(["S3", "S4", "D5", "Q8", "D6", "Z12"]))), draw(st.integers(0, 99)))
+    return _swap_intercalates([list(row) for row in G.table], draw)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(near_group_tables())
+def test_group_from_table_accepts_exactly_the_associative_tables(table):
+    message = table_error(table)
+    assert (message is None) == is_associative(table)
+    assert message == reference_table_error(table)
+    if message is not None and message.startswith("associativity"):
+        assert_true_witness(table, message)
