@@ -349,10 +349,14 @@ def tutte_evaluate(rp: RankProfile, x: float, y: float) -> float:
 # -- enumerators -----------------------------------------------------------------
 
 
+def weight_counts(code: GroupCode) -> np.ndarray:
+    """Entry w: how many words have weight w, for w = 0..n."""
+    return np.bincount((code.word_array != 0).sum(axis=1), minlength=code.n + 1)
+
+
 def weight_enumerator(code: GroupCode) -> UniPoly:
     """W_H(z) = sum over words of z^weight."""
-    counts = np.bincount((code.word_array != 0).sum(axis=1))
-    return UniPoly(dict(enumerate(counts.tolist())))
+    return UniPoly(dict(enumerate(weight_counts(code).tolist())))
 
 
 def complete_weight_enumerator(code: GroupCode, classes: ClassData) -> MultiPoly:

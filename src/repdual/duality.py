@@ -138,10 +138,9 @@ def _to_multiset(
     if trivial != 1:
         raise NonIntegerMultiplicity(f"trivial tuple has multiplicity {trivial}, expected 1")
     cosets = ct.group.order**code.n // code.size
-    if dm.total_dimension() != cosets:
-        raise NonIntegerMultiplicity(
-            f"total dimension {dm.total_dimension()} != coset count {cosets}"
-        )
+    total = dm.total_dimension()
+    if total != cosets:
+        raise NonIntegerMultiplicity(f"total dimension {total} != coset count {cosets}")
     return dm
 
 
@@ -265,9 +264,12 @@ def permutation_character(
         raise RepdualError(f"permutation character not constant on class tuple {tup}")
     nonzero = np.flatnonzero(rep)
     tuples = _digits(nonzero, shape, dtype)
-    out = dict(zip(map(tuple, tuples.tolist()), rep[nonzero].tolist()))
-    sizes = classes.class_sizes
-    burnside = sum(count * prod(sizes[c] for c in tup) for tup, count in out.items())
+    counts = rep[nonzero]
+    out = dict(zip(map(tuple, tuples.tolist()), counts.tolist()))
+    # sum over the tuples of count * prod(class sizes) <= max(count) * |Gamma|^n
+    sum_dtype = zring.exact_dtype(int(counts.max(initial=0)) * G.order**n)
+    sizes = np.array(classes.class_sizes, dtype=sum_dtype)
+    burnside = int(counts.astype(sum_dtype) @ sizes[tuples].prod(axis=1))
     if burnside != G.order**n:
         raise RepdualError("Burnside total of the permutation character is off")
     return out
@@ -282,8 +284,10 @@ def decompose_permutation_character(
     integer-valued character is contracted with the table itself: a
     rational sum equals its conjugate (see zring)."""
     tuples = np.array(list(pc), dtype=np.int64).reshape(len(pc), n)
-    sizes = np.array(ct.classes.class_sizes, dtype=object)
-    weighted = np.array(list(pc.values()), dtype=object) * sizes[tuples].prod(axis=1)
+    # a count times a product of n class sizes is at most max|pc| * |Gamma|^n
+    dtype = zring.exact_dtype(max(map(abs, pc.values()), default=0) * ct.group.order**n)
+    sizes = np.array(ct.classes.class_sizes, dtype=dtype)
+    weighted = np.array(list(pc.values()), dtype=dtype) * sizes[tuples].prod(axis=1)
     sums = zring.contract(tuples, weighted, ct.embedded)
     shape = (ct.k,) * n
     return DualMultiset(n, ct.k, ct.degrees, *_multiplicities(*sums, shape, ct.group.order**n))
@@ -292,9 +296,15 @@ def decompose_permutation_character(
 # -- enumerators of the dual -----------------------------------------------------
 
 
+def dual_weight_counts(dm: DualMultiset) -> np.ndarray:
+    """Entry w: the sum of mult * dim over the tuples with w nontrivial
+    components, for w = 0..n, exactly."""
+    return _tally(dm.weights, dm.n + 1, dm._mass)
+
+
 def dual_weight_enumerator(dm: DualMultiset) -> UniPoly:
     """W_{R(H)}(z) = sum mult * dim * z^(n - #trivial components)."""
-    return UniPoly(dict(enumerate(_tally(dm.weights, dm.n + 1, dm._mass).tolist())))
+    return UniPoly(dict(enumerate(dual_weight_counts(dm).tolist())))
 
 
 def dual_cwe(dm: DualMultiset) -> MultiPoly:

@@ -28,7 +28,7 @@ import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product, repeat
+from itertools import product
 from math import isqrt, lcm
 
 import numpy as np
@@ -382,11 +382,7 @@ def group_from_table(
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
         raise NotAGroup("table is not square")
-    for i, row in enumerate(table):
-        if not (all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n):
-            j, v = next((j, v) for j, v in enumerate(row) if not (isinstance(v, int) and 0 <= v < n))
-            raise NotAGroup(f"entry ({i},{j}) = {v} outside 0..{n - 1}")
-    T = np.array(table, dtype=np.intp)
+    T = _entry_array(table, n)
     idx = np.arange(n)
     bad = np.flatnonzero((T[0] != idx) | (T[:, 0] != idx))
     if len(bad):
@@ -410,6 +406,27 @@ def group_from_table(
     if len(labs) != n:
         raise NotAGroup("label count does not match order")
     return _from_array(name or f"table[{n}]", T.astype(_index_dtype(n)), labs, gens)
+
+
+def _entry_array(table, n: int) -> np.ndarray:
+    """The square table of order n as an intp array.  An entry may be a
+    Python or numpy integer or bool (a bool counts as 0 or 1) in 0..n-1;
+    the first other entry in row-major order is named.  The dtype and range
+    are checked once on one np.array, and rows are scanned only to name the
+    entry."""
+    try:
+        T = np.array(table)
+    except ValueError:  # an entry that is itself a sequence
+        T = None
+    if T is not None and T.shape == (n, n) and T.dtype.kind in "biu":
+        if 0 <= T.min() and T.max() < n:
+            return T.astype(np.intp)
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            if not (isinstance(v, (int, np.integer, np.bool_)) and 0 <= v < n):
+                raise NotAGroup(f"entry ({i},{j}) = {v} outside 0..{n - 1}")
+    # integers that numpy promotes to float together, such as int64 and uint64
+    return np.array(table, dtype=np.intp)
 
 
 def _associativity_witness(T: np.ndarray, gens) -> tuple[int, int, int] | None:

@@ -1,18 +1,21 @@
 """Exact verification of Greene's theorem and both MacWilliams identities.
 
-Every identity is checked as a coefficientwise equality of polynomials over
-Q.  The Tutte-form statements have irrational real exponents, so they are
-verified in their subset-sum cardinality forms, where every q-power collapses
-into a ratio of projection cardinalities:
+Every identity is checked as an exact equality of integer vectors, never in
+floating point.  The Tutte-form statements have irrational real exponents,
+so they are verified in their subset-sum cardinality forms, where every
+q-power collapses into a ratio of projection cardinalities:
 
   W_H(t)      = sum_S (|H| / |H_S|) t^(n-|S|) (1-t)^|S|
   W_R(H)(z)   = sum_S (|Gamma|^(n-|S|) / |H_{E-S}|) (1-z)^|S| z^(n-|S|)
 
 The polynomial of a subset depends only on |S|, so each sum first adds its
-coefficients by |S| (Python ints wherever the cardinality divides) and then
-composes n+1 terms: sum_s c_s x^(n-s) (1-z)^s, with x = z here and
-x = 1 + (q-1)z for MacWilliams #1, is the vector-matrix product c @ K for
-an integer matrix K built once per (n, q) by the Pascal recurrence.
+coefficients by |S|, scaled by the lcm L of the cardinalities so that every
+one is an integer, and then composes n+1 terms: sum_s c_s x^(n-s) (1-z)^s,
+with x = z here and x = 1 + (q-1)z for MacWilliams #1, is the vector-matrix
+product c @ K for an integer matrix K built once per (n, q) by the Pascal
+recurrence.  Greene compares L times the weight counts of H and of R(H)
+with those products, and MacWilliams #1 compares |H| times the weight
+counts of R(H) with the weight counts of H times K.
 
 MacWilliams #2 and the abelian specialization compare exact integer vectors
 indexed by content rank (codes.content_counts), not polynomials: the content
@@ -31,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -46,7 +50,7 @@ from .codes import (
     cwe_counts,
     rank_profile,
     tutte_evaluate,
-    weight_enumerator,
+    weight_counts,
 )
 from .duality import (
     DEFAULT_TUPLE_CAP,
@@ -54,7 +58,7 @@ from .duality import (
     _digits,
     _extension_sides,
     dual_multiset,
-    dual_weight_enumerator,
+    dual_weight_counts,
 )
 from .errors import CapExceeded, DomainError, NonIntegerMultiplicity, NotRational
 from .polynomials import MultiPoly, UniPoly
@@ -79,9 +83,11 @@ class CheckResult:
 
 class CodeAnalysis:
     """The artifacts of one code that the checks read, each computed on
-    first use and then shared: the rank profile, W_H, the coefficients of
-    cwe_H at every content, R(H) and W_R(H).
-    tuple_cap bounds the irrep tuple space of R(H)."""
+    first use and then shared: the rank profile, the weight counts of H, the
+    coefficients of cwe_H at every content, R(H) and the weight counts of
+    R(H).  W and Wd are the two weight enumerators as polynomials, built
+    from the counts on each access.  tuple_cap bounds the irrep tuple space
+    of R(H)."""
 
     def __init__(
         self, code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = DEFAULT_TUPLE_CAP
@@ -95,8 +101,12 @@ class CodeAnalysis:
         return rank_profile(self.code)
 
     @cached_property
+    def w_counts(self) -> np.ndarray:
+        return weight_counts(self.code)
+
+    @property
     def W(self) -> UniPoly:
-        return weight_enumerator(self.code)
+        return _poly(self.w_counts.tolist())
 
     @cached_property
     def cwe_counts(self) -> np.ndarray:
@@ -107,8 +117,12 @@ class CodeAnalysis:
         return dual_multiset(self.code, self.ct, cap=self.tuple_cap)
 
     @cached_property
+    def wd_counts(self) -> np.ndarray:
+        return dual_weight_counts(self.dm)
+
+    @property
     def Wd(self) -> UniPoly:
-        return dual_weight_enumerator(self.dm)
+        return _poly(self.wd_counts.tolist())
 
 
 # -- Greene ---------------------------------------------------------------------
@@ -130,36 +144,54 @@ def _binomial_matrix(n: int, a: int, b: int) -> np.ndarray:
     return K
 
 
-def _binomial_sum(c: list, a: int, b: int) -> UniPoly:
-    """sum_s c[s] (a + b*z)^(n-s) (1-z)^s for the n+1 exact coefficients
-    c, as c @ K."""
-    out = np.array(c, dtype=object) @ _binomial_matrix(len(c) - 1, a, b)
-    return UniPoly(dict(enumerate(out.tolist())))
+def _binomial_sum(c: list, a: int, b: int) -> list:
+    """The coefficients of sum_s c[s] (a + b*z)^(n-s) (1-z)^s for the n+1
+    exact numbers c, as c @ K."""
+    return (np.array(c, dtype=object) @ _binomial_matrix(len(c) - 1, a, b)).tolist()
 
 
-def _sums_by_size(numerators: list[int], cards) -> list:
-    """c[s] = sum of numerators[s] / cards[S] over the bitmasks S with
-    |S| = s: a Python int where the card divides, a Fraction otherwise."""
-    c = [0] * len(numerators)
-    for S, card in enumerate(cards):
-        s = S.bit_count()
-        q, r = divmod(numerators[s], card)
-        c[s] += Fraction(numerators[s], card) if r else q
-    return c
+def _poly(values: list, divisor: int = 1) -> UniPoly:
+    """The polynomial with coefficient values[d] / divisor at z^d."""
+    return UniPoly({d: Fraction(v, divisor) for d, v in enumerate(values)})
+
+
+def _evaluate(values: list[int], z: float) -> float:
+    """_poly(values).evaluate(z) for integer values, bit for bit: the
+    nonzero terms added in ascending degree from z * 0."""
+    total = z * 0
+    for d, c in enumerate(values):
+        if c:
+            total += float(c) * z**d
+    return total
+
+
+def _scaled_subset_sums(code: GroupCode, rp: RankProfile) -> tuple[int, list[int], list[int]]:
+    """L, the lcm of the projection cardinalities, and L times the
+    coefficients c of the primal and the dual Greene subset forms:
+    c[s] = sum over |S| = s of |H| / card[S], and of
+    |Gamma|^(n-s) / card[E-S].  Every L / card[S] is an integer, and their
+    sums by |S| serve both forms, since E-S has n - |S| elements."""
+    n, q = code.n, code.group.order
+    L = lcm(*set(rp.card))
+    by_size = [0] * (n + 1)
+    for S, card in enumerate(rp.card):
+        by_size[S.bit_count()] += L // card
+    primal = [code.size * x for x in by_size]
+    dual = [q ** (n - s) * by_size[n - s] for s in range(n + 1)]
+    return L, primal, dual
 
 
 def greene_subset_form_H(code: GroupCode, rp: RankProfile) -> UniPoly:
     """Simplified right-hand side of the primal Greene identity."""
-    c = _sums_by_size([code.size] * (code.n + 1), rp.card)
-    return _binomial_sum(c, 0, 1)
+    L, primal, _ = _scaled_subset_sums(code, rp)
+    return _poly(_binomial_sum(primal, 0, 1), L)
 
 
 def greene_subset_form_dual(code: GroupCode, rp: RankProfile) -> UniPoly:
     """Simplified right-hand side of the dual Greene identity: the
     complement of S indexes the reversed card list."""
-    n, q = code.n, code.group.order
-    c = _sums_by_size([q ** (n - s) for s in range(n + 1)], rp.card[::-1])
-    return _binomial_sum(c, 0, 1)
+    L, _, dual = _scaled_subset_sums(code, rp)
+    return _poly(_binomial_sum(dual, 0, 1), L)
 
 
 def _relative_close(a: float, b: float) -> bool:
@@ -167,17 +199,20 @@ def _relative_close(a: float, b: float) -> bool:
 
 
 def verify_greene(a: CodeAnalysis) -> CheckResult:
-    """Exact subset-form check of both Greene identities, plus the floating
-    Tutte spot-check at z in {0.3, 0.5, 0.7}."""
-    code, rp, W = a.code, a.rp, a.W
+    """Exact subset-form check of both Greene identities, as L times the
+    weight counts against the scaled subset sums composed with K, plus the
+    floating Tutte spot-check at z in {0.3, 0.5, 0.7}."""
+    code, rp = a.code, a.rp
     result = CheckResult("greene", True)
-    rhs = greene_subset_form_H(code, rp)
-    if W != rhs:
-        result.fail(f"primal subset form differs by {(W - rhs).render('t')}")
-    Wd = a.Wd
-    rhs_d = greene_subset_form_dual(code, rp)
-    if Wd != rhs_d:
-        result.fail(f"dual subset form differs by {(Wd - rhs_d).render('z')}")
+    L, sums, dual_sums = _scaled_subset_sums(code, rp)
+    w = a.w_counts.tolist()
+    rhs = _binomial_sum(sums, 0, 1)
+    if [L * x for x in w] != rhs:
+        result.fail(f"primal subset form differs by {(a.W - _poly(rhs, L)).render('t')}")
+    wd = a.wd_counts.tolist()
+    rhs = _binomial_sum(dual_sums, 0, 1)
+    if [L * x for x in wd] != rhs:
+        result.fail(f"dual subset form differs by {(a.Wd - _poly(rhs, L)).render('z')}")
 
     q = code.group.order
     n = code.n
@@ -187,13 +222,13 @@ def verify_greene(a: CodeAnalysis) -> CheckResult:
         primal = z ** (n - r_full) * (1.0 - z) ** r_full * tutte_evaluate(
             rp, growth, 1.0 / z
         )
-        if not _relative_close(W.evaluate(z), primal):
-            result.fail(f"primal Tutte spot-check off at z={z}: {W.evaluate(z)} vs {primal}")
+        if not _relative_close(_evaluate(w, z), primal):
+            result.fail(f"primal Tutte spot-check off at z={z}: {_evaluate(w, z)} vs {primal}")
         dual = (1.0 - z) ** (n - r_full) * z**r_full * tutte_evaluate(
             rp, 1.0 / z, growth
         )
-        if not _relative_close(Wd.evaluate(z), dual):
-            result.fail(f"dual Tutte spot-check off at z={z}: {Wd.evaluate(z)} vs {dual}")
+        if not _relative_close(_evaluate(wd, z), dual):
+            result.fail(f"dual Tutte spot-check off at z={z}: {_evaluate(wd, z)} vs {dual}")
     return result
 
 
@@ -202,16 +237,19 @@ def verify_greene(a: CodeAnalysis) -> CheckResult:
 
 def macwilliams1_rhs(code: GroupCode, W: UniPoly) -> UniPoly:
     """(1/|H|) sum_w A_w (1-z)^w (1+(q-1)z)^(n-w) for W = W_H, exactly."""
-    out = _binomial_sum([W[w] for w in range(code.n + 1)], 1, code.group.order - 1)
-    return UniPoly({d: c / code.size for d, c in out.coeffs.items()})
+    c = [W[w] for w in range(code.n + 1)]
+    return _poly(_binomial_sum(c, 1, code.group.order - 1), code.size)
 
 
 def verify_macwilliams1(a: CodeAnalysis) -> CheckResult:
+    """|H| times the weight counts of R(H) against the weight counts of H
+    composed with K, as integers."""
     result = CheckResult("macwilliams1", True)
-    rhs = macwilliams1_rhs(a.code, a.W)
-    lhs = a.Wd
-    if lhs != rhs:
-        result.fail(f"transform differs from dual enumerator by {(lhs - rhs).render('z')}")
+    size = a.code.size
+    rhs = _binomial_sum(a.w_counts.tolist(), 1, a.code.group.order - 1)
+    if [size * x for x in a.wd_counts.tolist()] != rhs:
+        difference = (a.Wd - _poly(rhs, size)).render("z")
+        result.fail(f"transform differs from dual enumerator by {difference}")
     return result
 
 

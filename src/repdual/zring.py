@@ -198,13 +198,19 @@ class Embedded:
         stays int64 (the kernels check, and use exact ints past it).  The
         first prime depends on T's shape alone, so every caller reuses its
         images."""
-        k, m = self.T.shape[0], self.T.shape[-1]
-        primes = [prime_1_mod(m, isqrt(INT64_LIMIT // (4 * max(k, m))))]
-        product = primes[0]
+        p0 = self._first_prime
+        if p0 > 2 * bound:
+            return (p0,)
+        m, primes, product = self.T.shape[-1], [p0], p0
         while product <= 2 * bound:
             primes.append(prime_1_mod(m, primes[-1]))
             product *= primes[-1]
         return tuple(primes)
+
+    @cached_property
+    def _first_prime(self) -> int:
+        k, m = self.T.shape[0], self.T.shape[-1]
+        return prime_1_mod(m, isqrt(INT64_LIMIT // (4 * max(k, m))))
 
     def images(self, p: int) -> np.ndarray:
         """embed(T, p), kept for the next caller."""
@@ -348,8 +354,10 @@ def contract(
                 X = X[:, order].astype(exact_dtype(size * p))
                 X = np.add.reduceat(X, starts, axis=1) % p
             if first is None:
-                first = X[0]
-            irrational |= (X != first).any(axis=0)
+                # the first image is the reference, so only the rest are compared
+                first, X = X[0], X[1:]
+            if len(X):
+                irrational |= (X != first).any(axis=0)
         residues.append(first)
     return _symmetric_crt(residues, primes), irrational
 

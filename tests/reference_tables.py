@@ -256,7 +256,7 @@ def reference_table_error(table):
         return "table is not square"
     for i, row in enumerate(table):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not isinstance(v, (int, np.integer, np.bool_)) or not 0 <= v < n:
                 return f"entry ({i},{j}) = {v} outside 0..{n - 1}"
     for g in range(n):
         if table[0][g] != g or table[g][0] != g:

@@ -5,17 +5,26 @@ is a cyclic convolution, and the dense axis-by-axis Frobenius contraction.
 Reduce a result with zring.reduce to read it in the power basis.  The
 multiplicities of R(H), the permutation-character decomposition and the
 MacWilliams #2 transform are rebuilt on them as they ran before, and
-reduction_gain sizes their dtypes and that of reference_certify."""
+reduction_gain sizes their dtypes and that of reference_certify.  primes is
+the prime choice of the contraction as a plain loop."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
 from repdual.errors import NotRational
 from repdual.polynomials import MultiPoly
-from repdual.zring import abs_row_sums, exact_dtype, reduce, reduction_matrix
+from repdual.zring import (
+    INT64_LIMIT,
+    abs_row_sums,
+    exact_dtype,
+    prime_1_mod,
+    reduce,
+    reduction_matrix,
+)
 
 from reference_tallies import _multiplicities, sum_by_content
 
@@ -101,3 +110,15 @@ def reference_cwe_transform(cwe: MultiPoly, T: np.ndarray, size: int) -> MultiPo
     if len(irrational):
         raise NotRational(f"transformed coefficient at {contents[irrational[0]]} is not rational")
     return MultiPoly(k, {e: Fraction(c, size) for e, c in zip(contents, sums[:, 0].tolist())})
+
+
+def primes(table, bound: int) -> tuple[int, ...]:
+    """Embedded.primes as a loop from the shape-only first prime, with no
+    early return."""
+    k, m = table.T.shape[0], table.T.shape[-1]
+    out = [prime_1_mod(m, isqrt(INT64_LIMIT // (4 * max(k, m))))]
+    product = out[0]
+    while product <= 2 * bound:
+        out.append(prime_1_mod(m, out[-1]))
+        product *= out[-1]
+    return tuple(out)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repdual.errors import (
@@ -128,6 +129,38 @@ def test_group_from_table_rejects_nonassociative_latin_square():
     table = find_nonassociative_loop(5)
     with pytest.raises(NotAGroup, match="associativity"):
         group_from_table(table)
+
+
+def test_group_from_table_entry_types():
+    # an entry is a Python or numpy integer or bool in 0..n-1 (a bool counts
+    # as 0 or 1); a float, a string, a sequence or an integer out of range
+    # is named, the first in row-major order
+    z2 = [[0, 1], [1, 0]]
+    accepted = [
+        [[False, True], [True, False]],
+        [[np.False_, np.True_], [np.True_, np.False_]],
+        [[np.int64(0), np.int64(1)], [np.int64(1), np.int64(0)]],
+        list(np.array(z2, dtype=np.uint8)),
+        [[np.uint64(0), np.int64(1)], [1, np.uint64(0)]],  # numpy promotes these to float
+    ]
+    for table in accepted:
+        assert group_from_table(table).cayley.tolist() == z2
+    S4 = symmetric_group(4)
+    assert group_from_table(list(S4.cayley)).cayley.tolist() == S4.cayley.tolist()
+    refused = {
+        "entry (0,1) = 1.0 outside 0..1": [[0, 1.0], [1, 0]],
+        "entry (0,0) = 0.0 outside 0..1": [[np.float64(0), 1], [1, 0]],
+        "entry (0,1) = 1 outside 0..1": [[0, "1"], [1, 0]],
+        "entry (1,0) = 2 outside 0..1": [[0, 1], [np.int64(2), 0]],
+        "entry (0,1) = -1 outside 0..1": [[0, np.int8(-1)], [1, 0]],
+        "entry (0,0) = [0] outside 0..1": [[[0], 1], [1, 0]],
+        f"entry (0,1) = {2**70} outside 0..1": [[0, 2**70], [1, 0]],
+        "entry (1,1) = None outside 0..1": [[0, 1], [1, None]],
+    }
+    for message, table in refused.items():
+        with pytest.raises(NotAGroup) as exc:
+            group_from_table(table)
+        assert str(exc.value) == message
 
 
 def test_group_from_table_rejects_bad_identity():

@@ -291,6 +291,8 @@ def test_verify_all_nonabelian_sample():
     ids=["Z4", "S3"],
 )
 def test_verify_all_computes_each_artifact_once(monkeypatch, code):
+    # the checks read the weight counts of H and of R(H), built once each;
+    # no weight enumerator polynomial is built on a passing run
     calls = Counter()
 
     def count(module, name, counted=lambda *args: True):
@@ -303,8 +305,11 @@ def test_verify_all_computes_each_artifact_once(monkeypatch, code):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("dual_multiset", "rank_profile", "weight_enumerator", "dual_weight_enumerator"):
+    for name in ("dual_multiset", "rank_profile", "weight_counts", "dual_weight_counts"):
         count(identities, name)
+    count(codes, "weight_enumerator")
+    count(duality, "dual_weight_enumerator")
+    count(identities.UniPoly, "__init__")
     # the abelian check also tallies the classical dual code
     count(identities, "cwe_counts", lambda c, *_: c is code)
     count(codes, "projection_cardinalities")
@@ -314,8 +319,8 @@ def test_verify_all_computes_each_artifact_once(monkeypatch, code):
     assert calls == {
         "dual_multiset": 1,
         "rank_profile": 1,
-        "weight_enumerator": 1,
-        "dual_weight_enumerator": 1,
+        "weight_counts": 1,
+        "dual_weight_counts": 1,
         "cwe_counts": 1,
         "projection_cardinalities": 1,
     }

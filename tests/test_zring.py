@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repdual import chartable, codes, identities, zring
+from repdual import chartable, codes, groups, identities, zring
 from repdual.chartable import (
     CharacterTable,
     _certify,
@@ -354,6 +354,18 @@ def test_decompose_needs_two_primes_on_diag_s3_7():
     assert list(dual_multiset(code, ct).mult.items()) == decompose_items(pc, ct, 7)
 
 
+def test_decompose_weights_past_int64_are_exact():
+    # counts scaled by 2**62 make max|pc| * |Gamma|^n pass int64, so the
+    # weights are Python ints; the multiplicities scale with them
+    ct = character_table(S3)
+    pc = permutation_character(diagonal_code(S3, 3), ct.classes)
+    for scale in (1, 2**62):
+        scaled = {t: c * scale for t, c in pc.items()}
+        want = [(t, m * scale) for t, m in decompose_items(pc, ct, 3)]
+        assert decompose_items(scaled, ct, 3) == want
+        assert want == list(rz.reference_decompose(scaled, ct, 3).items())
+
+
 @pytest.mark.parametrize("source", ["cold", "cached"])
 def test_each_table_is_embedded_once_per_prime(source, tmp_path, monkeypatch):
     # certification embeds the table at its first prime, and the
@@ -377,3 +389,35 @@ def test_each_table_is_embedded_once_per_prime(source, tmp_path, monkeypatch):
         assert sorted(calls) == sorted(set(calls)) == sorted(images)
         for p, E in ct.embedded._images.items():
             assert E is images[p] and E.shape == (euler_phi(ct.conductor), ct.k, ct.k)
+
+
+def test_primes_match_the_loop_on_both_sides_of_the_first_prime():
+    # the odd first prime p0 alone serves every bound up to p0 // 2, and
+    # the loop adds primes from p0 // 2 + 1 up
+    for G in (symmetric_group(3), cyclic_group(7), dihedral_group(30)):
+        table = character_table(G).embedded
+        p0 = rz.primes(table, 0)[0]
+        half = p0 // 2
+        for bound in (0, 1, half - 1, half, half + 1, p0, p0**2, p0**3 // 2, 2**200):
+            assert table.primes(bound) == rz.primes(table, bound), (G.name, bound)
+        assert len(table.primes(half)) == 1 and len(table.primes(half + 1)) == 2
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3])
+def test_contract_across_embedding_blocks_matches_reference(monkeypatch, block_size):
+    # with TABLE_BLOCK cut to block_size outputs, each block holds
+    # block_size embeddings of the four of Z5 (and of D5's Z[zeta_5]), so
+    # the first block may hold the reference image alone and every other
+    # image is compared in a later block; the keys give rational and
+    # irrational outputs
+    for G, rows in ((cyclic_group(5), [(1, 0), (4, 0), (2, 3)]), (dihedral_group(5), [(1, 2)])):
+        ct = character_table(G)
+        keys = np.array(rows, dtype=np.int64)
+        counts = np.array([3, 3, -2][: len(rows)], dtype=np.int64)
+        size = ct.k ** keys.shape[1]
+        monkeypatch.setattr(groups, "TABLE_BLOCK", block_size * size)
+        for bins in (False, True):
+            assert_contract_matches(keys, counts, ct.embedded, bins)
+        _, irrational = zring.contract(keys, counts, ct.embedded)
+        if G.order == 5:
+            assert irrational.any() and not irrational.all()
