@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -529,14 +528,16 @@ def character_table(G: FiniteGroup, cache_dir: str | Path | None = None) -> Char
 
 def _cache_text(ct: CharacterTable) -> str:
     """The cache blob: json.dumps of {"conductor", "degrees", "irrep_order",
-    "values"} with the values as to_json writes them, joined from the text
-    of each distinct value, which is rendered once."""
-    m = ct.conductor
+    "distinct", "index"}, the table's distinct power-basis coefficient rows
+    and the (k, k) position of every entry among them."""
     distinct, index = ct._distinct_values()
-    text = [json.dumps({"conductor": m, "coeffs": [str(c) for c in coeffs]}) for coeffs in distinct]
-    rows = np.array(text, dtype=object)[index].tolist()
-    head = json.dumps({"conductor": m, "degrees": list(ct.degrees), "irrep_order": list(ct.irrep_order)})
-    return head[:-1] + ', "values": [[' + "], [".join(map(", ".join, rows)) + "]]}"
+    return json.dumps({
+        "conductor": ct.conductor,
+        "degrees": list(ct.degrees),
+        "irrep_order": list(ct.irrep_order),
+        "distinct": distinct,
+        "index": index.tolist(),
+    })
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -562,41 +563,6 @@ def _is_int_list(obj, length: int) -> bool:
     )
 
 
-_DECIMAL = re.compile(r"-?[0-9]+\Z")
-
-
-def _coefficient(c) -> int:
-    """The integer Fraction(c) stands for; plain decimal strings, as the
-    cache writes them, skip the Fraction.  Raises ValueError (or what
-    Fraction raises) for anything else."""
-    if type(c) is str and _DECIMAL.match(c):
-        return int(c)
-    f = Fraction(c)
-    if f.denominator != 1:
-        raise ValueError("coefficient is not an integer")
-    return int(f)
-
-
-def _cached_coefficients(rows, k: int, m: int) -> np.ndarray | None:
-    """The (k, k, phi(m)) int64 power-basis coefficients of a cache blob's
-    k x k values, or None when an entry has another conductor or length;
-    raises on coefficients that are not integers or overflow int64.  Each
-    distinct coefficient list is parsed once."""
-    d = euler_phi(m)
-    parsed: dict[tuple, list[int]] = {}
-    flat = []
-    for row in rows:
-        for v in row:
-            key = tuple(v["coeffs"])
-            coeffs = parsed.get(key)
-            if coeffs is None:
-                coeffs = parsed[key] = [_coefficient(c) for c in key]
-            if v["conductor"] != m or len(coeffs) != d:
-                return None
-            flat.extend(coeffs)
-    return np.array(flat, dtype=np.int64).reshape(k, k, d)
-
-
 def _load_cached(G: FiniteGroup, path: Path) -> CharacterTable | None:
     """The certified table stored at path, or None (so the caller
     recomputes) when the file is unreadable, malformed, written for another
@@ -607,20 +573,27 @@ def _load_cached(G: FiniteGroup, path: Path) -> CharacterTable | None:
         k, m = classes.num_classes, G.exponent
         if not isinstance(blob, dict) or blob.get("conductor") != m:
             return None
-        degrees, irrep_order, rows = blob["degrees"], blob["irrep_order"], blob["values"]
+        degrees, irrep_order = blob["degrees"], blob["irrep_order"]
         if not (
             _is_int_list(degrees, k)
             and _is_int_list(irrep_order, k)
             and sorted(irrep_order) == list(range(k))
-            and isinstance(rows, list)
-            and len(rows) == k
-            and all(isinstance(row, list) and len(row) == k for row in rows)
         ):
             return None
-        P = _cached_coefficients(rows, k, m)
-        if P is None:
+        # integer arrays only: a float, string, null or out-of-int64 entry
+        # makes another dtype kind, and a ragged row raises ValueError; the
+        # index range is checked since a negative index would wrap
+        distinct, index = np.array(blob["distinct"]), np.array(blob["index"])
+        if not (
+            distinct.dtype.kind == index.dtype.kind == "i"
+            and distinct.ndim == 2
+            and distinct.shape[1] == euler_phi(m)
+            and index.shape == (k, k)
+            and index.min() >= 0
+            and index.max() < len(distinct)
+        ):
             return None
-        return _certified_table(G, classes, P, degrees, irrep_order)
+        return _certified_table(G, classes, distinct[index], degrees, irrep_order)
     except (OSError, KeyError, TypeError, ValueError, ArithmeticError, LiftVerificationFailed):
         return None  # stale, corrupt or foreign cache entry; recompute
 

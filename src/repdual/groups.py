@@ -81,7 +81,12 @@ class FiniteGroup:
     strings or, for a permutation group, CycleLabels.  generators, when
     given, must generate the group: conjugacy classes are orbits under
     them.  Groups are equal when their names, labels, generators and tables
-    are."""
+    are.
+
+    This is the trusted constructor: it checks none of the group axioms,
+    and is for tables that are groups by construction (closures, products,
+    Z<n>).  A table from outside the program goes through group_from_table,
+    as every spec path does."""
 
     name: str
     cayley: np.ndarray

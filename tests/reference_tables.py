@@ -12,14 +12,13 @@ set under right products), the F_p eigenspace split by
 row reduction over Python lists, the Dixon lift by one modular pow per
 (irrep, class, root, power), and certification by cyclic convolution over
 Z[C_m].  The table's Cyclotomic values, its JSON and its cache blob are
-rebuilt here one Cyclotomic at a time, and a cache file is parsed with one
-Fraction per coefficient.  Tests compare the kernels with them exactly.
+rebuilt here one Cyclotomic at a time.  Tests compare the kernels with
+them exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 from itertools import product
 from math import isqrt
 
@@ -568,29 +567,23 @@ def reference_to_json(ct) -> dict:
 
 
 def reference_dump_cached(ct) -> dict:
+    """The cache blob from one Cyclotomic per entry: the distinct
+    coefficient lists in the order of their int64 little-endian bytes, as
+    np.unique sorts rows viewed as void items, and each entry's position
+    among them."""
+    rows = [[tuple(int(c) for c in v.to_json()["coeffs"]) for v in row] for row in reference_values(ct)]
+    distinct = sorted(
+        {c for row in rows for c in row},
+        key=lambda coeffs: b"".join(c.to_bytes(8, "little", signed=True) for c in coeffs),
+    )
+    position = {c: i for i, c in enumerate(distinct)}
     return {
         "conductor": ct.conductor,
         "degrees": list(ct.degrees),
         "irrep_order": list(ct.irrep_order),
-        "values": [[v.to_json() for v in row] for row in reference_values(ct)],
+        "distinct": [list(c) for c in distinct],
+        "index": [[position[c] for c in row] for row in rows],
     }
-
-
-def reference_cached_coefficients(rows, k: int, m: int):
-    """The (k, k, phi(m)) int64 coefficients of a cache blob's values, parsed
-    with one Fraction per coefficient, or None where the loader refuses
-    them; exceptions propagate as they would to the loader."""
-    d = euler_phi(m)
-    P = np.zeros((k, k, d), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            coeffs = [Fraction(c) for c in v["coeffs"]]
-            if v["conductor"] != m or len(coeffs) != d:
-                return None
-            if any(c.denominator != 1 for c in coeffs):
-                return None
-            P[i, j] = [int(c) for c in coeffs]
-    return P
 
 
 # -- abelian groups -------------------------------------------------------------

@@ -4,7 +4,7 @@ as one int array.
 Certification is compared with the convolution reference
 (tests/reference_tables.py) on accept/reject and the exact message; the
 Cyclotomic values, the JSON and the cache bytes with the per-Cyclotomic
-references; the cache parser with the one-Fraction-per-coefficient parser.
+references.  The cache reader loads only integer arrays that certify.
 """
 
 import json
@@ -23,7 +23,6 @@ from repdual.errors import LiftVerificationFailed
 from repdual.groups import symmetric_group
 
 from reference_tables import (
-    reference_cached_coefficients,
     reference_certify,
     reference_dump_cached,
     reference_to_json,
@@ -31,8 +30,6 @@ from reference_tables import (
 )
 from reference_zring import reduction_gain
 from test_table_kernels import CLASS_GROUPS, TABLE_GROUPS, build
-
-CAUGHT = (KeyError, TypeError, ValueError, ArithmeticError)
 
 
 def outcome(certify, ct, T, degrees=None):
@@ -348,7 +345,7 @@ def test_verify_on_a_cached_table_leaves_values_unbuilt(tmp_path, monkeypatch, c
     assert "values" in ct.__dict__
 
 
-# -- the cache parser ------------------------------------------------------------------
+# -- the cache reader ------------------------------------------------------------------
 
 
 SPELLINGS = [
@@ -359,52 +356,39 @@ SPELLINGS = [
 ]
 
 
-def refused(parse, rows, k, m):
-    try:
-        return parse(rows, k, m)
-    except CAUGHT:
-        return None
-
-
 @pytest.mark.parametrize("spelling", SPELLINGS, ids=lambda s: repr(s)[:12])
-def test_cache_parser_matches_fraction_parser(spelling):
-    ct = character_table(build("Z12"))
-    blob = json.loads(json.dumps(ct.to_json()["values"]))
-    blob[3][5]["coeffs"][1] = spelling
-    expected = refused(reference_cached_coefficients, blob, ct.k, ct.conductor)
-    got = refused(chartable._cached_coefficients, blob, ct.k, ct.conductor)
-    if expected is None:
-        assert got is None
+def test_cache_parser_matches_fraction_parser(spelling, tmp_path, monkeypatch):
+    """Each spelling stands in the cache for the coefficient 2 of S4's
+    degree-2 identity value.  The file loads, to the computed table, only
+    when the spelling is the JSON integer 2; any other spelling, whatever
+    Fraction makes of it, returns None and raises nothing."""
+    G = build("S4")
+    monkeypatch.setattr(chartable, "_cache", {})
+    ref = character_table(G, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    blob = json.loads(path.read_text())
+    blob["distinct"][blob["distinct"].index([2, 0, 0, 0])][0] = spelling
+    path.write_text(json.dumps(blob))
+    got = chartable._load_cached(G, path)
+    if type(spelling) is int and spelling == 2:
+        assert got == ref
     else:
-        assert got.dtype == np.int64 and np.array_equal(got, expected)
-
-
-def test_cache_parser_shapes_match_fraction_parser():
-    ct = character_table(build("Z6"))
-    for edit in (
-        lambda v: v[1][1].update(conductor=3),
-        lambda v: v[1][1].update(conductor=6.0),
-        lambda v: v[1][1]["coeffs"].append("0"),
-        lambda v: v[1][1].pop("coeffs"),
-        lambda v: v[1][1].update(coeffs="12"),
-        lambda v: v[1].__setitem__(1, "x"),
-    ):
-        blob = json.loads(json.dumps(ct.to_json()["values"]))
-        edit(blob)
-        expected = refused(reference_cached_coefficients, blob, ct.k, ct.conductor)
-        got = refused(chartable._cached_coefficients, blob, ct.k, ct.conductor)
-        assert (got is None) == (expected is None)
-        if got is not None:
-            assert np.array_equal(got, expected)
+        assert got is None
 
 
 def test_value_preserving_spellings_load(tmp_path, monkeypatch):
+    """The same table written otherwise loads: distinct rows reversed, one
+    row repeated, zeros spelled -0 and the JSON indented."""
     G = build("Z12")
     monkeypatch.setattr(chartable, "_cache", {})
     ref = character_table(G, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     blob = json.loads(path.read_text())
-    i, j = 3, 5
-    blob["values"][i][j]["coeffs"] = [f"{c}/1" if c.startswith("-") else f" {c}.0" for c in blob["values"][i][j]["coeffs"]]
-    path.write_text(json.dumps(blob))
+    distinct, index = blob["distinct"], blob["index"]
+    n = len(distinct)
+    blob["distinct"] = distinct[::-1] + [distinct[index[3][5]]]
+    blob["index"] = [[n - 1 - i for i in row] for row in index]
+    blob["index"][3][5] = n
+    path.write_text(json.dumps(blob, indent=3).replace(" 0,", " -0,"))
+    assert "-0," in path.read_text()
     assert chartable._load_cached(G, path) == ref

@@ -210,22 +210,66 @@ def test_tables_for_matrix_groups():
         )
 
 
-def _corrupt_coefficient(blob):
-    blob["values"][1][1]["coeffs"][0] = "1/0"
-    return blob
+def _edit(path, value):
+    """A corruption that sets blob[path[0]][path[1]]... to value."""
+
+    def corrupt(blob):
+        *head, last = path
+        target = blob
+        for key in head:
+            target = target[key]
+        target[last] = value
+        return blob
+
+    return corrupt
 
 
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda blob: dict(blob, values=5),
-        lambda blob: [blob],
-        _corrupt_coefficient,
-        lambda blob: dict(blob, conductor=12),
-        lambda blob: dict(blob, irrep_order=[0, 0, 1]),
-    ],
-    ids=["values-not-a-list", "top-level-list", "zero-denominator", "conductor", "irrep-order"],
-)
+def _widen(delta):
+    def corrupt(blob):
+        blob["distinct"] = [row[:-1] if delta < 0 else row + [0] for row in blob["distinct"]]
+        return blob
+
+    return corrupt
+
+
+def _earlier_format(blob):
+    """The blob as the cache wrote it before distinct and index: one
+    {"conductor", "coeffs"} object per entry, coefficients as strings."""
+    cells = [{"conductor": blob["conductor"], "coeffs": [str(c) for c in row]} for row in blob["distinct"]]
+    values = [[cells[i] for i in row] for row in blob.pop("index")]
+    del blob["distinct"]
+    return dict(blob, values=values)
+
+
+# each corruption maps the parsed blob to a new blob, or to the bytes of the
+# file; S3 has k = 3 classes and conductor 6, so rows of phi(6) = 2
+CORRUPTIONS = {
+    "values-not-a-list": lambda blob: dict(blob, distinct=5),
+    "top-level-list": lambda blob: [blob],
+    "zero-denominator": _edit(["distinct", 1, 0], "1/0"),
+    "conductor": lambda blob: dict(blob, conductor=12),
+    "irrep-order": lambda blob: dict(blob, irrep_order=[0, 0, 1]),
+    "negative-index": _edit(["index", 1, 1], -1),
+    "index-past-distinct": lambda blob: _edit(["index", 1, 1], len(blob["distinct"]))(blob),
+    "index-rows-missing": lambda blob: dict(blob, index=blob["index"][:2]),
+    "index-flat": lambda blob: dict(blob, index=sum(blob["index"], [])),
+    "ragged-distinct": _edit(["distinct", 1], [1]),
+    "row-width-phi-minus-1": _widen(-1),
+    "row-width-phi-plus-1": _widen(1),
+    "entry-2**63": _edit(["distinct", 1, 0], 2**63),
+    "entry-2**64": _edit(["distinct", 1, 0], 2**64),
+    "entry-below-int64": _edit(["distinct", 1, 0], -(2**63) - 1),
+    "entry-float": _edit(["distinct", 1, 0], 1.0),
+    "entry-string": _edit(["distinct", 1, 0], "1"),
+    "entry-null": _edit(["distinct", 1, 0], None),
+    "empty-file": lambda blob: b"",
+    "truncated-json": lambda blob: json.dumps(blob)[:-20].encode(),
+    "non-utf-8": lambda blob: json.dumps(blob).encode().replace(b'"index"', b'"ind\xffex"'),
+    "earlier-format": _earlier_format,
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
 def test_corrupt_cache_is_recomputed(tmp_path, corrupt):
     import repdual.chartable as mod
 
@@ -233,7 +277,9 @@ def test_corrupt_cache_is_recomputed(tmp_path, corrupt):
     mod._cache.clear()
     ref = character_table(G, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
-    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    bad = corrupt(json.loads(path.read_text()))
+    path.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
+    assert mod._load_cached(G, path) is None
     mod._cache.clear()
     ct = character_table(G, cache_dir=tmp_path)
     assert (ct.values, ct.degrees, ct.irrep_order) == (ref.values, ref.degrees, ref.irrep_order)
@@ -253,8 +299,10 @@ def test_cache_entries_off_by_2_63_are_recomputed(tmp_path):
     blob = json.loads(path.read_text())
     cls = ref.classes.class_sizes.index(8)
     sign = next(i for i in range(1, ref.k) if ref.degrees[i] == 1)
-    blob["values"][sign][cls]["coeffs"][0] = str(1 - 2**63)
-    blob["values"][ref.degrees.index(3)][cls]["coeffs"][0] = str(-(2**63))
+    n = len(blob["distinct"])
+    blob["distinct"] += [[1 - 2**63, 0, 0, 0], [-(2**63), 0, 0, 0]]
+    blob["index"][sign][cls] = n
+    blob["index"][ref.degrees.index(3)][cls] = n + 1
     path.write_text(json.dumps(blob))
     mod._cache.clear()
     assert mod._load_cached(G, path) is None

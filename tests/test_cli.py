@@ -281,6 +281,35 @@ def test_cli_byte_identical_across_processes():
     assert r1.stdout == r2.stdout
 
 
+def test_cli_two_processes_share_one_cache_file(tmp_path):
+    """Two chartable processes started at once on an empty --cache-dir both
+    succeed with the same output and leave one whole cache file."""
+    import subprocess
+    import sys
+
+    from repdual import chartable
+    from repdual.groups import builtin_group
+
+    argv = [sys.executable, "-m", "repdual.cli", "chartable", "--group", "builtin:S4", "--cache-dir", str(tmp_path)]
+    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for _ in range(2)]
+    (out1, err1), (out2, err2) = (p.communicate(timeout=120) for p in procs)
+    assert [p.returncode for p in procs] == [0, 0], err1 + err2
+    assert out1 == out2 and "chi" in out1
+    (path,) = tmp_path.iterdir()
+    assert path.name.startswith("chartable-") and path.suffix == ".json"
+    G = builtin_group("S4")
+    assert chartable._load_cached(G, path) == chartable._compute_character_table(G)
+
+
+def test_cli_table_spec_that_is_not_a_group_exits_2(tmp_path, capsys):
+    # FiniteGroup trusts its table; a table spec is checked by group_from_table
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"kind": "table", "table": [[0, 1, 2], [1, 0, 0], [2, 0, 0]]}))
+    code, out, err = run(capsys, "classes", "--group", str(path))
+    assert (code, out) == (2, "")
+    assert "row 1 is not a permutation (not a Latin square)" in err
+
+
 def test_cli_code_file_with_embedded_group(tmp_path, capsys):
     path = tmp_path / "code.json"
     path.write_text(
