@@ -3,11 +3,11 @@
 A code is a subgroup H of Gamma^n for a finite (possibly nonabelian) group
 Gamma.  Its dual R(H) is the multiset of irreducible representations whose
 direct sum is the permutation representation of Gamma^n on the cosets of H.
-This package computes R(H) exactly (cyclotomic arithmetic, no floats on the
-primary paths), the weight and complete weight enumerators of both sides, the
-projection-cardinality polymatroid with its Tutte evaluation, and verifies
-Greene's theorem and both MacWilliams identities as exact polynomial
-identities.
+This package computes R(H) exactly (integer arrays over Z[C_m], no floats
+on the primary paths), the weight and complete weight enumerators of both
+sides, the projection-cardinality polymatroid with its Tutte evaluation, and
+verifies Greene's theorem and both MacWilliams identities as exact
+polynomial identities.
 """
 
 from .chartable import CharacterTable, character_table, inner_product

@@ -47,14 +47,20 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import isqrt, lcm
 from pathlib import Path
 
 import numpy as np
 
 from . import zring
-from .cyclotomic import Cyclotomic, euler_phi, render_coefficients
-from .errors import CapExceeded, DomainError, LiftVerificationFailed, NonIntegerMultiplicity
+from .cyclotomic import Cyclotomic, _as_fraction, euler_phi, render_coefficients
+from .errors import (
+    CapExceeded,
+    DomainError,
+    LiftVerificationFailed,
+    NonIntegerMultiplicity,
+    NotRational,
+)
 from .groups import TABLE_BLOCK, ClassData, FiniteGroup, conjugacy_classes
 
 
@@ -254,9 +260,6 @@ class CharacterTable:
 
     def value(self, irrep: int, cls: int) -> Cyclotomic:
         return self.values[irrep][cls]
-
-    def conjugate_row(self, irrep: int) -> tuple[Cyclotomic, ...]:
-        return tuple(v.conjugate() for v in self.values[irrep])
 
     def _distinct_values(self) -> tuple[list[list[int]], np.ndarray]:
         """The distinct values' power-basis coefficients, and the (k, k)
@@ -600,12 +603,37 @@ def _load_cached(G: FiniteGroup, path: Path) -> CharacterTable | None:
 
 def inner_product(ct: CharacterTable, f, irrep: int) -> Fraction:
     """(1/|G|) sum_j |C_j| f(c_j) conj(chi_irrep(c_j)), reduced to a rational
-    (raises NotRational when the class function is malformed)."""
-    total = Cyclotomic.from_rational(0, ct.conductor)
-    conj_row = ct.conjugate_row(irrep)
-    for j in range(ct.k):
-        fj = f[j]
-        if not isinstance(fj, Cyclotomic):
-            fj = Cyclotomic.from_rational(fj, ct.conductor)
-        total = total + ct.classes.class_sizes[j] * (fj * conj_row[j])
-    return (total / ct.group.order).as_rational()
+    (raises NotRational when the class function is malformed).
+
+    Each f(c_j) is an int, a Fraction or a Cyclotomic.  With M the lcm of
+    the conductors (the table's among them) and D the common denominator of
+    the coefficients, D f is a (k, M) integer array over Z[C_M], each
+    conductor c promoted by zeta_c = zeta_M^(M/c).  The row of chi_irrep is
+    conjugated (coefficient t to -t) and promoted the same way, weighted by
+    the class sizes, and the sum over classes of the products is one exact
+    product of the two arrays' supports, reduced by reduction_matrix(M)."""
+    k, m = ct.k, ct.conductor
+    rows = [
+        (v.conductor, v.coeffs) if isinstance(v, Cyclotomic) else (1, (_as_fraction(v),))
+        for v in (f[j] for j in range(k))
+    ]
+    M = lcm(m, *(c for c, _ in rows))
+    D = lcm(*(x.denominator for _, row in rows for x in row))
+    F = np.zeros((k, M), dtype=object)
+    for j, (c, row) in enumerate(rows):
+        F[j, : len(row) * (M // c) : M // c] = [x.numerator * (D // x.denominator) for x in row]
+    sizes = np.array(ct.classes.class_sizes, dtype=np.int64)
+    C = np.zeros((k, M), dtype=np.int64)
+    C[:, -np.arange(m) * (M // m) % M] = ct.zvalues[irrep] * sizes[:, None]
+    R = zring.reduction_matrix(M)
+    bound = int(np.abs(R).max()) * sum(
+        a * b for a, b in zip(zring.abs_row_sums(F), zring.abs_row_sums(C))
+    )
+    dtype = zring.exact_dtype(bound)
+    sf, sc = np.flatnonzero((F != 0).any(axis=0)), np.flatnonzero(C.any(axis=0))
+    W = F[:, sf].T.astype(dtype) @ C[:, sc].astype(dtype)
+    total = W.reshape(-1) @ R[(sf[:, None] + sc) % M].reshape(-1, R.shape[1]).astype(dtype)
+    total = [Fraction(int(c), D * ct.group.order) for c in total]
+    if any(total[1:]):
+        raise NotRational(f"{render_coefficients(M, total)} is not rational")
+    return total[0]

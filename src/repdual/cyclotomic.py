@@ -1,11 +1,16 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_m).
+"""Cyclotomic numbers as values: the entries of a character table.
 
-An element is stored as a rational coefficient vector of length phi(m) in the
-power basis of Q[x]/(Phi_m(x)), where Phi_m is the m-th cyclotomic polynomial.
-Working modulo Phi_m (rather than x^m - 1) makes the representation canonical:
-two elements are equal iff their conductors agree after promotion and their
-coefficient vectors match entrywise.  All coefficients are fractions.Fraction,
-so nothing here ever rounds.
+An element of Q(zeta_m) is stored as a rational coefficient vector of length
+phi(m) in the power basis of Q[x]/(Phi_m(x)), where Phi_m is the m-th
+cyclotomic polynomial.  Working modulo Phi_m (rather than x^m - 1) makes the
+representation canonical: two elements are equal iff their conductors agree
+after promotion and their coefficient vectors match entrywise.  All
+coefficients are fractions.Fraction, so nothing here ever rounds.
+
+Cyclotomic is the value type of ct.values: it compares, prints, round-trips
+through JSON and yields its rational value, but has no arithmetic.  Every
+computation with character values runs on integer arrays over Z[C_m] (see
+zring), reduced by the power basis x^t mod Phi_m built here.
 
 Polynomials over the integers appear only as plumbing (dense tuples of ints,
 constant term first).
@@ -15,10 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-import cmath
+from math import lcm
 
-from .errors import NotCoprime, NotRational
+from .errors import NotRational
 from .polynomials import _power, _render_terms
 
 IntPoly = tuple[int, ...]
@@ -80,15 +84,14 @@ def cyclotomic_polynomial(m: int) -> IntPoly:
 @lru_cache(maxsize=None)
 def _power_basis(m: int) -> tuple[tuple[int, ...], ...]:
     """x^t mod Phi_m for t = 0..m-1; each row is an integer vector of
-    length phi(m).  Row m-1 is enough for Galois maps; multiplication needs
-    only rows below 2*phi(m)-1."""
+    length phi(m)."""
     d = euler_phi(m)
     phi = cyclotomic_polynomial(m)
     rows: list[tuple[int, ...]] = []
     cur = [0] * d
     cur[0] = 1
     rows.append(tuple(cur))
-    for _ in range(1, max(m, 2 * d - 1)):
+    for _ in range(1, m):
         lead = cur[d - 1]
         nxt = [0] + cur[:-1]
         if lead:
@@ -117,7 +120,8 @@ def render_coefficients(m: int, coeffs) -> str:
 
 
 class Cyclotomic:
-    """An element of Q(zeta_m), canonically reduced modulo Phi_m."""
+    """An element of Q(zeta_m), canonically reduced modulo Phi_m: a value
+    with no arithmetic (that runs on zring arrays)."""
 
     __slots__ = ("conductor", "coeffs")
 
@@ -135,29 +139,12 @@ class Cyclotomic:
             else:
                 if basis is None:
                     basis = _power_basis(conductor)
-                row = basis[i % conductor if i >= conductor else i]
+                row = basis[i % conductor]
                 for j, b in enumerate(row):
                     if b:
                         vec[j] += c * b
         self.conductor = conductor
         self.coeffs = tuple(vec)
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zeta(m: int, power: int = 1) -> "Cyclotomic":
-        """zeta_m^power."""
-        power %= m
-        d = euler_phi(m)
-        if power < d:
-            coeffs = [0] * (power + 1)
-            coeffs[power] = 1
-            return Cyclotomic(m, coeffs)
-        return Cyclotomic._raw(m, _power_basis(m)[power])
-
-    @staticmethod
-    def from_rational(value, conductor: int = 1) -> "Cyclotomic":
-        return Cyclotomic(conductor, [_as_fraction(value)])
 
     @classmethod
     def _raw(cls, conductor: int, reduced) -> "Cyclotomic":
@@ -166,8 +153,6 @@ class Cyclotomic:
         self.conductor = conductor
         self.coeffs = tuple(_as_fraction(c) for c in reduced)
         return self
-
-    # -- conductor handling --------------------------------------------------
 
     def promote(self, conductor: int) -> "Cyclotomic":
         """Re-express in Q(zeta_M) for a multiple M of the conductor, via
@@ -181,125 +166,19 @@ class Cyclotomic:
         for i, c in enumerate(self.coeffs):
             if c:
                 out[i * step] = c
-        return Cyclotomic(conductor, out)
-
-    @staticmethod
-    def _common(a: "Cyclotomic", b: "Cyclotomic"):
-        if a.conductor == b.conductor:
-            return a, b
-        m = lcm(a.conductor, b.conductor)
-        return a.promote(m), b.promote(m)
-
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return self
-            vec = list(self.coeffs)
-            vec[0] += other
-            return Cyclotomic._raw(self.conductor, vec)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        a, b = Cyclotomic._common(self, other)
-        return Cyclotomic._raw(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic._raw(self.conductor, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Cyclotomic._raw(self.conductor, [Fraction(0)] * len(self.coeffs))
-            return Cyclotomic._raw(self.conductor, [c * other for c in self.coeffs])
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        a, b = Cyclotomic._common(self, other)
-        d = len(a.coeffs)
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    conv[i + j] += x * y
-        vec = list(conv[:d])
-        basis = _power_basis(a.conductor)
-        for t in range(d, 2 * d - 1):
-            c = conv[t]
-            if c:
-                for j, bcoef in enumerate(basis[t]):
-                    if bcoef:
-                        vec[j] += c * bcoef
-        return Cyclotomic._raw(a.conductor, vec)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(1) / _as_fraction(other)
-            return self * q
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers not supported")
-        result = Cyclotomic.from_rational(1, self.conductor)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return result
+        return type(self)(conductor, out)
 
     def __eq__(self, other):
+        """Equal values, across conductors (both promoted to their lcm) and
+        with ints and Fractions (a constant coefficient)."""
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, self.conductor)
+            return self.coeffs == (other,) + (0,) * (len(self.coeffs) - 1)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        a, b = Cyclotomic._common(self, other)
-        return a.coeffs == b.coeffs
+        m = lcm(self.conductor, other.conductor)
+        return self.promote(m).coeffs == other.promote(m).coeffs
 
     __hash__ = None  # value identity spans conductors; not intended as a key
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    # -- Galois action -------------------------------------------------------
-
-    def galois(self, e: int) -> "Cyclotomic":
-        """Apply zeta -> zeta^e (requires gcd(e, m) = 1).  With e = m-1 this
-        is complex conjugation."""
-        m = self.conductor
-        e %= m
-        if gcd(e, m) != 1 and m > 1:
-            raise NotCoprime(f"exponent {e} not coprime to conductor {m}")
-        if m <= 2 or e == 1:
-            return self
-        basis = _power_basis(m)
-        vec = [Fraction(0)] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, b in enumerate(basis[(i * e) % m]):
-                    if b:
-                        vec[j] += c * b
-        return Cyclotomic._raw(m, vec)
-
-    def conjugate(self) -> "Cyclotomic":
-        return self.galois(self.conductor - 1) if self.conductor > 2 else self
 
     # -- extraction ----------------------------------------------------------
 
@@ -315,15 +194,6 @@ class Cyclotomic:
         if value is None:
             raise NotRational(f"{self} is not rational")
         return value
-
-    def complex_approx(self) -> complex:
-        """Floating shadow: evaluate the coefficient vector at e^(2*pi*i/m)."""
-        z = cmath.exp(2j * cmath.pi / self.conductor)
-        total = 0j
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total += float(c) * z**i
-        return total
 
     # -- display / serialization ---------------------------------------------
 

@@ -37,10 +37,6 @@ class LengthMismatch(RepdualError):
     """Words of different lengths were combined."""
 
 
-class NotCoprime(RepdualError):
-    """Galois exponent shares a factor with the conductor."""
-
-
 class NotRational(RepdualError):
     """A cyclotomic value was asked for its rational part but has nonzero
     non-constant coefficients.  A checked outcome, not a fault."""

@@ -392,10 +392,10 @@ def group_from_table(
     bad = np.flatnonzero((T[0] != idx) | (T[:, 0] != idx))
     if len(bad):
         raise NotAGroup(f"identity axiom: index 0 does not fix {bad[0]}")
-    bad = np.flatnonzero((np.sort(T, axis=1) != idx).any(axis=1))
+    bad = _not_permutations(T)
     if len(bad):
         raise NotAGroup(f"row {bad[0]} is not a permutation (not a Latin square)")
-    bad = np.flatnonzero((np.sort(T, axis=0) != idx[:, None]).any(axis=0))
+    bad = _not_permutations(T.T)
     if len(bad):
         raise NotAGroup(f"column {bad[0]} is not a permutation (not a Latin square)")
     right_inverse = np.argmin(T, axis=1)
@@ -432,6 +432,16 @@ def _entry_array(table, n: int) -> np.ndarray:
                 raise NotAGroup(f"entry ({i},{j}) = {v} outside 0..{n - 1}")
     # integers that numpy promotes to float together, such as int64 and uint64
     return np.array(table, dtype=np.intp)
+
+
+def _not_permutations(T: np.ndarray) -> np.ndarray:
+    """The rows of the square array T, entries in 0..n-1, that miss a value,
+    ascending: every entry is scattered into a boolean (n, n) mask of the
+    values each row holds, so nothing is sorted."""
+    n = len(T)
+    seen = np.zeros((n, n), dtype=bool)
+    seen.reshape(-1)[np.arange(n)[:, None] * n + T] = True
+    return np.flatnonzero(~seen.all(axis=1))
 
 
 def _associativity_witness(T: np.ndarray, gens) -> tuple[int, int, int] | None:

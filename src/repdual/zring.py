@@ -61,7 +61,7 @@ def exact_dtype(bound: int):
 @lru_cache(maxsize=None)
 def reduction_matrix(m: int) -> np.ndarray:
     """(m, phi(m)) integer matrix whose row t holds x^t mod Phi_m."""
-    R = np.array(_power_basis(m)[:m], dtype=np.int64).reshape(m, euler_phi(m))
+    R = np.array(_power_basis(m), dtype=np.int64).reshape(m, euler_phi(m))
     R.setflags(write=False)
     return R
 

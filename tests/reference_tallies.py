@@ -20,11 +20,12 @@ from itertools import product
 import numpy as np
 
 from repdual.codes import DEFAULT_CODE_CAP, GroupCode, _mask_coords, code_from_words
-from repdual.cyclotomic import Cyclotomic
 from repdual.duality import DualMultiset
 from repdual.errors import CapExceeded, NonIntegerMultiplicity, PolymatroidViolation
 from repdual.groups import TABLE_BLOCK, ClassData, word_weight
 from repdual.polynomials import MultiPoly, UniPoly
+
+from reference_cyclotomic import Cyclotomic
 
 
 def multiset_from_mult(n: int, k: int, degrees, mult) -> DualMultiset:

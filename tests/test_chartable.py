@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repdual.chartable import (
     CharacterTable,
@@ -10,7 +12,7 @@ from repdual.chartable import (
     dixon_prime,
     inner_product,
 )
-from repdual.cyclotomic import Cyclotomic
+from repdual.cyclotomic import Cyclotomic, euler_phi
 from repdual.errors import NotRational
 from repdual.groups import (
     commutator_subgroup,
@@ -18,10 +20,12 @@ from repdual.groups import (
     cyclic_group,
     dihedral_group,
     group_from_generators,
+    product_group,
     quaternion_group,
     symmetric_group,
 )
 
+import reference_cyclotomic as rc
 from reference_tables import reference_dump_cached
 
 
@@ -81,8 +85,9 @@ def test_q8_table():
     assert row == [2, -2, 0, 0, 0]
     # brute-force oracle: the four linear characters complete to this row by
     # column orthogonality, i.e. sum_i chi_i(c)*conj(chi_i(c')) = 0 off-column
+    values = rc.values(ct)
     for j in range(1, 5):
-        assert sum(ct.value(i, 0) * ct.value(i, j).conjugate() for i in range(5)) == 0
+        assert sum(values[i][0] * values[i][j].conjugate() for i in range(5)) == 0
 
 
 def test_z4_table_has_exact_i():
@@ -114,13 +119,14 @@ def test_abelian_tables_are_multiplicative():
     for n in (2, 3, 4, 6):
         G = cyclic_group(n)
         ct = character_table(G)
+        values = rc.values(ct)
         assert ct.degrees == (1,) * n
         # classes are singletons; chi(gh) = chi(g) chi(h)
         for i in range(n):
             for g in range(n):
                 for h in range(n):
                     gh = G.mul(g, h)
-                    assert ct.value(i, gh) == ct.value(i, g) * ct.value(i, h)
+                    assert ct.value(i, gh) == values[i][g] * values[i][h]
 
 
 def test_inner_product():
@@ -141,9 +147,97 @@ def test_inner_product():
 
 def test_inner_product_not_rational():
     ct = character_table(cyclic_group(3))
-    bad = [Cyclotomic.zeta(3), Cyclotomic.from_rational(0), Cyclotomic.from_rational(0)]
+    bad = [rc.Cyclotomic.zeta(3), rc.Cyclotomic.from_rational(0), rc.Cyclotomic.from_rational(0)]
     with pytest.raises(NotRational):
         inner_product(ct, bad, 0)
+
+
+INNER_PRODUCT_TABLES = [
+    character_table(G)
+    for G in (
+        symmetric_group(3),
+        quaternion_group(),
+        dihedral_group(5),
+        cyclic_group(5),
+        cyclic_group(12),
+        product_group([symmetric_group(4), cyclic_group(3)]),
+    )
+]
+FOREIGN_CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 15)
+ENTRY_KINDS = ("keep", "promote", "rational", "int", "fraction", "own", "foreign")
+small_fractions = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def cyclotomics(draw, conductor: int) -> Cyclotomic:
+    d = euler_phi(conductor)
+    return Cyclotomic(conductor, draw(st.lists(small_fractions, min_size=d, max_size=d)))
+
+
+@st.composite
+def class_functions(draw):
+    """A table, an irrep and a class function: a Fraction combination of
+    the table's rows (so every inner product is rational), whose entries
+    are each kept, promoted to a foreign conductor, written as an int or
+    a Fraction when rational, or replaced by an int, a Fraction or a
+    Cyclotomic of the table's conductor or of a foreign one."""
+    ct = draw(st.sampled_from(INNER_PRODUCT_TABLES))
+    m, rows = ct.conductor, rc.values(ct)
+    weights = draw(st.lists(small_fractions, min_size=ct.k, max_size=ct.k))
+    f = []
+    for j in range(ct.k):
+        value = rc.Cyclotomic.from_rational(0, m)
+        for row, w in zip(rows, weights):
+            value = value + w * row[j]
+        foreign = draw(st.sampled_from(FOREIGN_CONDUCTORS))
+        kind = draw(st.sampled_from(ENTRY_KINDS))
+        if kind == "promote":
+            value = value.promote(value.conductor * foreign)
+        elif kind == "rational" and value.try_rational() is not None:
+            q = value.as_rational()
+            value = int(q) if q.denominator == 1 else q
+        elif kind == "int":
+            value = draw(st.integers(-5, 5))
+        elif kind == "fraction":
+            value = draw(small_fractions)
+        elif kind in ("own", "foreign"):
+            value = draw(cyclotomics(m if kind == "own" else foreign))
+        if isinstance(value, Cyclotomic):
+            value = Cyclotomic._raw(value.conductor, value.coeffs)  # the package type
+        f.append(value)
+    return ct, f, draw(st.integers(0, ct.k - 1))
+
+
+def inner_product_outcome(fn, ct, f, irrep):
+    try:
+        value = fn(ct, f, irrep)
+    except NotRational as e:
+        return "NotRational", str(e)
+    return type(value).__name__, value
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(class_functions())
+def test_inner_product_matches_reference_arithmetic(case):
+    ct, f, irrep = case
+    got = inner_product_outcome(inner_product, ct, f, irrep)
+    assert got == inner_product_outcome(rc.inner_product, ct, f, irrep)
+
+
+def test_inner_product_outcomes_are_mixed():
+    # the strategy reaches both outcomes, and foreign conductors in both
+    outcomes = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(class_functions())
+    def collect(case):
+        ct, f, irrep = case
+        foreign = any(isinstance(v, Cyclotomic) and ct.conductor % v.conductor for v in f)
+        outcomes.add((inner_product_outcome(inner_product, ct, f, irrep)[0], foreign))
+
+    collect()
+    kinds = ("Fraction", "NotRational")
+    assert outcomes == {(kind, foreign) for kind in kinds for foreign in (False, True)}
 
 
 def test_disk_cache_round_trip(tmp_path):
@@ -206,7 +300,7 @@ def test_tables_for_matrix_groups():
         ct = character_table(G)
         assert ct.k == conjugacy_classes(G).num_classes
         assert ct.values[0] == tuple(
-            Cyclotomic.from_rational(1, ct.conductor) for _ in range(ct.k)
+            rc.Cyclotomic.from_rational(1, ct.conductor) for _ in range(ct.k)
         )
 
 

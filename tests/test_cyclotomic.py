@@ -1,10 +1,18 @@
+import os
+import pkgutil
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from repdual.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi
-from repdual.errors import NotCoprime, NotRational
+import repdual
+from repdual.cyclotomic import cyclotomic_polynomial, euler_phi
+from repdual.errors import NotRational
+
+from reference_cyclotomic import Cyclotomic
 
 
 def poly_mul(a, b):
@@ -62,7 +70,7 @@ def test_galois():
     assert r.galois(5) == Fraction(7, 3)
     z5 = Cyclotomic.zeta(5)
     assert (z5 + z5**4).galois(2) == z5**2 + z5**3
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ValueError, match="not coprime"):
         z6.galois(2)
 
 
@@ -137,3 +145,20 @@ def test_str_rendering():
     assert str(Cyclotomic.from_rational(0, 6)) == "0"
     assert str(Cyclotomic(12, [1, 0, 2])) == "2*z12^2 + 1"
 
+
+def test_package_imports_no_complex_arithmetic():
+    # every exact path runs on integer arrays: no repdual module imports
+    # cmath (numpy alone does not), checked in a fresh interpreter
+    modules = sorted(f"repdual.{m.name}" for m in pkgutil.iter_modules(repdual.__path__))
+    assert "repdual.cli" in modules and "repdual.cyclotomic" in modules
+    script = (
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in ('cmath', 'numpy') if m in sys.modules))\n"
+    )
+    src = str(Path(repdual.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['numpy']"

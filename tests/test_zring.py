@@ -1,7 +1,8 @@
 """Differential tests of the Z[C_m] integer kernels: the convolution
-reference against a contraction in Cyclotomic (Fraction) arithmetic, and
-the contraction at the embeddings mod p against the convolution reference
-(values, rationality gate, messages and first witnesses)."""
+reference against a contraction in the reference Cyclotomic (Fraction)
+arithmetic, and the contraction at the embeddings mod p against the
+convolution reference (values, rationality gate, messages and first
+witnesses)."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from repdual.chartable import (
     character_table,
 )
 from repdual.codes import complete_weight_enumerator, diagonal_code, full_code, trivial_code
-from repdual.cyclotomic import Cyclotomic, euler_phi
+from repdual.cyclotomic import euler_phi
 from repdual.duality import (
     _multiplicities,
     decompose_permutation_character,
@@ -25,7 +26,9 @@ from repdual.duality import (
 from repdual.errors import LiftVerificationFailed, NonIntegerMultiplicity, NotRational
 from repdual.groups import cyclic_group, dihedral_group, symmetric_group
 
+import reference_cyclotomic as rc
 import reference_zring as rz
+from reference_cyclotomic import Cyclotomic
 from reference_tallies import class_pattern_counts, sum_by_content
 from test_acceptance import build_matrix
 from test_oracle import small_codes
@@ -74,8 +77,8 @@ def test_contract_matches_reference_on_matrix():
     checked = 0
     for name, code, ct in build_matrix():
         counts = class_pattern_counts(code, ct.classes)
-        rows = [list(row) for row in ct.values]
-        conj_rows = [list(ct.conjugate_row(i)) for i in range(ct.k)]
+        rows = [list(row) for row in rc.values(ct)]
+        conj_rows = [list(rc.conjugate_row(ct, i)) for i in range(ct.k)]
         got = kernel_contraction(ct.zvalues, counts, code.n)
         assert got == reference_contraction(rows, counts, code.n, ct.k), name
         got = kernel_contraction(rz.conjugate(ct.zvalues), counts, code.n)
@@ -86,7 +89,7 @@ def test_contract_matches_reference_on_matrix():
 
 def test_object_dtype_path_is_exact():
     ct = character_table(cyclic_group(6))
-    rows = [list(row) for row in ct.values]
+    rows = [list(row) for row in rc.values(ct)]
     small = {(0, 1): 2, (3, 5): -3, (4, 4): 1}
     assert contract(small, ct.zvalues, 2).dtype == np.int64
     huge = {(0, 1): 2**70, (3, 5): -3, (4, 4): 5**40}
