@@ -16,18 +16,16 @@ the indicator of the identity class has a nonzero component d^2/|G| on every
 central character, so its Krylov sequence under a class matrix M gives M's
 minimal polynomial mu and its roots lam, and (mu/(x - lam))(M) splits every
 current vector at once into its eigencomponents, until F_p^k is split into
-the k common eigenvectors (class matrices in order, each split by ascending
-eigenvalue).  The (k, k, k) class multiplication array is refused past the
-same cap.  The mod-p character values are then lifted to exact cyclotomics
-of conductor exponent(G) by discrete-Fourier counting of root-of-unity
-multiplicities along power maps: one (k*k, e) @ (e, e) product mod p of the
-values over the power-map table with the Fourier matrix.  The lift yields
-each value's root-of-unity multiplicities, an integer array over Z[C_m]
-(see zring) that is reduced modulo Phi_m once.
+the k common eigenvectors.  The (k, k, k) class multiplication array is
+refused past the same cap.  The mod-p character values are then lifted to
+exact cyclotomics of conductor exponent(G) by discrete-Fourier counting of
+root-of-unity multiplicities along power maps: one (k*k, e) @ (e, e)
+product mod p of the values over the power-map table with the Fourier
+matrix.  The lift yields each value's root-of-unity multiplicities, an
+integer array over Z[C_m] (see zring) that is reduced modulo Phi_m once.
 
-Both paths sort the rows canonically and record in irrep_order the split
-order above, which is the lexicographic order of the central characters
-mod p, with zeta_m read as zring.root_of_unity(m, p).  Row orthogonality
+Both paths sort the rows canonically (_row_sort_key), so a table is its
+certified values alone, whichever path built it.  Row orthogonality
 is certified exactly on the integer array before a table is ever returned,
 as one Gram matrix per embedding (k^3 products, same cap) on the images the
 table keeps (ct.embedded) modulo the primes of ct.embedded.primes, as many
@@ -126,7 +124,7 @@ def _minimal_polynomial(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
 
 def _split(M: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
     """Replace every row v of V by its nonzero components in the eigenspaces
-    of M, by ascending eigenvalue, keeping the order of the rows.
+    of M, in no particular order.
 
     Rows that M already scales stay as they are.  The identity class e_0
     has a nonzero component on every central character, so its minimal
@@ -160,7 +158,7 @@ def _split(M: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
     for j in range(d - 1, 0, -1):
         q[:, j - 1] = (mu[j] + roots * q[:, j]) % p
     rest = np.flatnonzero(~scaled)
-    out, parent = [V[scaled]], [np.flatnonzero(scaled)]
+    out = [V[scaled]]
     step = max(1, TABLE_BLOCK // (d * k))
     for b in range(0, len(rest), step):
         rows = rest[b : b + step]
@@ -174,16 +172,14 @@ def _split(M: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
         parts = (q @ krylov[:d] % p).reshape(d, len(rows), k).transpose(1, 0, 2)
         nonzero = (parts != 0).any(axis=2)
         out.append(parts[nonzero])
-        parent.append(np.repeat(rows, d)[nonzero.ravel()])
-    return np.concatenate(out)[np.argsort(np.concatenate(parent), kind="stable")]
+    return np.concatenate(out)
 
 
 def _central_characters(a: np.ndarray, p: int) -> np.ndarray:
     """The k central characters mod p as rows (value 1 at the identity
-    class), in split order: sorted by their eigenvalues on M_1, then M_2,
-    and so on.  Starting from the identity class, every class matrix in
-    turn splits all current vectors at once (see _split), until there are
-    k of them."""
+    class), in no particular order.  Starting from the identity class,
+    every class matrix in turn splits all current vectors at once (see
+    _split), until there are k of them."""
     k = len(a)
     dtype = zring.exact_dtype(k * (p - 1) ** 2)
     omega = np.zeros((1, k), dtype=dtype)
@@ -214,21 +210,20 @@ class CharacterTable:
     character first, then ascending degree, ties broken by lexicographic
     comparison of the rows' coefficient vectors.  Columns follow the
     canonical class order of ClassData.  Tables are equal when their
-    groups, classes, degrees, conductors, row orders and values are.
+    groups, classes, degrees, conductors and values are.
     """
 
     group: FiniteGroup
     classes: ClassData
     degrees: tuple[int, ...]
     conductor: int
-    irrep_order: tuple[int, ...]
     zvalues: np.ndarray = field(repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, CharacterTable):
             return NotImplemented
-        return (self.group, self.classes, self.degrees, self.conductor, self.irrep_order) == (
-            other.group, other.classes, other.degrees, other.conductor, other.irrep_order
+        return (self.group, self.classes, self.degrees, self.conductor) == (
+            other.group, other.classes, other.degrees, other.conductor
         ) and np.array_equal(self.zvalues, other.zvalues)
 
     __hash__ = None  # the values are not hashable either
@@ -252,11 +247,10 @@ class CharacterTable:
         return zring.Embedded(self.zvalues)
 
     @cached_property
-    def derived(self) -> dict:
-        """Artifacts of later stages that depend on this table alone (the
-        abelian pairing of identities), built on first use and kept for
-        the table's lifetime."""
-        return {}
+    def abelian_pairing(self) -> AbelianPairing:
+        """The pairing artifacts of an abelian group's table (see
+        _abelian_pairing), built on first use."""
+        return _abelian_pairing(self)
 
     def value(self, irrep: int, cls: int) -> Cyclotomic:
         return self.values[irrep][cls]
@@ -340,16 +334,14 @@ def _certify(G: FiniteGroup, classes: ClassData, table: zring.Embedded, degrees)
         raise LiftVerificationFailed(f"row orthogonality fails at ({a},{b})")
 
 
-def _certified_table(
-    G: FiniteGroup, classes: ClassData, P: np.ndarray, degrees, irrep_order
-) -> CharacterTable:
+def _certified_table(G: FiniteGroup, classes: ClassData, P: np.ndarray, degrees) -> CharacterTable:
     """Certify the power-basis coefficients P, shape (k, k, phi(m)), of a
     table in canonical row order through its ct.embedded, then return it."""
     m = G.exponent
     T = np.zeros(P.shape[:2] + (m,), dtype=np.int64)
     T[..., : P.shape[2]] = P
     T.setflags(write=False)
-    ct = CharacterTable(G, classes, tuple(degrees), m, tuple(irrep_order), T)
+    ct = CharacterTable(G, classes, tuple(degrees), m, T)
     _certify(G, classes, ct.embedded, degrees)
     return ct
 
@@ -426,19 +418,49 @@ def abelian_pairing_exponents(G: FiniteGroup) -> list[list[int]]:
     return (C * np.array([m // t for t in orders], dtype=np.int64) @ C.T % m).tolist()
 
 
-def _split_order(central: np.ndarray) -> list[int]:
-    """irrep_order of rows whose central characters mod the Dixon prime are
-    the rows of central: the position of each in lexicographic order, which
-    is the order in which _central_characters splits them off."""
-    order = np.empty(len(central), dtype=np.int64)
-    order[np.lexsort(central.T[::-1])] = np.arange(len(central))
-    return order.tolist()
+@dataclass(frozen=True)
+class AbelianPairing:
+    """The per-table artifacts of the abelian check: the pairing exponents,
+    the pairing beta(g, j) = zeta_m^eps[g][j] as a one-hot table over
+    Z[C_m] with its embeddings, and irrep index -> group element with
+    chi_irrep = beta(element, .)."""
+
+    eps: list[list[int]]
+    pairing: zring.Embedded
+    irrep_to_element: np.ndarray
+
+
+def _abelian_pairing(ct: CharacterTable) -> AbelianPairing:
+    """ct.abelian_pairing.  Classes of an abelian group are singletons in
+    element order, so table row i is the character beta(g, .) with the same
+    reduced coefficients, all found by one searchsorted into the sorted
+    characters, each row one void item."""
+    G = ct.group
+    eps = abelian_pairing_exponents(G)
+    m, E = G.exponent, np.array(eps, dtype=np.intp)
+    pairing = np.eye(m, dtype=np.int64)[E]
+    pairing.setflags(write=False)
+
+    R = zring.reduction_matrix(m)
+    k, d = G.order, R.shape[1]
+    item = np.dtype((np.void, R.itemsize * k * d))
+    characters = R[E].reshape(k, -1).view(item).ravel()
+    rows = np.ascontiguousarray(ct.zvalues[..., :d]).reshape(k, -1).view(item).ravel()
+    order = np.argsort(characters)
+    lo = np.searchsorted(characters, rows, sorter=order)
+    matches = np.searchsorted(characters, rows, side="right", sorter=order) - lo
+    bad = np.flatnonzero(matches != 1)
+    if len(bad):
+        i = bad[0]
+        raise NonIntegerMultiplicity(f"character row {i} matches {matches[i]} pairing characters")
+    irrep_to_element = order[lo]
+    irrep_to_element.setflags(write=False)
+    return AbelianPairing(eps, zring.Embedded(pairing), irrep_to_element)
 
 
 def _abelian_table(G: FiniteGroup, classes: ClassData) -> CharacterTable:
     """The table of an abelian group, whose classes are its elements in
-    order: chi_x(y) = zeta_m^eps[x][y] in canonical row order, every central
-    character (chi_x itself) taken mod the Dixon prime at its root z."""
+    order: chi_x(y) = zeta_m^eps[x][y] in canonical row order."""
     k, m = G.order, G.exponent
     cap = DEFAULT_CLASS_ALGEBRA_CAP
     if k * k * m > cap:
@@ -446,11 +468,7 @@ def _abelian_table(G: FiniteGroup, classes: ClassData) -> CharacterTable:
     eps = np.array(abelian_pairing_exponents(G), dtype=np.intp)
     P = zring.reduction_matrix(m)[eps]
     rows = sorted(range(k), key=lambda x: _row_sort_key(P[x], 1))
-    p = dixon_prime(k, m)
-    z = zring.root_of_unity(m, p)
-    z_pow = np.array([pow(z, t, p) for t in range(m)], dtype=np.int64)
-    irrep_order = _split_order(z_pow[eps[rows]])
-    return _certified_table(G, classes, P[rows], [1] * k, irrep_order)
+    return _certified_table(G, classes, P[rows], [1] * k)
 
 
 # -- other groups by Dixon's method --------------------------------------------------
@@ -499,7 +517,7 @@ def _dixon_table(G: FiniteGroup, classes: ClassData) -> CharacterTable:
     degrees = degrees.tolist()
     P = zring.reduce(mults)
     order_idx = sorted(range(k), key=lambda i: _row_sort_key(P[i], degrees[i]))
-    return _certified_table(G, classes, P[order_idx], [degrees[i] for i in order_idx], order_idx)
+    return _certified_table(G, classes, P[order_idx], [degrees[i] for i in order_idx])
 
 
 # -- caching -------------------------------------------------------------------
@@ -530,14 +548,13 @@ def character_table(G: FiniteGroup, cache_dir: str | Path | None = None) -> Char
 
 
 def _cache_text(ct: CharacterTable) -> str:
-    """The cache blob: json.dumps of {"conductor", "degrees", "irrep_order",
-    "distinct", "index"}, the table's distinct power-basis coefficient rows
+    """The cache blob: json.dumps of {"conductor", "degrees", "distinct",
+    "index"}, the table's distinct power-basis coefficient rows
     and the (k, k) position of every entry among them."""
     distinct, index = ct._distinct_values()
     return json.dumps({
         "conductor": ct.conductor,
         "degrees": list(ct.degrees),
-        "irrep_order": list(ct.irrep_order),
         "distinct": distinct,
         "index": index.tolist(),
     })
@@ -569,19 +586,16 @@ def _is_int_list(obj, length: int) -> bool:
 def _load_cached(G: FiniteGroup, path: Path) -> CharacterTable | None:
     """The certified table stored at path, or None (so the caller
     recomputes) when the file is unreadable, malformed, written for another
-    group or fails certification."""
+    group or fails certification.  Other keys are ignored: files that
+    earlier versions wrote with one more key load as well."""
     try:
         blob = json.loads(path.read_text())
         classes = conjugacy_classes(G)
         k, m = classes.num_classes, G.exponent
         if not isinstance(blob, dict) or blob.get("conductor") != m:
             return None
-        degrees, irrep_order = blob["degrees"], blob["irrep_order"]
-        if not (
-            _is_int_list(degrees, k)
-            and _is_int_list(irrep_order, k)
-            and sorted(irrep_order) == list(range(k))
-        ):
+        degrees = blob["degrees"]
+        if not _is_int_list(degrees, k):
             return None
         # integer arrays only: a float, string, null or out-of-int64 entry
         # makes another dtype kind, and a ragged row raises ValueError; the
@@ -596,7 +610,7 @@ def _load_cached(G: FiniteGroup, path: Path) -> CharacterTable | None:
             and index.max() < len(distinct)
         ):
             return None
-        return _certified_table(G, classes, distinct[index], degrees, irrep_order)
+        return _certified_table(G, classes, distinct[index], degrees)
     except (OSError, KeyError, TypeError, ValueError, ArithmeticError, LiftVerificationFailed):
         return None  # stale, corrupt or foreign cache entry; recompute
 

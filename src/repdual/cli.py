@@ -57,6 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--closure-cap", type=int, default=DEFAULT_CODE_CAP, metavar="N")
+        add_caps_and_cache(p)
+
+    def add_caps_and_cache(p):
+        """The options every subcommand takes; demo, whose group, codes and
+        output are fixed, takes only these."""
         p.add_argument("--tuple-cap", type=int, default=DEFAULT_TUPLE_CAP, metavar="N")
         p.add_argument("--coset-cap", type=int, default=DEFAULT_COSET_CAP, metavar="N")
         p.add_argument("--cache-dir", help="on-disk character table cache")
@@ -83,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", action="store_true")
     p.add_argument("--all", action="store_true")
     p = sub.add_parser("demo", help="reproduce the two worked reference examples")
-    add_common(p)
+    add_caps_and_cache(p)
     return parser
 
 

@@ -335,7 +335,9 @@ def tutte_evaluate(rp: RankProfile, x: float, y: float) -> float:
 
     T(x,y) = sum_S (x-1)^(r(E)-r(S)) (y-1)^(|S|-r(S)); the exponents are
     log-ratios of projection cardinalities and are irrational in general,
-    hence the x,y > 1 domain."""
+    hence the x,y > 1 domain.  NaN and infinities are refused as well."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"tutte_evaluate needs finite x and y, got ({x}, {y})")
     if x <= 1 or y <= 1:
         raise DomainError(f"tutte_evaluate needs x > 1 and y > 1, got ({x}, {y})")
     ranks = rp.ranks

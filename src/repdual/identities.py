@@ -39,7 +39,7 @@ from math import lcm
 import numpy as np
 
 from . import groups, zring
-from .chartable import CharacterTable, abelian_pairing_exponents, character_table
+from .chartable import CharacterTable, character_table
 from .codes import (
     DEFAULT_CODE_CAP,
     GroupCode,
@@ -60,7 +60,7 @@ from .duality import (
     dual_multiset,
     dual_weight_counts,
 )
-from .errors import CapExceeded, DomainError, NonIntegerMultiplicity, NotRational
+from .errors import CapExceeded, DomainError, NotRational
 from .polynomials import MultiPoly, UniPoly
 
 SPOT_CHECK_POINTS = (0.3, 0.5, 0.7)
@@ -354,51 +354,6 @@ def classical_dual_code(
     return GroupCode(G, n, np.concatenate(found))
 
 
-@dataclass(frozen=True)
-class _AbelianPairing:
-    """The per-table artifacts of the abelian check: the pairing exponents,
-    the pairing beta(g, j) = zeta_m^eps[g][j] as a one-hot table over
-    Z[C_m] with its embeddings, and irrep index -> group element with
-    chi_irrep = beta(element, .)."""
-
-    eps: list[list[int]]
-    pairing: zring.Embedded
-    irrep_to_element: np.ndarray
-
-
-def _abelian_pairing(ct: CharacterTable) -> _AbelianPairing:
-    """The abelian artifacts of ct, built once per table.  Classes of an
-    abelian group are singletons in element order, so table row i is the
-    character beta(g, .) with the same reduced coefficients, all found by
-    one searchsorted into the sorted characters, each row one void item."""
-    found = ct.derived.get("abelian_pairing")
-    if found is not None:
-        return found
-    G = ct.group
-    eps = abelian_pairing_exponents(G)
-    m, E = G.exponent, np.array(eps, dtype=np.intp)
-    pairing = np.eye(m, dtype=np.int64)[E]
-    pairing.setflags(write=False)
-
-    R = zring.reduction_matrix(m)
-    k, d = G.order, R.shape[1]
-    item = np.dtype((np.void, R.itemsize * k * d))
-    characters = R[E].reshape(k, -1).view(item).ravel()
-    rows = np.ascontiguousarray(ct.zvalues[..., :d]).reshape(k, -1).view(item).ravel()
-    order = np.argsort(characters)
-    lo = np.searchsorted(characters, rows, sorter=order)
-    matches = np.searchsorted(characters, rows, side="right", sorter=order) - lo
-    bad = np.flatnonzero(matches != 1)
-    if len(bad):
-        i = bad[0]
-        raise NonIntegerMultiplicity(f"character row {i} matches {matches[i]} pairing characters")
-    irrep_to_element = order[lo]
-    irrep_to_element.setflags(write=False)
-    found = _AbelianPairing(eps, zring.Embedded(pairing), irrep_to_element)
-    ct.derived["abelian_pairing"] = found
-    return found
-
-
 def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
     """For abelian Gamma: the dual multiset is 0/1-valued, its image under
     the pinned character-group isomorphism is the classical pairing dual,
@@ -408,7 +363,7 @@ def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
     if ct.k != G.order:
         raise DomainError("abelian specialization needs an abelian group")
     result = CheckResult("abelian_specialization", True)
-    ab = _abelian_pairing(ct)
+    ab = ct.abelian_pairing
     eps, irrep_to_element = ab.eps, ab.irrep_to_element
 
     dm = a.dm

@@ -505,7 +505,7 @@ def reference_character_table(G: FiniteGroup):
 
     P = zring.reduce(mults)
     order_idx = sorted(range(k), key=lambda i: _row_sort_key(P[i], degrees[i]))
-    return _certified_table(G, classes, P[order_idx], [degrees[i] for i in order_idx], order_idx)
+    return _certified_table(G, classes, P[order_idx], [degrees[i] for i in order_idx])
 
 
 # -- certification and serialization ----------------------------------------------
@@ -580,7 +580,6 @@ def reference_dump_cached(ct) -> dict:
     return {
         "conductor": ct.conductor,
         "degrees": list(ct.degrees),
-        "irrep_order": list(ct.irrep_order),
         "distinct": [list(c) for c in distinct],
         "index": [[position[c] for c in row] for row in rows],
     }

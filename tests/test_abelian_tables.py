@@ -2,12 +2,12 @@
 
 An abelian group's table is built from its pairing exponents; the Dixon
 path (chartable._dixon_table) stays the reference for it: the same
-coefficients, degrees, irrep_order, cache bytes and JSON.  The split-order
-rule that gives an abelian table its irrep_order is checked on the Dixon
-tables of the nonabelian groups as well, and the basis and pairing
-exponents against their per-element references, on relabelled tables too.
-The abelian check's pairing artifacts (identities._abelian_pairing) are
-checked against the per-row Cyclotomic match and recorded bytes.
+coefficients, degrees, cache bytes and JSON.  Every table's rows reduce mod
+the Dixon prime to the central characters of the class-algebra split, and
+the basis and pairing exponents are checked against their per-element
+references, on relabelled tables too.  The abelian check's pairing
+artifacts (ct.abelian_pairing) are checked against the per-row Cyclotomic
+match and recorded bytes.
 """
 
 import hashlib
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repdual import chartable, identities, zring
+from repdual import chartable, zring
 from repdual.chartable import (
     CharacterTable,
     _abelian_table,
@@ -50,7 +50,7 @@ def assert_same_table(G):
     closed, dixon = _abelian_table(G, classes), _dixon_table(G, classes)
     assert np.array_equal(closed.zvalues, dixon.zvalues)
     assert not closed.zvalues.flags.writeable
-    assert (closed.degrees, closed.irrep_order) == (dixon.degrees, dixon.irrep_order)
+    assert closed.degrees == dixon.degrees
     assert closed == dixon
     text = _cache_text(closed)
     assert text == _cache_text(dixon) == json.dumps(reference_dump_cached(dixon))
@@ -120,7 +120,7 @@ PAIRING_DIGESTS = {
 
 def fresh_table(name):
     """The closed-form table of a builtin or product group, outside the
-    in-process cache, so its derived artifacts are built anew."""
+    in-process cache, so its pairing artifacts are built anew."""
     G = build(name)
     return _abelian_table(G, conjugacy_classes(G))
 
@@ -128,14 +128,14 @@ def fresh_table(name):
 @pytest.mark.parametrize("name", list(PAIRING_DIGESTS))
 def test_abelian_pairing_matches_reference(name):
     ct = fresh_table(name)
-    ab = identities._abelian_pairing(ct)
+    ab = ct.abelian_pairing
     want = irrep_to_element(ct, ab.eps)
     assert ab.irrep_to_element.tolist() == [want[i] for i in range(ct.k)]
     assert not ab.irrep_to_element.flags.writeable and not ab.pairing.T.flags.writeable
     digest = hashlib.sha256(np.asarray(ab.irrep_to_element, dtype="<i8").tobytes())
     digest.update(np.ascontiguousarray(ab.pairing.T, dtype="<i8").tobytes())
     assert digest.hexdigest() == PAIRING_DIGESTS[name]
-    assert identities._abelian_pairing(ct) is ab
+    assert ct.abelian_pairing is ab
 
 
 def test_abelian_pairing_reduces_nothing(monkeypatch):
@@ -146,7 +146,7 @@ def test_abelian_pairing_reduces_nothing(monkeypatch):
     reduce = zring.reduce
     monkeypatch.setattr(zring, "reduce", lambda A: calls.append(A.shape) or reduce(A))
     for ct in tables:
-        identities._abelian_pairing(ct)
+        ct.abelian_pairing
     assert calls == []
 
 
@@ -155,36 +155,40 @@ def test_abelian_pairing_names_the_first_row_without_one_character(monkeypatch):
     T = ct.zvalues.copy()
     T[2:, 1] = 0
     T[2:, 1, 0] = 2  # 2 is not a root of unity
-    tampered = CharacterTable(ct.group, ct.classes, ct.degrees, ct.conductor, ct.irrep_order, T)
+    tampered = CharacterTable(ct.group, ct.classes, ct.degrees, ct.conductor, T)
     with pytest.raises(NonIntegerMultiplicity, match=r"^character row 2 matches 0 pairing characters$"):
-        identities._abelian_pairing(tampered)
+        tampered.abelian_pairing
     # a degenerate pairing makes every character trivial: the trivial row
     # matches all four
-    monkeypatch.setattr(identities, "abelian_pairing_exponents", lambda G: [[0] * 4] * 4)
+    ct = fresh_table("Z4")
+    monkeypatch.setattr(chartable, "abelian_pairing_exponents", lambda G: [[0] * 4] * 4)
     with pytest.raises(NonIntegerMultiplicity, match=r"^character row 0 matches 4 pairing characters$"):
-        identities._abelian_pairing(fresh_table("Z4"))
+        ct.abelian_pairing
 
 
-def central_character_order(ct):
-    """irrep_order by its rule: the position of every row's central
-    character |C_j| chi(c_j) / chi(1), mod the Dixon prime at its root z,
-    among all of them in lexicographic order."""
-    G, m = ct.group, ct.conductor
-    p = chartable.dixon_prime(G.order, m)
+def central_characters(ct, p):
+    """Every row's central character |C_j| chi(c_j) / chi(1), mod p at the
+    root z of the lift, in irrep order."""
+    m = ct.conductor
     z = zring.root_of_unity(m, p)
     chi = ct.zvalues @ np.array([pow(z, t, p) for t in range(m)], dtype=np.int64) % p
     sizes = np.array(ct.classes.class_sizes, dtype=np.int64)
-    central = [
-        (chi[i] * sizes * pow(d, p - 2, p) % p).tolist() for i, d in enumerate(ct.degrees)
-    ]
-    ranked = sorted(range(ct.k), key=central.__getitem__)
-    return tuple(ranked.index(i) for i in range(ct.k))
+    return [(chi[i] * sizes * pow(d, p - 2, p) % p).tolist() for i, d in enumerate(ct.degrees)]
 
 
 @pytest.mark.parametrize("name", CLASS_GROUPS)
 def test_irrep_order_is_the_central_character_order(name):
+    """The rows, in irrep order, reduce mod the Dixon prime to the central
+    characters that the class-algebra split finds, one row each, compared
+    as lexsorted rows: a table keeps its canonical row order, not the
+    split's.  The closed-form abelian tables never run the split, so this
+    ties them to Dixon's eigenvectors mod p."""
     ct = character_table(build(name))
-    assert ct.irrep_order == central_character_order(ct)
+    G = ct.group
+    p = chartable.dixon_prime(G.order, G.exponent)
+    a = chartable.class_multiplication_coefficients(G, ct.classes)
+    split = chartable._central_characters(a, p).tolist()
+    assert sorted(central_characters(ct, p)) == sorted(split)
 
 
 def test_closed_form_cap(monkeypatch, tmp_path):

@@ -342,7 +342,6 @@ CORRUPTIONS = {
     "top-level-list": lambda blob: [blob],
     "zero-denominator": _edit(["distinct", 1, 0], "1/0"),
     "conductor": lambda blob: dict(blob, conductor=12),
-    "irrep-order": lambda blob: dict(blob, irrep_order=[0, 0, 1]),
     "negative-index": _edit(["index", 1, 1], -1),
     "index-past-distinct": lambda blob: _edit(["index", 1, 1], len(blob["distinct"]))(blob),
     "index-rows-missing": lambda blob: dict(blob, index=blob["index"][:2]),
@@ -376,7 +375,7 @@ def test_corrupt_cache_is_recomputed(tmp_path, corrupt):
     assert mod._load_cached(G, path) is None
     mod._cache.clear()
     ct = character_table(G, cache_dir=tmp_path)
-    assert (ct.values, ct.degrees, ct.irrep_order) == (ref.values, ref.degrees, ref.irrep_order)
+    assert (ct.values, ct.degrees) == (ref.values, ref.degrees)
     # the recomputed table replaced the corrupt file, with no temp file left
     assert list(tmp_path.iterdir()) == [path]
     assert json.loads(path.read_text()) == reference_dump_cached(ref)
@@ -401,8 +400,55 @@ def test_cache_entries_off_by_2_63_are_recomputed(tmp_path):
     mod._cache.clear()
     assert mod._load_cached(G, path) is None
     ct = character_table(G, cache_dir=tmp_path)
-    assert (ct.values, ct.degrees, ct.irrep_order) == (ref.values, ref.degrees, ref.irrep_order)
+    assert (ct.values, ct.degrees) == (ref.values, ref.degrees)
     assert json.loads(path.read_text()) == reference_dump_cached(ref)
+
+
+# the sha256 of each group's cache file as it was written while files kept
+# the split order of the rows under "irrep_order", between "degrees" and
+# "distinct", and that order
+EARLIER_CACHE_FILES = {
+    "S3": ("e60fadeb1513ef19252cf4c9e35cb1f97e58e8b9c29b847e8f63755781daabdf", [1, 2, 0]),
+    "Q8": ("7e0e7b1bcd714fc126c181e96a6683a7393e461e5cb733eff9fd267c7b625902", [0, 3, 2, 1, 4]),
+    "Z12": (
+        "4d03c822b86f9f47546d71d6d81bca98f09e54aa5cc6f78c66ebff888e1deedb",
+        [0, 11, 2, 10, 5, 8, 4, 7, 3, 6, 1, 9],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EARLIER_CACHE_FILES)
+def test_earlier_cache_files_load_without_a_rewrite(name, tmp_path, monkeypatch):
+    """A file with the extra key loads through _load_cached, with nothing
+    computed, and is left as it was: same bytes, same inode."""
+    import hashlib
+
+    import repdual.chartable as mod
+    from repdual.groups import builtin_group
+
+    digest, split_order = EARLIER_CACHE_FILES[name]
+    G = builtin_group(name)
+    ref = mod._compute_character_table(G)
+    blob = json.loads(mod._cache_text(ref))
+    assert "irrep_order" not in blob
+    earlier = {"conductor": blob["conductor"], "degrees": blob["degrees"], "irrep_order": split_order}
+    text = json.dumps({**earlier, **blob}).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
+    path = tmp_path / f"chartable-{G.table_digest()}.json"
+    path.write_bytes(text)
+    before = path.stat()
+
+    loads = []
+    load = mod._load_cached
+    monkeypatch.setattr(mod, "_load_cached", lambda G, path: loads.append(path) or load(G, path))
+    monkeypatch.setattr(mod, "_compute_character_table", None)  # a call would raise
+    monkeypatch.setattr(mod, "_cache", {})
+    ct = character_table(G, cache_dir=tmp_path)
+    assert loads == [path]
+    assert ct == ref
+    after = path.stat()
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == text
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 def test_failed_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):

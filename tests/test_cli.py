@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from argparse import Namespace
+from pathlib import Path
 
 import pytest
 
+import repdual
 from repdual.cli import _emit, main
 from repdual.errors import SpecFileError
 from repdual.specfiles import load_code_spec, load_group_spec
@@ -12,6 +17,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def cli_env() -> dict:
+    """This environment with the src directory that the tests import
+    repdual from put first on PYTHONPATH, so a child process runs the same
+    checkout, installed or not."""
+    src = str(Path(repdual.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def test_load_group_builtin_shorthand():
@@ -150,6 +164,25 @@ def test_cli_tutte_trivial(capsys):
     assert "3.0" in out
 
 
+@pytest.mark.parametrize("x, y", [("nan", "3"), ("2", "nan"), ("inf", "3"), ("2", "-inf")])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_tutte_refuses_non_finite_points(capsys, x, y, fmt):
+    code, out, err = run(
+        capsys, "tutte", "--group", "builtin:Z2", "--code", "full:n=2", f"--x={x}", f"--y={y}",
+        "--format", fmt,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("domain error: tutte_evaluate needs finite x and y, got (")
+
+
+def test_cli_tutte_keeps_its_domain_message(capsys):
+    code, out, err = run(
+        capsys, "tutte", "--group", "builtin:Z2", "--code", "full:n=2", "--x", "1", "--y", "3"
+    )
+    assert (code, out) == (2, "")
+    assert err == "domain error: tutte_evaluate needs x > 1 and y > 1, got (1.0, 3.0)\n"
+
+
 def test_cli_dual_text_and_json(capsys):
     code, out, _ = run(capsys, "dual", "--group", "builtin:S3", "--code", "diag:n=2")
     assert code == 0
@@ -200,6 +233,31 @@ def test_cli_demo(capsys):
     assert code == 0
     assert "all reference values reproduced" in out
     assert "MISMATCH" not in out
+
+
+@pytest.mark.parametrize(
+    "option", [("--format", "json"), ("--group", "builtin:Z5"), ("--code", "diag:n=2"), ("--closure-cap", "10")]
+)
+def test_cli_demo_refuses_options_it_does_not_read(capsys, option):
+    # demo fixes its group, codes and output: argparse rejects the rest
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", *option])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
+def test_cli_demo_takes_its_caps_and_cache(capsys, tmp_path, monkeypatch):
+    from repdual import chartable
+
+    monkeypatch.setattr(chartable, "_cache", {})  # so the S3 table is written
+    code, out, _ = run(capsys, "demo", "--cache-dir", str(tmp_path), "--coset-cap", "36")
+    assert code == 0 and "all reference values reproduced" in out
+    assert len(list(tmp_path.iterdir())) == 1
+    code, _, err = run(capsys, "demo", "--tuple-cap", "10")
+    assert code == 1
+    assert err == "error: irrep tuple space needs 81 > cap 10\n"
 
 
 def test_cli_spec_error_exit_2(capsys):
@@ -260,9 +318,6 @@ def test_emit_writes_the_bytes_of_one_print_per_line(capsys, lines):
 
 
 def test_cli_byte_identical_across_processes():
-    import subprocess
-    import sys
-
     argv = [
         sys.executable,
         "-m",
@@ -275,8 +330,8 @@ def test_cli_byte_identical_across_processes():
         "--format",
         "json",
     ]
-    r1 = subprocess.run(argv, capture_output=True, text=True)
-    r2 = subprocess.run(argv, capture_output=True, text=True)
+    r1 = subprocess.run(argv, capture_output=True, text=True, env=cli_env())
+    r2 = subprocess.run(argv, capture_output=True, text=True, env=cli_env())
     assert r1.returncode == 0, r1.stderr
     assert r1.stdout == r2.stdout
 
@@ -284,14 +339,14 @@ def test_cli_byte_identical_across_processes():
 def test_cli_two_processes_share_one_cache_file(tmp_path):
     """Two chartable processes started at once on an empty --cache-dir both
     succeed with the same output and leave one whole cache file."""
-    import subprocess
-    import sys
-
     from repdual import chartable
     from repdual.groups import builtin_group
 
     argv = [sys.executable, "-m", "repdual.cli", "chartable", "--group", "builtin:S4", "--cache-dir", str(tmp_path)]
-    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for _ in range(2)]
+    procs = [
+        subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env())
+        for _ in range(2)
+    ]
     (out1, err1), (out2, err2) = (p.communicate(timeout=120) for p in procs)
     assert [p.returncode for p in procs] == [0, 0], err1 + err2
     assert out1 == out2 and "chi" in out1

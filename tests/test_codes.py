@@ -193,10 +193,22 @@ def test_tutte_full_z2():
 
 def test_tutte_domain():
     rp = rank_profile(trivial_code(cyclic_group(2), 1))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         tutte_evaluate(rp, 1.0, 2.0)
+    assert str(exc.value) == "tutte_evaluate needs x > 1 and y > 1, got (1.0, 2.0)"
     with pytest.raises(DomainError):
         tutte_evaluate(rp, 2.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "x, y", [(math.nan, 3.0), (2.0, math.nan), (math.inf, 3.0), (2.0, math.inf), (-math.inf, 3.0)]
+)
+def test_tutte_refuses_non_finite_points(x, y):
+    # NaN passes every comparison test, and an infinity makes the sum
+    # infinite or NaN: neither is a value of T
+    rp = rank_profile(trivial_code(cyclic_group(2), 1))
+    with pytest.raises(DomainError, match=r"^tutte_evaluate needs finite x and y, got \("):
+        tutte_evaluate(rp, x, y)
 
 
 def high_precision_tutte(rp, x: str, y: str) -> Decimal:

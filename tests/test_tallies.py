@@ -19,7 +19,7 @@ import reference_tallies as ref
 import reference_zring
 from reference_tallies import legacy, multiset_from_mult
 from repdual import codes, identities, zring
-from repdual.chartable import character_table
+from repdual.chartable import abelian_pairing_exponents, character_table
 from repdual.codes import (
     _distinct_rows,
     class_pattern_counts,
@@ -45,7 +45,7 @@ from repdual.duality import (
 )
 from repdual.errors import PolymatroidViolation
 from repdual.groups import cyclic_group, symmetric_group
-from repdual.identities import abelian_pairing_exponents, classical_dual_code
+from repdual.identities import classical_dual_code
 from repdual.polynomials import MultiPoly
 
 from test_acceptance import build_matrix

@@ -191,7 +191,7 @@ def assert_routes_match(code, ct):
     want = rz.reference_cwe_transform(cwe, ct.zvalues, code.size)
     assert identities.macwilliams2_transform(code, ct).terms == want.terms
     if ct.k == ct.group.order:
-        pairing = identities._abelian_pairing(ct).pairing
+        pairing = ct.abelian_pairing.pairing
         sums = identities._cwe_transform(codes.cwe_counts(code, ct.classes), pairing, code.n)
         got = codes.content_poly(ct.k, code.n, sums, code.size)
         assert got.terms == rz.reference_cwe_transform(cwe, pairing.T, code.size).terms
@@ -216,7 +216,7 @@ def tampered(ct, edit) -> CharacterTable:
     T = ct.zvalues.copy()
     edit(T)
     T.setflags(write=False)
-    return CharacterTable(ct.group, ct.classes, ct.degrees, ct.conductor, ct.irrep_order, T)
+    return CharacterTable(ct.group, ct.classes, ct.degrees, ct.conductor, T)
 
 
 def set_entry(i, j, value: Cyclotomic):
