@@ -270,6 +270,12 @@ class RankProfile:
         log_q = math.log(self.group_order)
         return tuple(math.log(c) / log_q for c in self.card)
 
+    @cached_property
+    def tutte_exponents(self) -> tuple[tuple[float, float], ...]:
+        """(r(E) - r(S), |S| - r(S)) for every bitmask S, computed once."""
+        r_full = self.ranks[-1]
+        return tuple((r_full - r_S, bin(S).count("1") - r_S) for S, r_S in enumerate(self.ranks))
+
     def rank(self, S: int) -> float:
         return self.ranks[S]
 
@@ -340,11 +346,9 @@ def tutte_evaluate(rp: RankProfile, x: float, y: float) -> float:
         raise DomainError(f"tutte_evaluate needs finite x and y, got ({x}, {y})")
     if x <= 1 or y <= 1:
         raise DomainError(f"tutte_evaluate needs x > 1 and y > 1, got ({x}, {y})")
-    ranks = rp.ranks
-    r_full = ranks[-1]
     total = 0.0
-    for S, r_S in enumerate(ranks):
-        total += (x - 1.0) ** (r_full - r_S) * (y - 1.0) ** (bin(S).count("1") - r_S)
+    for a, b in rp.tutte_exponents:
+        total += (x - 1.0) ** a * (y - 1.0) ** b
     return total
 
 
@@ -381,5 +385,6 @@ def class_pattern_counts(code: GroupCode, classes: ClassData) -> tuple[np.ndarra
     """Ordered class-pattern counts: the distinct patterns
     (cls(h_1),..,cls(h_n)) of the words as a (p, n) array in lex order, and
     the number of words with each.  Finer than the cwe (which forgets
-    coordinate order); this is what the Frobenius sum consumes."""
+    coordinate order); the Frobenius route (duality.dual_multiset) tallies
+    the same patterns by flat index instead of sorting them."""
     return _distinct_rows(_class_patterns(code, classes))

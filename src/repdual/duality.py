@@ -36,14 +36,14 @@ from math import prod
 
 import numpy as np
 
-from . import groups, zring
+from . import groups, trace, zring
 from .chartable import CharacterTable
 from .codes import (
     GroupCode,
     RankProfile,
+    _class_patterns,
     _subset_sums,
     _tally,
-    class_pattern_counts,
     content_enumerator,
 )
 from .errors import CapExceeded, NonIntegerMultiplicity, RepdualError
@@ -96,11 +96,15 @@ class DualMultiset:
 
 def _digits(flat: np.ndarray, radices, dtype) -> np.ndarray:
     """The mixed-radix digits of every flat index, most significant first
-    (C order, as np.unravel_index), as a (len(flat), len(radices)) array of
-    dtype filled one column at a time."""
+    (C order), as a (len(flat), len(radices)) array of dtype, by one
+    np.unravel_index call per TABLE_BLOCK indices: over all of them at once
+    its len(radices) intp arrays would outgrow the result.  No radices give
+    no columns."""
     out = np.empty((len(flat), len(radices)), dtype=dtype)
-    for i in range(len(radices) - 1, -1, -1):
-        flat, out[:, i] = np.divmod(flat, radices[i])
+    if len(radices):
+        step = groups.TABLE_BLOCK
+        for lo in range(0, len(flat), step):
+            out[lo : lo + step].T[:] = np.unravel_index(flat[lo : lo + step], radices)
     return out
 
 
@@ -111,21 +115,23 @@ def _multiplicities(
     order, exact where irrational is False.  Every entry must be rational
     and divide to a nonnegative integer.  Returns the index and counts
     arrays of a DualMultiset."""
-    dtype = groups._index_dtype(max(shape, default=1))
-    bad = np.flatnonzero(irrational)
-    if len(bad):
-        key = tuple(_digits(bad[:1], shape, dtype)[0].tolist())
-        raise NonIntegerMultiplicity(f"multiplicity of {key} is not rational")
-    nonzero = np.flatnonzero(values)
-    index = _digits(nonzero, shape, dtype)
-    values = values[nonzero]
-    bad = np.flatnonzero((values % divisor != 0) | (values < 0))
-    if len(bad):
-        key = tuple(index[bad[0]].tolist())
-        raise NonIntegerMultiplicity(
-            f"multiplicity of {key} is {Fraction(int(values[bad[0]]), divisor)}"
-        )
-    return index, values // divisor
+    with trace.span("reduction to multiplicities"):
+        dtype = groups._index_dtype(max(shape, default=1))
+        bad = irrational.nonzero()[0]
+        if len(bad):
+            key = tuple(_digits(bad[:1], shape, dtype)[0].tolist())
+            raise NonIntegerMultiplicity(f"multiplicity of {key} is not rational")
+        nonzero = values.nonzero()[0]
+        trace.count("nonzero tuples", len(nonzero))
+        index = _digits(nonzero, shape, dtype)
+        values = values[nonzero]
+        bad = ((values % divisor != 0) | (values < 0)).nonzero()[0]
+        if len(bad):
+            key = tuple(index[bad[0]].tolist())
+            raise NonIntegerMultiplicity(
+                f"multiplicity of {key} is {Fraction(int(values[bad[0]]), divisor)}"
+            )
+        return index, values // divisor
 
 
 def _to_multiset(
@@ -147,12 +153,18 @@ def _to_multiset(
 def dual_multiset(
     code: GroupCode, ct: CharacterTable, cap: int = DEFAULT_TUPLE_CAP
 ) -> DualMultiset:
-    """R(H) via the Frobenius sum over H, exactly."""
-    k = ct.k
-    if k**code.n > cap:
-        raise CapExceeded("irrep tuple space", k**code.n, cap)
-    patterns, counts = class_pattern_counts(code, ct.classes)
-    sums = zring.contract(patterns, counts, ct.embedded)
+    """R(H) via the Frobenius sum over H, exactly.  The words are tallied by
+    the flat index of their class pattern among the k^n class tuples, one
+    bincount bounded by the tuple cap, and the nonzero tallies are
+    contracted."""
+    k, n = ct.k, code.n
+    size = k**n
+    if size > cap:
+        raise CapExceeded("irrep tuple space", size, cap)
+    counts = np.bincount(_class_patterns(code, ct.classes) @ zring.radix(k, n), minlength=size)
+    flat = counts.nonzero()[0]
+    counts = counts[flat]
+    sums = zring.contract(flat, counts, ct.embedded, n)
     return _to_multiset(sums, code.size, code, ct)
 
 
@@ -194,12 +206,12 @@ def _coset_representatives(code: GroupCode, cap: int) -> np.ndarray:
     T, H = G.cayley, code.word_array
     transversals = []
     for i in range(n):
-        K = np.flatnonzero(np.bincount(H[:, i], minlength=G.order))
+        K = np.bincount(H[:, i], minlength=G.order).nonzero()[0]
         if not _is_closed(T, K):
             raise RepdualError(
                 f"coset transversal: K_{i + 1} is not closed under the product; not a subgroup?"
             )
-        transversals.append(np.flatnonzero(T[:, K].min(axis=1) == np.arange(G.order)))
+        transversals.append((T[:, K].min(axis=1) == np.arange(G.order)).nonzero()[0])
         H = H[H[:, i] == 0]
     sizes = [len(t) for t in transversals]
     if prod(sizes) != n_cosets:
@@ -223,12 +235,13 @@ def permutation_character(
 
     g fixes xH iff g lies in x H x^-1, and h -> x h x^-1 is injective, so
     chi(g) counts the pairs (x, h) with x h x^-1 = g.  Every conjugate is
-    formed, one (b, |H|, n) gather per block of coset representatives, and
-    tallied by one bincount when it is the representative word of a class
-    tuple, into a dense count over the k^n class tuples (bounded by
-    tuple_cap); a block holds about max(k^n, TABLE_BLOCK) letters.
-    Class-constancy is verified by a second tally at the word of last class
-    members; the Burnside total sum_g chi(g) = |Gamma|^n is checked too."""
+    formed, one (n, b, |H|) gather per block of coset representatives, and
+    tallied when it is the representative word of a class tuple into a
+    dense count over the k^n class tuples (bounded by tuple_cap); a block
+    holds about max(k^n, TABLE_BLOCK) letters.  Class-constancy is verified
+    by a second tally at the word of last class members, offset by k^n in
+    the same bincount; the Burnside total sum_g chi(g) = |Gamma|^n is
+    checked too."""
     G = code.group
     k = classes.num_classes
     n = code.n
@@ -236,33 +249,41 @@ def permutation_character(
     if size > tuple_cap:
         raise CapExceeded("class tuple space", size, tuple_cap)
     X = _coset_representatives(code, coset_cap)
-    MUL, H = G.cayley.astype(np.int64), code.word_array
-    INV = np.array(G.inverse, dtype=np.int64)
-    rows = max(1, max(size, groups.TABLE_BLOCK) // max(1, code.size * n))
-    # flat index of a class tuple; a letter outside the members counts
-    # size, so a word with one lands at size or beyond, and below size^2
-    # (exact in int64 for size < 3 * 10^9, past any tally that fits memory)
-    radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    last = dict(zip(classes.class_of, range(G.order)))  # the last member of each class
-    tallies = []
-    for members in (classes.class_reps, [last[c] for c in range(k)]):
-        class_at = np.full(G.order, size, dtype=np.int64)
-        class_at[list(members)] = np.arange(k)
-        tallies.append((class_at, np.zeros(size, dtype=np.int64)))
-    for lo in range(0, len(X), rows):
-        x = X[lo : lo + rows, None, :]
-        conj = MUL[MUL[x, H], INV[x]]
-        for class_at, counts in tallies:
-            flat = class_at[conj] @ radix
-            counts += np.bincount(flat[flat < size], minlength=size)
-    (_, rep), (_, alt) = tallies
+    with trace.span("fixed-coset counts"):
+        trace.count("cosets", len(X))
+        # letter i of x h x^-1 for a block of cosets x and every h in H, as
+        # (n, b, |H|) gathers from the flat Cayley table: the long axes last
+        o = G.order
+        MUL = G.cayley.astype(np.int64).reshape(-1)
+        INV = np.array(G.inverse, dtype=np.int64)
+        H = code.word_array.T[:, None, :]
+        rows = max(1, max(size, groups.TABLE_BLOCK) // max(1, code.size * n))
+        # class_at[0] maps the class representatives to their classes and
+        # class_at[1] the last member of each class; any other letter maps
+        # to 2 * size, so a word with one lands at 2 * size or beyond, and
+        # at most 2 * size * max(size, n) + size (exact in int64 past any
+        # tally that fits memory)
+        last = np.zeros(k, dtype=np.int64)
+        np.maximum.at(last, np.array(classes.class_of), np.arange(o))
+        class_at = np.full((2, o), 2 * size, dtype=np.int64)
+        class_at[0, list(classes.class_reps)] = np.arange(k)
+        class_at[1, last] = np.arange(k)
+        radix = zring.radix(k, n)
+        tally = np.zeros(2 * size, dtype=np.int64)
+        for lo in range(0, len(X), rows):
+            x = X[lo : lo + rows].T[:, :, None]
+            conj = MUL.take(MUL.take(x * o + H) * o + INV[x]).reshape(n, x.shape[1] * code.size)
+            flat = np.concatenate([radix @ class_at[0].take(conj), radix @ class_at[1].take(conj)])
+            flat[len(flat) // 2 :] += size
+            tally += np.bincount(flat[flat < 2 * size], minlength=2 * size)
+    rep, alt = tally[:size], tally[size:]
     shape = (k,) * n
     dtype = groups._index_dtype(k)
-    differ = np.flatnonzero(rep != alt)
+    differ = (rep != alt).nonzero()[0]
     if len(differ):
         tup = tuple(_digits(differ[:1], shape, dtype)[0].tolist())
         raise RepdualError(f"permutation character not constant on class tuple {tup}")
-    nonzero = np.flatnonzero(rep)
+    nonzero = rep.nonzero()[0]
     tuples = _digits(nonzero, shape, dtype)
     counts = rep[nonzero]
     out = dict(zip(map(tuple, tuples.tolist()), counts.tolist()))
@@ -288,7 +309,7 @@ def decompose_permutation_character(
     dtype = zring.exact_dtype(max(map(abs, pc.values()), default=0) * ct.group.order**n)
     sizes = np.array(ct.classes.class_sizes, dtype=dtype)
     weighted = np.array(list(pc.values()), dtype=dtype) * sizes[tuples].prod(axis=1)
-    sums = zring.contract(tuples, weighted, ct.embedded)
+    sums = zring.contract(tuples @ zring.radix(ct.k, n), weighted, ct.embedded, n)
     shape = (ct.k,) * n
     return DualMultiset(n, ct.k, ct.degrees, *_multiplicities(*sums, shape, ct.group.order**n))
 

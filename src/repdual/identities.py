@@ -265,7 +265,8 @@ def _cwe_transform(counts: np.ndarray, table: zring.Embedded, n: int) -> np.ndar
     tuples = zring.content_tuples(k, n)
     nonzero = np.flatnonzero(counts)
     bins = zring.content_bins(k, n)
-    sums, irrational = zring.contract(tuples[nonzero], counts[nonzero], table, bins)
+    flat = tuples[nonzero] @ zring.radix(k, n)
+    sums, irrational = zring.contract(flat, counts[nonzero], table, n, bins)
     bad = np.flatnonzero(irrational)
     if len(bad):
         e = tuple(zring.content_exponents(tuples[bad[:1]], k)[0].tolist())

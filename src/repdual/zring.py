@@ -47,7 +47,7 @@ from math import comb, gcd, isqrt
 
 import numpy as np
 
-from . import groups
+from . import groups, trace
 from .cyclotomic import _power_basis, euler_phi, prime_factors
 
 INT64_LIMIT = 2**62
@@ -309,56 +309,70 @@ def _content_bins(k: int, n: int):
 _small_content_bins = lru_cache(maxsize=64)(_content_bins)
 
 
+@lru_cache(maxsize=64)
+def radix(k: int, n: int) -> np.ndarray:
+    """k^(n-1), ..., k, 1: the flat C-order index of a tuple of (k,)*n is
+    its dot product with this.  Kept per shape, read-only."""
+    r = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    r.setflags(write=False)
+    return r
+
+
 def contract(
-    keys: np.ndarray, counts: np.ndarray, table: Embedded, bins=None
+    flat: np.ndarray, counts: np.ndarray, table: Embedded, n: int, bins=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """out[j] = sum_r counts[r] prod_a T[j_a, keys[r, a]] for every j in
-    (k,)*n, n = keys.shape[1], flat in C order (or, given bins from
-    content_bins, the sums of out over each content), with T = table.T.
-    The rows of keys are distinct.  Returns the exact integer values and
-    the mask of the entries that are not rational; the values there are
-    meaningless.
+    """out[j] = sum_r counts[r] prod_a T[j_a, i_(r,a)] for every j in
+    (k,)*n, flat in C order (or, given bins from content_bins, the sums of
+    out over each content), with T = table.T and i_r the tuple at the flat
+    C-order index flat[r] (its digits by radix(k, n)).  The entries of flat
+    are distinct.  Returns the exact integer values and the mask of the
+    entries that are not rational; the values there are meaningless.
 
     Every output, and every sum of outputs, is at most
     B = sum|counts| * table.column_norm^n at every complex embedding, so the
     primes come from table.primes(B) and the module's argument applies: an
     entry is rational exactly when its images at every embedding mod every
     prime agree, and then it is their symmetric CRT residue.  For each
-    prime the counts are scattered into a dense k^n array mod p, and each
-    axis in turn is contracted with the (k, k) image of T, for a block of
-    embeddings at a time, so memory stays a few int64 arrays of
-    max(k^n, TABLE_BLOCK) entries."""
+    prime the counts are scattered into a dense k^n array mod p, and the
+    axes are contracted in place, for a block of b embeddings at a time:
+    axis a is one broadcast matrix product of the (b, 1, k, k) images of T
+    with the C-order view (b, k^a, k, k^(n-a-1)) of the running array,
+    whose result is again in C order, so no axis is ever transposed or
+    copied.  Memory stays a few int64 arrays of max(k^n, TABLE_BLOCK)
+    entries.  With n = 0 the one count is the image at every embedding."""
     k = table.T.shape[0]
-    n = keys.shape[1]
     size = k**n
-    bound = abs_row_sums(counts.reshape(1, -1))[0] * table.column_norm**n
-    flat = keys @ k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # exact: counts may be Python ints past int64
+    bound = sum(map(abs, counts.tolist())) * table.column_norm**n
     irrational = np.zeros(size if bins is None else len(bins[1]), dtype=bool)
     residues = []
     primes = table.primes(bound)
-    for p in primes:
-        images = table.images(p)
-        A = np.zeros((1, size), dtype=np.int64)
-        A[0, flat] = counts % p
-        block = max(1, groups.TABLE_BLOCK // size)
-        first = None
-        for lo in range(0, len(images), block):
-            M = images[lo : lo + block]
-            X = A
-            for _ in range(n):
-                # contract the leading axis; its new index goes last, so
-                # after n rounds the axes are back in order
-                X = (M @ X.reshape(len(X), k, -1) % p).transpose(0, 2, 1).reshape(len(M), -1)
-            if bins is not None:
-                order, starts = bins
-                X = X[:, order].astype(exact_dtype(size * p))
-                X = np.add.reduceat(X, starts, axis=1) % p
-            if first is None:
-                # the first image is the reference, so only the rest are compared
-                first, X = X[0], X[1:]
-            if len(X):
-                irrational |= (X != first).any(axis=0)
-        residues.append(first)
+    block = max(1, groups.TABLE_BLOCK // size)
+    with trace.span("frobenius contraction"):
+        trace.count("primes", len(primes))
+        for p in primes:
+            images = table.images(p)
+            trace.count("embeddings", len(images))
+            A = np.zeros((1, size), dtype=np.int64)
+            A[0, flat] = counts % p
+            first = None
+            for lo in range(0, len(images), block):
+                M = images[lo : lo + block, None]
+                X = A
+                for a in range(n):
+                    X = M @ X.reshape(len(X), k**a, k, -1)
+                    X %= p
+                X = X.reshape(len(X), -1)
+                if bins is not None:
+                    order, starts = bins
+                    X = X[:, order].astype(exact_dtype(size * p))
+                    X = np.add.reduceat(X, starts, axis=1) % p
+                if first is None:
+                    # the first image is the reference, so only the rest are compared
+                    first, X = X[0], X[1:]
+                if len(X):
+                    irrational |= (X != first).any(axis=0)
+            residues.append(first)
     return _symmetric_crt(residues, primes), irrational
 
 

@@ -68,7 +68,8 @@ def contract(keys: np.ndarray, counts: np.ndarray, T: np.ndarray) -> np.ndarray:
     top = max(int(counts.max(initial=0)), -int(counts.min(initial=0)))
     dtype = exact_dtype(top * L**n * k**n * reduction_gain(m))
     A = np.zeros((k,) * n + (m,), dtype=dtype)
-    A[(*keys.T, 0)] = counts
+    # coefficient 0 of every key, an index array even when n = 0
+    A[(*keys.T, np.zeros(len(keys), dtype=np.intp))] = counts
     T = T.astype(dtype)
     for _ in range(n):
         # contract the leading axis; its new index goes last, so after n

@@ -3,9 +3,12 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repdual import codes
 from repdual.codes import (
+    RankProfile,
     code_from_generators,
     code_from_words,
     complete_weight_enumerator,
@@ -253,6 +256,36 @@ def test_ranks_are_taken_once_per_profile(code, monkeypatch):
     assert tutte_evaluate(rp, 2.5, 3.25) == first
     assert [rp.rank(S) for S in range(len(rp.card))] == expected
     assert len(logs) == (len(rp.card) + 1 if q > 1 else 0)
+
+
+def looped_tutte(rp, x: float, y: float) -> float:
+    """tutte_evaluate as the loop over the ranks that recomputed both
+    exponents of every subset on each call."""
+    r_full = rp.ranks[-1]
+    total = 0.0
+    for S, r_S in enumerate(rp.ranks):
+        total += (x - 1.0) ** (r_full - r_S) * (y - 1.0) ** (bin(S).count("1") - r_S)
+    return total
+
+
+@st.composite
+def rank_profiles(draw):
+    n = draw(st.integers(0, 6))
+    card = draw(st.lists(st.integers(1, 10**6), min_size=1 << n, max_size=1 << n))
+    return RankProfile(n, draw(st.integers(1, 60)), tuple(card))
+
+
+points = st.floats(1.0, 50.0, exclude_min=True, allow_nan=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(rank_profiles(), points, points)
+def test_tutte_exponents_give_the_looped_floats(rp, x, y):
+    # the exponents are taken once per profile; the float operations and
+    # their order are the loop's, so the sums are equal bit for bit
+    assert tutte_evaluate(rp, x, y) == looped_tutte(rp, x, y)
+    assert tutte_evaluate(rp, y, x) == looped_tutte(rp, y, x)
+    assert len(rp.tutte_exponents) == 1 << rp.n
 
 
 def test_weight_enumerator_trivial():

@@ -8,6 +8,7 @@ import pytest
 from repdual.chartable import character_table
 from repdual.codes import (
     RankProfile,
+    class_pattern_counts,
     code_from_generators,
     diagonal_code,
     full_code,
@@ -30,6 +31,7 @@ from repdual.groups import cyclic_group, quaternion_group, symmetric_group
 from repdual.identities import CodeAnalysis, verify_extension_lemma
 from repdual.polynomials import MultiPoly, UniPoly
 
+import reference_zring as rz
 from reference_tallies import legacy, multiset_from_mult
 
 S3 = symmetric_group(3)
@@ -90,6 +92,41 @@ def test_index_is_lex_ordered_int16_digits():
 def test_tuple_cap():
     with pytest.raises(CapExceeded):
         dual_multiset(trivial_code(S3, 4), CT3, cap=10)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [full_code(S3, 4), diagonal_code(quaternion_group(), 3), trivial_code(cyclic_group(6), 4),
+     diagonal_code(cyclic_group(5), 5)],
+    ids=["full S3^4", "diag Q8^3", "trivial Z6^4", "diag Z5^5"],
+)
+def test_dual_multiset_matches_reference_on_both_sides_of_k_n(code):
+    # |H| = 1296 words over 81 class tuples and 8 over 125; then 1 word over
+    # 1296 tuples and 5 over 3125: the pattern tally is one bincount into
+    # the k^n tuples either way
+    ct = character_table(code.group)
+    patterns, counts = class_pattern_counts(code, ct.classes)
+    want = rz.reference_multiplicities(patterns, counts, ct.zvalues, code.size)
+    assert list(dual_multiset(code, ct).mult.items()) == list(want.items())
+
+
+def test_tuple_cap_refuses_before_the_pattern_tally(monkeypatch):
+    # k^n = 9 class tuples of S3^2: a cap of 8 refuses before any bincount,
+    # and a cap of 9 tallies the 36 words
+    code = full_code(S3, 2)
+    sizes = []
+    bincount = np.bincount
+
+    def spy(x, *args, **kwargs):
+        sizes.append(len(x))
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    with pytest.raises(CapExceeded, match="irrep tuple space"):
+        dual_multiset(code, CT3, cap=8)
+    assert sizes == []
+    assert dual_multiset(code, CT3, cap=9).mult == {(0, 0): 1}
+    assert sizes[0] == 36
 
 
 def test_example_permutation_character():

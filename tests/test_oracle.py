@@ -6,6 +6,7 @@ fixed cosets per class tuple.  The oracle now builds the representatives as
 a product of per-coordinate transversals, so the BFS checks it.
 """
 
+import re
 import tracemalloc
 from itertools import product
 
@@ -186,6 +187,26 @@ def test_wrong_partition_reports_first_tuple_in_lex_order():
     H = code_from_generators(S3, 2, [(1, 0), (0, 1)])
     with pytest.raises(RepdualError, match=r"not constant on class tuple \(0, 1\)"):
         permutation_character(H, bad)
+
+
+@pytest.mark.parametrize("block", [1, 7, groups.TABLE_BLOCK])
+def test_wrong_partition_names_the_reference_tuple_across_blocks(monkeypatch, block):
+    # the representative and last-member tallies share one bincount per
+    # block, the second offset by k^n; with one coset per block, a few, or
+    # all in one, the error names the lex-first tuple at which the
+    # reference counts at the representatives (0, 1, 2) and at the last
+    # members (0, 5, 4) of the wrong partition differ
+    bad = ClassData(3, (0, 1, 2, 1, 2, 1), (0, 1, 2), (1, 3, 2))
+    last = ClassData(3, bad.class_of, (0, 5, 4), bad.class_sizes)
+    monkeypatch.setattr(groups, "TABLE_BLOCK", block)
+    for gens in ([(1, 0, 0), (0, 1, 0), (0, 0, 3)], [(2, 0, 2)], [(3, 3, 0)]):
+        H = code_from_generators(S3, 3, gens)
+        reps = reference_coset_representatives(H)
+        rep, alt = (reference_permutation_character(H, c, reps) for c in (bad, last))
+        differ = sorted(t for t in rep.keys() | alt.keys() if rep.get(t) != alt.get(t))
+        message = f"not constant on class tuple {differ[0]}"
+        with pytest.raises(RepdualError, match=re.escape(message)):
+            permutation_character(H, bad)
 
 
 def test_length_zero_code_has_one_coset():

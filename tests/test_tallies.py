@@ -78,7 +78,9 @@ def assert_tallies_match(code, ct):
     assert_profile_matches(code)
     # the content sums of the contraction, the first step of MacWilliams #2
     A = reference_zring.contract(patterns, counts, ct.zvalues)
-    sums, irrational = zring.contract(patterns, counts, ct.embedded, zring.content_bins(ct.k, code.n))
+    flat = patterns @ zring.radix(ct.k, code.n)
+    bins = zring.content_bins(ct.k, code.n)
+    sums, irrational = zring.contract(flat, counts, ct.embedded, code.n, bins)
     contents = zring.content_exponents(zring.content_tuples(ct.k, code.n), ct.k)
     want_contents, want_sums = ref.sum_by_content(A, code.n)
     want_sums = zring.reduce(want_sums)
@@ -87,7 +89,7 @@ def assert_tallies_match(code, ct):
     assert sums.tolist() == want_sums[:, 0].tolist()
     # tuples of R(H), in the key order of the per-tuple loop
     raw = zring.reduce(A)
-    sums = zring.contract(patterns, counts, ct.embedded)
+    sums = zring.contract(flat, counts, ct.embedded, code.n)
     index, mult = _multiplicities(*sums, raw.shape[:-1], code.size)
     want = ref._multiplicities(raw, code.size)
     assert list(as_dict(index, mult).items()) == list(want.items())

@@ -169,8 +169,14 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def contract_keys(keys, counts, table, bins=None):
+    """zring.contract on the tuples of the (t, n) array keys."""
+    k, n = table.T.shape[0], keys.shape[1]
+    return zring.contract(keys @ zring.radix(k, n), counts, table, n, bins)
+
+
 def kernel_multiplicities(keys, counts, ct, divisor):
-    sums = zring.contract(keys, counts, ct.embedded)
+    sums = contract_keys(keys, counts, ct.embedded)
     return as_items(*_multiplicities(*sums, (ct.k,) * keys.shape[1], divisor))
 
 
@@ -305,14 +311,14 @@ def test_imaginary_entry_is_caught_across_embeddings():
     assert images.all() and not ((images + images[::-1]) % p).any()
     # the entry itself, and its square 2 - zeta^2 - zeta^-2, which is real
     for n in (1, 2):
-        _, irrational = zring.contract(np.zeros((1, n), dtype=np.int64), np.array([1]), table)
+        _, irrational = contract_keys(np.zeros((1, n), dtype=np.int64), np.array([1]), table)
         assert irrational.tolist() == [True]
 
 
 def reference_values(keys, counts, T, bins=False):
     """(values, irrational) of the reference contraction, reduced."""
     A = rz.contract(keys, counts, T)
-    if bins:
+    if bins and keys.shape[1]:  # at n = 0 the one tuple is the one content
         A = sum_by_content(A, keys.shape[1])[1]
     raw = zring.reduce(A).reshape(-1, zring.reduction_matrix(T.shape[-1]).shape[1])
     return raw[:, 0], raw[:, 1:].any(axis=1)
@@ -322,7 +328,7 @@ def assert_contract_matches(keys, counts, table: zring.Embedded, bins=False):
     k, n = table.T.shape[0], keys.shape[1]
     want_values, want_irrational = reference_values(keys, counts, table.T, bins)
     content_groups = zring.content_bins(k, n)
-    values, irrational = zring.contract(keys, counts, table, content_groups if bins else None)
+    values, irrational = contract_keys(keys, counts, table, content_groups if bins else None)
     assert irrational.tolist() == want_irrational.tolist()
     assert values[~irrational].tolist() == want_values[~want_irrational].tolist()
 
@@ -340,7 +346,7 @@ def test_counts_past_int64_recombine_by_crt():
     # S3: every product of rational values is rational, and the largest
     # output is past int64
     ct = character_table(symmetric_group(3))
-    values, irrational = zring.contract(keys % 3, counts, ct.embedded)
+    values, irrational = contract_keys(keys % 3, counts, ct.embedded)
     assert not irrational.any() and values.dtype == object
     assert max(abs(v) for v in values.tolist()) > 2**63
 
@@ -412,15 +418,29 @@ def test_contract_across_embedding_blocks_matches_reference(monkeypatch, block_s
     # block_size embeddings of the four of Z5 (and of D5's Z[zeta_5]), so
     # the first block may hold the reference image alone and every other
     # image is compared in a later block; the keys give rational and
-    # irrational outputs
-    for G, rows in ((cyclic_group(5), [(1, 0), (4, 0), (2, 3)]), (dihedral_group(5), [(1, 2)])):
+    # irrational outputs at n = 2 and n = 1, and n = 0 has the one count
+    # alone at every embedding; counts run as int64 and as Python ints
+    # past int64, dense and summed by content
+    cases = [
+        (cyclic_group(5), [(1, 0), (4, 0), (2, 3)]),
+        (dihedral_group(5), [(1, 2)]),
+        (cyclic_group(5), [(1,), (3,)]),
+        (dihedral_group(5), [(0,), (2,), (3,)]),
+        (cyclic_group(5), [()]),
+        (dihedral_group(5), [()]),
+    ]
+    for G, rows in cases:
         ct = character_table(G)
-        keys = np.array(rows, dtype=np.int64)
-        counts = np.array([3, 3, -2][: len(rows)], dtype=np.int64)
+        keys = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]))
         size = ct.k ** keys.shape[1]
         monkeypatch.setattr(groups, "TABLE_BLOCK", block_size * size)
-        for bins in (False, True):
-            assert_contract_matches(keys, counts, ct.embedded, bins)
-        _, irrational = zring.contract(keys, counts, ct.embedded)
-        if G.order == 5:
+        small = np.array([3, 3, -2][: len(rows)], dtype=np.int64)
+        huge = np.array([3 * 2**70, 3, -(2**65)][: len(rows)], dtype=object)
+        for counts in (small, huge):
+            for bins in (False, True):
+                assert_contract_matches(keys, counts, ct.embedded, bins)
+        _, irrational = contract_keys(keys, small, ct.embedded)
+        if G.order == 5 and keys.shape[1]:
             assert irrational.any() and not irrational.all()
+        if not keys.shape[1]:
+            assert not irrational.any()
