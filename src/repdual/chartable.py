@@ -59,7 +59,7 @@ from .errors import (
     NonIntegerMultiplicity,
     NotRational,
 )
-from .groups import TABLE_BLOCK, ClassData, FiniteGroup, conjugacy_classes
+from .groups import TABLE_BLOCK, ClassData, FiniteGroup, conjugacy_classes, table_hash
 
 
 # The k^3 class multiplication array and certification Gram products, and
@@ -522,20 +522,41 @@ def _dixon_table(G: FiniteGroup, classes: ClassData) -> CharacterTable:
 
 # -- caching -------------------------------------------------------------------
 
-_cache: dict[str, CharacterTable] = {}
+class _TableKey:
+    """The memo key of a Cayley table: the table itself, held without a
+    copy.  Keys are equal exactly when the tables' entries are (a group's
+    order fixes its table's dtype), and the hash reads only a few rows
+    (groups.table_hash), so neither a hit nor a miss copies or digests the
+    whole table."""
+
+    __slots__ = ("T", "_hash")
+
+    def __init__(self, T: np.ndarray):
+        self.T = T
+        self._hash = table_hash(T)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return isinstance(other, _TableKey) and (self.T is other.T or np.array_equal(self.T, other.T))
+
+
+_cache: dict[_TableKey, CharacterTable] = {}
 _cache_lock = threading.Lock()
 
 
 def character_table(G: FiniteGroup, cache_dir: str | Path | None = None) -> CharacterTable:
-    """Certified character table; memoized per table digest, optionally
-    persisted as JSON under cache_dir."""
-    digest = G.table_digest()
+    """Certified character table; memoized per Cayley table, optionally
+    persisted as JSON under cache_dir in a file named by the table digest,
+    which is taken only then."""
+    key = _TableKey(G.cayley)
     with _cache_lock:
-        hit = _cache.get(digest)
+        hit = _cache.get(key)
     if hit is not None:
         return hit
     table = None
-    path = Path(cache_dir) / f"chartable-{digest}.json" if cache_dir else None
+    path = Path(cache_dir) / f"chartable-{G.table_digest()}.json" if cache_dir else None
     if path and path.exists():
         table = _load_cached(G, path)
     if table is None:
@@ -543,7 +564,7 @@ def character_table(G: FiniteGroup, cache_dir: str | Path | None = None) -> Char
         if path:
             _write_atomic(path, _cache_text(table))
     with _cache_lock:
-        _cache.setdefault(digest, table)
+        _cache.setdefault(key, table)
     return table
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -37,6 +38,9 @@ from .errors import DomainError, RepdualError, SpecFileError
 from .groups import conjugacy_classes, symmetric_group
 from .identities import CHECKS, CodeAnalysis, macwilliams2_transform
 from .specfiles import load_code_spec, load_group_spec
+
+# encoder chunks joined per write of --format json
+JSON_BLOCK = 2**16
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,9 +99,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(args, text_lines, json_obj) -> None:
     """Print text_lines() or json_obj(), whichever --format asks for; the
     other is never built.  The text goes out in one write, each line ended
-    by a newline."""
+    by a newline.  The JSON is the bytes of json.dumps(..., indent=2) and a
+    newline, streamed from the encoder in blocks of JSON_BLOCK chunks, so
+    the whole string is never held at once."""
     if args.format == "json":
-        print(json.dumps(json_obj(), indent=2))
+        chunks = json.JSONEncoder(indent=2).iterencode(json_obj())
+        for block in iter(lambda: "".join(islice(chunks, JSON_BLOCK)), ""):
+            sys.stdout.write(block)
+        sys.stdout.write("\n")
     else:
         sys.stdout.write("".join(f"{line}\n" for line in text_lines()))
 

@@ -143,8 +143,13 @@ def full_code(G: FiniteGroup, n: int, cap: int = DEFAULT_CODE_CAP) -> GroupCode:
     total = G.order**n
     if total > cap:
         raise ClosureCapExceeded("full code", total, cap)
-    # np.indices counts in lex order, the last coordinate fastest
-    return GroupCode(G, n, np.indices((G.order,) * n, dtype=np.int64).reshape(n, total).T.copy())
+    # lex order, the last coordinate fastest: column i of the (q,)*n view
+    # is the letter on axis i, written by broadcasting, one column at a time
+    words = np.empty((total, n), dtype=np.int64)
+    view = words.reshape((G.order,) * n + (n,))
+    for i in range(n):
+        view[..., i] = np.arange(G.order).reshape((-1,) + (1,) * (n - 1 - i))
+    return GroupCode(G, n, words)
 
 
 def diagonal_code(G: FiniteGroup, n: int) -> GroupCode:
@@ -188,6 +193,18 @@ def _tally(pos: np.ndarray, size: int, weights: np.ndarray | None = None) -> np.
     out = np.zeros(size, dtype=_sum_dtype(weights))
     np.add.at(out, pos, weights.astype(out.dtype))
     return out
+
+
+def support_masks(A: np.ndarray) -> np.ndarray:
+    """The support of every row of a 2-D array as a bitmask (bit i set
+    when entry i is nonzero), one matrix product per block of about
+    TABLE_BLOCK entries, so the int64 cast of the mask is never whole."""
+    bits = 1 << np.arange(A.shape[1])
+    masks = np.empty(len(A), dtype=bits.dtype)
+    step = max(1, groups.TABLE_BLOCK // max(1, A.shape[1]))
+    for lo in range(0, len(A), step):
+        np.matmul(A[lo : lo + step] != 0, bits, out=masks[lo : lo + step])
+    return masks
 
 
 def _subset_sums(support: np.ndarray, n: int, weights: np.ndarray | None = None) -> np.ndarray:
@@ -284,8 +301,7 @@ def projection_cardinalities(code: GroupCode) -> list[int]:
     """|pr_S(H)| for every bitmask S, by one subset-sum transform.  The
     words trivial on S are the kernel of pr_S, so for a subgroup H
     |pr_S(H)| = |H| / #{h in H : h_i = e for all i in S}."""
-    support = (code.word_array != 0) @ (1 << np.arange(code.n))
-    trivial = _subset_sums(support, code.n)
+    trivial = _subset_sums(support_masks(code.word_array), code.n)
     bad = np.flatnonzero(np.gcd(trivial, code.size) != trivial)
     if len(bad):
         S = int(bad[0])

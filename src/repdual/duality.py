@@ -45,6 +45,7 @@ from .codes import (
     _subset_sums,
     _tally,
     content_enumerator,
+    support_masks,
 )
 from .errors import CapExceeded, NonIntegerMultiplicity, RepdualError
 from .groups import ClassData
@@ -74,9 +75,16 @@ class DualMultiset:
 
     @cached_property
     def dims(self) -> np.ndarray:
-        """dim of every row of index, exactly."""
+        """dim of every row of index, exactly, a block of about
+        TABLE_BLOCK entries at a time, so the (t, n) gather of degrees is
+        never whole."""
         degrees = np.array(self.degrees, dtype=zring.exact_dtype(max(self.degrees) ** self.n))
-        return degrees[self.index].prod(axis=1)
+        dims = np.empty(len(self.index), dtype=degrees.dtype)
+        step = max(1, groups.TABLE_BLOCK // max(1, self.n))
+        for lo in range(0, len(dims), step):
+            block = degrees.take(self.index[lo : lo + step])
+            np.multiply.reduce(block, axis=1, out=dims[lo : lo + step])
+        return dims
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -345,8 +353,7 @@ def _trivial_dimension_sums(dm: DualMultiset) -> np.ndarray:
     """Entry S: sum of mult*dim over the tuples trivial on every coordinate
     of the bitmask S, the tuples whose support is disjoint from S: one
     subset-sum transform, O(2^n * n) past the histogram."""
-    support = (dm.index != 0) @ (1 << np.arange(dm.n))
-    return _subset_sums(support, dm.n, dm._mass)
+    return _subset_sums(support_masks(dm.index), dm.n, dm._mass)
 
 
 def _extension_sides(

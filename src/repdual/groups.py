@@ -18,13 +18,13 @@ Canonical conventions pinned here (everything downstream relies on them):
     generators in input order;
   * conjugacy classes are ordered identity first, then by smallest element
     index;
-  * the table digest (the character-table cache key) is the sha256 of the
-    order in decimal and the table's little-endian bytes in its index dtype.
+  * the table digest (the name of a character-table cache file) is the
+    sha256 of the order in decimal and the table's little-endian bytes in
+    its index dtype.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -115,7 +115,7 @@ class FiniteGroup:
         ) and np.array_equal(self.cayley, other.cayley)
 
     def __hash__(self):
-        return hash((self.name, self.table_digest()))
+        return hash((self.name, table_hash(self.cayley)))
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
@@ -165,6 +165,9 @@ class FiniteGroup:
         row-major little-endian bytes in its index dtype (_index_dtype of
         the order), read from the array's own buffer on a little-endian
         machine."""
+        # imported here: hashlib maps OpenSSL, which only a cache file name needs
+        import hashlib
+
         T = self.cayley
         T = np.ascontiguousarray(T, dtype=T.dtype.newbyteorder("<"))
         h = hashlib.sha256(str(len(T)).encode())
@@ -173,6 +176,14 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def table_hash(T: np.ndarray) -> int:
+    """A hash of a Cayley table from its order and a few rows (row 0 of a
+    group table is the identity's, so they start at row 1): equal tables
+    hash equal, since the order fixes the dtype, and no order reads more
+    than four rows."""
+    return hash((len(T), T[1 :: max(1, len(T) // 4)][:4].tobytes()))
 
 
 def _from_array(name: str, T: np.ndarray, labels, generators=None) -> FiniteGroup:

@@ -43,7 +43,7 @@ its primes from Embedded.primes, so a table is embedded once per prime.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 
 import numpy as np
 
@@ -378,11 +378,15 @@ def contract(
 
 def _symmetric_crt(residues: list[np.ndarray], primes) -> np.ndarray:
     """The integers c with |c| < P/2, P the product of the primes, and
-    c = residues[i] mod primes[i] for every i (Garner's recombination)."""
+    c = residues[i] mod primes[i] for every i (Garner's recombination).
+    Each step reduces the difference mod p before it multiplies by the
+    inverse, so no intermediate exceeds P or the largest prime squared, and
+    the recombination runs in int64 whenever that bound allows."""
     values, P = residues[0], primes[0]
     if len(primes) > 1:
-        values = values.astype(object)
+        dtype = exact_dtype(max(prod(primes), max(primes) ** 2))
+        values = values.astype(dtype)
         for r, p in zip(residues[1:], primes[1:]):
-            values = values + P * ((r.astype(object) - values) * pow(P, -1, p) % p)
+            values = values + P * ((r.astype(dtype) - values) % p * pow(P, -1, p) % p)
             P *= p
     return np.where(values > P // 2, values - P, values)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import repdual
+from repdual import cli
 from repdual.cli import _emit, main
 from repdual.errors import SpecFileError
 from repdual.specfiles import load_code_spec, load_group_spec
@@ -315,6 +316,49 @@ def test_emit_writes_the_bytes_of_one_print_per_line(capsys, lines):
     want = capsys.readouterr().out
     _emit(Namespace(format="text"), lambda: lines, dict)
     assert capsys.readouterr().out == want
+
+
+JSON_COMMANDS = ["classes", "chartable", "wenum", "cwe", "rank", "tutte", "dual", "verify"]
+
+
+@pytest.mark.parametrize("command", JSON_COMMANDS)
+@pytest.mark.parametrize("group, code", [("S3", "diag:n=3"), ("Q8", "full:n=2"), ("Z6", "trivial:n=2")])
+def test_streamed_json_is_the_bytes_of_json_dumps(capsys, monkeypatch, command, group, code):
+    argv = [command, "--group", f"builtin:{group}", "--format", "json"]
+    if command not in ("classes", "chartable"):
+        argv += ["--code", code]
+    if command == "tutte":
+        argv += ["--x", "2.5", "--y", "1.5"]
+    _, out, err = run(capsys, *argv)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n", err
+    # blocks of a few chunks write the same bytes
+    monkeypatch.setattr(cli, "JSON_BLOCK", 3)
+    assert run(capsys, *argv)[1] == out
+
+
+def test_cli_process_maps_openssl_only_to_name_a_cache_file(tmp_path):
+    """hashlib's OpenSSL module is loaded only to take the table digest
+    that names a --cache-dir file.  numpy 1.x loads it itself (its eager
+    numpy.random imports secrets, hence hmac and hashlib), so the check
+    is what importing repdual and running the CLI add past numpy."""
+    from repdual.groups import builtin_group
+
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = '_hashlib' in sys.modules\n"
+        "from repdual import cli\n"
+        "argv = ['verify', '--group', 'builtin:Q8', '--code', 'diag:n=4', '--all']\n"
+        "assert cli.main(argv + sys.argv[1:]) == 0\n"
+        "print(before, '_hashlib' in sys.modules)\n"
+    )
+    for extra in ([], ["--cache-dir", str(tmp_path)]):
+        r = subprocess.run([sys.executable, "-c", script, *extra], capture_output=True, text=True, env=cli_env())
+        assert r.returncode == 0, r.stderr
+        before, after = r.stdout.splitlines()[-1].split()
+        assert after == (before if not extra else "True")
+    (path,) = tmp_path.iterdir()
+    assert path.name == f"chartable-{builtin_group('Q8').table_digest()}.json"
 
 
 def test_cli_byte_identical_across_processes():

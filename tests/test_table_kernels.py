@@ -27,6 +27,7 @@ from repdual.chartable import (
     class_multiplication_coefficients,
     dixon_prime,
 )
+from repdual.codes import diagonal_code
 from repdual.errors import (
     CapExceeded,
     ClosureCapExceeded,
@@ -564,18 +565,55 @@ def test_digest_is_computed_once(monkeypatch):
     G = symmetric_group(6)
     expected = reference_table_digest(G)
     calls = []
-    sha256 = groups.hashlib.sha256
+    sha256 = hashlib.sha256
 
     def counting(*args):
         calls.append(args)
         return sha256(*args)
 
-    monkeypatch.setattr(groups.hashlib, "sha256", counting)
+    monkeypatch.setattr(hashlib, "sha256", counting)
     first = G.table_digest()
     assert first == G.table_digest() == expected
     character_table(G)
     character_table(G)
     assert len(calls) == 1
+    # the memo is keyed by the table: without a cache file to name, a fresh
+    # group's table, its hash and its codes' hashes take no sha256
+    monkeypatch.setattr(chartable, "_cache", {})
+    D7 = dihedral_group(7)
+    character_table(D7)
+    hash(D7), hash(diagonal_code(D7, 3))
+    assert len(calls) == 1
+
+
+def test_equal_tables_share_one_memo_entry(monkeypatch):
+    monkeypatch.setattr(chartable, "_cache", {})
+    S3 = symmetric_group(3)
+    T = load_group_spec({"kind": "table", "table": [list(row) for row in S3.table]})
+    assert T is not S3 and T != S3
+    assert character_table(T) is character_table(S3)
+    assert len(chartable._cache) == 1
+
+
+@pytest.mark.parametrize("names", [("Z6", "S3"), ("D4", "Q8")], ids="-".join)
+def test_distinct_tables_get_distinct_memo_entries_under_one_hash(monkeypatch, names):
+    """D4 and Q8 have the same character values; the key's equality, not
+    its hash, tells every pair of tables apart."""
+    monkeypatch.setattr(chartable, "_cache", {})
+    monkeypatch.setattr(chartable._TableKey, "__hash__", lambda key: 0)
+    A, B = map(builtin_group, names)
+    ct_a, ct_b = character_table(A), character_table(B)
+    assert (ct_a.group, ct_b.group) == (A, B)
+    assert character_table(A) is ct_a and character_table(B) is ct_b
+    assert len(chartable._cache) == 2
+
+
+def test_table_hash_agrees_with_group_equality():
+    S3 = symmetric_group(3)
+    again = group_from_generators(builtin_generators("S3"), name="S3")
+    assert again == S3 and hash(again) == hash(S3)
+    assert groups.table_hash(again.cayley) == groups.table_hash(S3.cayley)
+    assert groups.table_hash(cyclic_group(1).cayley) == groups.table_hash(cyclic_group(1).cayley)
 
 
 # -- group_from_table -------------------------------------------------------------

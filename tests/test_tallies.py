@@ -18,7 +18,7 @@ from hypothesis import given, settings
 import reference_tallies as ref
 import reference_zring
 from reference_tallies import legacy, multiset_from_mult
-from repdual import codes, identities, zring
+from repdual import codes, groups, identities, zring
 from repdual.chartable import abelian_pairing_exponents, character_table
 from repdual.codes import (
     _distinct_rows,
@@ -145,6 +145,33 @@ def test_sums_past_int64_are_exact(degrees, mult):
     assert dual_cwe(dm) == ref.dual_cwe(old)
     assert content_poly(dm.k, dm.n, content_counts(dm.index, dm.k, dm.counts)) == ref.dual_cwe(old)
     assert _trivial_dimension_sums(dm).tolist() == ref._trivial_dimension_sums(old)
+
+
+@pytest.mark.parametrize(
+    "degrees, n, rows",
+    [((1, 1, 2), 4, 50), ((1, 2, 3, 3), 7, 300), ((1, 2**22), 3, 8), ((1, 1000), 7, 20), ((1,), 0, 1)],
+)
+@pytest.mark.parametrize("block", [groups.TABLE_BLOCK, 5])
+def test_blocked_reductions_match_their_whole_array_forms(monkeypatch, degrees, n, rows, block):
+    """dims and the support masks, built a block of rows at a time, against
+    the (t, n) products they replaced, in value and dtype."""
+    monkeypatch.setattr(groups, "TABLE_BLOCK", block)
+    rng = np.random.default_rng(rows)
+    index = rng.integers(0, len(degrees), (rows, n)).astype(np.int16)
+    dm = multiset_from_mult(n, len(degrees), degrees, dict.fromkeys(map(tuple, index.tolist()), 1))
+    table = np.array(degrees, dtype=zring.exact_dtype(max(degrees) ** n))
+    old = table[dm.index].prod(axis=1)
+    assert dm.dims.dtype == old.dtype and dm.dims.tolist() == old.tolist()
+    for A in (dm.index, index, rng.integers(-2, 3, (rows, n))):
+        assert codes.support_masks(A).tolist() == ((A != 0) @ (1 << np.arange(n))).tolist()
+
+
+@pytest.mark.parametrize("q, n", [(1, 3), (2, 1), (3, 0), (2, 5), (6, 4), (5, 3)])
+def test_full_code_words_match_np_indices(q, n):
+    words = full_code(cyclic_group(q), n).word_array
+    old = np.indices((q,) * n, dtype=np.int64).reshape(n, q**n).T
+    assert words.dtype == np.int64 and words.shape == old.shape
+    assert np.array_equal(words, old)
 
 
 def test_transform_profile_matches_per_subset_past_the_matrix():

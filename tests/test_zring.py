@@ -4,6 +4,8 @@ arithmetic, and the contraction at the embeddings mod p against the
 convolution reference (values, rationality gate, messages and first
 witnesses)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -444,3 +446,48 @@ def test_contract_across_embedding_blocks_matches_reference(monkeypatch, block_s
             assert irrational.any() and not irrational.all()
         if not keys.shape[1]:
             assert not irrational.any()
+
+
+def _object_crt(residues, primes):
+    """Garner's recombination on Python ints, as it ran before the int64
+    path."""
+    values, P = residues[0].astype(object), primes[0]
+    for r, p in zip(residues[1:], primes[1:]):
+        values = values + P * ((r.astype(object) - values) * pow(P, -1, p) % p)
+        P *= p
+    return np.where(values > P // 2, values - P, values)
+
+
+def _near_half(P: int, rng) -> list[int]:
+    """Integers c with |c| < P/2: the extremes, zero and random ones."""
+    h = P // 2
+    edges = [h - int(d) for d in rng.integers(0, min(1000, h + 1), 20)]
+    inner = [int(x) for x in rng.integers(-min(h, 2**62), min(h, 2**62), 40)]
+    return edges + [-c for c in edges] + [0, 1, -1] + inner
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [(438353269, 438353281), (1048583, 1048589, 1048601), (101,)],
+    ids=["diag-S3^14", "three", "one"],
+)
+def test_crt_below_2_62_runs_in_int64(primes):
+    """diag S3^14 recombines these two primes (product about 1.9e17)."""
+    rng = np.random.default_rng(sum(primes))
+    P = math.prod(primes)
+    want = _near_half(P, rng)
+    residues = [np.array([c % p for c in want], dtype=np.int64) for p in primes]
+    got = zring._symmetric_crt(residues, primes)
+    assert got.dtype == np.int64
+    assert got.tolist() == want == _object_crt(residues, primes).tolist()
+
+
+def test_crt_past_2_62_stays_object():
+    primes = (zring.prime_1_mod(1, 2**31), zring.prime_1_mod(1, 2**31 + 100))
+    P = math.prod(primes)
+    assert P >= 2**62
+    want = _near_half(P, np.random.default_rng(7))
+    residues = [np.array([c % p for c in want], dtype=np.int64) for p in primes]
+    got = zring._symmetric_crt(residues, primes)
+    assert got.dtype == object
+    assert got.tolist() == want == _object_crt(residues, primes).tolist()
