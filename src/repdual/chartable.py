@@ -7,6 +7,7 @@ pairing of abelian_pairing_exponents on the greedy abelian_basis and m =
 exponent(G) (Serre, Linear Representations of Finite Groups, 3.1): the
 table's coefficients are the rows of zring.reduction_matrix(m) at eps.  Its
 (k, k, m) array is refused past DEFAULT_CLASS_ALGEBRA_CAP before it is built.
+ct.abelian_pairing holds eps and the x of every row chi_x, not a table.
 
 For the others, the central characters w_i = |C_i| chi(c_i) / chi(1) are
 simultaneous eigenvectors of the class-sum multiplication matrices M_i with
@@ -420,13 +421,11 @@ def abelian_pairing_exponents(G: FiniteGroup) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class AbelianPairing:
-    """The per-table artifacts of the abelian check: the pairing exponents,
-    the pairing beta(g, j) = zeta_m^eps[g][j] as a one-hot table over
-    Z[C_m] with its embeddings, and irrep index -> group element with
-    chi_irrep = beta(element, .)."""
+    """The per-table artifacts of the abelian check: the exponents eps of
+    the pairing beta(g, j) = zeta_m^eps[g][j], and irrep index -> group
+    element with chi_irrep = beta(element, .)."""
 
     eps: list[list[int]]
-    pairing: zring.Embedded
     irrep_to_element: np.ndarray
 
 
@@ -437,11 +436,8 @@ def _abelian_pairing(ct: CharacterTable) -> AbelianPairing:
     characters, each row one void item."""
     G = ct.group
     eps = abelian_pairing_exponents(G)
-    m, E = G.exponent, np.array(eps, dtype=np.intp)
-    pairing = np.eye(m, dtype=np.int64)[E]
-    pairing.setflags(write=False)
-
-    R = zring.reduction_matrix(m)
+    E = np.array(eps, dtype=np.intp)
+    R = zring.reduction_matrix(G.exponent)
     k, d = G.order, R.shape[1]
     item = np.dtype((np.void, R.itemsize * k * d))
     characters = R[E].reshape(k, -1).view(item).ravel()
@@ -455,7 +451,7 @@ def _abelian_pairing(ct: CharacterTable) -> AbelianPairing:
         raise NonIntegerMultiplicity(f"character row {i} matches {matches[i]} pairing characters")
     irrep_to_element = order[lo]
     irrep_to_element.setflags(write=False)
-    return AbelianPairing(eps, zring.Embedded(pairing), irrep_to_element)
+    return AbelianPairing(eps, irrep_to_element)
 
 
 def _abelian_table(G: FiniteGroup, classes: ClassData) -> CharacterTable:

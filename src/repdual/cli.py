@@ -51,7 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, code=False):
+    def cap(text: str) -> int:
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"a cap must be at least 1, got {text}")
+        return int(text)
+
+    def add_common(p, code=False, tuple_cap=False):
+        """Every subcommand's options but demo's; --tuple-cap where R(H) is built."""
         p.add_argument("--group", help="group spec: JSON file or builtin:NAME")
         if code:
             p.add_argument(
@@ -60,14 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="code spec: JSON file or trivial:/full:/diag: shorthand",
             )
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--closure-cap", type=int, default=DEFAULT_CODE_CAP, metavar="N")
-        add_caps_and_cache(p)
-
-    def add_caps_and_cache(p):
-        """The options every subcommand takes; demo, whose group, codes and
-        output are fixed, takes only these."""
-        p.add_argument("--tuple-cap", type=int, default=DEFAULT_TUPLE_CAP, metavar="N")
-        p.add_argument("--coset-cap", type=int, default=DEFAULT_COSET_CAP, metavar="N")
+        p.add_argument("--closure-cap", type=cap, default=DEFAULT_CODE_CAP, metavar="N")
+        if tuple_cap:
+            p.add_argument("--tuple-cap", type=cap, default=DEFAULT_TUPLE_CAP, metavar="N")
         p.add_argument("--cache-dir", help="on-disk character table cache")
 
     p = sub.add_parser("classes", help="conjugacy classes of a group")
@@ -85,14 +86,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p = sub.add_parser("dual", help="representation-based dual multiset")
-    add_common(p, code=True)
+    add_common(p, code=True, tuple_cap=True)
     p = sub.add_parser("verify", help="exact identity verification")
-    add_common(p, code=True)
+    add_common(p, code=True, tuple_cap=True)
     for name in CHECKS:
         p.add_argument(f"--{name}", action="store_true")
     p.add_argument("--all", action="store_true")
+    # demo fixes its group, codes and output: it takes its caps and the cache
     p = sub.add_parser("demo", help="reproduce the two worked reference examples")
-    add_caps_and_cache(p)
+    p.add_argument("--tuple-cap", type=cap, default=DEFAULT_TUPLE_CAP, metavar="N")
+    p.add_argument("--coset-cap", type=cap, default=DEFAULT_COSET_CAP, metavar="N")
+    p.add_argument("--cache-dir", help="on-disk character table cache")
     return parser
 
 

@@ -21,8 +21,9 @@ MacWilliams #2 and the abelian specialization compare exact integer vectors
 indexed by content rank (codes.content_counts), not polynomials: the content
 counts of cwe_H, of cwe_R(H) and of the classical dual, and the transform's
 sums, which must be nonnegative multiples of |H| equal to |H| times the
-dual's counts.  Polynomials are built only for the API and for failure
-messages, with the same text and order as a polynomial comparison.
+dual's counts.  The transform is computed once per code; the abelian check
+reads it relabelled through phi.  Polynomials are built only for the API and
+for failure messages, with the same text and order as a polynomial comparison.
 
 A floating spot-check at z in {0.3, 0.5, 0.7} ties these back to the raw
 corank-nullity sum through tutte_evaluate; it is the only non-exact step and
@@ -84,10 +85,10 @@ class CheckResult:
 class CodeAnalysis:
     """The artifacts of one code that the checks read, each computed on
     first use and then shared: the rank profile, the weight counts of H, the
-    coefficients of cwe_H at every content, R(H) and the weight counts of
-    R(H).  W and Wd are the two weight enumerators as polynomials, built
-    from the counts on each access.  tuple_cap bounds the irrep tuple space
-    of R(H)."""
+    coefficients of cwe_H at every content and its transform, R(H), the
+    weight counts of R(H) and the coefficients of cwe_R(H).  W and Wd are
+    the two weight enumerators as polynomials, built from the counts on each
+    access.  tuple_cap bounds the irrep tuple space of R(H)."""
 
     def __init__(
         self, code: GroupCode, ct: CharacterTable | None = None, tuple_cap: int = DEFAULT_TUPLE_CAP
@@ -113,8 +114,17 @@ class CodeAnalysis:
         return cwe_counts(self.code, self.ct.classes)
 
     @cached_property
+    def cwe_transform(self) -> tuple[np.ndarray, np.ndarray]:
+        self.dm  # R(H) first: its tuple cap is checked before the transform
+        return _cwe_transform(self.cwe_counts, self.ct.embedded, self.code.n)
+
+    @cached_property
     def dm(self) -> DualMultiset:
         return dual_multiset(self.code, self.ct, cap=self.tuple_cap)
+
+    @cached_property
+    def dual_cwe_counts(self) -> np.ndarray:
+        return content_counts(self.dm.index, self.dm.k, self.dm.counts)
 
     @cached_property
     def wd_counts(self) -> np.ndarray:
@@ -253,23 +263,26 @@ def verify_macwilliams1(a: CodeAnalysis) -> CheckResult:
     return result
 
 
-def _cwe_transform(counts: np.ndarray, table: zring.Embedded, n: int) -> np.ndarray:
+def _cwe_transform(counts: np.ndarray, table: zring.Embedded, n: int) -> tuple:
     """The cwe with coefficient counts[i] at the content of rank i
     evaluated at v_c = sum_p T[p, c] x_p, for the (k, k, m) table T over
     Z[C_m] of table: |H| times the transform, as the exact integer
-    coefficient at every content.  The contraction's keys are the sorted
+    coefficient at every content, and the mask of the contents where it is
+    not rational (see _rational).  The contraction's keys are the sorted
     tuples of the nonzero contents; it is summed by content at every
     embedding before the rationality gate, because a single ordered entry
     need not be rational."""
     k = table.T.shape[0]
-    tuples = zring.content_tuples(k, n)
     nonzero = np.flatnonzero(counts)
-    bins = zring.content_bins(k, n)
-    flat = tuples[nonzero] @ zring.radix(k, n)
-    sums, irrational = zring.contract(flat, counts[nonzero], table, n, bins)
+    flat = zring.content_tuples(k, n)[nonzero] @ zring.radix(k, n)
+    return zring.contract(flat, counts[nonzero], table, n, zring.content_bins(k, n))
+
+
+def _rational(sums: np.ndarray, irrational: np.ndarray, k: int, n: int) -> np.ndarray:
+    """sums, or NotRational at the first content that irrational marks."""
     bad = np.flatnonzero(irrational)
     if len(bad):
-        e = tuple(zring.content_exponents(tuples[bad[:1]], k)[0].tolist())
+        e = tuple(zring.content_exponents(zring.content_tuples(k, n)[bad[:1]], k)[0].tolist())
         raise NotRational(f"transformed coefficient at {e} is not rational")
     return sums
 
@@ -285,16 +298,15 @@ def _content_difference(k: int, n: int, sums: np.ndarray, divisor: int, counts: 
 def macwilliams2_transform(code: GroupCode, ct: CharacterTable) -> MultiPoly:
     """(1/|H|) cwe_H evaluated at v_j = sum_p chi_p(c_j) x_p, every
     coefficient reduced to an exact rational."""
-    sums = _cwe_transform(cwe_counts(code, ct.classes), ct.embedded, code.n)
-    return content_poly(ct.k, code.n, sums, code.size)
+    k, n = ct.k, code.n
+    sums = _rational(*_cwe_transform(cwe_counts(code, ct.classes), ct.embedded, n), k, n)
+    return content_poly(k, n, sums, code.size)
 
 
 def verify_macwilliams2(a: CodeAnalysis) -> CheckResult:
     result = CheckResult("macwilliams2", True)
-    # R(H) first: its tuple cap is checked before the transform runs
-    expected = content_counts(a.dm.index, a.dm.k, a.dm.counts)
     k, n, size = a.ct.k, a.code.n, a.code.size
-    sums = _cwe_transform(a.cwe_counts, a.ct.embedded, n)
+    sums = _rational(*a.cwe_transform, k, n)
     bad = np.flatnonzero((sums % size != 0) | (sums < 0))
     if len(bad):  # past TABLE_BLOCK the content tuples are rebuilt
         exponents = zring.content_exponents(zring.content_tuples(k, n)[bad], k)
@@ -302,7 +314,7 @@ def verify_macwilliams2(a: CodeAnalysis) -> CheckResult:
             result.fail(
                 f"transformed coefficient at {e} is {Fraction(c, size)}, not a nonnegative integer"
             )
-    difference = _content_difference(k, n, sums, size, expected)
+    difference = _content_difference(k, n, sums, size, a.dual_cwe_counts)
     if difference is not None:
         result.fail(f"cwe transform differs from dual cwe by {difference}")
     return result
@@ -357,8 +369,16 @@ def classical_dual_code(
 
 def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
     """For abelian Gamma: the dual multiset is 0/1-valued, its image under
-    the pinned character-group isomorphism is the classical pairing dual,
-    and the elementwise MacWilliams transform reproduces both cwes."""
+    the pinned character-group isomorphism phi is the classical pairing
+    dual, and the classical MacWilliams transform reproduces both cwes.
+
+    That transform, at v_y = sum_g beta(g, y) x_g, is MacWilliams #2's with
+    its contents relabelled through phi = irrep_to_element.  _abelian_pairing
+    checks that row i has the reduced coefficients of beta(phi(i), .), so
+    the same images at every embedding; the certified table has distinct
+    rows, so phi is a bijection.  So at every embedding the coefficient at
+    the element content E is #2's at the irrep content phi^-1(E), for the
+    sums and the rationality mask alike."""
     code, ct = a.code, a.ct
     G = code.group
     if ct.k != G.order:
@@ -383,16 +403,18 @@ def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
         extra = list(map(tuple, words[tag == 1][:5].tolist()))
         result.fail(f"phi-image mismatch; missing={missing} extra={extra}")
 
-    # classical MacWilliams #2 with the element-indexed pairing matrix
+    # classical MacWilliams #2: #2's coefficients, at phi^-1 of every content
     k, n = ct.k, code.n
+    back = np.argsort(zring.content_ranks(irrep_to_element[zring.content_tuples(k, n)], k))
     cwe_dual = cwe_counts(dual, ct.classes)
-    transformed = _cwe_transform(a.cwe_counts, ab.pairing, n)
+    sums, irrational = a.cwe_transform
+    transformed = _rational(sums[back], irrational[back], k, n)
     difference = _content_difference(k, n, transformed, code.size, cwe_dual)
     if difference is not None:
         result.fail(f"classical cwe transform differs from the brute-force dual by {difference}")
 
     # and the representation-route cwe agrees after relabeling through phi
-    difference = _content_difference(k, n, content_counts(image, dm.k, dm.counts), 1, cwe_dual)
+    difference = _content_difference(k, n, a.dual_cwe_counts[back], 1, cwe_dual)
     if difference is not None:
         result.fail(f"relabeled dual cwe differs from the classical dual cwe by {difference}")
     return result

@@ -110,8 +110,12 @@ def _parse_shorthand_params(text: str, where: str) -> dict[str, str]:
     for part in text.split(","):
         if "=" not in part:
             raise SpecFileError(f"{where}: expected key=value, got {part!r}")
-        key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (x.strip() for x in part.split("=", 1))
+        if key != "n":
+            raise SpecFileError(f"{where}: unknown shorthand parameter {key!r}")
+        if key in out:
+            raise SpecFileError(f"{where}: shorthand parameter {key!r} given twice")
+        out[key] = value
     return out
 
 
@@ -153,7 +157,7 @@ def load_code_spec(
     if group is None:
         raise SpecFileError(f"{where}: no group given (field 'group' or --group)")
     n = _require(spec, "n", where)
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SpecFileError(f"{where}.n: expected a positive integer, got {n!r}")
     labels = _label_index(group)
     gens = []
@@ -164,7 +168,7 @@ def load_code_spec(
             )
         word = []
         for ci, lab in enumerate(gen):
-            if lab not in labels:
+            if not isinstance(lab, str) or lab not in labels:
                 raise SpecFileError(
                     f"{where}.generators[{gi}][{ci}]: unknown element label {lab!r} "
                     f"for group {group.name}"

@@ -302,6 +302,76 @@ def test_cli_verify_tuple_cap_reaches_every_check(capsys, check):
     assert "irrep tuple space needs 1296 > cap 10" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"n": True, "generators": [["(0 1)"]]},
+        {"n": 2, "generators": [[["x"], "()"]]},
+        {"n": 2, "generators": [["()", {"x": 1}]]},
+    ],
+    ids=["bool-n", "list-label", "object-label"],
+)
+def test_cli_malformed_code_specs_exit_2(capsys, tmp_path, spec):
+    # a bool is not a length and a label must be a string: both are spec
+    # errors, not tracebacks
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "wenum", "--group", "builtin:S3", "--code", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("spec error: ")
+    assert ("expected a positive integer" if spec["n"] is True else "unknown element label") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "shorthand, key", [("diag:n=2,x=9", "unknown shorthand parameter 'x'"),
+                       ("diag:n=2,n=3", "shorthand parameter 'n' given twice")]
+)
+def test_cli_shorthands_refuse_unknown_and_repeated_keys(capsys, shorthand, key):
+    code, out, err = run(capsys, "wenum", "--group", "builtin:Z2", "--code", shorthand)
+    assert code == 2
+    assert out == ""
+    assert err == f"spec error: code: {key}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classes", "--group", "builtin:S3", "--closure-cap", "0"),
+        ("wenum", "--group", "builtin:Z2", "--code", "full:n=2", "--closure-cap", "-1"),
+        ("dual", "--group", "builtin:S3", "--code", "diag:n=2", "--tuple-cap", "-5"),
+        ("demo", "--coset-cap", "0"),
+    ],
+    ids=["classes", "wenum", "dual", "demo"],
+)
+def test_cli_caps_below_one_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {argv[-2]}: a cap must be at least 1, got {argv[-1]}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wenum", "--group", "builtin:S3", "--code", "diag:n=2", "--tuple-cap", "5"),
+        ("dual", "--group", "builtin:S3", "--code", "diag:n=2", "--coset-cap", "5"),
+    ],
+    ids=["wenum-tuple-cap", "dual-coset-cap"],
+)
+def test_cli_subcommands_refuse_caps_they_do_not_read(capsys, argv):
+    # only demo runs the coset oracle, and only dual, verify and demo build R(H)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
 def test_cli_deterministic_json(capsys):
     argv = ["dual", "--group", "builtin:Q8", "--code", "diag:n=3", "--format", "json"]
     _, out1, _ = run(capsys, *argv)

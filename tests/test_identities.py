@@ -17,7 +17,7 @@ from repdual.codes import (
     trivial_code,
     weight_enumerator,
 )
-from repdual import codes, duality, identities
+from repdual import codes, duality, identities, zring
 from repdual.duality import dual_multiset, dual_weight_enumerator
 from repdual.errors import DomainError, NotAGroup, NotRational
 from repdual.groups import (
@@ -292,7 +292,10 @@ def test_verify_all_nonabelian_sample():
 )
 def test_verify_all_computes_each_artifact_once(monkeypatch, code):
     # the checks read the weight counts of H and of R(H), built once each;
-    # no weight enumerator polynomial is built on a passing run
+    # no weight enumerator polynomial is built on a passing run.  Two
+    # contractions, R(H) and the cwe transform, which the abelian check
+    # relabels; no table is embedded past the one certification made
+    character_table(code.group).embedded
     calls = Counter()
 
     def count(module, name, counted=lambda *args: True):
@@ -313,6 +316,8 @@ def test_verify_all_computes_each_artifact_once(monkeypatch, code):
     # the abelian check also tallies the classical dual code
     count(identities, "cwe_counts", lambda c, *_: c is code)
     count(codes, "projection_cardinalities")
+    count(zring, "contract")
+    count(zring, "Embedded")
     results = verify_all(code)
     assert len(results) == (5 if code.group.is_abelian() else 4)
     assert all(r.passed for r in results), [(r.name, r.details) for r in results]
@@ -323,6 +328,7 @@ def test_verify_all_computes_each_artifact_once(monkeypatch, code):
         "dual_weight_counts": 1,
         "cwe_counts": 1,
         "projection_cardinalities": 1,
+        "contract": 2,
     }
 
 

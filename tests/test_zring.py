@@ -199,10 +199,20 @@ def assert_routes_match(code, ct):
     want = rz.reference_cwe_transform(cwe, ct.zvalues, code.size)
     assert identities.macwilliams2_transform(code, ct).terms == want.terms
     if ct.k == ct.group.order:
-        pairing = ct.abelian_pairing.pairing
-        sums = identities._cwe_transform(codes.cwe_counts(code, ct.classes), pairing, code.n)
-        got = codes.content_poly(ct.k, code.n, sums, code.size)
-        assert got.terms == rz.reference_cwe_transform(cwe, pairing.T, code.size).terms
+        # MacWilliams #2's sums relabelled to element contents, as the
+        # abelian check reads them, against the one-hot pairing table
+        ab = ct.abelian_pairing
+        k, n = ct.k, code.n
+        sums, irrational = identities._cwe_transform(
+            codes.cwe_counts(code, ct.classes), ct.embedded, n
+        )
+        assert not irrational.any()
+        rank = zring.content_ranks(ab.irrep_to_element[zring.content_tuples(k, n)], k)
+        relabelled = np.empty_like(sums)
+        relabelled[rank] = sums
+        got = codes.content_poly(k, n, relabelled, code.size)
+        pairing = np.eye(ct.group.exponent, dtype=np.int64)[np.array(ab.eps)]
+        assert got.terms == rz.reference_cwe_transform(cwe, pairing, code.size).terms
 
 
 def test_embedded_contraction_matches_reference_on_matrix():
