@@ -47,9 +47,6 @@ from .groups import (
     product_group,
     quaternion_group,
     symmetric_group,
-    word_inv,
-    word_mul,
-    word_weight,
 )
 from .identities import (
     CheckResult,

@@ -362,32 +362,38 @@ def abelian_basis(G: FiniteGroup) -> tuple[list[int], list[int]]:
     of basis powers.  Greedy maximal quotient order with a lift fix-up; the
     classical basis theorem guarantees each step succeeds.
 
-    Each step takes the first element g of largest order t modulo the span
-    S so far, found by repeated products in the Cayley table, multiplies it
-    by the first s in S with s^t = g^-t when g^t is not the identity, and
-    grows S to S * {g^0, ..., g^(t-1)}."""
+    The powers P[a, y] = y^a of all elements, a up to the exponent e, are
+    built by doubling: rows k+1..2k are rows 1..k times row k, one gather
+    each time.  Each step takes the first element g of largest order t
+    modulo the span S so far (the least t with g^t in S, read from P),
+    multiplies it by the first s in S with s^t g^t = 1 when g^t is not the
+    identity, and grows S to S * {g^0, ..., g^(t-1)} by one gather."""
     if not G.is_abelian():
         raise DomainError("abelian_basis needs an abelian group")
-    T = G.table
+    T, e = G.cayley, G.exponent
+    P = np.zeros((e + 1, G.order), dtype=T.dtype)
+    P[1], k = np.arange(G.order), 1
+    while k < e:
+        j = min(k, e - k)
+        P[k + 1 : k + j + 1] = T[P[1 : j + 1], P[k]]
+        k += j
     basis: list[int] = []
     orders: list[int] = []
-    span = {0}
-    while len(span) < G.order:
-        g, order, top = 0, 1, 0  # members of S have order 1 modulo S
-        for y in range(G.order):
-            x, t = y, 1
-            while x not in span:
-                x, t = T[x][y], t + 1
-            if t > order:
-                g, order, top = y, t, x
+    span = np.zeros(G.order, dtype=bool)
+    span[0] = True
+    while not span.all():
+        t = span[P[1:]].argmax(axis=0) + 1  # y^e = 1 is in S
+        g = int(np.argmax(t))
+        order, top = int(t[g]), P[t[g], g]
+        members = np.flatnonzero(span)
         if top != 0:
-            fix = next((s for s in sorted(span) if T[G.power(s, order)][top] == 0), None)
-            if fix is None:
+            fix = np.flatnonzero(T[P[order, members], top] == 0)
+            if not fix.size:
                 raise NonIntegerMultiplicity("abelian basis lift failed")
-            g = T[g][fix]
+            g = int(T[g, members[fix[0]]])
         basis.append(g)
         orders.append(order)
-        span = {T[s][a] for a in _powers(G.cayley, g, order).tolist() for s in span}
+        span[T[members[:, None], P[:order, g]]] = True
     return basis, orders
 
 

@@ -56,8 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"a cap must be at least 1, got {text}")
         return int(text)
 
-    def add_common(p, code=False, tuple_cap=False):
-        """Every subcommand's options but demo's; --tuple-cap where R(H) is built."""
+    def add_common(p, code=False, table=False, tuple_cap=False):
+        """Every subcommand's options but demo's, each where it is read: --code
+        and --closure-cap for a code, --cache-dir for a table, --tuple-cap for R(H)."""
         p.add_argument("--group", help="group spec: JSON file or builtin:NAME")
         if code:
             p.add_argument(
@@ -65,20 +66,21 @@ def _build_parser() -> argparse.ArgumentParser:
                 required=True,
                 help="code spec: JSON file or trivial:/full:/diag: shorthand",
             )
+            p.add_argument("--closure-cap", type=cap, default=DEFAULT_CODE_CAP, metavar="N")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--closure-cap", type=cap, default=DEFAULT_CODE_CAP, metavar="N")
         if tuple_cap:
             p.add_argument("--tuple-cap", type=cap, default=DEFAULT_TUPLE_CAP, metavar="N")
-        p.add_argument("--cache-dir", help="on-disk character table cache")
+        if table:
+            p.add_argument("--cache-dir", help="on-disk character table cache")
 
     p = sub.add_parser("classes", help="conjugacy classes of a group")
     add_common(p)
     p = sub.add_parser("chartable", help="exact character table of a group")
-    add_common(p)
+    add_common(p, table=True)
     p = sub.add_parser("wenum", help="weight enumerator of a code")
     add_common(p, code=True)
     p = sub.add_parser("cwe", help="complete weight enumerator of a code")
-    add_common(p, code=True)
+    add_common(p, code=True, table=True)
     p = sub.add_parser("rank", help="projection-cardinality polymatroid")
     add_common(p, code=True)
     p = sub.add_parser("tutte", help="floating Tutte evaluation")
@@ -86,9 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p = sub.add_parser("dual", help="representation-based dual multiset")
-    add_common(p, code=True, tuple_cap=True)
+    add_common(p, code=True, table=True, tuple_cap=True)
     p = sub.add_parser("verify", help="exact identity verification")
-    add_common(p, code=True, tuple_cap=True)
+    add_common(p, code=True, table=True, tuple_cap=True)
     for name in CHECKS:
         p.add_argument(f"--{name}", action="store_true")
     p.add_argument("--all", action="store_true")

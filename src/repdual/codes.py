@@ -32,7 +32,7 @@ from .errors import (
     NotAGroup,
     PolymatroidViolation,
 )
-from .groups import ClassData, FiniteGroup, GroupWord, word_inv, word_mul
+from .groups import ClassData, FiniteGroup, GroupWord
 from .polynomials import MultiPoly, UniPoly
 
 DEFAULT_CODE_CAP = 10**6
@@ -42,8 +42,8 @@ RANK_PROFILE_MAX_N = 20
 @dataclass(frozen=True, eq=False)
 class GroupCode:
     """Subgroup of Gamma^n stored as its distinct words: a read-only
-    (|H|, n) int64 array in lex order.  words and word_set are the same
-    words as tuples, built on first use."""
+    (|H|, n) int64 array in lex order.  words are the same words as
+    tuples, built on first use."""
 
     group: FiniteGroup
     n: int
@@ -70,10 +70,6 @@ class GroupCode:
     def words(self) -> tuple[GroupWord, ...]:
         return tuple(map(tuple, self.word_array.tolist()))
 
-    @cached_property
-    def word_set(self) -> frozenset[GroupWord]:
-        return frozenset(self.words)
-
     def __repr__(self):
         return f"GroupCode({self.group.name}^{self.n}, size={self.size})"
 
@@ -86,18 +82,22 @@ def _make_code(group: FiniteGroup, n: int, A: np.ndarray) -> GroupCode:
 def code_from_generators(
     G: FiniteGroup, n: int, gens: list[GroupWord], cap: int = DEFAULT_CODE_CAP
 ) -> GroupCode:
-    """BFS closure of the generating words (identity word included)."""
+    """BFS closure of the generating words (identity word included).  Right
+    multiplication by a letter s reads column s of the Cayley table, fetched
+    once per distinct letter."""
     for g in gens:
         if len(g) != n:
             raise LengthMismatch(f"generator {g} does not have length {n}")
+    columns = {s: G.cayley[:, s].tolist() for g in gens for s in g}
+    steps = [[columns[s] for s in g] for g in gens]
     identity = (0,) * n
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in gens:
-                y = word_mul(G, w, g)
+            for step in steps:
+                y = tuple([col[x] for col, x in zip(step, w)])
                 if y not in seen:
                     if len(seen) >= cap:
                         raise ClosureCapExceeded("code closure", len(seen) + 1, cap)
@@ -123,16 +123,40 @@ def code_from_words(
         raise NotAGroup(f"word {words[bad[0]]} has an entry outside 0..{G.order - 1}")
     code = _make_code(G, n, A)
     if validate:
-        if (0,) * n not in code.word_set:
-            raise NotAGroup("word set lacks the identity word")
-        for w in code.words:
-            if word_inv(G, w) not in code.word_set:
-                raise NotAGroup(f"word set not closed under inverse at {w}")
-        for a in code.words:
-            for b in code.words:
-                if word_mul(G, a, b) not in code.word_set:
-                    raise NotAGroup(f"word set not closed under product at {a},{b}")
+        _check_subgroup(code)
     return code
+
+
+def _check_subgroup(code: GroupCode) -> None:
+    """Raise NotAGroup at the first failing axiom of the word set: the
+    identity word, then the inverse of each word, then the product of each
+    pair (a, b), words in lex order.  Membership is one searchsorted into
+    the sorted words, each row viewed as one void item; the products are
+    gathered a block of about TABLE_BLOCK entries at a time."""
+    T = code.group.cayley
+    A = code.word_array.astype(T.dtype)
+    m, n = A.shape
+    if not m or A[0].any():  # rows in lex order: the identity comes first
+        raise NotAGroup("word set lacks the identity word")
+    item = np.dtype((np.void, A.itemsize * n))
+    keys = np.sort(A.view(item).ravel())
+
+    def missing(rows: np.ndarray) -> np.ndarray:
+        """Flat indices of the rows of rows (last axis n) not in the set."""
+        q = rows.view(item).ravel()
+        at = np.minimum(keys.searchsorted(q), m - 1)
+        return np.flatnonzero(keys[at] != q)
+
+    bad = missing(np.array(code.group.inverse, dtype=T.dtype)[A])
+    if len(bad):
+        raise NotAGroup(f"word set not closed under inverse at {code.words[bad[0]]}")
+    step = max(1, groups.TABLE_BLOCK // max(1, m * n))
+    for a0 in range(0, m, step):
+        bad = missing(T[A[a0 : a0 + step, None], A[None]])
+        if len(bad):
+            a, b = divmod(int(bad[0]), m)
+            a, b = code.words[a0 + a], code.words[b]
+            raise NotAGroup(f"word set not closed under product at {a},{b}")
 
 
 def trivial_code(G: FiniteGroup, n: int) -> GroupCode:

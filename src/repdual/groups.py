@@ -1,4 +1,4 @@
-"""Finite groups as dense index tables, plus componentwise word arithmetic.
+"""Finite groups as dense index tables.
 
 Elements of a group of order N are the indices 0..N-1 with the identity
 always at index 0.  A word in the n-fold direct product is a plain tuple of
@@ -33,7 +33,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .errors import ClosureCapExceeded, InvalidPermutation, LengthMismatch, NotAGroup
+from .errors import ClosureCapExceeded, InvalidPermutation, NotAGroup
 
 GroupWord = tuple[int, ...]
 
@@ -76,11 +76,10 @@ class FiniteGroup:
     """Immutable finite group over indices 0..order-1, identity at 0.
 
     cayley is the Cayley table as a read-only index array (it may be given
-    as nested rows), table the same rows as tuples, built on first use, and
-    orders[g] is the order of element g.  element_labels is a tuple of
-    strings or, for a permutation group, CycleLabels.  generators, when
-    given, must generate the group: conjugacy classes are orbits under
-    them.  Groups are equal when their names, labels, generators and tables
+    as nested rows), and orders[g] is the order of element g.
+    element_labels is a tuple of strings or, for a permutation group,
+    CycleLabels.  generators, when given, must generate the group:
+    conjugacy classes are orbits under them.  Groups are equal when their names, labels, generators and tables
     are.
 
     This is the trusted constructor: it checks none of the group axioms,
@@ -117,10 +116,6 @@ class FiniteGroup:
     def __hash__(self):
         return hash((self.name, table_hash(self.cayley)))
 
-    @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.cayley.tolist()))
-
     @property
     def order(self) -> int:
         return len(self.cayley)
@@ -133,28 +128,11 @@ class FiniteGroup:
             return labels.take(elements)
         return [labels[g] for g in elements]
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def element_order(self, g: int) -> int:
         return self.orders[g]
 
     def is_abelian(self) -> bool:
         return bool((self.cayley == self.cayley.T).all())
-
-    def power(self, g: int, e: int) -> int:
-        e %= self.element_order(g)
-        x = 0
-        for _ in range(e):
-            x = self.table[x][g]
-        return x
-
-    def conjugate(self, g: int, by: int) -> int:
-        """by * g * by^-1"""
-        return self.table[self.table[by][g]][self.inverse[by]]
 
     def table_digest(self) -> str:
         return self._table_digest
@@ -577,34 +555,14 @@ def commutator_subgroup(G: FiniteGroup) -> frozenset[int]:
     return frozenset(np.flatnonzero(_span(T, np.flatnonzero(comms))).tolist())
 
 
-# -- words in the direct product ------------------------------------------------
-
-
-def word_mul(G: FiniteGroup, a: GroupWord, b: GroupWord) -> GroupWord:
-    if len(a) != len(b):
-        raise LengthMismatch(f"word lengths {len(a)} and {len(b)}")
-    t = G.table
-    return tuple(t[x][y] for x, y in zip(a, b))
-
-
-def word_inv(G: FiniteGroup, a: GroupWord) -> GroupWord:
-    inv = G.inverse
-    return tuple(inv[x] for x in a)
-
-
-def word_weight(a: GroupWord) -> int:
-    """n minus the number of identity coordinates."""
-    return sum(1 for x in a if x != 0)
-
-
 # -- builtin groups ---------------------------------------------------------------
 
 
 def cyclic_group(n: int, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     if n > cap:
         raise ClosureCapExceeded("cyclic group order", n, cap)
-    idx = np.arange(n)
-    T = ((idx[:, None] + idx) % n).astype(_index_dtype(n))
+    idx = np.arange(n, dtype=_index_dtype(2 * n))
+    T = ((idx[:, None] + idx) % n).astype(_index_dtype(n), copy=False)
     gens = (1,) if n > 1 else ()
     return _from_array(f"Z{n}", T, tuple(map(str, range(n))), gens)
 

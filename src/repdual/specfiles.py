@@ -5,7 +5,8 @@ Group specs (JSON object, file containing one, or "builtin:NAME" shorthand):
   {"kind": "builtin", "name": "S3"}                      named group
   {"kind": "permutation", "degree": 3,
    "generators": [[[0, 1]], [[0, 1, 2]]]}                cycles, 0-based points
-  {"kind": "table", "table": [[0, 1], [1, 0]]}           explicit Cayley table
+  {"kind": "table", "table": [[0, 1], [1, 0]],
+   "labels": ["e", "a"]}                                 Cayley table, distinct labels
   {"kind": "product", "factors": [<spec>, ...]}          direct product
 
 Code specs (JSON object/file or "trivial:n=K" / "full:n=K" / "diag:n=K"):
@@ -90,7 +91,14 @@ def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") ->
             perms = [perm_from_cycles(cycles, degree) for cycles in gens]
             return group_from_generators(perms, cap)
         if kind == "table":
-            return group_from_table(_require(spec, "table", where), spec.get("labels"))
+            labels = spec.get("labels")
+            if labels is not None and not (
+                isinstance(labels, list)
+                and {type(label) for label in labels} <= {str}
+                and len(set(labels)) == len(labels)
+            ):
+                raise SpecFileError(f"{where}.labels: expected a list of distinct strings")
+            return group_from_table(_require(spec, "table", where), labels)
         if kind == "product":
             factors = _require(spec, "factors", where)
             groups = [
@@ -161,7 +169,10 @@ def load_code_spec(
         raise SpecFileError(f"{where}.n: expected a positive integer, got {n!r}")
     labels = _label_index(group)
     gens = []
-    for gi, gen in enumerate(_require(spec, "generators", where)):
+    words = _require(spec, "generators", where)
+    if not isinstance(words, list):
+        raise SpecFileError(f"{where}.generators: expected a list of generators, got {words!r}")
+    for gi, gen in enumerate(words):
         if not isinstance(gen, list) or len(gen) != n:
             raise SpecFileError(
                 f"{where}.generators[{gi}]: expected a list of {n} element labels"

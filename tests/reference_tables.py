@@ -103,9 +103,10 @@ def reference_product_table(factors) -> tuple:
             x = x * o + p
         return x
 
+    tables = [G.cayley.tolist() for G in factors]
     return tuple(
         tuple(
-            join(G.mul(p, q) for G, p, q in zip(factors, split(a), split(b)))
+            join(T[p][q] for T, p, q in zip(tables, split(a), split(b)))
             for b in range(total)
         )
         for a in range(total)
@@ -126,7 +127,7 @@ def reference_conjugacy_classes(G: FiniteGroup) -> ClassData:
     """Orbit BFS under conjugation by every element, with inverses taken
     from the table (reference_inverses), not from G."""
     n = G.order
-    table = G.table
+    table = G.cayley.tolist()
     inverse = reference_inverses(G.cayley)
     class_of = [-1] * n
     orbits = []
@@ -199,18 +200,15 @@ def reference_small_generating_set(table: tuple[tuple[int, ...], ...]) -> tuple[
 def reference_commutator_subgroup(G: FiniteGroup) -> frozenset[int]:
     """Closure of all commutators a b a^-1 b^-1 (used to count the degree-1
     characters independently of the character table)."""
-    comms = {
-        G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
-        for a in range(G.order)
-        for b in range(G.order)
-    }
+    T, inv = G.cayley.tolist(), G.inverse
+    comms = {T[T[a][b]][T[inv[a]][inv[b]]] for a in range(G.order) for b in range(G.order)}
     span = {0}
     frontier = list(comms | {0})
     span |= comms
     while frontier:
         x = frontier.pop()
         for c in comms:
-            y = G.mul(x, c)
+            y = T[x][c]
             if y not in span:
                 span.add(y)
                 frontier.append(y)
@@ -222,7 +220,7 @@ def reference_table_digest(G: FiniteGroup) -> str:
     little-endian signed integer of 2 bytes (4 from order 2^15)."""
     width = 2 if G.order < 2**15 else 4
     h = hashlib.sha256(str(G.order).encode())
-    for row in G.table:
+    for row in G.cayley.tolist():
         h.update(b"".join(v.to_bytes(width, "little", signed=True) for v in row))
     return h.hexdigest()
 
@@ -453,9 +451,10 @@ def reference_common_eigenvectors(mats, k, p):
 def reference_class_multiplication(G, classes):
     k = classes.num_classes
     a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    T = G.cayley.tolist()
     for l, z in enumerate(classes.class_reps):
         for x in range(G.order):
-            a[classes.class_of[x]][classes.class_of[G.mul(G.inv(x), z)]][l] += 1
+            a[classes.class_of[x]][classes.class_of[T[G.inverse[x]][z]]][l] += 1
     return a
 
 
@@ -471,17 +470,18 @@ def reference_character_table(G: FiniteGroup):
     mats = [[[a[i][j][l] for l in range(k)] for j in range(k)] for i in range(1, k)]
     eigvecs = reference_common_eigenvectors(mats, k, p)
 
-    inv_class = [classes.class_of[G.inv(r)] for r in classes.class_reps]
+    inv_class = [classes.class_of[G.inverse[r]] for r in classes.class_reps]
     size_inv = [pow(s, p - 2, p) for s in classes.class_sizes]
     z = zring.root_of_unity(e, p)
     e_inv = pow(e, p - 2, p)
+    T = G.cayley.tolist()
     power_class = []
     for rep in classes.class_reps:
         row = []
         x = 0
         for _ in range(e):
             row.append(classes.class_of[x])
-            x = G.mul(x, rep)
+            x = T[x][rep]
         power_class.append(row)
 
     mults = np.zeros((k, k, e), dtype=np.int64)
@@ -588,45 +588,51 @@ def reference_dump_cached(ct) -> dict:
 # -- abelian groups -------------------------------------------------------------
 
 
+def _power(T, g: int, e: int) -> int:
+    """g^e for e >= 0 by repeated products in the nested-list table T."""
+    x = 0
+    for _ in range(e):
+        x = T[x][g]
+    return x
+
+
 def reference_abelian_basis(G: FiniteGroup) -> tuple[list[int], list[int]]:
     """chartable.abelian_basis one element at a time: the order of each
-    element modulo the span by repeated products, the span by closure."""
+    element modulo the span by repeated products, the first s in the span
+    with s^t g^t = 1 as the lift fix-up, and the span grown by closure over
+    Python sets."""
+    T = G.cayley.tolist()
     basis: list[int] = []
     orders: list[int] = []
     span = {0}
     while len(span) < G.order:
-        best_g, best_t = None, 0
-        for g in range(G.order):
-            if g in span:
-                continue
-            t, x = 1, g
+        g, order, top = 0, 1, 0  # members of S have order 1 modulo S
+        for y in range(G.order):
+            x, t = y, 1
             while x not in span:
-                x = G.mul(x, g)
-                t += 1
-            if t > best_t:
-                best_g, best_t = g, t
-        g, t = best_g, best_t
-        if G.power(g, t) != 0:
-            target = G.inv(G.power(g, t))
-            fix = next((s for s in sorted(span) if G.power(s, t) == target), None)
+                x, t = T[x][y], t + 1
+            if t > order:
+                g, order, top = y, t, x
+        if top != 0:
+            fix = next((s for s in sorted(span) if T[_power(T, s, order)][top] == 0), None)
             if fix is None:
                 raise NonIntegerMultiplicity("abelian basis lift failed")
-            g = G.mul(g, fix)
+            g = T[g][fix]
         basis.append(g)
-        orders.append(t)
-        span = {G.mul(s, G.power(g, a)) for s in span for a in range(t)}
+        orders.append(order)
+        span = {T[s][_power(T, g, a)] for a in range(order) for s in span}
     return basis, orders
 
 
 def reference_abelian_pairing_exponents(G: FiniteGroup) -> list[list[int]]:
     """chartable.abelian_pairing_exponents with one product per element."""
     basis, orders = reference_abelian_basis(G)
-    m = G.exponent
+    m, T = G.exponent, G.cayley.tolist()
     coords: dict[int, tuple[int, ...]] = {}
     for mix in product(*(range(t) for t in orders)):
         x = 0
         for b, a in zip(basis, mix):
-            x = G.mul(x, G.power(b, a))
+            x = T[x][_power(T, b, a)]
         if x in coords:
             raise NonIntegerMultiplicity("abelian basis is not a direct decomposition")
         coords[x] = mix

@@ -2,7 +2,8 @@
 
 These are the pure-Python implementations that the distinct-rows tallies
 replaced, kept as they were: dict-of-tuples counts over the words of a code
-(class patterns, W, cwe, projections), the polymatroid check of the rank
+(class patterns, W, cwe, projections), the subgroup check of
+code_from_words as a scan over word pairs, the polymatroid check of the rank
 profile as a loop over subsets, over the tuples of R(H) (its
 multiplicities, W_R(H), cwe_R(H), the extension-lemma sums), the classical
 dual by enumeration, the abelian relabelling and the content sums of the
@@ -21,8 +22,8 @@ import numpy as np
 
 from repdual.codes import DEFAULT_CODE_CAP, GroupCode, _mask_coords, code_from_words
 from repdual.duality import DualMultiset
-from repdual.errors import CapExceeded, NonIntegerMultiplicity, PolymatroidViolation
-from repdual.groups import TABLE_BLOCK, ClassData, word_weight
+from repdual.errors import CapExceeded, NonIntegerMultiplicity, NotAGroup, PolymatroidViolation
+from repdual.groups import TABLE_BLOCK, ClassData
 from repdual.polynomials import MultiPoly, UniPoly
 
 from reference_cyclotomic import Cyclotomic
@@ -69,11 +70,29 @@ def check_polymatroid(card, n: int) -> None:
                     )
 
 
+def check_subgroup(code: GroupCode) -> None:
+    """code_from_words's validation as the scan over word tuples it was:
+    the identity word, then the inverse of each word, then the product of
+    each pair (a, b), words in lex order; NotAGroup names the first
+    failure."""
+    T, inv = code.group.cayley.tolist(), code.group.inverse
+    word_set = set(code.words)
+    if (0,) * code.n not in word_set:
+        raise NotAGroup("word set lacks the identity word")
+    for w in code.words:
+        if tuple(inv[x] for x in w) not in word_set:
+            raise NotAGroup(f"word set not closed under inverse at {w}")
+    for a in code.words:
+        for b in code.words:
+            if tuple(T[x][y] for x, y in zip(a, b)) not in word_set:
+                raise NotAGroup(f"word set not closed under product at {a},{b}")
+
+
 def weight_enumerator(code: GroupCode) -> UniPoly:
     """W_H(z) = sum over words of z^weight."""
     counts: dict[int, int] = {}
     for w in code.words:
-        wt = word_weight(w)
+        wt = sum(1 for x in w if x != 0)
         counts[wt] = counts.get(wt, 0) + 1
     return UniPoly({d: Fraction(c) for d, c in counts.items()})
 

@@ -93,6 +93,19 @@ def test_basis_and_pairing_match_reference(orders, seed):
         assert abelian_pairing_exponents(G) == reference_abelian_pairing_exponents(G)
 
 
+BASIS_GROUPS = [f"Z{n}" for n in range(1, 61)] + [
+    "Z300", "Z2xZ2xZ2xZ2xZ2", "x".join(["Z2"] * 10), "Z3xZ3xZ3", "Z2xZ4xZ8", "Z4xZ4xZ2", "Z3xZ9", "Z12xZ18",
+]
+
+
+@pytest.mark.parametrize("name", BASIS_GROUPS)
+def test_basis_matches_the_element_walk(name):
+    """abelian_basis on its power table picks the basis of the per-element
+    greedy loop, the lift fix-up included (Z12xZ18 needs one)."""
+    G = build(name)
+    assert abelian_basis(G) == reference_abelian_basis(G)
+
+
 # sha256 of irrep_to_element and then the one-hot pairing array built from
 # eps, both as little-endian int64, as the per-row match of every table row
 # against all k reduced characters produced them

@@ -57,7 +57,7 @@ def test_class_mult_coefficients_s3():
         1
         for x in cd.members(t)
         for y in cd.members(t)
-        if G.mul(x, y) == 0
+        if G.cayley[x, y] == 0
     )
     assert a[t][t][0] == count == 3
 
@@ -125,7 +125,7 @@ def test_abelian_tables_are_multiplicative():
         for i in range(n):
             for g in range(n):
                 for h in range(n):
-                    gh = G.mul(g, h)
+                    gh = G.cayley[g, h]
                     assert ct.value(i, gh) == values[i][g] * values[i][h]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -93,14 +94,34 @@ def test_cli_classes(capsys):
     assert "class 2: size 3" in out
 
 
-def test_cli_classes_builds_no_table(capsys, tmp_path, monkeypatch):
+def test_cli_classes_builds_no_table(capsys, monkeypatch):
     import repdual.cli as cli
 
     monkeypatch.setattr(cli, "character_table", None)
-    code, out, _ = run(capsys, "classes", "--group", "builtin:D4", "--cache-dir", str(tmp_path))
+    code, out, _ = run(capsys, "classes", "--group", "builtin:D4")
     assert code == 0
     assert "5 conjugacy classes" in out
-    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classes", "--cache-dir", "D"),
+        ("wenum", "--code", "diag:n=2", "--cache-dir", "D"),
+        ("rank", "--code", "diag:n=2", "--cache-dir", "D"),
+        ("tutte", "--code", "diag:n=2", "--x", "2", "--y", "2", "--cache-dir", "D"),
+        ("classes", "--closure-cap", "10"),
+        ("chartable", "--closure-cap", "10"),
+    ],
+    ids=["classes-cache", "wenum-cache", "rank-cache", "tutte-cache", "classes-cap", "chartable-cap"],
+)
+def test_cli_options_a_subcommand_does_not_read_are_argument_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--group", "builtin:S3", *argv[1:]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def test_cli_classes_json_lists_members_in_index_order(capsys):
@@ -285,7 +306,9 @@ def test_cli_empty_shorthands_are_spec_errors(capsys, argv):
 
 def test_cli_group_closure_keeps_its_fixed_cap(capsys):
     # --closure-cap bounds code closures only
-    code, out, err = run(capsys, "classes", "--group", "builtin:S7", "--closure-cap", "100000")
+    code, out, err = run(
+        capsys, "wenum", "--group", "builtin:S7", "--code", "diag:n=1", "--closure-cap", "100000"
+    )
     assert code == 2
     assert out == ""
     assert "group closure needs 5001 > cap 5000" in err
@@ -338,12 +361,12 @@ def test_cli_shorthands_refuse_unknown_and_repeated_keys(capsys, shorthand, key)
 @pytest.mark.parametrize(
     "argv",
     [
-        ("classes", "--group", "builtin:S3", "--closure-cap", "0"),
+        ("rank", "--group", "builtin:S3", "--code", "diag:n=2", "--closure-cap", "0"),
         ("wenum", "--group", "builtin:Z2", "--code", "full:n=2", "--closure-cap", "-1"),
         ("dual", "--group", "builtin:S3", "--code", "diag:n=2", "--tuple-cap", "-5"),
         ("demo", "--coset-cap", "0"),
     ],
-    ids=["classes", "wenum", "dual", "demo"],
+    ids=["rank", "wenum", "dual", "demo"],
 )
 def test_cli_caps_below_one_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -468,6 +491,53 @@ def test_cli_two_processes_share_one_cache_file(tmp_path):
     assert path.name.startswith("chartable-") and path.suffix == ".json"
     G = builtin_group("S4")
     assert chartable._load_cached(G, path) == chartable._compute_character_table(G)
+
+
+@pytest.mark.parametrize("labels", [[1, 2], ["a", "a"], "ab", {"a": 0, "b": 1}], ids=["ints", "repeated", "string", "object"])
+def test_cli_table_spec_labels_must_be_distinct_strings(tmp_path, capsys, labels):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"kind": "table", "table": [[0, 1], [1, 0]], "labels": labels}))
+    for command in ("classes", "chartable"):
+        code, out, err = run(capsys, command, "--group", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"spec error: {path}.labels: expected a list of distinct strings\n"
+
+
+def test_cli_table_spec_labels_name_the_elements(tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"kind": "table", "table": [[0, 1], [1, 0]], "labels": ["e", "a"]}))
+    code, out, _ = run(capsys, "chartable", "--group", str(path))
+    assert code == 0
+    assert "  classes: e a\n" in out
+
+
+@pytest.mark.parametrize("generators", [None, "ab", {"x": ["1"]}, 3], ids=["null", "string", "object", "int"])
+def test_cli_code_spec_generators_must_be_a_list(tmp_path, capsys, generators):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"n": 1, "generators": generators}))
+    code, out, err = run(capsys, "wenum", "--group", "builtin:Z3", "--code", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"spec error: {path}.generators: expected a list of generators")
+    assert "Traceback" not in err
+
+
+def test_cli_one_generator_code_over_a_large_cyclic_group(tmp_path):
+    """The closure of one generating word over Z5000 reads two Cayley
+    columns, not a Python copy of the 25M-entry table: the same bytes, and
+    the child's peak RSS (ru_maxrss, KB on Linux) stays under 600 MB."""
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"n": 2, "generators": [["1", "2"]]}))
+    argv = [sys.executable, "-m", "repdual.cli", "wenum", "--group", "builtin:Z5000", "--code", str(path)]
+    with open(tmp_path / "err", "w+") as err:
+        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=cli_env())
+        with child.stdout:
+            out = child.stdout.read()
+        _, status, usage = os.wait4(child.pid, 0)  # Popen.wait would reap it with no usage
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        assert child.returncode == 0, err.read()
+    assert hashlib.sha256(out).hexdigest() == "3eac825d58a23e2f80ecf04a7369e40bd1b7515cd46cb23a9d50b5501ea4cdb2"
+    assert usage.ru_maxrss < 600 * 1024
 
 
 def test_cli_table_spec_that_is_not_a_group_exits_2(tmp_path, capsys):

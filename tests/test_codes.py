@@ -28,11 +28,15 @@ from repdual.errors import (
     PolymatroidViolation,
 )
 from repdual.groups import (
+    builtin_group,
     conjugacy_classes,
     cyclic_group,
+    product_group,
     symmetric_group,
 )
 from repdual.polynomials import MultiPoly, UniPoly
+
+from reference_tallies import check_subgroup
 
 S3 = symmetric_group(3)
 
@@ -48,7 +52,7 @@ def example_code():
 def test_example_code_words():
     code = example_code()
     assert code.size == 6
-    assert code.word_set == frozenset(EX_H_WORDS)
+    assert set(code.words) == EX_H_WORDS
 
 
 def test_empty_generators():
@@ -62,7 +66,7 @@ def test_diagonal_code():
     assert code.size == 6
     assert all(len(set(w)) == 1 for w in code.words)
     gens = [(g,) * 4 for g in (1, 2)]
-    assert code_from_generators(S3, 4, gens).word_set == code.word_set
+    assert code_from_generators(S3, 4, gens).words == code.words
 
 
 def test_diagonal_code_of_length_zero_has_one_word():
@@ -92,6 +96,55 @@ def test_code_from_words_names_the_first_failing_axiom(words, message):
         code_from_words(S3, 2, words)
     assert str(exc.value) == message
     assert code_from_words(S3, 2, words, validate=False).size == len(words)
+
+
+NEAR_GROUPS = {name: builtin_group(name) for name in ("Z4", "S3", "D4", "Q8", "Z6")}
+
+
+@st.composite
+def near_subgroups(draw):
+    """A subgroup of Gamma^n (n <= 3) from up to two random generators, with
+    one word removed, one word added, or left as it is."""
+    G = NEAR_GROUPS[draw(st.sampled_from(sorted(NEAR_GROUPS)))]
+    n = draw(st.integers(1, 3))
+    word = st.tuples(*[st.integers(0, G.order - 1)] * n)
+    words = list(code_from_generators(G, n, draw(st.lists(word, max_size=2))).words)
+    change = draw(st.sampled_from(["remove", "add", "keep"]))
+    if change == "remove":
+        words.pop(draw(st.integers(0, len(words) - 1)))
+    elif change == "add":
+        words.append(draw(word))
+    return G, n, draw(st.permutations(words))
+
+
+def outcome(check):
+    try:
+        check()
+    except NotAGroup as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(near_subgroups())
+def test_code_from_words_validation_matches_the_scan(case):
+    """The array validation accepts exactly the subgroups and otherwise
+    raises the word scan's message."""
+    G, n, words = case
+    code = code_from_words(G, n, words, validate=False)
+    got = outcome(lambda: code_from_words(G, n, words))
+    assert got == outcome(lambda: check_subgroup(code))
+    if got is None:
+        assert code_from_generators(G, n, code.words) == code
+
+
+def test_code_from_words_validates_full_codes_and_length_zero():
+    G = product_group([symmetric_group(3), cyclic_group(2)])
+    code = full_code(G, 3)
+    assert code_from_words(G, 3, code.words) == code
+    assert code_from_words(S3, 0, [()]).words == ((),)
+    with pytest.raises(NotAGroup, match="^word set lacks the identity word$"):
+        code_from_words(S3, 0, [])
 
 
 @pytest.mark.parametrize("validate", [True, False])

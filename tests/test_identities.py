@@ -236,13 +236,13 @@ def test_classical_dual_z4():
     dual = classical_dual_code(code, eps)
     # brute force over all 16 pairs: a + b = 0 mod 4
     expected = {(a, b) for a in range(4) for b in range(4) if (a + b) % 4 == 0}
-    assert dual.word_set == expected
+    assert set(dual.words) == expected
 
 
 def test_classical_dual_z2_repetition_self_dual():
     eps = abelian_pairing_exponents(Z2)
     code = code_from_generators(Z2, 2, [(1, 1)])
-    assert classical_dual_code(code, eps).word_set == code.word_set
+    assert classical_dual_code(code, eps).words == code.words
 
 
 def test_classical_dual_trivial_z6():

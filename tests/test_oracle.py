@@ -38,7 +38,6 @@ from repdual.groups import (
     dihedral_group,
     product_group,
     symmetric_group,
-    word_mul,
 )
 
 from test_acceptance import build_matrix
@@ -46,10 +45,11 @@ from test_acceptance import build_matrix
 
 def reference_coset_representatives(code):
     G = code.group
+    T = G.cayley.tolist()
     gens = list(G.generators) or list(range(1, G.order))
 
     def canonical(word):
-        return min(word_mul(G, word, h) for h in code.words)
+        return min(tuple(T[x][y] for x, y in zip(word, h)) for h in code.words)
 
     start = canonical((0,) * code.n)
     seen, frontier = {start}, [start]
@@ -59,7 +59,7 @@ def reference_coset_representatives(code):
             for m in range(code.n):
                 for g in gens:
                     y = list(x)
-                    y[m] = G.mul(g, y[m])
+                    y[m] = T[g][y[m]]
                     rep = canonical(tuple(y))
                     if rep not in seen:
                         seen.add(rep)
@@ -73,7 +73,7 @@ def reference_permutation_character(code, classes, reps):
     tuple: g fixes xH iff x^-1 g x lies in H (zero entries omitted)."""
     G, n = code.group, code.n
     X = np.array(reps, dtype=np.int64)
-    MUL = np.array(G.table, dtype=np.int64)
+    MUL = G.cayley.astype(np.int64)
     INV = np.array(G.inverse, dtype=np.int64)
     weights = [G.order ** (n - 1 - m) for m in range(n)]
     H = np.array(code.words, dtype=np.int64) @ weights

@@ -106,12 +106,12 @@ def build(name):
 
 
 def assert_same_group(G, R):
-    assert G.table == R.table
+    assert np.array_equal(G.cayley, R.cayley)
     assert G.element_labels == R.element_labels
     assert G.generators == R.generators
     assert G.inverse == R.inverse
     assert G.exponent == R.exponent
-    assert G.cayley.tolist() == [list(row) for row in R.table]
+    assert G.cayley.tolist() == R.cayley.tolist()
 
 
 @pytest.mark.parametrize("name", PERMUTATION_GROUPS)
@@ -137,7 +137,7 @@ def test_closure_on_degree_16_and_more_matches_reference():
 def test_product_matches_reference(factors):
     F = [builtin_group(f) for f in factors]
     G = product_group(F)
-    assert G.table == reference_product_table(F)
+    assert G.cayley.tolist() == [list(row) for row in reference_product_table(F)]
     assert G.element_labels == tuple(
         "(" + ",".join(parts) + ")" for parts in itertools.product(*(H.element_labels for H in F))
     )
@@ -154,7 +154,8 @@ def test_classes_and_digest_match_reference(name):
 def test_inverses_match_row_argmin(name):
     G = build(name)
     assert G.inverse == reference_inverses(G.cayley)
-    assert all(G.mul(g, G.inv(g)) == G.mul(G.inv(g), g) == 0 for g in range(G.order))
+    elements, inv = np.arange(G.order), np.array(G.inverse)
+    assert (G.cayley[elements, inv] == 0).all() and (G.cayley[inv, elements] == 0).all()
 
 
 def relabelled(G, seed):
@@ -174,7 +175,7 @@ def test_relabelled_tables_match_reference(name, seed):
     assert conjugacy_classes(G) == reference_conjugacy_classes(G)
     assert G.inverse == reference_inverses(G.cayley)
     assert G.generators == groups._small_generating_set(G.cayley)
-    assert G.generators == reference_small_generating_set(G.table)
+    assert G.generators == reference_small_generating_set(G.cayley.tolist())
 
 
 @pytest.mark.parametrize("name", ["Z1", "Z6", "S4", "D5", "Q8", "S3xZ2"])
@@ -199,7 +200,7 @@ def test_generators_and_commutators_match_reference(name):
     """The span kernel gives the greedy generating set and the commutator
     subgroup of the Python closures; Q8 and the products carry that set."""
     G = build(name)
-    expected = reference_small_generating_set(G.table)
+    expected = reference_small_generating_set(G.cayley.tolist())
     assert groups._small_generating_set(G.cayley) == expected
     if name == "Q8" or "x" in name:
         assert G.generators == expected
@@ -350,7 +351,7 @@ def test_wide_permutation_groups_match_reference(gens):
     G = group_from_generators(gens)
     R = reference_group_from_generators(gens)
     assert_same_group(G, R)
-    assert G.inverse == reference_inverses(R.table)
+    assert G.inverse == reference_inverses(R.cayley)
     assert conjugacy_classes(G) == reference_conjugacy_classes(R)
     if G.order > 1:
         with pytest.raises(ClosureCapExceeded) as got:
@@ -522,7 +523,7 @@ def test_product_digest_at_the_word_switch_matches_reference(factors):
 
 def test_equal_tables_built_two_ways_have_equal_digests():
     S3 = symmetric_group(3)
-    T = load_group_spec({"kind": "table", "table": [list(row) for row in S3.table]})
+    T = load_group_spec({"kind": "table", "table": S3.cayley.tolist()})
     assert T.cayley.dtype == S3.cayley.dtype and T.name != S3.name
     assert T.table_digest() == S3.table_digest() == reference_table_digest(S3)
 
@@ -537,7 +538,7 @@ def _text_digest(G):
     """The earlier cache key: sha256 of the order and the rows in decimal,
     each written "|" then its entries joined by ","."""
     h = hashlib.sha256(str(G.order).encode())
-    for row in G.table:
+    for row in G.cayley.tolist():
         h.update(b"|" + ",".join(map(str, row)).encode())
     return h.hexdigest()
 
@@ -589,7 +590,7 @@ def test_digest_is_computed_once(monkeypatch):
 def test_equal_tables_share_one_memo_entry(monkeypatch):
     monkeypatch.setattr(chartable, "_cache", {})
     S3 = symmetric_group(3)
-    T = load_group_spec({"kind": "table", "table": [list(row) for row in S3.table]})
+    T = load_group_spec({"kind": "table", "table": S3.cayley.tolist()})
     assert T is not S3 and T != S3
     assert character_table(T) is character_table(S3)
     assert len(chartable._cache) == 1
@@ -634,7 +635,7 @@ ONE_SIDED_INVERSES = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 
 
 def test_group_from_table_messages_match_reference():
     rng = random.Random(7)
-    tables = [[list(row) for row in build(name).table] for name in ("S3", "Z6", "Q8", "D4", "S4", "Z2xZ2xZ2")]
+    tables = [build(name).cayley.tolist() for name in ("S3", "Z6", "Q8", "D4", "S4", "Z2xZ2xZ2")]
     cases = [
         [[1, 0], [0, 1]],
         [[0, 1], [1, 2]],
@@ -687,9 +688,9 @@ def test_associativity_witnesses_match_reference():
     table = _loop_product(loop, 41)  # order 205: Light's test
     assert table_error(table) == reference_table_error(table)
     assert table_error(table).startswith("associativity fails")
-    big = [list(row) for row in cyclic_group(210).table]
+    big = cyclic_group(210).cayley.tolist()
     assert table_error(big) is None
-    assert group_from_table(big).table == cyclic_group(210).table
+    assert np.array_equal(group_from_table(big).cayley, cyclic_group(210).cayley)
 
 
 def intercalate_loop(n, a=1, c=1):
@@ -727,8 +728,8 @@ def test_intercalate_loops_are_refused(n):
 @pytest.mark.parametrize("name", ["S5", "S6", "Q8", "D60", "Z300"])
 def test_large_group_tables_are_accepted(name):
     G = builtin_group(name)
-    H = group_from_table([list(row) for row in G.table])
-    assert H.table == G.table
+    H = group_from_table(G.cayley.tolist())
+    assert np.array_equal(H.cayley, G.cayley)
 
 
 def test_d2500_passes_lights_test():
@@ -767,7 +768,7 @@ def near_group_tables(draw):
         assume(G.order <= 64)  # is_associative holds order^3 entries
     else:
         G = relabelled(build(draw(st.sampled_from(["S3", "S4", "D5", "Q8", "D6", "Z12"]))), draw(st.integers(0, 99)))
-    return _swap_intercalates([list(row) for row in G.table], draw)
+    return _swap_intercalates(G.cayley.tolist(), draw)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)

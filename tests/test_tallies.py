@@ -290,8 +290,8 @@ def test_abelian_relabelling_matches_reference(monkeypatch):
     phi = ref.irrep_to_element(ct, eps)
     dual = ref.classical_dual_code(code, eps)
     mapped = {tuple(phi[j] for j in t) for t in mult}
-    missing = sorted(dual.word_set - mapped)[:5]
-    extra = sorted(mapped - dual.word_set)[:5]
+    missing = sorted(set(dual.words) - mapped)[:5]
+    extra = sorted(mapped - set(dual.words))[:5]
     relabeled = ref.relabeled_dual_cwe(legacy(tampered), phi, G.order)
     cwe_dual = ref.complete_weight_enumerator(dual, ct.classes)
     assert result.details == [
