@@ -19,7 +19,6 @@ from .codes import (
     complete_weight_enumerator,
     diagonal_code,
     full_code,
-    project_cardinality,
     rank_profile,
     trivial_code,
     tutte_evaluate,

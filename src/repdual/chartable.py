@@ -59,6 +59,7 @@ from .errors import (
     LiftVerificationFailed,
     NonIntegerMultiplicity,
     NotRational,
+    RepdualError,
 )
 from .groups import TABLE_BLOCK, ClassData, FiniteGroup, conjugacy_classes, table_hash
 
@@ -564,7 +565,10 @@ def character_table(G: FiniteGroup, cache_dir: str | Path | None = None) -> Char
     if table is None:
         table = _compute_character_table(G)
         if path:
-            _write_atomic(path, _cache_text(table))
+            try:
+                _write_atomic(path, _cache_text(table))
+            except OSError as exc:
+                raise RepdualError(f"cannot write to cache directory {cache_dir}: {exc}") from exc
     with _cache_lock:
         _cache.setdefault(key, table)
     return table

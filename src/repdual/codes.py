@@ -10,8 +10,9 @@ Enumerators are tallied by content rank (zring.content_ranks: the entries
 of each row sorted, then one gather and add per column) into count vectors over
 all contents, which the identity checks compare as arrays; the polynomials
 of the API come from the same vectors, or from the distinct rows where the
-contents far outnumber the rows.  Class-pattern counts and projections
-count distinct rows of the code's one word array.
+contents far outnumber the rows.  The words' class patterns are one gather
+on the code's one word array; duality.dual_multiset tallies them by flat
+index.
 """
 
 from __future__ import annotations
@@ -280,20 +281,6 @@ def content_enumerator(P: np.ndarray, k: int, weights: np.ndarray | None = None)
 # -- projections and the polymatroid -------------------------------------------
 
 
-def _mask_coords(S: int, n: int) -> list[int]:
-    return [m for m in range(n) if S >> m & 1]
-
-
-def project_cardinality(code: GroupCode, S: int) -> int:
-    """|pr_S(H)| for a coordinate-subset bitmask S, by counting the distinct
-    rows of the projection (the per-subset reference of
-    projection_cardinalities)."""
-    coords = _mask_coords(S, code.n)
-    if not coords:
-        return 1
-    return len(_distinct_rows(code.word_array[:, coords])[0])
-
-
 @dataclass(frozen=True)
 class RankProfile:
     """card(S) = |pr_S(H)| over all 2^n bitmasks; q = |Gamma| is carried so
@@ -420,11 +407,3 @@ def _class_patterns(code: GroupCode, classes: ClassData) -> np.ndarray:
     """The class of every coordinate of every word, in the index dtype."""
     return np.array(classes.class_of, dtype=code.group.cayley.dtype)[code.word_array]
 
-
-def class_pattern_counts(code: GroupCode, classes: ClassData) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered class-pattern counts: the distinct patterns
-    (cls(h_1),..,cls(h_n)) of the words as a (p, n) array in lex order, and
-    the number of words with each.  Finer than the cwe (which forgets
-    coordinate order); the Frobenius route (duality.dual_multiset) tallies
-    the same patterns by flat index instead of sorting them."""
-    return _distinct_rows(_class_patterns(code, classes))

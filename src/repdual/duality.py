@@ -4,10 +4,11 @@ routes that serve as mutual oracles.
 Primary route (Frobenius reciprocity): the multiplicity of the irrep tuple
 (j_1..j_n) is (1/|H|) sum over words of prod_m chi_{j_m}(h_m).  The sum only
 depends on the words' class patterns, so it is organized as an axis-by-axis
-contraction of the ordered pattern counts with the character table,
-evaluated at the embeddings of Z[zeta_m] mod p (see zring): n integer
-(k, k) matrix products mod p per embedding instead of k^n*|H| cyclotomic
-products, and the multiplicities are read off where the embeddings agree.
+contraction of the words' tally by ordered class pattern (one bincount by
+flat index) with the character table, evaluated at the embeddings of
+Z[zeta_m] mod p (see zring): n integer (k, k) matrix products mod p per
+embedding instead of k^n*|H| cyclotomic products, and the multiplicities
+are read off where the embeddings agree.
 
 Oracle route (permutation character): enumerate the left cosets x*H of
 Gamma^n, count the cosets fixed by a representative of each class tuple
@@ -22,7 +23,7 @@ subgroup of Gamma), they are T_1 x ... x T_n with T_i the least element of
 every left coset of K_i.  Finding them reads H's words and the Cayley table
 only, O(|H|*n + n*|Gamma|*max|K_i| + cosets*n) work; the fixed-coset
 counts are batched int64 gathers on the Cayley table and bincounts,
-O(cosets*|H|*n), bounded by coset_cap * |H|.  No class-pattern count or
+O(cosets*|H|*n), bounded by coset_cap * |H|.  No class-pattern tally or
 character value enters this route before the decomposition, so it stays
 independent of the Frobenius route; nothing about it is floating point.
 """

@@ -132,7 +132,11 @@ class FiniteGroup:
         return self.orders[g]
 
     def is_abelian(self) -> bool:
-        return bool((self.cayley == self.cayley.T).all())
+        """Whether the generators commute, which they do exactly when the
+        group they generate is abelian."""
+        g = self.generators or _small_generating_set(self.cayley)
+        X = self.cayley[np.ix_(g, g)]
+        return bool((X == X.T).all())
 
     def table_digest(self) -> str:
         return self._table_digest
@@ -539,20 +543,6 @@ def conjugacy_classes(G: FiniteGroup) -> ClassData:
         tuple(reps.tolist()),
         tuple(np.bincount(class_of).tolist()),
     )
-
-
-def commutator_subgroup(G: FiniteGroup) -> frozenset[int]:
-    """Span of all commutators a b a^-1 b^-1, a block of rows a at a time
-    (used to count the degree-1 characters independently of the character
-    table)."""
-    n, T = G.order, G.cayley
-    inv = np.array(G.inverse)
-    comms = np.zeros(n, dtype=bool)
-    step = max(1, TABLE_BLOCK // n)
-    for a0 in range(0, n, step):
-        A = np.arange(a0, min(n, a0 + step))
-        comms[T[T[A], T[inv[A]][:, inv]]] = True
-    return frozenset(np.flatnonzero(_span(T, np.flatnonzero(comms))).tolist())
 
 
 # -- builtin groups ---------------------------------------------------------------

@@ -166,7 +166,7 @@ def _poly(values: list, divisor: int = 1) -> UniPoly:
 
 
 def _evaluate(values: list[int], z: float) -> float:
-    """_poly(values).evaluate(z) for integer values, bit for bit: the
+    """The polynomial with integer coefficients values at the float z: the
     nonzero terms added in ascending degree from z * 0."""
     total = z * 0
     for d, c in enumerate(values):
@@ -218,11 +218,13 @@ def verify_greene(a: CodeAnalysis) -> CheckResult:
     w = a.w_counts.tolist()
     rhs = _binomial_sum(sums, 0, 1)
     if [L * x for x in w] != rhs:
-        result.fail(f"primal subset form differs by {(a.W - _poly(rhs, L)).render('t')}")
+        difference = _poly([L * x - r for x, r in zip(w, rhs)], L).render("t")
+        result.fail(f"primal subset form differs by {difference}")
     wd = a.wd_counts.tolist()
     rhs = _binomial_sum(dual_sums, 0, 1)
     if [L * x for x in wd] != rhs:
-        result.fail(f"dual subset form differs by {(a.Wd - _poly(rhs, L)).render('z')}")
+        difference = _poly([L * x - r for x, r in zip(wd, rhs)], L).render("z")
+        result.fail(f"dual subset form differs by {difference}")
 
     q = code.group.order
     n = code.n
@@ -257,8 +259,9 @@ def verify_macwilliams1(a: CodeAnalysis) -> CheckResult:
     result = CheckResult("macwilliams1", True)
     size = a.code.size
     rhs = _binomial_sum(a.w_counts.tolist(), 1, a.code.group.order - 1)
-    if [size * x for x in a.wd_counts.tolist()] != rhs:
-        difference = (a.Wd - _poly(rhs, size)).render("z")
+    lhs = [size * x for x in a.wd_counts.tolist()]
+    if lhs != rhs:
+        difference = _poly([x - r for x, r in zip(lhs, rhs)], size).render("z")
         result.fail(f"transform differs from dual enumerator by {difference}")
     return result
 
@@ -289,10 +292,12 @@ def _rational(sums: np.ndarray, irrational: np.ndarray, k: int, n: int) -> np.nd
 
 def _content_difference(k: int, n: int, sums: np.ndarray, divisor: int, counts: np.ndarray):
     """The polynomial sums / divisor - counts, over the contents of (k,)*n,
-    rendered; None when it is zero."""
+    rendered; None when it is zero.  The numerators are exact ints, since
+    divisor * counts can pass int64."""
     if not ((sums % divisor != 0) | (sums // divisor != counts)).any():
         return None
-    return (content_poly(k, n, sums, divisor) - content_poly(k, n, counts)).render("x")
+    difference = sums.astype(object) - divisor * counts.astype(object)
+    return content_poly(k, n, difference, divisor).render("x")
 
 
 def macwilliams2_transform(code: GroupCode, ct: CharacterTable) -> MultiPoly:

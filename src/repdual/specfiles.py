@@ -63,6 +63,11 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: an int, and not a boolean."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") -> FiniteGroup:
     """spec: dict, path to a JSON file, or 'builtin:NAME' shorthand."""
     if isinstance(spec, FiniteGroup):
@@ -87,8 +92,13 @@ def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") ->
             return builtin_group(name, cap)
         if kind == "permutation":
             degree = _require(spec, "degree", where)
-            gens = _require(spec, "generators", where)
-            perms = [perm_from_cycles(cycles, degree) for cycles in gens]
+            if not _is_int(degree):
+                raise SpecFileError(f"{where}.degree: expected an integer, got {degree!r}")
+            perms = []
+            for gi, cycles in enumerate(_require(spec, "generators", where)):
+                if not all(_is_int(pt) for cycle in cycles for pt in cycle):
+                    raise SpecFileError(f"{where}.generators[{gi}]: points must be integers")
+                perms.append(perm_from_cycles(cycles, degree))
             return group_from_generators(perms, cap)
         if kind == "table":
             labels = spec.get("labels")
@@ -165,7 +175,7 @@ def load_code_spec(
     if group is None:
         raise SpecFileError(f"{where}: no group given (field 'group' or --group)")
     n = _require(spec, "n", where)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SpecFileError(f"{where}.n: expected a positive integer, got {n!r}")
     labels = _label_index(group)
     gens = []

@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from repdual.codes import DEFAULT_CODE_CAP, GroupCode, _mask_coords, code_from_words
+from repdual.codes import DEFAULT_CODE_CAP, GroupCode, code_from_words
 from repdual.duality import DualMultiset
 from repdual.errors import CapExceeded, NonIntegerMultiplicity, NotAGroup, PolymatroidViolation
 from repdual.groups import TABLE_BLOCK, ClassData
@@ -45,7 +45,7 @@ def legacy(dm: DualMultiset) -> "LegacyMultiset":
 
 def project_cardinality(code: GroupCode, S: int) -> int:
     """|pr_S(H)| for a coordinate-subset bitmask S."""
-    coords = _mask_coords(S, code.n)
+    coords = [m for m in range(code.n) if S >> m & 1]
     if not coords:
         return 1
     return len({tuple(w[m] for m in coords) for w in code.words})
@@ -122,6 +122,15 @@ def class_pattern_counts(code: GroupCode, classes: ClassData) -> dict[tuple[int,
         key = tuple(cls[x] for x in w)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def class_pattern_arrays(code: GroupCode, classes: ClassData) -> tuple[np.ndarray, np.ndarray]:
+    """class_pattern_counts as arrays: the distinct patterns as a (p, n)
+    array in lex order, and the number of words with each."""
+    counts = class_pattern_counts(code, classes)
+    keys = sorted(counts)
+    patterns = np.array(keys, dtype=np.int64).reshape(len(keys), code.n)
+    return patterns, np.array([counts[t] for t in keys], dtype=np.int64)
 
 
 # -- duality --------------------------------------------------------------------

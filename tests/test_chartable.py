@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,8 @@ from repdual.chartable import (
     inner_product,
 )
 from repdual.cyclotomic import Cyclotomic, euler_phi
-from repdual.errors import NotRational
+from repdual.errors import NotRational, RepdualError
 from repdual.groups import (
-    commutator_subgroup,
     conjugacy_classes,
     cyclic_group,
     dihedral_group,
@@ -26,7 +26,7 @@ from repdual.groups import (
 )
 
 import reference_cyclotomic as rc
-from reference_tables import reference_dump_cached
+from reference_tables import reference_commutator_subgroup, reference_dump_cached
 
 
 def test_dixon_prime_choices():
@@ -101,7 +101,7 @@ def certify_helpers(ct: CharacterTable):
     k, order = ct.k, ct.group.order
     assert sum(d * d for d in ct.degrees) == order
     n_linear = sum(1 for d in ct.degrees if d == 1)
-    assert n_linear == order // len(commutator_subgroup(ct.group))
+    assert n_linear == order // len(reference_commutator_subgroup(ct.group))
 
 
 def test_degree_one_count_matches_abelianization():
@@ -452,6 +452,8 @@ def test_earlier_cache_files_load_without_a_rewrite(name, tmp_path, monkeypatch)
 
 
 def test_failed_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    # the OSError reaches the caller as an operational RepdualError that
+    # names the cache directory
     import repdual.chartable as mod
 
     def refuse(src, dst):
@@ -459,7 +461,8 @@ def test_failed_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(mod.os, "replace", refuse)
     mod._cache.clear()
-    with pytest.raises(OSError, match="disk full"):
+    message = f"cannot write to cache directory {tmp_path}: disk full"
+    with pytest.raises(RepdualError, match=f"^{re.escape(message)}$"):
         character_table(symmetric_group(3), cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
 

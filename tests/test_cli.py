@@ -348,6 +348,40 @@ def test_cli_malformed_code_specs_exit_2(capsys, tmp_path, spec):
 
 
 @pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"kind": "permutation", "degree": 2, "generators": [[[False, True]]]},
+         "generators[0]: points must be integers"),
+        ({"kind": "permutation", "degree": True, "generators": [[[0]]]},
+         "degree: expected an integer, got True"),
+    ],
+    ids=["bool-points", "bool-degree"],
+)
+def test_cli_boolean_permutation_fields_exit_2(capsys, tmp_path, spec, field):
+    # a JSON boolean is not a point or a degree, as it is not a length
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "classes", "--group", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"spec error: {path}.{field}\n"
+
+
+def test_cli_cache_dir_that_is_a_file_exits_1(capsys, tmp_path, monkeypatch):
+    from repdual import chartable
+
+    monkeypatch.setattr(chartable, "_cache", {})  # so the table is written
+    path = tmp_path / "F"
+    path.write_text("")
+    code, out, err = run(capsys, "chartable", "--group", "builtin:S3", "--cache-dir", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write to cache directory {path}: ")
+    assert err.count("\n") == 1 and "File exists" in err
+    assert path.read_text() == ""
+
+
+@pytest.mark.parametrize(
     "shorthand, key", [("diag:n=2,x=9", "unknown shorthand parameter 'x'"),
                        ("diag:n=2,n=3", "shorthand parameter 'n' given twice")]
 )

