@@ -6,11 +6,11 @@ direct sum is the permutation representation of Gamma^n on the cosets of H.
 This package computes R(H) exactly (integer arrays over Z[C_m], no floats
 on the primary paths), the weight and complete weight enumerators of both
 sides, the projection-cardinality polymatroid with its Tutte evaluation, and
-verifies Greene's theorem and both MacWilliams identities as exact
-polynomial identities.
+verifies Greene's theorem and both MacWilliams identities exactly, as
+equalities of integer count vectors.
 """
 
-from .chartable import CharacterTable, character_table, inner_product
+from .chartable import CharacterTable, character_table
 from .codes import (
     GroupCode,
     RankProfile,
@@ -24,7 +24,7 @@ from .codes import (
     tutte_evaluate,
     weight_enumerator,
 )
-from .cyclotomic import Cyclotomic, cyclotomic_polynomial
+from .cyclotomic import cyclotomic_polynomial
 from .duality import (
     DualMultiset,
     decompose_permutation_character,

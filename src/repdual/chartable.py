@@ -32,9 +32,8 @@ as one Gram matrix per embedding (k^3 products, same cap) on the images the
 table keeps (ct.embedded) modulo the primes of ct.embedded.primes, as many
 as zring's norm bound needs, so neither shortcut can silently produce a
 wrong table.  Column orthogonality follows from it, since a square table
-whose rows are orthogonal is invertible (see _certify).  A table stores
-only that array; its Cyclotomic values, their text, the JSON and the disk
-cache are read from it.
+whose rows are orthogonal is invertible (see _certify).  A table is
+that array: its text, the JSON and the disk cache are read from it.
 """
 
 from __future__ import annotations
@@ -44,21 +43,19 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
 
 from . import zring
-from .cyclotomic import Cyclotomic, _as_fraction, euler_phi, render_coefficients
+from .cyclotomic import euler_phi, render_coefficients
 from .errors import (
     CapExceeded,
     DomainError,
     LiftVerificationFailed,
     NonIntegerMultiplicity,
-    NotRational,
     RepdualError,
 )
 from .groups import TABLE_BLOCK, ClassData, FiniteGroup, conjugacy_classes, table_hash
@@ -207,12 +204,12 @@ class CharacterTable:
 
     zvalues is the table as a read-only (k, k, conductor) int64 array over
     Z[C_m], m = conductor = exponent: zvalues[i, j] holds the power-basis
-    coefficients of chi_i on class j, zero-padded past phi(m).  values is
-    the same table as Cyclotomics, built on first use.  Rows: trivial
-    character first, then ascending degree, ties broken by lexicographic
-    comparison of the rows' coefficient vectors.  Columns follow the
-    canonical class order of ClassData.  Tables are equal when their
-    groups, classes, degrees, conductors and values are.
+    coefficients of chi_i on class j, zero-padded past phi(m); it is the
+    table's one copy of its values.  Rows: trivial character first, then
+    ascending degree, ties broken by lexicographic comparison of the rows'
+    coefficient vectors.  Columns follow the canonical class order of
+    ClassData.  Tables are equal when their groups, classes, degrees,
+    conductors and values are.
     """
 
     group: FiniteGroup
@@ -235,13 +232,6 @@ class CharacterTable:
         return self.classes.num_classes
 
     @cached_property
-    def values(self) -> tuple[tuple[Cyclotomic, ...], ...]:
-        """values[i][j] = chi_i on class j, a Cyclotomic of conductor m."""
-        m = self.conductor
-        rows = self.zvalues[..., : euler_phi(m)].tolist()
-        return tuple(tuple(Cyclotomic._raw(m, c) for c in row) for row in rows)
-
-    @cached_property
     def embedded(self) -> zring.Embedded:
         """zvalues with its images at the embeddings mod p, built once per
         prime: certification builds the first prime's, which every later
@@ -253,9 +243,6 @@ class CharacterTable:
         """The pairing artifacts of an abelian group's table (see
         _abelian_pairing), built on first use."""
         return _abelian_pairing(self)
-
-    def value(self, irrep: int, cls: int) -> Cyclotomic:
-        return self.values[irrep][cls]
 
     def _distinct_values(self) -> tuple[list[list[int]], np.ndarray]:
         """The distinct values' power-basis coefficients, and the (k, k)
@@ -269,15 +256,16 @@ class CharacterTable:
         return rows.tolist(), index.reshape(k, k)
 
     def values_text(self) -> list[list[str]]:
-        """values[i][j] as str(Cyclotomic) writes it, straight from the
-        array; each distinct value is rendered once."""
+        """The text of chi_i on class j at [i][j], as render_coefficients
+        writes it, straight from the array; each distinct value is rendered
+        once."""
         distinct, index = self._distinct_values()
         text = np.array([render_coefficients(self.conductor, c) for c in distinct], dtype=object)
         return text[index].tolist()
 
     def to_json(self) -> dict:
-        """The table as Cyclotomic.to_json would write its values, straight
-        from the array: one {"conductor", "coeffs"} dict per distinct value,
+        """The table as JSON, straight from the array: each value is one
+        {"conductor", "coeffs"} dict, its coefficients as decimal strings,
         which every entry holding that value shares."""
         m = self.conductor
         distinct, index = self._distinct_values()
@@ -640,41 +628,3 @@ def _load_cached(G: FiniteGroup, path: Path) -> CharacterTable | None:
         return _certified_table(G, classes, distinct[index], degrees)
     except (OSError, KeyError, TypeError, ValueError, ArithmeticError, LiftVerificationFailed):
         return None  # stale, corrupt or foreign cache entry; recompute
-
-
-def inner_product(ct: CharacterTable, f, irrep: int) -> Fraction:
-    """(1/|G|) sum_j |C_j| f(c_j) conj(chi_irrep(c_j)), reduced to a rational
-    (raises NotRational when the class function is malformed).
-
-    Each f(c_j) is an int, a Fraction or a Cyclotomic.  With M the lcm of
-    the conductors (the table's among them) and D the common denominator of
-    the coefficients, D f is a (k, M) integer array over Z[C_M], each
-    conductor c promoted by zeta_c = zeta_M^(M/c).  The row of chi_irrep is
-    conjugated (coefficient t to -t) and promoted the same way, weighted by
-    the class sizes, and the sum over classes of the products is one exact
-    product of the two arrays' supports, reduced by reduction_matrix(M)."""
-    k, m = ct.k, ct.conductor
-    rows = [
-        (v.conductor, v.coeffs) if isinstance(v, Cyclotomic) else (1, (_as_fraction(v),))
-        for v in (f[j] for j in range(k))
-    ]
-    M = lcm(m, *(c for c, _ in rows))
-    D = lcm(*(x.denominator for _, row in rows for x in row))
-    F = np.zeros((k, M), dtype=object)
-    for j, (c, row) in enumerate(rows):
-        F[j, : len(row) * (M // c) : M // c] = [x.numerator * (D // x.denominator) for x in row]
-    sizes = np.array(ct.classes.class_sizes, dtype=np.int64)
-    C = np.zeros((k, M), dtype=np.int64)
-    C[:, -np.arange(m) * (M // m) % M] = ct.zvalues[irrep] * sizes[:, None]
-    R = zring.reduction_matrix(M)
-    bound = int(np.abs(R).max()) * sum(
-        a * b for a, b in zip(zring.abs_row_sums(F), zring.abs_row_sums(C))
-    )
-    dtype = zring.exact_dtype(bound)
-    sf, sc = np.flatnonzero((F != 0).any(axis=0)), np.flatnonzero(C.any(axis=0))
-    W = F[:, sf].T.astype(dtype) @ C[:, sc].astype(dtype)
-    total = W.reshape(-1) @ R[(sf[:, None] + sc) % M].reshape(-1, R.shape[1]).astype(dtype)
-    total = [Fraction(int(c), D * ct.group.order) for c in total]
-    if any(total[1:]):
-        raise NotRational(f"{render_coefficients(M, total)} is not rational")
-    return total[0]

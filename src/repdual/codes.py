@@ -108,12 +108,10 @@ def code_from_generators(
     return _make_code(G, n, np.array(list(seen)))
 
 
-def code_from_words(
-    G: FiniteGroup, n: int, words, validate: bool = True
-) -> GroupCode:
-    """Wrap an explicit word set; validate checks subgroup closure outright
-    (skip it only for sets that are closed by construction).  Every word
-    must have length n and entries in 0..|Gamma|-1 either way."""
+def code_from_words(G: FiniteGroup, n: int, words) -> GroupCode:
+    """Wrap an explicit word set, checked to be a subgroup outright
+    (_check_subgroup) after every word is checked to have length n and
+    entries in 0..|Gamma|-1."""
     words = list(map(tuple, words))
     short = next((w for w in words if len(w) != n), None)
     if short is not None:
@@ -123,8 +121,7 @@ def code_from_words(
     if len(bad):
         raise NotAGroup(f"word {words[bad[0]]} has an entry outside 0..{G.order - 1}")
     code = _make_code(G, n, A)
-    if validate:
-        _check_subgroup(code)
+    _check_subgroup(code)
     return code
 
 
@@ -327,8 +324,9 @@ def rank_profile(code: GroupCode) -> RankProfile:
     """The projection cardinalities of H by one subset-sum transform
     (projection_cardinalities), checked to be a polymatroid.  The transform
     assumes H is a subgroup: a count of trivial words that does not divide
-    |H| raises NotAGroup, and a word set from code_from_words(...,
-    validate=False) rests on the caller's promise."""
+    |H| raises NotAGroup.  Every public constructor checks or builds a
+    subgroup; a word set wrapped by the trusted _make_code rests on its
+    caller's promise."""
     n = code.n
     if n > RANK_PROFILE_MAX_N:
         raise CapExceeded("rank profile subsets", 2**n, 2**RANK_PROFILE_MAX_N)

@@ -38,8 +38,9 @@ class LengthMismatch(RepdualError):
 
 
 class NotRational(RepdualError):
-    """A cyclotomic value was asked for its rational part but has nonzero
-    non-constant coefficients.  A checked outcome, not a fault."""
+    """MacWilliams #2's rationality gate found a transformed coefficient
+    with nonzero non-constant coefficients in Z[zeta_m].  A checked
+    outcome, not a fault."""
 
 
 class LiftVerificationFailed(RepdualError):

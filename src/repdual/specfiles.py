@@ -68,6 +68,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _list(value, where: str, what: str) -> list:
+    """value when it is a JSON list, else a SpecFileError naming where."""
+    if not isinstance(value, list):
+        raise SpecFileError(f"{where}: expected a list of {what}, got {value!r}")
+    return value
+
+
 def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") -> FiniteGroup:
     """spec: dict, path to a JSON file, or 'builtin:NAME' shorthand."""
     if isinstance(spec, FiniteGroup):
@@ -86,6 +93,8 @@ def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") ->
     try:
         if kind == "builtin":
             name = _require(spec, "name", where)
+            if not isinstance(name, str):
+                raise SpecFileError(f"{where}.name: expected a string, got {name!r}")
             params = spec.get("params")
             if params is not None:
                 name = f"{name}{params}"
@@ -94,10 +103,16 @@ def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") ->
             degree = _require(spec, "degree", where)
             if not _is_int(degree):
                 raise SpecFileError(f"{where}.degree: expected an integer, got {degree!r}")
+            if degree < 1:
+                raise SpecFileError(f"{where}.degree: expected an integer >= 1, got {degree!r}")
             perms = []
-            for gi, cycles in enumerate(_require(spec, "generators", where)):
+            generators = _require(spec, "generators", where)
+            for gi, cycles in enumerate(_list(generators, f"{where}.generators", "generators")):
+                at = f"{where}.generators[{gi}]"
+                for ci, cycle in enumerate(_list(cycles, at, "cycles")):
+                    _list(cycle, f"{at}[{ci}]", "points")
                 if not all(_is_int(pt) for cycle in cycles for pt in cycle):
-                    raise SpecFileError(f"{where}.generators[{gi}]: points must be integers")
+                    raise SpecFileError(f"{at}: points must be integers")
                 perms.append(perm_from_cycles(cycles, degree))
             return group_from_generators(perms, cap)
         if kind == "table":
@@ -108,12 +123,15 @@ def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") ->
                 and len(set(labels)) == len(labels)
             ):
                 raise SpecFileError(f"{where}.labels: expected a list of distinct strings")
-            return group_from_table(_require(spec, "table", where), labels)
+            table = _list(_require(spec, "table", where), f"{where}.table", "rows")
+            for i, row in enumerate(table):
+                _list(row, f"{where}.table[{i}]", "entries")
+            return group_from_table(table, labels)
         if kind == "product":
             factors = _require(spec, "factors", where)
             groups = [
                 load_group_spec(f, cap, where=f"{where}.factors[{i}]")
-                for i, f in enumerate(factors)
+                for i, f in enumerate(_list(factors, f"{where}.factors", "group specs"))
             ]
             return product_group(groups, cap=cap)
     except SpecFileError:
@@ -179,9 +197,7 @@ def load_code_spec(
         raise SpecFileError(f"{where}.n: expected a positive integer, got {n!r}")
     labels = _label_index(group)
     gens = []
-    words = _require(spec, "generators", where)
-    if not isinstance(words, list):
-        raise SpecFileError(f"{where}.generators: expected a list of generators, got {words!r}")
+    words = _list(_require(spec, "generators", where), f"{where}.generators", "generators")
     for gi, gen in enumerate(words):
         if not isinstance(gen, list) or len(gen) != n:
             raise SpecFileError(

@@ -11,9 +11,9 @@ triple (above order 200 by Light's test, Python loops over a generating
 set under right products), the F_p eigenspace split by
 row reduction over Python lists, the Dixon lift by one modular pow per
 (irrep, class, root, power), and certification by cyclic convolution over
-Z[C_m].  The table's Cyclotomic values, its JSON and its cache blob are
-rebuilt here one Cyclotomic at a time.  Tests compare the kernels with
-them exactly.
+Z[C_m].  The table's JSON and its cache blob are rebuilt here one
+Cyclotomic (reference_cyclotomic.values) at a time.  Tests compare the
+kernels with them exactly.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ import numpy as np
 
 from repdual import zring
 from repdual.chartable import _certified_table, _row_sort_key, dixon_prime
-from repdual.cyclotomic import Cyclotomic, euler_phi
 from repdual.errors import ClosureCapExceeded, LiftVerificationFailed, NonIntegerMultiplicity
 from repdual.groups import DEFAULT_GROUP_CAP, ClassData, FiniteGroup
 
+import reference_cyclotomic as rc
 from reference_zring import conjugate, convmatmul, reduction_gain
 
 
@@ -545,15 +545,6 @@ def reference_certify(G: FiniteGroup, classes: ClassData, T: np.ndarray, degrees
             raise LiftVerificationFailed(f"{name} orthogonality fails at ({a},{b})")
 
 
-def reference_values(ct) -> tuple:
-    """One Cyclotomic per entry of the power-basis coefficients."""
-    d = euler_phi(ct.conductor)
-    return tuple(
-        tuple(Cyclotomic._raw(ct.conductor, c) for c in row)
-        for row in ct.zvalues[..., :d].tolist()
-    )
-
-
 def reference_to_json(ct) -> dict:
     return {
         "group": ct.group.name,
@@ -562,7 +553,7 @@ def reference_to_json(ct) -> dict:
         "class_sizes": list(ct.classes.class_sizes),
         "class_reps": [ct.group.element_labels[r] for r in ct.classes.class_reps],
         "degrees": list(ct.degrees),
-        "values": [[v.to_json() for v in row] for row in reference_values(ct)],
+        "values": [[v.to_json() for v in row] for row in rc.values(ct)],
     }
 
 
@@ -571,7 +562,7 @@ def reference_dump_cached(ct) -> dict:
     coefficient lists in the order of their int64 little-endian bytes, as
     np.unique sorts rows viewed as void items, and each entry's position
     among them."""
-    rows = [[tuple(int(c) for c in v.to_json()["coeffs"]) for v in row] for row in reference_values(ct)]
+    rows = [[tuple(int(c) for c in v.to_json()["coeffs"]) for v in row] for row in rc.values(ct)]
     distinct = sorted(
         {c for row in rows for c in row},
         key=lambda coeffs: b"".join(c.to_bytes(8, "little", signed=True) for c in coeffs),

@@ -20,13 +20,13 @@ from itertools import product
 
 import numpy as np
 
-from repdual.codes import DEFAULT_CODE_CAP, GroupCode, code_from_words
+from repdual.codes import DEFAULT_CODE_CAP, GroupCode, _make_code
 from repdual.duality import DualMultiset
 from repdual.errors import CapExceeded, NonIntegerMultiplicity, NotAGroup, PolymatroidViolation
 from repdual.groups import TABLE_BLOCK, ClassData
 from repdual.polynomials import MultiPoly, UniPoly
 
-from reference_cyclotomic import Cyclotomic
+from reference_cyclotomic import Cyclotomic, values
 
 
 def multiset_from_mult(n: int, k: int, degrees, mult) -> DualMultiset:
@@ -68,6 +68,13 @@ def check_polymatroid(card, n: int) -> None:
                     raise PolymatroidViolation(
                         f"submodularity fails at S={S}, i={i}, j={j}"
                     )
+
+
+def unchecked_code(G, n: int, words) -> GroupCode:
+    """The words as a code through the trusted constructor, with no subgroup
+    check: the oracle's and the identities' refusals of a word set that is
+    not a subgroup are tested on these."""
+    return _make_code(G, n, np.array(words, dtype=np.int64).reshape(len(words), n))
 
 
 def check_subgroup(code: GroupCode) -> None:
@@ -239,7 +246,7 @@ def classical_dual_code(
             sum(eps[a][b] for a, b in zip(x, h)) % m == 0 for h in code.words
         ):
             dual_words.append(x)
-    return code_from_words(G, code.n, dual_words, validate=False)
+    return unchecked_code(G, code.n, dual_words)
 
 
 def irrep_to_element(ct, eps) -> dict[int, int]:
@@ -252,8 +259,7 @@ def irrep_to_element(ct, eps) -> dict[int, int]:
         for g in range(G.order)
     }
     out: dict[int, int] = {}
-    for i in range(ct.k):
-        row = tuple(ct.values[i])
+    for i, row in enumerate(values(ct)):
         matches = [g for g, prow in pairing_rows.items() if prow == row]
         if len(matches) != 1:
             raise NonIntegerMultiplicity(

@@ -3,8 +3,8 @@ as one int array.
 
 Certification is compared with the convolution reference
 (tests/reference_tables.py) on accept/reject and the exact message; the
-Cyclotomic values, the JSON and the cache bytes with the per-Cyclotomic
-references.  The cache reader loads only integer arrays that certify.
+JSON and the cache bytes with the references built one Cyclotomic at a
+time.  The cache reader loads only integer arrays that certify.
 """
 
 import json
@@ -26,7 +26,6 @@ from reference_tables import (
     reference_certify,
     reference_dump_cached,
     reference_to_json,
-    reference_values,
 )
 from reference_zring import reduction_gain
 from test_table_kernels import CLASS_GROUPS, TABLE_GROUPS, build
@@ -304,8 +303,6 @@ def test_values_json_and_cache_bytes_match_reference(name, tmp_path, monkeypatch
     assert path.read_bytes() == json.dumps(reference_dump_cached(ct)).encode()
     assert ct.to_json() == reference_to_json(ct)
     assert json.dumps(ct.to_json()) == json.dumps(reference_to_json(ct))
-    assert "values" not in ct.__dict__
-    assert ct.values == reference_values(ct)
     monkeypatch.setattr(chartable, "_cache", {})
     loaded = character_table(G, cache_dir=tmp_path)
     assert loaded is not ct and loaded == ct
@@ -328,19 +325,16 @@ def test_equality_and_hashing():
         {a}
 
 
-def test_verify_on_a_cached_table_leaves_values_unbuilt(tmp_path, monkeypatch, capsys):
+def test_verify_and_chartable_on_a_written_then_cached_table(tmp_path, monkeypatch, capsys):
     argv = ["verify", "--group", "builtin:S3", "--code", "diag:n=3", "--all", "--cache-dir", str(tmp_path)]
     for _ in range(2):  # the first run writes the cache, the second reads it
         monkeypatch.setattr(chartable, "_cache", {})
         assert main(argv) == 0
-        (ct,) = chartable._cache.values()
-        assert "values" not in ct.__dict__
+        assert len(list(tmp_path.iterdir())) == 1
+        # a computation after the first run would raise
+        monkeypatch.setattr(chartable, "_compute_character_table", None)
     capsys.readouterr()
-    # the chartable text is rendered from zvalues as well
     assert main(["chartable", "--group", "builtin:S3", "--cache-dir", str(tmp_path)]) == 0
-    assert "values" not in ct.__dict__
-    ct.value(0, 0)
-    assert "values" in ct.__dict__
 
 
 # -- the cache reader ------------------------------------------------------------------

@@ -367,6 +367,47 @@ def test_cli_boolean_permutation_fields_exit_2(capsys, tmp_path, spec, field):
     assert err == f"spec error: {path}.{field}\n"
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"kind": "permutation", "degree": 2, "generators": [[False, True]]},
+         "generators[0][0]: expected a list of points, got False"),
+        ({"kind": "permutation", "degree": 2, "generators": [[0, 1]]},
+         "generators[0][0]: expected a list of points, got 0"),
+        ({"kind": "permutation", "degree": 2, "generators": [5]},
+         "generators[0]: expected a list of cycles, got 5"),
+        ({"kind": "permutation", "degree": 2, "generators": 5},
+         "generators: expected a list of generators, got 5"),
+        ({"kind": "permutation", "degree": -1, "generators": []},
+         "degree: expected an integer >= 1, got -1"),
+        ({"kind": "permutation", "degree": 0, "generators": []},
+         "degree: expected an integer >= 1, got 0"),
+        ({"kind": "product", "factors": 5},
+         "factors: expected a list of group specs, got 5"),
+        ({"kind": "product", "factors": [{"kind": "builtin", "name": 5}]},
+         "factors[0].name: expected a string, got 5"),
+        ({"kind": "table", "table": 5},
+         "table: expected a list of rows, got 5"),
+        ({"kind": "table", "table": [[0, 1], 5]},
+         "table[1]: expected a list of entries, got 5"),
+        ({"kind": "builtin", "name": 5},
+         "name: expected a string, got 5"),
+    ],
+    ids=[
+        "bool-cycles", "int-cycles", "int-generator", "int-generators", "negative-degree",
+        "zero-degree", "int-factors", "int-factor-name", "int-table", "int-table-row", "int-name",
+    ],
+)
+def test_cli_group_spec_fields_of_a_wrong_json_type_exit_2(capsys, tmp_path, spec, field):
+    # each field of the wrong JSON type is named, with its index, in the
+    # spec's own terms rather than Python's
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "classes", "--group", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"spec error: {path}.{field}\n"
+
+
 def test_cli_cache_dir_that_is_a_file_exits_1(capsys, tmp_path, monkeypatch):
     from repdual import chartable
 

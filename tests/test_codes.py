@@ -37,7 +37,7 @@ from repdual.groups import (
 from repdual.polynomials import MultiPoly, UniPoly
 
 from reference_polynomials import substitute
-from reference_tallies import check_subgroup
+from reference_tallies import check_subgroup, unchecked_code
 
 S3 = symmetric_group(3)
 
@@ -96,7 +96,7 @@ def test_code_from_words_names_the_first_failing_axiom(words, message):
     with pytest.raises(NotAGroup) as exc:
         code_from_words(S3, 2, words)
     assert str(exc.value) == message
-    assert code_from_words(S3, 2, words, validate=False).size == len(words)
+    assert unchecked_code(S3, 2, words).size == len(words)
 
 
 NEAR_GROUPS = {name: builtin_group(name) for name in ("Z4", "S3", "D4", "Q8", "Z6")}
@@ -132,7 +132,7 @@ def test_code_from_words_validation_matches_the_scan(case):
     """The array validation accepts exactly the subgroups and otherwise
     raises the word scan's message."""
     G, n, words = case
-    code = code_from_words(G, n, words, validate=False)
+    code = unchecked_code(G, n, words)
     got = outcome(lambda: code_from_words(G, n, words))
     assert got == outcome(lambda: check_subgroup(code))
     if got is None:
@@ -148,7 +148,7 @@ def test_code_from_words_validates_full_codes_and_length_zero():
         code_from_words(S3, 0, [])
 
 
-@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("lazy", [True, False])
 @pytest.mark.parametrize(
     "words, error, message",
     [
@@ -158,9 +158,10 @@ def test_code_from_words_validates_full_codes_and_length_zero():
     ],
     ids=["length", "too-large", "negative"],
 )
-def test_code_from_words_checks_lengths_and_entries(words, error, message, validate):
+def test_code_from_words_checks_lengths_and_entries(words, error, message, lazy):
+    # any iterable of words, read once: a one-shot iterator as a list
     with pytest.raises(error) as exc:
-        code_from_words(S3, 2, words, validate=validate)
+        code_from_words(S3, 2, iter(words) if lazy else words)
     assert str(exc.value) == message
 
 
@@ -232,7 +233,7 @@ def test_rank_profile_names_the_first_polymatroid_violation(cards, message, monk
     ids=["count-2-of-3", "no-identity"],
 )
 def test_rank_profile_refuses_counts_that_do_not_divide(words, message):
-    code = code_from_words(cyclic_group(3), 2, words, validate=False)
+    code = unchecked_code(cyclic_group(3), 2, words)
     with pytest.raises(NotAGroup) as exc:
         rank_profile(code)
     assert str(exc.value) == message

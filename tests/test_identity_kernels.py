@@ -13,14 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repdual.codes import GroupCode, RankProfile, code_from_words, rank_profile
+from repdual.codes import GroupCode, RankProfile, rank_profile
 from repdual.errors import NonIntegerMultiplicity
 from repdual.groups import cyclic_group, symmetric_group
 from repdual.identities import CodeAnalysis, verify_greene, verify_macwilliams1
 from repdual.polynomials import UniPoly
 
 import reference_identities as ref
-from reference_tallies import dual_weight_enumerator, legacy, multiset_from_mult, weight_enumerator
+from reference_tallies import (
+    dual_weight_enumerator,
+    legacy,
+    multiset_from_mult,
+    unchecked_code,
+    weight_enumerator,
+)
 from test_identities import example_code, tampered_analysis
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
@@ -115,7 +121,7 @@ def test_checks_match_reference_when_cardinalities_do_not_divide():
     # |H| = 4 but not 3 and 9, so the dual subset form has fractions.  Its
     # own R(H) is not rational, so the analysis reads a stand-in dual.
     Z3 = cyclic_group(3)
-    code = code_from_words(Z3, 2, [(0, 0), (1, 1), (2, 0), (0, 2)], validate=False)
+    code = unchecked_code(Z3, 2, [(0, 0), (1, 1), (2, 0), (0, 2)])
     assert rank_profile(code).card == (1, 2, 2, 4)
     with pytest.raises(NonIntegerMultiplicity):
         CodeAnalysis(code).dm

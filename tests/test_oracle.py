@@ -19,7 +19,6 @@ from repdual import groups
 from repdual.chartable import character_table
 from repdual.codes import (
     code_from_generators,
-    code_from_words,
     diagonal_code,
     full_code,
     trivial_code,
@@ -40,6 +39,7 @@ from repdual.groups import (
     symmetric_group,
 )
 
+from reference_tallies import unchecked_code
 from test_acceptance import build_matrix
 
 
@@ -231,7 +231,7 @@ def test_length_zero_code_has_one_coset():
     ],
 )
 def test_non_subgroup_word_sets_are_rejected(words, message):
-    H = code_from_words(S3, len(words[0]), words, validate=False)
+    H = unchecked_code(S3, len(words[0]), words)
     with pytest.raises(RepdualError, match=message):
         permutation_character(H, CT3.classes)
 
@@ -247,7 +247,7 @@ def test_non_subgroup_word_sets_are_rejected(words, message):
 )
 def test_oracle_refusals_keep_their_messages(words, message):
     # the whole oracle, decomposition included, refuses with the exact text
-    H = code_from_words(S3, len(words[0]), words, validate=False)
+    H = unchecked_code(S3, len(words[0]), words)
     with pytest.raises(RepdualError) as refusal:
         decompose_permutation_character(permutation_character(H, CT3.classes), CT3, H.n)
     assert str(refusal.value) == message
@@ -261,7 +261,7 @@ def test_transversal_checks_pass_a_non_subgroup_that_decomposition_refuses():
     refuses it, at a multiplicity that is not rational."""
     Z3 = builtin_group("Z3")
     ct = character_table(Z3)
-    H = code_from_words(Z3, 2, [(0, 0), (1, 1), (2, 0)], validate=False)
+    H = unchecked_code(Z3, 2, [(0, 0), (1, 1), (2, 0)])
     assert _coset_representatives(H, DEFAULT_COSET_CAP).tolist() == [[0, 0], [0, 1], [0, 2]]
     pc = permutation_character(H, ct.classes)
     assert pc == {(0, 0): 3, (1, 1): 3, (2, 0): 3}
