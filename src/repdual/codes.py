@@ -6,8 +6,9 @@ the real-exponent rank r(S) = log_q|pr_S(H)| only ever appears inside the
 floating Tutte evaluation.  Subsets of coordinates are bitmasks.  The
 rank profile is one subset-sum transform of the words' support histogram:
 |pr_S(H)| = |H| / #{words trivial on S}, for all 2^n masks at once.
-Enumerators are tallied by content rank (zring.content_ranks: the entries
-of each row sorted, then one gather and add per column) into count vectors over
+Enumerators are tallied by content rank (zring.content_ranks: one gather per
+row for small shapes, else the entries of each row sorted, then one gather
+and add per column) into count vectors over
 all contents, which the identity checks compare as arrays; the polynomials
 of the API come from the same vectors, or from the distinct rows where the
 contents far outnumber the rows.  The words' class patterns are one gather
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -345,9 +346,44 @@ def _polymatroid_witness(card: list[int], n: int):
     """The first (S, i, j) over S ascending, then i ascending, at which
     card(S + i) < card(S) (reported with j = i, so before i's other tests)
     or, for j > i, card(S + i) card(S + j) < card(S + i + j) card(S), with
-    i and j outside S; None when there is none.  Each test runs on slices
-    of the (2,)*n view of card, in which axis n-1-i holds bit i."""
-    C = np.array(card, dtype=zring.exact_dtype(max(card) ** 2)).reshape((2,) * n)
+    i and j outside S; None when there is none.  For small n every test is
+    one entry of a vectorized comparison over _exchange_index(n); past it,
+    each test runs on slices of the (2,)*n view of card."""
+    dtype = zring.exact_dtype(max(card) ** 2)
+    # 7 entries for each of the 2^(n-3) n (n+3) tests (sum over S of
+    # r(r+1)/2, r = n - |S|)
+    if 7 * (n * (n + 3) << n) // 8 > groups.TABLE_BLOCK:
+        return _sliced_witness(np.array(card, dtype=dtype), n)
+    S, i, j, a, b, c, d = _exchange_index(n)
+    # entry 2^n is 1: a monotonicity test reads card(S + i) * 1 < card(S) * 1
+    C = np.append(np.array(card, dtype=dtype), np.ones(1, dtype=dtype))
+    bad = np.flatnonzero(C[a] * C[b] < C[c] * C[d])
+    return (int(S[bad[0]]), int(i[bad[0]]), int(j[bad[0]])) if len(bad) else None
+
+
+@lru_cache(maxsize=64)
+def _exchange_index(n: int) -> np.ndarray:
+    """The (7, t) read-only int64 array of every test of
+    _polymatroid_witness in its order, one column each: S, i and j, then the
+    entries a, b, c, d of card (extended by a 1 at 2^n) with the test
+    card[a] card[b] < card[c] card[d]."""
+    masks = np.arange(1 << n)
+    columns = []
+    for i in range(n):
+        for j in range(i, n):
+            S = masks[(masks >> i & 1 == 0) & (masks >> j & 1 == 0)]
+            Si, Sj = S | 1 << i, S | 1 << j
+            one = np.full(len(S), 1 << n)
+            abcd = (Si, one, S, one) if i == j else (Si, Sj, Si | Sj, S)
+            columns.append(np.stack([S, np.full(len(S), i), np.full(len(S), j), *abcd]))
+    index = np.concatenate(columns, axis=1) if columns else np.zeros((7, 0), dtype=np.int64)
+    index = index[:, np.lexsort(index[2::-1])].astype(np.int64)
+    index.setflags(write=False)
+    return index
+
+
+def _sliced_witness(card: np.ndarray, n: int):
+    C = card.reshape((2,) * n)
     masks = np.arange(1 << n).reshape((2,) * n)
     found = []
     for i in range(n):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import prod
 
 import numpy as np
@@ -78,7 +78,7 @@ class DualMultiset:
     def dims(self) -> np.ndarray:
         """dim of every row of index, exactly, a block of about
         TABLE_BLOCK entries at a time, so the (t, n) gather of degrees is
-        never whole."""
+        never whole.  _multiset seeds it for small shapes."""
         degrees = np.array(self.degrees, dtype=zring.exact_dtype(max(self.degrees) ** self.n))
         dims = np.empty(len(self.index), dtype=degrees.dtype)
         step = max(1, groups.TABLE_BLOCK // max(1, self.n))
@@ -117,22 +117,64 @@ def _digits(flat: np.ndarray, radices, dtype) -> np.ndarray:
     return out
 
 
+def _tuple_digits(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The tuples of shape at the flat C-order indices flat, in the index
+    dtype of its largest radix: rows of _digit_table for small shapes,
+    else _digits."""
+    if prod(shape) * len(shape) <= groups.TABLE_BLOCK:
+        return _digit_table(shape)[flat]
+    return _digits(flat, shape, groups._index_dtype(max(shape, default=1)))
+
+
+@lru_cache(maxsize=64)
+def _digit_table(shape: tuple[int, ...]) -> np.ndarray:
+    """Every tuple of shape in C order, in the index dtype of its largest
+    radix, read-only."""
+    D = _digits(np.arange(prod(shape)), shape, groups._index_dtype(max(shape, default=1)))
+    D.setflags(write=False)
+    return D
+
+
+@lru_cache(maxsize=64)
+def _product_table(values: tuple[int, ...], n: int) -> np.ndarray:
+    """prod_a values[j_a] for every tuple j of (len(values),)*n, flat in C
+    order, exactly in exact_dtype(max(values)**n), read-only: the
+    dimensions of the irrep tuples or the sizes of the class tuples of a
+    small shape."""
+    v = np.array(values, dtype=zring.exact_dtype(max(values) ** n))
+    P = np.ones(1, dtype=v.dtype)
+    for _ in range(n):
+        P = np.multiply.outer(P, v).reshape(-1)
+    P.setflags(write=False)
+    return P
+
+
+def _tuple_products(values: tuple[int, ...], flat: np.ndarray, tuples: np.ndarray, dtype):
+    """prod_a values[tuples[r, a]] for every row r, exactly in dtype: a
+    gather at the rows' flat indices from _product_table for small shapes,
+    else a product along the rows."""
+    n = tuples.shape[1]
+    if len(values) ** n <= groups.TABLE_BLOCK:
+        return _product_table(values, n)[flat].astype(dtype, copy=False)
+    return np.array(values, dtype=dtype)[tuples].prod(axis=1)
+
+
 def _multiplicities(
     values: np.ndarray, irrational: np.ndarray, shape: tuple[int, ...], divisor: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """values: divisor * multiplicity of every tuple of shape, flat in C
     order, exact where irrational is False.  Every entry must be rational
-    and divide to a nonnegative integer.  Returns the index and counts
-    arrays of a DualMultiset."""
+    and divide to a nonnegative integer.  Returns the flat indices of the
+    nonzero multiplicities, their tuples and the multiplicities: the flat
+    index, index and counts of a DualMultiset."""
     with trace.span("reduction to multiplicities"):
-        dtype = groups._index_dtype(max(shape, default=1))
         bad = irrational.nonzero()[0]
         if len(bad):
-            key = tuple(_digits(bad[:1], shape, dtype)[0].tolist())
+            key = tuple(_tuple_digits(bad[:1], shape)[0].tolist())
             raise NonIntegerMultiplicity(f"multiplicity of {key} is not rational")
         nonzero = values.nonzero()[0]
         trace.count("nonzero tuples", len(nonzero))
-        index = _digits(nonzero, shape, dtype)
+        index = _tuple_digits(nonzero, shape)
         values = values[nonzero]
         bad = ((values % divisor != 0) | (values < 0)).nonzero()[0]
         if len(bad):
@@ -140,14 +182,27 @@ def _multiplicities(
             raise NonIntegerMultiplicity(
                 f"multiplicity of {key} is {Fraction(int(values[bad[0]]), divisor)}"
             )
-        return index, values // divisor
+        return nonzero, index, values // divisor
+
+
+def _multiset(
+    sums: tuple[np.ndarray, np.ndarray], divisor: int, ct: CharacterTable, n: int
+) -> DualMultiset:
+    """The DualMultiset of the contracted sums over divisor (_multiplicities).
+    For a small shape its dims are gathered from the degree product table,
+    so later reads of dims and _mass reuse them."""
+    flat, index, counts = _multiplicities(*sums, (ct.k,) * n, divisor)
+    dm = DualMultiset(n, ct.k, ct.degrees, index, counts)
+    if ct.k**n <= groups.TABLE_BLOCK:
+        # seeds the cached_property, which then never runs its row products
+        object.__setattr__(dm, "dims", _product_table(ct.degrees, n)[flat])
+    return dm
 
 
 def _to_multiset(
     sums: tuple[np.ndarray, np.ndarray], divisor: int, code: GroupCode, ct: CharacterTable
 ) -> DualMultiset:
-    shape = (ct.k,) * code.n
-    dm = DualMultiset(code.n, ct.k, ct.degrees, *_multiplicities(*sums, shape, divisor))
+    dm = _multiset(sums, divisor, ct, code.n)
     # the trivial tuple is the least in lex order
     trivial = int(dm.counts[0]) if len(dm.counts) and not dm.index[0].any() else 0
     if trivial != 1:
@@ -180,16 +235,6 @@ def dual_multiset(
 # -- permutation-character oracle ------------------------------------------------
 
 
-def _is_closed(T: np.ndarray, K: np.ndarray) -> bool:
-    """Whether the element set K is closed under the product of the
-    Cayley table T (a nonempty closed set is a subgroup), checked a block of
-    about TABLE_BLOCK products at a time."""
-    member = np.zeros(len(T), dtype=bool)
-    member[K] = True
-    step = max(1, groups.TABLE_BLOCK // len(K))
-    return all(member[T[K[lo : lo + step, None], K]].all() for lo in range(0, len(K), step))
-
-
 def _coset_representatives(code: GroupCode, cap: int) -> np.ndarray:
     """Canonical (lex-minimal) representatives of the left cosets x*H, as a
     sorted (cosets, n) int64 array.
@@ -201,7 +246,9 @@ def _coset_representatives(code: GroupCode, cap: int) -> np.ndarray:
     least word of a coset has at every letter the least element of that
     letter's own left coset of K_i, and the representatives are exactly
     T_1 x ... x T_n with T_i = {g : g = min(g*K_i)}; |H| = prod |K_i|.
-    Enumerated in mixed-radix order, the product is sorted."""
+    Each K_i is checked to be closed and its T_i found once per group and
+    member mask (FiniteGroup._transversal).  Enumerated in mixed-radix
+    order, the product is sorted."""
     G = code.group
     n = code.n
     n_cosets, rem = divmod(G.order**n, code.size)
@@ -212,15 +259,17 @@ def _coset_representatives(code: GroupCode, cap: int) -> np.ndarray:
     # the tallies index class tuples, k^n <= |Gamma|^n of them, in int64
     if G.order**n > 2**63:
         raise CapExceeded("int64 word encoding", G.order**n, 2**63)
-    T, H = G.cayley, code.word_array
+    H = code.word_array
     transversals = []
     for i in range(n):
-        K = np.bincount(H[:, i], minlength=G.order).nonzero()[0]
-        if not _is_closed(T, K):
+        member = np.zeros(G.order, dtype=bool)
+        member[H[:, i]] = True
+        t = G._transversal(member.tobytes())
+        if t is None:
             raise RepdualError(
                 f"coset transversal: K_{i + 1} is not closed under the product; not a subgroup?"
             )
-        transversals.append((T[:, K].min(axis=1) == np.arange(G.order)).nonzero()[0])
+        transversals.append(t)
         H = H[H[:, i] == 0]
     sizes = [len(t) for t in transversals]
     if prod(sizes) != n_cosets:
@@ -263,8 +312,7 @@ def permutation_character(
         # letter i of x h x^-1 for a block of cosets x and every h in H, as
         # (n, b, |H|) gathers from the flat Cayley table: the long axes last
         o = G.order
-        MUL = G.cayley.astype(np.int64).reshape(-1)
-        INV = np.array(G.inverse, dtype=np.int64)
+        MUL, INV = G._flat_cayley, G._inverse_array
         H = code.word_array.T[:, None, :]
         rows = max(1, max(size, groups.TABLE_BLOCK) // max(1, code.size * n))
         # class_at[0] maps the class representatives to their classes and
@@ -272,11 +320,8 @@ def permutation_character(
         # to 2 * size, so a word with one lands at 2 * size or beyond, and
         # at most 2 * size * max(size, n) + size (exact in int64 past any
         # tally that fits memory)
-        last = np.zeros(k, dtype=np.int64)
-        np.maximum.at(last, np.array(classes.class_of), np.arange(o))
-        class_at = np.full((2, o), 2 * size, dtype=np.int64)
-        class_at[0, list(classes.class_reps)] = np.arange(k)
-        class_at[1, last] = np.arange(k)
+        maps = classes._class_maps
+        class_at = np.where(maps < 0, 2 * size, maps)
         radix = zring.radix(k, n)
         tally = np.zeros(2 * size, dtype=np.int64)
         for lo in range(0, len(X), rows):
@@ -286,20 +331,18 @@ def permutation_character(
             flat[len(flat) // 2 :] += size
             tally += np.bincount(flat[flat < 2 * size], minlength=2 * size)
     rep, alt = tally[:size], tally[size:]
-    shape = (k,) * n
-    dtype = groups._index_dtype(k)
     differ = (rep != alt).nonzero()[0]
     if len(differ):
-        tup = tuple(_digits(differ[:1], shape, dtype)[0].tolist())
+        tup = tuple(_tuple_digits(differ[:1], (k,) * n)[0].tolist())
         raise RepdualError(f"permutation character not constant on class tuple {tup}")
     nonzero = rep.nonzero()[0]
-    tuples = _digits(nonzero, shape, dtype)
+    tuples = _tuple_digits(nonzero, (k,) * n)
     counts = rep[nonzero]
     out = dict(zip(map(tuple, tuples.tolist()), counts.tolist()))
     # sum over the tuples of count * prod(class sizes) <= max(count) * |Gamma|^n
     sum_dtype = zring.exact_dtype(int(counts.max(initial=0)) * G.order**n)
-    sizes = np.array(classes.class_sizes, dtype=sum_dtype)
-    burnside = int(counts.astype(sum_dtype) @ sizes[tuples].prod(axis=1))
+    sizes = _tuple_products(classes.class_sizes, nonzero, tuples, sum_dtype)
+    burnside = int(counts.astype(sum_dtype) @ sizes)
     if burnside != G.order**n:
         raise RepdualError("Burnside total of the permutation character is off")
     return out
@@ -314,13 +357,13 @@ def decompose_permutation_character(
     integer-valued character is contracted with the table itself: a
     rational sum equals its conjugate (see zring)."""
     tuples = np.array(list(pc), dtype=np.int64).reshape(len(pc), n)
+    flat = tuples @ zring.radix(ct.k, n)
     # a count times a product of n class sizes is at most max|pc| * |Gamma|^n
     dtype = zring.exact_dtype(max(map(abs, pc.values()), default=0) * ct.group.order**n)
-    sizes = np.array(ct.classes.class_sizes, dtype=dtype)
-    weighted = np.array(list(pc.values()), dtype=dtype) * sizes[tuples].prod(axis=1)
-    sums = zring.contract(tuples @ zring.radix(ct.k, n), weighted, ct.embedded, n)
-    shape = (ct.k,) * n
-    return DualMultiset(n, ct.k, ct.degrees, *_multiplicities(*sums, shape, ct.group.order**n))
+    sizes = _tuple_products(ct.classes.class_sizes, flat, tuples, dtype)
+    weighted = np.array(list(pc.values()), dtype=dtype) * sizes
+    sums = zring.contract(flat, weighted, ct.embedded, n)
+    return _multiset(sums, ct.group.order**n, ct, n)
 
 
 # -- enumerators of the dual -----------------------------------------------------
@@ -368,11 +411,27 @@ def _extension_sides(
     n, q = rp.n, rp.group_order
     lhs = _trivial_dimension_sums(dm)
     dtype = zring.exact_dtype(max(q**n, int(np.abs(lhs).max()) * max(rp.card)))
+    return lhs.astype(dtype), np.array(rp.card[::-1], dtype=dtype), _subset_powers(q, n, dtype)
+
+
+def _subset_powers(q: int, n: int, dtype) -> np.ndarray:
+    """q^(n-|S|) for every bitmask S, in dtype; kept per (q, n, dtype) while
+    2^n <= TABLE_BLOCK."""
+    if (1 << n) <= groups.TABLE_BLOCK:
+        return _small_subset_powers(q, n, dtype)
+    return _halving_powers(q, n, dtype)
+
+
+def _halving_powers(q: int, n: int, dtype) -> np.ndarray:
     # bit i of S is the ith doubling, so the upper half divides by q once more
     power = np.array([q**n], dtype=dtype)
     for _ in range(n):
         power = np.concatenate([power, power // q])
-    return lhs.astype(dtype), np.array(rp.card[::-1], dtype=dtype), power
+    power.setflags(write=False)
+    return power
+
+
+_small_subset_powers = lru_cache(maxsize=64)(_halving_powers)
 
 
 def extension_lemma_checks(rp: RankProfile, dm: DualMultiset) -> list[ExtensionCheck]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from math import isqrt, lcm
 
@@ -40,7 +40,13 @@ GroupWord = tuple[int, ...]
 DEFAULT_GROUP_CAP = 5000
 
 # Temporaries of the numpy kernels hold about this many entries per block.
+# A table that depends only on a small shape (such as (k, n)) is built once
+# per shape and kept when it holds at most this many entries; past that the
+# kernel computes what it needs directly.
 TABLE_BLOCK = 2**14
+
+# How many subgroup transversals a group keeps (FiniteGroup._transversal).
+TRANSVERSAL_MEMO = 64
 
 
 def _index_dtype(order: int):
@@ -156,6 +162,27 @@ class FiniteGroup:
         h.update(T)
         return h.hexdigest()
 
+    @cached_property
+    def _flat_cayley(self) -> np.ndarray:
+        """The Cayley table flat in C order as int64, read-only: the coset
+        oracle reads the product g*h at g * order + h."""
+        T = self.cayley.astype(np.int64).reshape(-1)
+        T.setflags(write=False)
+        return T
+
+    @cached_property
+    def _inverse_array(self) -> np.ndarray:
+        """inverse as a read-only int64 array."""
+        inv = np.array(self.inverse, dtype=np.int64)
+        inv.setflags(write=False)
+        return inv
+
+    @cached_property
+    def _transversal(self):
+        """_left_transversal on this group's table, by the bytes of a member
+        mask, memoized for the last TRANSVERSAL_MEMO masks."""
+        return lru_cache(maxsize=TRANSVERSAL_MEMO)(partial(_left_transversal, self.cayley))
+
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -166,6 +193,22 @@ def table_hash(T: np.ndarray) -> int:
     hash equal, since the order fixes the dtype, and no order reads more
     than four rows."""
     return hash((len(T), T[1 :: max(1, len(T) // 4)][:4].tobytes()))
+
+
+def _left_transversal(T: np.ndarray, mask: bytes) -> np.ndarray | None:
+    """For the element set K whose member mask (a bool array of len(T)) has
+    the bytes mask: None when K is not closed under the product of the
+    Cayley table T (a nonempty closed set is a subgroup), checked a block of
+    about TABLE_BLOCK products at a time, else the least element of every
+    left coset g*K, as a read-only ascending array."""
+    member = np.frombuffer(mask, dtype=bool)
+    K = np.flatnonzero(member)
+    step = max(1, TABLE_BLOCK // len(K))
+    if not all(member[T[K[lo : lo + step, None], K]].all() for lo in range(0, len(K), step)):
+        return None
+    t = (T[:, K].min(axis=1) == np.arange(len(T))).nonzero()[0]
+    t.setflags(write=False)
+    return t
 
 
 def _from_array(name: str, T: np.ndarray, labels, generators=None) -> FiniteGroup:
@@ -189,20 +232,37 @@ class ClassData:
     def members(self, c: int) -> list[int]:
         return [g for g, cls in enumerate(self.class_of) if cls == c]
 
+    @cached_property
+    def _class_maps(self) -> np.ndarray:
+        """(2, order) read-only int64 maps for the coset oracle: row 0 takes
+        each class representative to its class, row 1 the last member of
+        each class; every other element maps to -1."""
+        order = len(self.class_of)
+        last = np.zeros(self.num_classes, dtype=np.int64)
+        np.maximum.at(last, np.array(self.class_of), np.arange(order))
+        maps = np.full((2, order), -1, dtype=np.int64)
+        maps[0, list(self.class_reps)] = np.arange(self.num_classes)
+        maps[1, last] = np.arange(self.num_classes)
+        maps.setflags(write=False)
+        return maps
+
 
 # -- permutation plumbing ----------------------------------------------------
 
 
 def perm_from_cycles(cycles: list[list[int]], degree: int) -> tuple[int, ...]:
-    """Image tuple of a product of disjoint cycles on 0-based points."""
+    """Image tuple of a product of disjoint cycles on 0-based points.  A
+    point may appear once in all the cycles together."""
     images = list(range(degree))
+    seen = set()
     for cycle in cycles:
         for pt in cycle:
             if not (0 <= pt < degree):
                 raise InvalidPermutation(f"point {pt} outside 0..{degree - 1}")
         for i, pt in enumerate(cycle):
-            if images[pt] != pt and len(cycle) > 1:
-                raise InvalidPermutation(f"point {pt} appears in two cycles")
+            if pt in seen:
+                raise InvalidPermutation(f"point {pt} appears twice in the cycles")
+            seen.add(pt)
             images[pt] = cycle[(i + 1) % len(cycle)]
     return tuple(images)
 

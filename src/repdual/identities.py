@@ -410,7 +410,7 @@ def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
 
     # classical MacWilliams #2: #2's coefficients, at phi^-1 of every content
     k, n = ct.k, code.n
-    back = np.argsort(zring.content_ranks(irrep_to_element[zring.content_tuples(k, n)], k))
+    back = _relabelling(irrep_to_element, n)
     cwe_dual = cwe_counts(dual, ct.classes)
     sums, irrational = a.cwe_transform
     transformed = _rational(sums[back], irrational[back], k, n)
@@ -423,6 +423,24 @@ def verify_abelian_specialization(a: CodeAnalysis) -> CheckResult:
     if difference is not None:
         result.fail(f"relabeled dual cwe differs from the classical dual cwe by {difference}")
     return result
+
+
+def _relabelling(phi: np.ndarray, n: int) -> np.ndarray:
+    """The permutation of the contents of (k,)*n, k = len(phi), whose entry
+    at the rank of every content E is the rank of phi^-1(E): kept per
+    (phi, n) when there are at most TABLE_BLOCK contents."""
+    small = zring.n_contents(len(phi), n) <= groups.TABLE_BLOCK
+    return (_small_relabelling if small else _content_relabelling)(tuple(phi.tolist()), n)
+
+
+def _content_relabelling(phi: tuple[int, ...], n: int) -> np.ndarray:
+    k = len(phi)
+    back = np.argsort(zring.content_ranks(np.array(phi)[zring.content_tuples(k, n)], k))
+    back.setflags(write=False)
+    return back
+
+
+_small_relabelling = lru_cache(maxsize=64)(_content_relabelling)
 
 
 # -- identity suite over a code ------------------------------------------------------

@@ -32,7 +32,7 @@ from .codes import (
     full_code,
     trivial_code,
 )
-from .errors import RepdualError, SpecFileError
+from .errors import InvalidPermutation, RepdualError, SpecFileError
 from .groups import (
     DEFAULT_GROUP_CAP,
     FiniteGroup,
@@ -42,6 +42,11 @@ from .groups import (
     perm_from_cycles,
     product_group,
 )
+
+# The largest permutation degree and code length a spec may give: each is
+# checked before anything of that length is allocated.
+MAX_DEGREE = 10**4
+MAX_CODE_LENGTH = 10**4
 
 
 def _read_json(path: str) -> object:
@@ -105,6 +110,10 @@ def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") ->
                 raise SpecFileError(f"{where}.degree: expected an integer, got {degree!r}")
             if degree < 1:
                 raise SpecFileError(f"{where}.degree: expected an integer >= 1, got {degree!r}")
+            if degree > MAX_DEGREE:
+                raise SpecFileError(
+                    f"{where}.degree: expected an integer <= {MAX_DEGREE}, got {degree!r}"
+                )
             perms = []
             generators = _require(spec, "generators", where)
             for gi, cycles in enumerate(_list(generators, f"{where}.generators", "generators")):
@@ -113,7 +122,10 @@ def load_group_spec(spec, cap: int = DEFAULT_GROUP_CAP, where: str = "group") ->
                     _list(cycle, f"{at}[{ci}]", "points")
                 if not all(_is_int(pt) for cycle in cycles for pt in cycle):
                     raise SpecFileError(f"{at}: points must be integers")
-                perms.append(perm_from_cycles(cycles, degree))
+                try:
+                    perms.append(perm_from_cycles(cycles, degree))
+                except InvalidPermutation as exc:
+                    raise SpecFileError(f"{at}: {exc}") from exc
             return group_from_generators(perms, cap)
         if kind == "table":
             labels = spec.get("labels")
@@ -180,6 +192,8 @@ def load_code_spec(
                 raise SpecFileError(f"{where}: shorthand {spec!r} needs n=<int>")
             if n < 1:
                 raise SpecFileError(f"{where}: shorthand {spec!r} needs n >= 1")
+            if n > MAX_CODE_LENGTH:
+                raise SpecFileError(f"{where}: shorthand {spec!r} needs n <= {MAX_CODE_LENGTH}")
             if head == "trivial":
                 return trivial_code(group, n)
             if head == "full":
@@ -195,6 +209,8 @@ def load_code_spec(
     n = _require(spec, "n", where)
     if not _is_int(n) or n < 1:
         raise SpecFileError(f"{where}.n: expected a positive integer, got {n!r}")
+    if n > MAX_CODE_LENGTH:
+        raise SpecFileError(f"{where}.n: expected an integer <= {MAX_CODE_LENGTH}, got {n!r}")
     labels = _label_index(group)
     gens = []
     words = _list(_require(spec, "generators", where), f"{where}.generators", "generators")

@@ -264,14 +264,32 @@ def _rank_table(k: int, n: int) -> np.ndarray:
 
 def content_ranks(P: np.ndarray, k: int) -> np.ndarray:
     """The rank of each row's content (entries in range(k)) among all
-    contents: its row of content_tuples.  The entries of each row are
-    sorted, then one gather and add per column; rows are never sorted
-    against each other."""
+    contents: its row of content_tuples.  For a small shape, one gather
+    from the rank of every tuple of (k,)*n at the rows' flat indices; past
+    it, the entries of each row are sorted, then one gather and add per
+    column.  Rows are never sorted against each other."""
+    n = P.shape[1]
+    if k**n <= groups.TABLE_BLOCK:
+        return _flat_ranks(k, n)[P @ radix(k, n)]
+    return _sorted_ranks(P, k)
+
+
+def _sorted_ranks(P: np.ndarray, k: int) -> np.ndarray:
     S = np.sort(P, axis=1)
     F = _rank_table(k, P.shape[1])
     rank = np.zeros(len(P), dtype=F.dtype)
     for j, column in enumerate(F):
         rank += column[S[:, j]]
+    return rank
+
+
+@lru_cache(maxsize=64)
+def _flat_ranks(k: int, n: int) -> np.ndarray:
+    """The content rank of every tuple of (k,)*n, flat in C order,
+    read-only."""
+    tuples = np.indices((k,) * n).reshape(n, k**n).T
+    rank = _sorted_ranks(tuples, k)
+    rank.setflags(write=False)
     return rank
 
 

@@ -408,6 +408,77 @@ def test_cli_group_spec_fields_of_a_wrong_json_type_exit_2(capsys, tmp_path, spe
     assert err == f"spec error: {path}.{field}\n"
 
 
+@pytest.mark.parametrize(
+    "generators, point",
+    [([[[0, 1, 1]]], 1), ([[[0, 0]]], 0), ([[[1, 2]], [[0], [0, 2]]], 0), ([[[0, 1], [2, 1]]], 1)],
+    ids=["in-one-cycle", "fixed-twice", "singleton-and-cycle", "in-two-cycles"],
+)
+def test_cli_cycles_that_repeat_a_point_exit_2(capsys, tmp_path, generators, point):
+    # cycles are disjoint: (0 1 1) is not (0 1), and (0 0) is not the identity
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"kind": "permutation", "degree": 3, "generators": generators}))
+    code, out, err = run(capsys, "classes", "--group", str(path))
+    assert (code, out) == (2, "")
+    at = len(generators) - 1
+    assert err == f"spec error: {path}.generators[{at}]: point {point} appears twice in the cycles\n"
+
+
+@pytest.mark.parametrize("generators", [[], [[[0, 1]]]], ids=["no-generators", "one-generator"])
+def test_cli_permutation_degree_past_the_bound_exits_2(capsys, tmp_path, monkeypatch, generators):
+    # refused from the spec's integer alone, before any list of that length
+    from repdual import specfiles
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr(specfiles, "perm_from_cycles", allocates)
+    monkeypatch.setattr(specfiles, "group_from_generators", allocates)
+    path = tmp_path / "group.json"
+    degree = 100_000_000_000
+    path.write_text(json.dumps({"kind": "permutation", "degree": degree, "generators": generators}))
+    code, out, err = run(capsys, "classes", "--group", str(path))
+    assert (code, out) == (2, "")
+    bound = specfiles.MAX_DEGREE
+    assert err == f"spec error: {path}.degree: expected an integer <= {bound}, got {degree}\n"
+
+
+def test_permutation_degree_at_the_bound_loads():
+    from repdual.specfiles import MAX_DEGREE
+
+    spec = {"kind": "permutation", "degree": MAX_DEGREE, "generators": [[[0, MAX_DEGREE - 1]]]}
+    assert load_group_spec(spec).order == 2
+
+
+@pytest.mark.parametrize("n", [10**30, 10**4 + 1], ids=["huge", "past-the-bound"])
+def test_cli_code_length_past_the_bound_exits_2(capsys, tmp_path, monkeypatch, n):
+    # refused from the spec's integer alone, before any word of length n
+    from repdual import specfiles
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("a code was built")
+
+    for name in ("code_from_generators", "trivial_code", "full_code", "diagonal_code"):
+        monkeypatch.setattr(specfiles, name, allocates)
+    bound = specfiles.MAX_CODE_LENGTH
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"n": n, "generators": []}))
+    code, out, err = run(capsys, "wenum", "--group", "builtin:Z2", "--code", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"spec error: {path}.n: expected an integer <= {bound}, got {n}\n"
+    for kind in ("trivial", "full", "diag"):
+        code, out, err = run(capsys, "wenum", "--group", "builtin:Z2", "--code", f"{kind}:n={n}")
+        assert (code, out) == (2, "")
+        assert err == f"spec error: code: shorthand '{kind}:n={n}' needs n <= {bound}\n"
+
+
+def test_code_length_at_the_bound_loads():
+    from repdual.specfiles import MAX_CODE_LENGTH
+
+    G = load_group_spec("builtin:Z2")
+    assert load_code_spec({"n": MAX_CODE_LENGTH, "generators": []}, G).n == MAX_CODE_LENGTH
+    assert load_code_spec(f"trivial:n={MAX_CODE_LENGTH}", G).size == 1
+
+
 def test_cli_cache_dir_that_is_a_file_exits_1(capsys, tmp_path, monkeypatch):
     from repdual import chartable
 

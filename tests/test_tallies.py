@@ -84,7 +84,7 @@ def assert_tallies_match(code, ct):
     # tuples of R(H), in the key order of the per-tuple loop
     raw = zring.reduce(A)
     sums = zring.contract(flat, counts, ct.embedded, code.n)
-    index, mult = _multiplicities(*sums, raw.shape[:-1], code.size)
+    _, index, mult = _multiplicities(*sums, raw.shape[:-1], code.size)
     want = ref._multiplicities(raw, code.size)
     assert list(as_dict(index, mult).items()) == list(want.items())
     dm = dual_multiset(code, ct)

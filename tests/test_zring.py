@@ -179,7 +179,7 @@ def contract_keys(keys, counts, table, bins=None):
 
 def kernel_multiplicities(keys, counts, ct, divisor):
     sums = contract_keys(keys, counts, ct.embedded)
-    return as_items(*_multiplicities(*sums, (ct.k,) * keys.shape[1], divisor))
+    return as_items(*_multiplicities(*sums, (ct.k,) * keys.shape[1], divisor)[1:])
 
 
 def decompose_items(pc, ct, n):
